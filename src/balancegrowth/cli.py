@@ -162,7 +162,7 @@ def cmd_fit(args) -> int:
         pl = tails.fit_power_law(data, max_candidates=args.xmin_candidates)
     xmin_used = pl.xmin
     ln = tails.fit_lognormal(data, xmin_used)
-    comparison = tails.compare_tails(data, xmin_used)
+    comparison = tails._compare_fits(data, pl, ln)
     run.write_json(Path(f"{prefix}.power_law.json"), pl.to_dict())
     run.write_json(Path(f"{prefix}.log_normal.json"), ln.to_dict())
     run.write_json(Path(f"{prefix}.comparison.json"), comparison.to_dict())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from balancegrowth import (
@@ -12,6 +14,7 @@ from balancegrowth import (
     fit_power_law,
     threshold_sweep,
 )
+from balancegrowth import tails
 from balancegrowth.tails import (
     lognormal_logpdf,
     normalized_loglik_ratio,
@@ -19,6 +22,7 @@ from balancegrowth.tails import (
 )
 
 BTC = 10**8
+ORACLE = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def powerlaw_sample(rng, n, alpha, xmin):
@@ -222,3 +226,144 @@ def test_pointwise_logpdfs_are_normalized_densities(rng):
     assert np.trapezoid(pl, xs) == pytest.approx(1.0, rel=1e-3)
     ln = np.exp(lognormal_logpdf(xs, math.log(50.0), 2.0, xmin))
     assert np.trapezoid(ln, xs) == pytest.approx(1.0, rel=1e-3)
+
+
+def scan_bruteforce(data, max_candidates=None):
+    """Exhaustive xmin scan: every candidate's full KS distance, lowest index wins ties.
+
+    Returns (xmin, alpha, ks) or None when no candidate leaves a
+    non-degenerate tail.
+    """
+    x = np.sort(np.asarray(data, dtype=np.float64))
+    n = x.size
+    logx = np.log(x)
+    suffix = np.cumsum(logx[::-1])[::-1]
+    cand = [i for i in range(n) if (i == 0 or x[i] != x[i - 1]) and n - i >= 2]
+    if max_candidates is not None and len(cand) > max_candidates:
+        pick = np.unique(np.linspace(0, len(cand) - 1, max_candidates).round().astype(int))
+        cand = [cand[j] for j in pick]
+    best = None
+    for i in cand:
+        n_t = n - i
+        s = suffix[i] - n_t * logx[i]
+        if s <= 0.0:
+            continue
+        alpha = 1.0 + n_t / s
+        cdf = 1.0 - (x[i] / x[i:]) ** (alpha - 1.0)
+        k = np.arange(1, n_t + 1, dtype=np.float64)
+        ks = float(max(np.max(cdf - (k - 1.0) / n_t), np.max(k / n_t - cdf)))
+        if best is None or ks < best[2]:
+            best = (float(x[i]), float(alpha), ks)
+    return best
+
+
+@st.composite
+def tail_samples(draw, max_size=400):
+    """Pareto/log-normal mixtures, pure Pareto, integer data with ties, and 2-3 values."""
+    kind = draw(st.sampled_from(["mixture", "pareto", "integer", "tiny"]))
+    if kind == "tiny":
+        return np.array(draw(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40) | st.integers(40, max_size))
+    alpha = draw(st.floats(1.3, 3.5))
+    if kind == "pareto":
+        return powerlaw_sample(rng, n, alpha, 1.0)
+    if kind == "integer":
+        return np.floor(draw(st.sampled_from([1.0, 3.0, 20.0])) * powerlaw_sample(rng, n, alpha, 1.0))
+    n_tail = max(1, int(draw(st.floats(0.05, 0.95)) * n))
+    body = rng.lognormal(0.0, draw(st.floats(0.2, 2.0)), size=n - n_tail)
+    return np.concatenate([body[body < 10.0], powerlaw_sample(rng, n_tail, alpha, 10.0)])
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:  # compared by type and message
+        return None, (type(exc), str(exc))
+
+
+class TestScanOracle:
+    @ORACLE
+    @given(data=tail_samples(), max_candidates=st.none() | st.integers(1, 40))
+    def test_pruned_scan_equals_exhaustive(self, data, max_candidates):
+        expected = scan_bruteforce(data, max_candidates)
+        if expected is None:
+            with pytest.raises(DegenerateTailError):
+                fit_power_law(data, max_candidates=max_candidates)
+            return
+        fit = fit_power_law(data, max_candidates=max_candidates)
+        assert (fit.xmin, fit.alpha, fit.ks_distance) == expected
+        assert 1 <= fit.ks_full_evaluations <= fit.xmin_candidates
+
+    def test_multiple_bound_blocks(self):
+        rng = np.random.default_rng(7)
+        data = np.concatenate([rng.lognormal(0.0, 1.0, 3000), powerlaw_sample(rng, 2000, 2.2, 8.0)])
+        fit = fit_power_law(data)
+        assert fit.xmin_candidates > tails._KS_BLOCK
+        assert (fit.xmin, fit.alpha, fit.ks_distance) == scan_bruteforce(data)
+        assert fit.ks_full_evaluations < fit.xmin_candidates // 10
+
+    def test_diagnostics_only_for_scanned_fits(self, rng):
+        data = powerlaw_sample(rng, 500, 2.5, 1.0)
+        scanned = fit_power_law(data).to_dict()
+        assert scanned["diagnostics"]["xmin_candidates"] == 499
+        assert "diagnostics" not in fit_power_law(data, xmin=1.0).to_dict()
+
+
+def sweep_reference(data, start, step, min_tail, significance):
+    """The threshold sweep as independent `compare_tails` calls."""
+    x = np.asarray(data, dtype=np.float64)
+    rows = []
+    k = 0
+    while np.count_nonzero(x >= start + k * step) >= min_tail:
+        rows.append(compare_tails(x, start + k * step, significance=significance))
+        k += 1
+    return rows
+
+
+@st.composite
+def sweep_cases(draw):
+    data = draw(tail_samples(max_size=300))
+    values = np.unique(data)
+    start = float(values[draw(st.integers(0, values.size // 2))])
+    min_tail = draw(st.integers(0, min(20, data.size)))
+    # about k thresholds before the tail thins to min_tail points
+    last = float(np.sort(data)[-max(min_tail, 1)])
+    step = max(last - start, 1e-6 * start) / draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        # with integer data, integral steps put thresholds exactly on data values
+        step = float(math.ceil(step))
+    significance = draw(st.sampled_from([0.05, 0.01, 0.5]))
+    return data, start, step, min_tail, significance
+
+
+def assert_rows_match(got, want, significance):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.xmin, g.n_tail, g.significance) == (w.xmin, w.n_tail, w.significance)
+        assert math.isnan(g.normalized_lr) == math.isnan(w.normalized_lr)
+        if not math.isnan(w.normalized_lr):
+            assert abs(g.normalized_lr - w.normalized_lr) <= 1e-5 * max(1.0, abs(w.normalized_lr))
+        if abs(w.p_value - significance) > 1e-5:
+            assert g.preferred == w.preferred
+
+
+class TestSweepOracle:
+    @ORACLE
+    @given(case=sweep_cases())
+    def test_sweep_matches_compare_tails(self, case):
+        data, start, step, min_tail, significance = case
+        got, got_err = _outcome(threshold_sweep, data, start, step, min_tail=min_tail, significance=significance)
+        want, want_err = _outcome(sweep_reference, data, start, step, min_tail, significance)
+        assert got_err == want_err
+        if want_err is None:
+            assert_rows_match(got, want, significance)
+
+    def test_large_integer_sample_matches(self):
+        rng = np.random.default_rng(11)
+        body = rng.lognormal(16.0, 1.5, size=20_000)
+        data = np.floor(np.concatenate([body[body < 1e8], powerlaw_sample(rng, 5000, 2.2, 1e8)]))
+        step = (np.sort(data)[-100] - 1e8) / 150
+        got = threshold_sweep(data, 1e8, step)
+        assert len(got) == 151
+        assert_rows_match(got, sweep_reference(data, 1e8, step, 100, 0.05), 0.05)

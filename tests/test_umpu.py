@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from balancegrowth import InsufficientDataError, umpu_sweep, umpu_wilks
+from balancegrowth import InsufficientDataError, tails, umpu_sweep, umpu_wilks
+from balancegrowth._rng import substream
 
 
 def exp_tail_data(rng, n, scale=0.7, threshold=50.0):
@@ -120,3 +121,47 @@ class TestSweep:
     def test_requires_min_rank_points(self, rng):
         with pytest.raises(InsufficientDataError):
             umpu_sweep(exp_tail_data(rng, 5))
+
+
+def bootstrap_reference(data, threshold, mc_reps, seed):
+    """The Monte Carlo p-value as a loop over replicates, one substream each."""
+    y = np.log(data[data > threshold] / threshold)
+    n = y.size
+    ratio = np.mean(y * y) / y.mean() ** 2
+    count = 0
+    for rep in range(mc_reps):
+        z = substream(seed, rep).exponential(y.mean(), size=n)
+        count += n * np.dot(z, z) / z.sum() ** 2 <= ratio
+    return (1.0 + count) / (mc_reps + 1.0)
+
+
+class TestSharedReplicates:
+    def test_single_test_matches_replicate_loop(self):
+        for seed in range(5):
+            data = exp_tail_data(np.random.default_rng(70_000 + seed), 200)
+            r = umpu_wilks(data, 50.0, mc_reps=300, seed=seed)
+            assert 0.01 < r.p_value == bootstrap_reference(data, 50.0, 300, seed)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_sweep_ranks_match_single_threshold_test(self, ties):
+        data = exp_tail_data(np.random.default_rng(8), 80, scale=1.0, threshold=5.0)
+        if ties:
+            data = np.floor(data)
+        for r in umpu_sweep(data, mc_reps=300, seed=5):
+            single = umpu_wilks(data, r.threshold, mc_reps=300, seed=5)
+            assert (single.p_value, single.n_tail) == (r.p_value, r.n_tail)
+            assert single.wilks_w == pytest.approx(r.wilks_w, rel=1e-9, abs=1e-12)
+
+    def test_partial_last_block_matches_single_block(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        data = exp_tail_data(rng, 60)
+        whole = umpu_sweep(data, mc_reps=101, seed=2)
+        monkeypatch.setattr(tails, "_REP_BLOCK", 7 * data.size)  # blocks of 7 replicates
+        blocked = umpu_sweep(data, mc_reps=101, seed=2)
+        assert [r.p_value for r in blocked] == [r.p_value for r in whole]
+
+    def test_rerun_identical(self, rng):
+        data = exp_tail_data(rng, 70)
+        a = umpu_sweep(data, mc_reps=150, seed=4)
+        b = umpu_sweep(data, mc_reps=150, seed=4)
+        assert a == b
