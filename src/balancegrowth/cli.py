@@ -27,42 +27,35 @@ log = logging.getLogger("balancegrowth")
 
 
 class _Run:
-    """Collects outputs for the manifest and writes it last."""
+    """Collects outputs for the manifest and writes it last.
 
-    def __init__(self, command: str, args: argparse.Namespace, inputs: list, parameters: dict):
+    The parameter echo is every parsed argument except those that only
+    place outputs or set logging, and the seed, which the manifest
+    records on its own; so the run id covers every flag that can change
+    an output.
+    """
+
+    _NOT_ECHOED = {"command", "func", "seed", "entropy", "quiet", "out", "out_path", "out_prefix", "prefix"}
+
+    def __init__(self, args: argparse.Namespace, inputs: list):
         self.started = time.monotonic()
         self.manifest = io.RunManifest(
-            command=command,
-            parameters=parameters,
+            command=args.command,
+            parameters={k: v for k, v in vars(args).items() if k not in self._NOT_ECHOED},
             inputs={str(p): io.file_sha256(p) for p in inputs},
             seed=args.seed,
         )
-        self.outputs: dict = {}
 
-    def write_json(self, path, payload: dict):
-        payload = dict(payload)
-        payload["run_id"] = self._run_id()
-        io.write_json(path, payload)
-        self.outputs[str(path)] = io.file_sha256(path)
-        log.info("wrote %s", path)
-
-    def write_csv(self, path, header, rows):
-        io.write_csv(path, header, rows)
-        self.outputs[str(path)] = io.file_sha256(path)
-        log.info("wrote %s", path)
-
-    def write_with(self, path, writer, payload):
+    def write(self, path, payload, writer=None):
+        """Write one output and record its digest; with no writer, a result JSON stamped with the run id."""
+        if writer is None:
+            writer, payload = io.write_json, {**payload, "run_id": self.manifest.run_id}
         writer(path, payload)
-        self.outputs[str(path)] = io.file_sha256(path)
+        self.manifest.outputs[str(path)] = io.file_sha256(path)
         log.info("wrote %s", path)
-
-    def _run_id(self) -> str:
-        if not self.manifest.run_id:
-            self.manifest.finalize(0.0, {})
-        return self.manifest.run_id
 
     def close(self, manifest_path):
-        self.manifest.finalize(time.monotonic() - self.started, self.outputs)
+        self.manifest.duration_s = time.monotonic() - self.started
         io.write_json(manifest_path, self.manifest.to_dict())
         log.info("wrote %s", manifest_path)
 
@@ -83,21 +76,15 @@ def _snapshot_date(path: Path, override: str | None, flag: str) -> dt.date:
     return date
 
 
+def _columns(records, names) -> dict:
+    """Named CSV columns from records given as dicts or dataclasses."""
+    rows = [r if isinstance(r, dict) else vars(r) for r in records]
+    return {name: [row[name] for row in rows] for name in names}
+
+
 def cmd_panel(args) -> int:
     out = Path(args.out) / args.out_path
-    run = _Run(
-        "panel",
-        args,
-        inputs=[args.snap0, args.snap1],
-        parameters={
-            "snap0": str(args.snap0),
-            "snap1": str(args.snap1),
-            "filter_active": args.filter_active,
-            "epsilon_v": args.epsilon_v,
-            "hopkins_m": args.hopkins_m,
-            "hopkins_log": args.hopkins_log,
-        },
-    )
+    run = _Run(args, [args.snap0, args.snap1])
     snap0 = io.read_snapshot_csv(args.snap0, _snapshot_date(Path(args.snap0), args.date0, "--date0"))
     snap1 = io.read_snapshot_csv(args.snap1, _snapshot_date(Path(args.snap1), args.date1, "--date1"))
     joined = panel_mod.build_panel(snap0, snap1)
@@ -111,15 +98,9 @@ def cmd_panel(args) -> int:
     if args.hopkins_m:
         points = np.column_stack([emitted.s0, emitted.ds])
         result = panel_mod.hopkins_test(points, args.hopkins_m, args.seed, log_scale=args.hopkins_log)
-        payload["hopkins"] = {
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "m": result.m,
-            "n_points": result.n_points,
-            "log_scale": args.hopkins_log,
-        }
-    run.write_with(out, io.write_panel_csv, emitted)
-    run.write_json(_sibling(out, "taxonomy.json"), payload)
+        payload["hopkins"] = {**vars(result), "log_scale": args.hopkins_log}
+    run.write(out, emitted, io.write_panel_csv)
+    run.write(_sibling(out, "taxonomy.json"), payload)
     run.close(_sibling(out, "manifest.json"))
     return 0
 
@@ -133,22 +114,7 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 def cmd_fit(args) -> int:
     data_path = Path(args.data)
     prefix = Path(args.out) / (args.prefix or data_path.stem)
-    run = _Run(
-        "fit",
-        args,
-        inputs=[args.data],
-        parameters={
-            "data": str(args.data),
-            "xmin": args.xmin,
-            "sweep_step": args.sweep_step,
-            "sweep_start": args.sweep_start,
-            "umpu": args.umpu,
-            "mc_reps": args.mc_reps,
-            "umpu_method": args.umpu_method,
-            "hist_bins": args.hist_bins,
-            "xmin_candidates": args.xmin_candidates,
-        },
-    )
+    run = _Run(args, [args.data])
     raw = io.read_values_csv(args.data)
     data = raw[raw > 0]
     if data.size == 0:
@@ -163,104 +129,78 @@ def cmd_fit(args) -> int:
     xmin_used = pl.xmin
     ln = tails.fit_lognormal(data, xmin_used)
     comparison = tails._compare_fits(data, pl, ln)
-    run.write_json(Path(f"{prefix}.power_law.json"), pl.to_dict())
-    run.write_json(Path(f"{prefix}.log_normal.json"), ln.to_dict())
-    run.write_json(Path(f"{prefix}.comparison.json"), comparison.to_dict())
+    run.write(Path(f"{prefix}.power_law.json"), pl.to_dict())
+    run.write(Path(f"{prefix}.log_normal.json"), ln.to_dict())
+    run.write(Path(f"{prefix}.comparison.json"), comparison.to_dict())
 
     edges = _log_grid(float(data.min()), float(data.max()), args.hist_bins + 1)
     counts, _ = np.histogram(data, bins=edges)
-    widths = np.diff(edges)
-    density = counts / (widths * data.size)
-    run.write_csv(
-        Path(f"{prefix}.hist.csv"),
-        ["bin_lo", "bin_hi", "center", "count", "density"],
-        (
-            [edges[i], edges[i + 1], math.sqrt(edges[i] * edges[i + 1]), int(counts[i]), density[i]]
-            for i in range(len(counts))
-        ),
-    )
+    hist = {
+        "bin_lo": edges[:-1],
+        "bin_hi": edges[1:],
+        "center": np.sqrt(edges[:-1] * edges[1:]),
+        "count": counts,
+        "density": counts / (np.diff(edges) * data.size),
+    }
+    run.write(Path(f"{prefix}.hist.csv"), hist, io.write_csv)
     grid = _log_grid(xmin_used, float(data.max()), 200)
-    pl_pdf = np.exp(tails.powerlaw_logpdf(grid, pl.alpha, xmin_used))
-    ln_pdf = np.exp(tails.lognormal_logpdf(grid, ln.m, ln.v, xmin_used))
-    run.write_csv(
-        Path(f"{prefix}.curves.csv"),
-        ["x", "power_law_pdf", "log_normal_pdf"],
-        ([grid[i], pl_pdf[i], ln_pdf[i]] for i in range(grid.size)),
-    )
+    curves = {
+        "x": grid,
+        "power_law_pdf": np.exp(tails.powerlaw_logpdf(grid, pl.alpha, xmin_used)),
+        "log_normal_pdf": np.exp(tails.lognormal_logpdf(grid, ln.m, ln.v, xmin_used)),
+    }
+    run.write(Path(f"{prefix}.curves.csv"), curves, io.write_csv)
 
     if args.sweep_step is not None:
         sweep = tails.threshold_sweep(data, start=args.sweep_start, step=args.sweep_step)
-        run.write_csv(
-            Path(f"{prefix}.threshold_sweep.csv"),
-            ["xmin", "normalized_lr", "p_value", "preferred"],
-            (
-                [r.xmin, "" if math.isnan(r.normalized_lr) else repr(r.normalized_lr), r.p_value, r.preferred]
-                for r in sweep
-            ),
-        )
+        columns = _columns(sweep, ["xmin", "normalized_lr", "p_value", "preferred"])
+        columns["normalized_lr"] = ["" if math.isnan(v) else repr(v) for v in columns["normalized_lr"]]
+        run.write(Path(f"{prefix}.threshold_sweep.csv"), columns, io.write_csv)
     if args.umpu:
         sweep = tails.umpu_sweep(data, mc_reps=args.mc_reps, seed=args.seed, method=args.umpu_method)
-        run.write_csv(
-            Path(f"{prefix}.umpu_sweep.csv"),
-            ["rank", "threshold", "n_tail", "wilks_w", "p_value", "method"],
-            ([r.rank, r.threshold, r.n_tail, r.wilks_w, r.p_value, r.method] for r in sweep),
-        )
+        columns = _columns(sweep, ["rank", "threshold", "n_tail", "wilks_w", "p_value", "method"])
+        run.write(Path(f"{prefix}.umpu_sweep.csv"), columns, io.write_csv)
     run.close(Path(f"{prefix}.manifest.json"))
     return 0
 
 
-def _estimate_payload(args, active, run, prefix):
-    s0 = active.s0
-    s_min = args.s_min if args.s_min is not None else float(np.min(s0))
-    s_max = args.s_max if args.s_max is not None else float(np.max(s0))
-    edges = growth.make_bins(s_min, s_max, args.bins)
-    bins = growth.bin_moments(active, edges, min_count=args.min_count, target=args.target)
-    run.write_csv(
-        Path(f"{prefix}.bins.csv"),
-        ["bin_lo", "bin_hi", "center", "count", "mean", "std"],
-        (
-            [bins.bin_lo[i], bins.bin_hi[i], bins.centers[i], int(bins.counts[i]), bins.means[i], bins.stds[i]]
-            for i in range(bins.n_bins)
-        ),
-    )
-    return bins
+def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
+    """Fitted mean and std curves per regime over the bin centers.
 
-
-def _fitline_rows(split: growth.RegimeSplit, bins: growth.BinSeries):
-    for regime, fit in (("poor", split.poor), ("wealthy", split.wealthy)):
-        if fit is None:
-            continue
-        lo = float(bins.centers.min())
-        hi = float(bins.centers.max())
-        for x in _log_grid(lo, hi, 100):
-            mean_fit = fit.mu_dt * x ** (fit.alpha_drift - 1.0)
-            std_fit = fit.sigma_sqrtdt * x ** (fit.alpha_vol - 1.0)
-            yield [regime, x, mean_fit, std_fit]
+    Powers stay scalar: the vectorized power can differ in the last bit.
+    """
+    grid = _log_grid(float(bins.centers.min()), float(bins.centers.max()), 100)
+    fits = [(name, fit) for name, fit in (("poor", split.poor), ("wealthy", split.wealthy)) if fit is not None]
+    return {
+        "regime": [name for name, _ in fits for _ in grid],
+        "x": [x for _ in fits for x in grid],
+        "mean_fit": [fit.mu_dt * x ** (fit.alpha_drift - 1.0) for _, fit in fits for x in grid],
+        "std_fit": [fit.sigma_sqrtdt * x ** (fit.alpha_vol - 1.0) for _, fit in fits for x in grid],
+    }
 
 
 def cmd_estimate(args) -> int:
     prefix = Path(args.out) / args.out_prefix
-    run = _Run(
-        "estimate",
-        args,
-        inputs=[args.panel],
-        parameters={
-            "panel": str(args.panel),
-            "bins": args.bins,
-            "min_count": args.min_count,
-            "target": args.target,
-            "s_min": args.s_min,
-            "s_max": args.s_max,
-            "star_log_scale": args.star_log_scale,
-        },
-    )
+    run = _Run(args, [args.panel])
     loaded = io.read_panel_csv(args.panel)
     active = panel_mod.filter_active(loaded)
     if active.n_rows != loaded.n_rows:
         log.info("dropped %d inactive rows", loaded.n_rows - active.n_rows)
     if active.n_rows == 0:
         raise MalformedInputError(f"{args.panel}: no active rows to estimate from")
-    bins = _estimate_payload(args, active, run, prefix)
+    s_min = args.s_min if args.s_min is not None else float(np.min(active.s0))
+    s_max = args.s_max if args.s_max is not None else float(np.max(active.s0))
+    edges = growth.make_bins(s_min, s_max, args.bins)
+    bins = growth.bin_moments(active, edges, min_count=args.min_count, target=args.target)
+    bin_columns = {
+        "bin_lo": bins.bin_lo,
+        "bin_hi": bins.bin_hi,
+        "center": bins.centers,
+        "count": bins.counts,
+        "mean": bins.means,
+        "std": bins.stds,
+    }
+    run.write(Path(f"{prefix}.bins.csv"), bin_columns, io.write_csv)
     settings = {
         "bins": args.bins,
         "min_count": args.min_count,
@@ -269,36 +209,15 @@ def cmd_estimate(args) -> int:
     }
     if args.target == growth.TARGET_RATIO:
         split = growth.split_regimes(bins, star_log_scale=args.star_log_scale)
-        payload = split.to_dict()
-        payload["estimator_settings"] = settings
-        run.write_json(Path(f"{prefix}.regimes.json"), payload)
-        run.write_csv(
-            Path(f"{prefix}.fitlines.csv"),
-            ["regime", "x", "mean_fit", "std_fit"],
-            _fitline_rows(split, bins),
-        )
+        run.write(Path(f"{prefix}.regimes.json"), {**split.to_dict(), "estimator_settings": settings})
+        run.write(Path(f"{prefix}.fitlines.csv"), _fitlines(split, bins), io.write_csv)
     else:
-        drift = growth.fit_drift_abs(bins)
-        vol = growth.fit_vol_abs(bins)
         payload = {
-            "drift": {
-                "alpha": drift.alpha,
-                "mu_dt": drift.mu_dt,
-                "alpha_se": drift.alpha_se,
-                "r_squared": drift.r_squared,
-                "mu_dt_alpha1": drift.mu_dt_alpha1,
-                "sse": drift.sse,
-                "sse_alpha1": drift.sse_alpha1,
-            },
-            "vol": {
-                "alpha": vol.alpha,
-                "sigma_sqrtdt": vol.sigma_sqrtdt,
-                "alpha_se": vol.alpha_se,
-                "r_squared": vol.r_squared,
-            },
+            "drift": vars(growth.fit_drift_abs(bins)),
+            "vol": vars(growth.fit_vol_abs(bins)),
             "estimator_settings": settings,
         }
-        run.write_json(Path(f"{prefix}.absfits.json"), payload)
+        run.write(Path(f"{prefix}.absfits.json"), payload)
     run.close(Path(f"{prefix}.manifest.json"))
     return 0
 
@@ -311,19 +230,7 @@ def cmd_sweep(args) -> int:
     if not dated:
         raise MalformedInputError(f"{snap_dir}: no dated snapshot CSVs found")
     prefix = Path(args.out) / args.prefix
-    run = _Run(
-        "sweep",
-        args,
-        inputs=[f for _, f in dated],
-        parameters={
-            "snapshot_dir": str(snap_dir),
-            "t0": args.t0,
-            "dts": args.dts,
-            "bins": args.bins,
-            "min_count": args.min_count,
-            "star_log_scale": args.star_log_scale,
-        },
-    )
+    run = _Run(args, [f for _, f in dated])
     snapshots = [io.read_snapshot_csv(f, d) for d, f in dated]
     t0 = dt.date.fromisoformat(args.t0)
     dts = [int(part) for part in args.dts.split(",")]
@@ -337,76 +244,36 @@ def cmd_sweep(args) -> int:
     )
     for record in sweep.skipped:
         log.warning("skipped dt=%s: %s", record["dt_days"], record["reason"])
-    run.write_json(Path(f"{prefix}.horizon.json"), sweep.to_dict())
-    series_rows = []
-    for entry in sweep.entries:
-        for regime in (growth.REGIME_POOR, growth.REGIME_WEALTHY):
-            values = entry.derived.get(regime)
-            if values is None:
-                continue
-            series_rows.append(
-                [
-                    entry.dt_days,
-                    regime,
-                    values["alpha_drift"],
-                    values["alpha_vol"],
-                    values["mu_dt"],
-                    values["sigma_sqrtdt"],
-                    values["mu"],
-                    values["sigma"],
-                ]
-            )
-    run.write_csv(
-        Path(f"{prefix}.series.csv"),
-        ["dt_days", "regime", "alpha_drift", "alpha_vol", "mu_dt", "sigma_sqrtdt", "mu", "sigma"],
-        series_rows,
-    )
-    trend_rows = []
-    for regime, params in sweep.trends.items():
-        for param, trend in params.items():
-            trend_rows.append([regime, param, trend.direction, trend.tau, trend.p_value, trend.n])
-    run.write_csv(
-        Path(f"{prefix}.trends.csv"),
-        ["regime", "parameter", "direction", "tau", "p_value", "n"],
-        trend_rows,
-    )
+    run.write(Path(f"{prefix}.horizon.json"), sweep.to_dict())
+    series = [
+        {"dt_days": entry.dt_days, "regime": regime, **entry.derived[regime]}
+        for entry in sweep.entries
+        for regime in (growth.REGIME_POOR, growth.REGIME_WEALTHY)
+        if entry.derived.get(regime) is not None
+    ]
+    columns = _columns(series, ["dt_days", "regime", *growth.SWEEP_PARAMS])
+    run.write(Path(f"{prefix}.series.csv"), columns, io.write_csv)
+    trends = [
+        {"regime": regime, "parameter": param, **vars(trend)}
+        for regime, params in sweep.trends.items()
+        for param, trend in params.items()
+    ]
+    columns = _columns(trends, ["regime", "parameter", "direction", "tau", "p_value", "n"])
+    run.write(Path(f"{prefix}.trends.csv"), columns, io.write_csv)
     run.close(Path(f"{prefix}.manifest.json"))
     return 0
 
 
 def cmd_simulate(args) -> int:
     prefix = Path(args.out) / args.out_prefix
-    run = _Run(
-        "simulate",
-        args,
-        inputs=[args.config],
-        parameters={"config": str(args.config)},
-    )
+    run = _Run(args, [args.config])
     parsed = io.parse_sim_config(args.config)
-    if parsed.model == "gbm":
-        sim_panel = sim.simulate_gbm_exact(**parsed.gbm_kwargs)
-        horizon = parsed.gbm_kwargs["horizon_days"]
-        extra = set(parsed.emit_days) - {0, horizon}
-        if extra:
-            raise io.ConfigError(
-                f"config key 'emit_days': gbm model only materializes days 0 and {horizon}"
-            )
-        t0 = parsed.gbm_kwargs["t0"]
-        snaps = [
-            panel_mod.BalanceSnapshot(
-                date=t0 + dt.timedelta(days=0 if i == 0 else horizon),
-                user_ids=sim_panel.user_ids,
-                balances=np.floor(col + 0.5).astype(np.int64),
-            )
-            for i, col in enumerate((sim_panel.s0, sim_panel.s1))
-        ]
-    else:
-        snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
+    snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
     for snap in snaps:
-        run.write_with(Path(f"{prefix}.snapshot_{snap.date.isoformat()}.csv"), io.write_snapshot_csv, snap)
+        run.write(Path(f"{prefix}.snapshot_{snap.date.isoformat()}.csv"), snap, io.write_snapshot_csv)
     if len(snaps) >= 2:
         joined = panel_mod.build_panel(snaps[0], snaps[-1])
-        run.write_with(Path(f"{prefix}.panel.csv"), io.write_panel_csv, joined)
+        run.write(Path(f"{prefix}.panel.csv"), joined, io.write_panel_csv)
     run.close(Path(f"{prefix}.manifest.json"))
     return 0
 

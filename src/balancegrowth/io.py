@@ -3,8 +3,11 @@
 Snapshot CSV: header `user_id,balance`, balance as decimal integer
 satoshi, UTF-8, LF line endings. Panel CSV: header
 `user_id,s0,s1,ds,group`. All writes are atomic (temp file + rename).
+Every CSV goes through one reader and one writer: integers round-trip
+exactly, and a real number is written as an integer when it is one.
 """
 
+import bisect
 import csv
 import dataclasses
 import datetime as dt
@@ -21,22 +24,27 @@ import numpy as np
 from . import __version__ as _version
 from .errors import ConfigError, MalformedInputError
 from .panel import BalanceSnapshot, TransitionPanel, assign_groups
-from .sim import DEFAULT_T0, InitialLaw, RegimeParams, Schedule, SimConfig
+from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
 
-SNAPSHOT_HEADER = ["user_id", "balance"]
-PANEL_HEADER = ["user_id", "s0", "s1", "ds", "group"]
+SNAPSHOT_SCHEMA = [("user_id", "str"), ("balance", "int")]
+PANEL_SCHEMA = [("user_id", "str"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "str")]
+
+_KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number"}
+# panel balances at or beyond this magnitude are held as float64
+_EXACT_LIMIT = 2**62
+_ROWS_PER_CHUNK = 1 << 16
 
 _DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
 
 
-def atomic_write_text(path, text: str):
-    """Write text to `path` via a temp file in the same directory, then rename."""
+def _atomic_write(path, chunks):
+    """Write text chunks to `path` via a temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,19 +52,95 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _format_number(x) -> str:
-    value = float(x)
-    if value.is_integer() and abs(value) < 2**63:
-        return str(int(value))
-    return repr(value)
+def _format_cells(values: np.ndarray) -> list:
+    if values.dtype.kind == "f":
+        return [str(int(v)) if v.is_integer() and abs(v) < 2**63 else repr(v) for v in values.tolist()]
+    return list(map(str, values.tolist()))
 
 
-def write_csv(path, header, rows):
-    """Write rows of already-formatted (or numeric) cells as CSV with LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _format_number(cell) for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path, columns: dict):
+    """Write named, equal-length columns as CSV with LF endings.
+
+    Integer and text cells are written as they are. A real cell is
+    written as an integer when it is integral and below 2**63 in
+    magnitude, else as its shortest round-trip repr.
+    """
+    arrays = [np.asarray(values) for values in columns.values()]
+    n = len(arrays[0]) if arrays else 0
+
+    def chunks():
+        yield ",".join(columns) + "\n"
+        for start in range(0, n, _ROWS_PER_CHUNK):
+            cells = [_format_cells(a[start : start + _ROWS_PER_CHUNK]) for a in arrays]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _atomic_write(path, chunks())
+
+
+def _convert(path, name: str, kind: str, cells: list, line) -> np.ndarray:
+    if kind == "str":
+        return np.array(cells, dtype=str)
+    if kind == "real":
+        try:
+            return np.array(cells, dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    dtype = np.int64 if kind == "int" else np.float64
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for i, cell in enumerate(cells):  # name the first cell that fails alone
+            try:
+                np.array([cell], dtype=dtype)
+            except (ValueError, OverflowError):
+                raise MalformedInputError(
+                    f"{path}:{line(i)}: {name} must be {_KIND_TEXT[kind]}, got {cell!r}"
+                ) from None
+        raise
+
+
+def _read_csv(path, schema, locate=None):
+    """Read one array per (column, kind) pair of `schema`, each column converted as a whole.
+
+    Kind 'str' keeps the text, 'int' reads int64, and 'real' reads int64
+    when every cell is a decimal integer (so integers stay exact), else
+    float64. The header must name exactly the schema's columns, unless
+    `locate(names)` maps the stripped header (None if the file is empty)
+    to a field index per column; rows may then carry extra fields. Blank
+    lines are skipped. Returns the arrays and a row-to-line function.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        names = None if header is None else [h.strip() for h in header]
+        if locate is None:
+            expected = [name for name, _ in schema]
+            if names != expected:
+                raise MalformedInputError(f"{path}:1: expected header {','.join(expected)!r}")
+            index = list(range(len(schema)))
+        else:
+            index = locate(names)
+        width = max(index) + 1
+        cells = [[] for _ in schema]
+        appends = [(col.append, i) for col, i in zip(cells, index)]
+        blanks = []  # rows read before each skipped blank line
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                blanks.append(len(cells[0]))
+                continue
+            if len(row) < width or (locate is None and len(row) > width):
+                raise MalformedInputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            for append, i in appends:
+                append(row[i])
+
+    def line(i: int) -> int:
+        return i + 2 + bisect.bisect_right(blanks, i)
+
+    arrays = []
+    for k, (name, kind) in enumerate(schema):
+        arrays.append(_convert(path, name, kind, cells[k], line))
+        cells[k] = None
+    return arrays, line
 
 
 def _json_default(obj):
@@ -88,7 +172,7 @@ def json_text(obj) -> str:
 
 
 def write_json(path, obj):
-    atomic_write_text(path, json_text(obj))
+    _atomic_write(path, [json_text(obj)])
 
 
 def file_sha256(path) -> str:
@@ -113,134 +197,77 @@ def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
             raise MalformedInputError(
                 f"{path}: no snapshot date given and none found in the file name"
             )
-    ids = []
-    balances = []
-    seen = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SNAPSHOT_HEADER:
-            raise MalformedInputError(f"{path}:1: expected header {','.join(SNAPSHOT_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedInputError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            user, raw = row[0], row[1].strip()
-            try:
-                balance = int(raw)
-            except ValueError:
-                raise MalformedInputError(
-                    f"{path}:{lineno}: balance must be a decimal integer, got {raw!r}"
-                ) from None
-            if balance < 0:
-                raise MalformedInputError(f"{path}:{lineno}: negative balance {balance}")
-            if user in seen:
-                raise MalformedInputError(f"{path}:{lineno}: duplicate user_id {user!r}")
-            seen.add(user)
-            ids.append(user)
-            balances.append(balance)
-    return BalanceSnapshot(
-        date=date, user_ids=np.array(ids, dtype=str), balances=np.array(balances, dtype=np.int64)
-    )
+    (ids, balances), line = _read_csv(path, SNAPSHOT_SCHEMA)
+    negative = np.flatnonzero(balances < 0)
+    if negative.size:
+        i = int(negative[0])
+        raise MalformedInputError(f"{path}:{line(i)}: negative balance {balances[i]}")
+    try:
+        return BalanceSnapshot(date=date, user_ids=ids, balances=balances)
+    except MalformedInputError:  # a repeated user id: name the line of its first repeat
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        i = int(order[1:][sorted_ids[1:] == sorted_ids[:-1]].min())
+        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {str(ids[i])!r}") from None
 
 
 def write_snapshot_csv(path, snapshot: BalanceSnapshot):
-    rows = zip(snapshot.user_ids.tolist(), snapshot.balances.tolist())
-    write_csv(path, SNAPSHOT_HEADER, ([u, b] for u, b in rows))
+    write_csv(path, {"user_id": snapshot.user_ids, "balance": snapshot.balances})
 
 
 def write_panel_csv(path, panel: TransitionPanel):
-    rows = zip(
-        panel.user_ids.tolist(),
-        panel.s0.tolist(),
-        panel.s1.tolist(),
-        panel.ds.tolist(),
-        panel.group.tolist(),
-    )
-    write_csv(path, PANEL_HEADER, rows)
+    columns = {"user_id": panel.user_ids, "s0": panel.s0, "s1": panel.s1, "ds": panel.ds, "group": panel.group}
+    write_csv(path, columns)
 
 
 def read_panel_csv(path, t0: dt.date | None = None, dt_days: int | None = None) -> TransitionPanel:
-    """Load a panel CSV. Group labels are validated against s0/ds."""
-    ids = []
-    s0 = []
-    s1 = []
-    groups = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PANEL_HEADER:
-            raise MalformedInputError(f"{path}:1: expected header {','.join(PANEL_HEADER)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise MalformedInputError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            try:
-                v0, v1, vds = float(row[1]), float(row[2]), float(row[3])
-            except ValueError:
-                raise MalformedInputError(f"{path}:{lineno}: non-numeric balance field") from None
-            if vds != v1 - v0:
-                raise MalformedInputError(f"{path}:{lineno}: ds does not equal s1 - s0")
-            ids.append(row[0])
-            s0.append(v0)
-            s1.append(v1)
-            groups.append(row[4])
-    s0_arr = np.array(s0, dtype=np.float64)
-    s1_arr = np.array(s1, dtype=np.float64)
-    if s0_arr.size and np.all(s0_arr == np.floor(s0_arr)) and np.all(s1_arr == np.floor(s1_arr)):
-        if np.all(np.abs(s0_arr) < 2**62) and np.all(np.abs(s1_arr) < 2**62):
-            s0_arr = s0_arr.astype(np.int64)
-            s1_arr = s1_arr.astype(np.int64)
-    ds_arr = s1_arr - s0_arr
-    expected = assign_groups(s0_arr, ds_arr)
-    stored = np.array(groups, dtype=str) if groups else np.empty(0, dtype="<U1")
-    if s0_arr.size and np.any(stored != expected):
-        bad = int(np.flatnonzero(stored != expected)[0])
+    """Load a panel CSV. Group labels are validated against s0/ds.
+
+    Balances are int64 when every one is an integer below 2**62 in
+    magnitude, so integer panels round-trip exactly; otherwise float64.
+    """
+    (ids, s0, s1, ds, groups), line = _read_csv(path, PANEL_SCHEMA)
+    numbers = (s0, s1, ds)
+    if not all(c.dtype == np.int64 and np.all((-_EXACT_LIMIT < c) & (c < _EXACT_LIMIT)) for c in numbers):
+        s0, s1, ds = (c.astype(np.float64) for c in numbers)
+    bad = np.flatnonzero(ds != s1 - s0)
+    if bad.size:
+        raise MalformedInputError(f"{path}:{line(int(bad[0]))}: ds does not equal s1 - s0")
+    if s0.dtype == np.float64 and s0.size and all(
+        np.all(c == np.floor(c)) and np.all(np.abs(c) < _EXACT_LIMIT) for c in (s0, s1)
+    ):
+        s0, s1 = s0.astype(np.int64), s1.astype(np.int64)
+    ds = s1 - s0
+    expected = assign_groups(s0, ds)
+    mismatch = np.flatnonzero(groups != expected)
+    if mismatch.size:
+        i = int(mismatch[0])
         raise MalformedInputError(
-            f"{path}:{bad + 2}: group label {stored[bad]!r} inconsistent with s0/ds"
+            f"{path}:{line(i)}: group label {str(groups[i])!r} inconsistent with s0/ds"
         )
     return TransitionPanel(
-        t0=t0,
-        dt_days=dt_days,
-        user_ids=np.array(ids, dtype=str),
-        s0=s0_arr,
-        s1=s1_arr,
-        ds=ds_arr,
-        group=expected,
+        t0=t0, dt_days=dt_days, user_ids=ids, s0=s0, s1=s1, ds=ds, group=expected
     )
 
 
 def read_values_csv(path) -> np.ndarray:
     """Load positive values for tail fitting: a snapshot CSV or any CSV with a `balance` column."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+
+    def locate(names):
+        if names is None:
             raise MalformedInputError(f"{path}: empty file")
-        names = [h.strip() for h in header]
         if "balance" in names:
-            col = names.index("balance")
-        elif len(names) == 1:
-            col = 0
-            try:
-                float(names[0])
-            except ValueError:
-                pass
-            else:
-                raise MalformedInputError(f"{path}:1: expected a header line")
-        else:
+            return [names.index("balance")]
+        if len(names) != 1:
             raise MalformedInputError(f"{path}:1: no `balance` column in header")
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values.append(float(row[col]))
-            except (ValueError, IndexError):
-                raise MalformedInputError(f"{path}:{lineno}: bad value row") from None
-    return np.array(values, dtype=np.float64)
+        try:
+            float(names[0])
+        except ValueError:
+            return [0]
+        raise MalformedInputError(f"{path}:1: expected a header line")
+
+    (values,), _ = _read_csv(path, [("balance", "real")], locate)
+    return values.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +289,15 @@ _COMMON_KEYS = {
     "s0_xmin",
     "s0_value",
 }
-_GBM_KEYS = {"mu", "sigma"}
-_POWER_KEYS = {"alpha_drift", "mu", "alpha_vol", "sigma"}
-_TWO_REGIME_KEYS = {
-    "s_star",
-    "regime_mode",
-    "poor_alpha_drift",
-    "poor_mu",
-    "poor_alpha_vol",
-    "poor_sigma",
-    "wealthy_alpha_drift",
-    "wealthy_mu",
-    "wealthy_alpha_vol",
-    "wealthy_sigma",
+_REGIME_KEYS = ("alpha_drift", "mu", "alpha_vol", "sigma")
+_MODEL_KEYS = {
+    "gbm": {"mu", "sigma"},
+    "power": set(_REGIME_KEYS),
+    "two_regime": {
+        "s_star",
+        "regime_mode",
+        *(f"{side}_{key}" for side in ("poor", "wealthy") for key in _REGIME_KEYS),
+    },
 }
 
 
@@ -284,9 +307,7 @@ class ParsedSimConfig:
 
     model: str
     emit_days: list
-    sim: SimConfig | None = None
-    gbm_kwargs: dict | None = None
-    raw: dict | None = None
+    sim: SimConfig
 
 
 def _parse_scalar(key: str, raw: str) -> float:
@@ -369,16 +390,10 @@ def parse_sim_config(path) -> ParsedSimConfig:
             kv[key] = raw
 
     model = kv.get("model", "two_regime")
-    if model == "gbm":
-        allowed = _COMMON_KEYS | _GBM_KEYS
-    elif model == "power":
-        allowed = _COMMON_KEYS | _POWER_KEYS
-    elif model == "two_regime":
-        allowed = _COMMON_KEYS | _TWO_REGIME_KEYS
-    else:
+    if model not in _MODEL_KEYS:
         raise ConfigError(f"config key 'model': unknown model {model!r}")
     for key in kv:
-        if key not in allowed:
+        if key not in _COMMON_KEYS | _MODEL_KEYS[model]:
             raise ConfigError(f"unknown config key {key!r} for model {model!r}")
     for key in ("n_users", "horizon_days"):
         if key not in kv:
@@ -386,7 +401,8 @@ def parse_sim_config(path) -> ParsedSimConfig:
 
     n_users = _parse_int("n_users", kv["n_users"])
     horizon = _parse_int("horizon_days", kv["horizon_days"])
-    step = _parse_int("step_days", kv.get("step_days", "1"))
+    # exact steps compose, so one step over the horizon is the gbm default
+    step = _parse_int("step_days", kv.get("step_days", str(horizon) if model == "gbm" else "1"))
     seed = _parse_int("seed", kv.get("seed", "0"))
     t0 = DEFAULT_T0
     if "t0_date" in kv:
@@ -398,49 +414,32 @@ def parse_sim_config(path) -> ParsedSimConfig:
         emit_days = [_parse_int("emit_days", part) for part in kv["emit_days"].split(",")]
     else:
         emit_days = [0, horizon]
-    law = _initial_law(kv)
 
     if model == "gbm":
-        return ParsedSimConfig(
-            model=model,
-            emit_days=emit_days,
-            gbm_kwargs={
-                "n_users": n_users,
-                "s0_law": law,
-                "mu": _parse_scalar("mu", kv.get("mu", "0")),
-                "sigma": _parse_scalar("sigma", kv.get("sigma", "0")),
-                "horizon_days": horizon,
-                "seed": seed,
-                "t0": t0,
-            },
-            raw=kv,
-        )
-    if model == "power":
-        sim = SimConfig(
-            n_users=n_users,
-            s0_law=law,
-            horizon_days=horizon,
-            poor=_regime_params(kv, ""),
-            step_days=step,
-            seed=seed,
-            t0=t0,
-        )
-        return ParsedSimConfig(model=model, emit_days=emit_days, sim=sim, raw=kv)
-    if "s_star" not in kv:
-        raise ConfigError("missing required config key 's_star' for model 'two_regime'")
+        mu = _parse_scalar("mu", kv.get("mu", "0"))
+        sigma = _parse_scalar("sigma", kv.get("sigma", "0"))
+        regimes = {"poor": RegimeParams(mu=mu, sigma=sigma), "scheme": SCHEME_EXACT}
+    elif model == "power":
+        regimes = {"poor": _regime_params(kv, "")}
+    else:
+        if "s_star" not in kv:
+            raise ConfigError("missing required config key 's_star' for model 'two_regime'")
+        regimes = {
+            "poor": _regime_params(kv, "poor_"),
+            "wealthy": _regime_params(kv, "wealthy_"),
+            "s_star": _parse_scalar("s_star", kv["s_star"]),
+            "regime_mode": kv.get("regime_mode", "current"),
+        }
     sim = SimConfig(
         n_users=n_users,
-        s0_law=law,
+        s0_law=_initial_law(kv),
         horizon_days=horizon,
-        poor=_regime_params(kv, "poor_"),
-        wealthy=_regime_params(kv, "wealthy_"),
-        s_star=_parse_scalar("s_star", kv["s_star"]),
         step_days=step,
         seed=seed,
-        regime_mode=kv.get("regime_mode", "current"),
         t0=t0,
+        **regimes,
     )
-    return ParsedSimConfig(model=model, emit_days=emit_days, sim=sim, raw=kv)
+    return ParsedSimConfig(model=model, emit_days=emit_days, sim=sim)
 
 
 # ---------------------------------------------------------------------------
@@ -463,30 +462,11 @@ class RunManifest:
     version: str = _version
     duration_s: float = 0.0
     outputs: dict = dataclasses.field(default_factory=dict)
-    run_id: str = ""
+    run_id: str = dataclasses.field(init=False)
 
-    def finalize(self, duration_s: float, outputs: dict) -> "RunManifest":
-        ident = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "version": self.version,
-        }
-        digest = hashlib.sha256(json_text(ident).encode("utf-8")).hexdigest()[:16]
-        self.run_id = digest
-        self.duration_s = duration_s
-        self.outputs = outputs
-        return self
+    def __post_init__(self):
+        ident = {key: getattr(self, key) for key in ("command", "parameters", "inputs", "seed", "version")}
+        self.run_id = hashlib.sha256(json_text(ident).encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_s": self.duration_s,
-            "run_id": self.run_id,
-        }
+        return dataclasses.asdict(self)

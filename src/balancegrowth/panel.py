@@ -241,7 +241,10 @@ def hopkins(points, m: int, seed: int, log_scale: bool = False) -> float:
     `log_scale` applies sign(x)*log1p(|x|) per coordinate first, useful
     when raw satoshi scales span many decades.
     """
-    pts = _prepare_points(points, log_scale)
+    return _hopkins(_prepare_points(points, log_scale), m, seed)
+
+
+def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
     n, d = pts.shape
     if m < 1:
         raise InsufficientDataError("m must be at least 1")
@@ -273,5 +276,5 @@ def hopkins_pvalue(h: float, m: int) -> float:
 def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:
     """Hopkins statistic plus its p-value under the uniform-data null."""
     pts = _prepare_points(points, log_scale)
-    h = hopkins(points, m, seed, log_scale=log_scale)
+    h = _hopkins(pts, m, seed)
     return HopkinsResult(statistic=h, p_value=hopkins_pvalue(h, m), m=m, n_points=pts.shape[0])

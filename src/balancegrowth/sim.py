@@ -1,18 +1,21 @@
 """Synthetic population simulators for the balance-growth process.
 
-Two samplers: an exact geometric-Brownian-motion one-shot (proportional
-growth), and an Euler-Maruyama integrator of the general power-scaled
-process dS = S^a_d mu dt + S^a_v sigma dW, optionally with two
-balance-dependent regimes. Balances evolve as real-valued satoshi and
-are rounded only when snapshots are materialized.
+One integrator steps the power-scaled process
+dS = S^a_d mu dt + S^a_v sigma dW, optionally with two
+balance-dependent regimes. Its step scheme is Euler-Maruyama, or, for
+proportional growth (one regime, a_d = a_v = 1), the exact log-normal
+step S exp((mu - sigma^2/2) h + sigma sqrt(h) z), which has no
+discretization error at any step size. Balances evolve as real-valued
+satoshi and are rounded only when snapshots are materialized.
 
 Randomness is drawn per user-chunk from counter-based substreams of the
 config seed, so results are bit-identical regardless of execution
 schedule. Users whose balance leaves the representable range are
-flagged, excluded from output, and counted.
+flagged, excluded from output, counted, and logged as a warning.
 """
 
 import datetime as dt
+import logging
 import math
 from dataclasses import dataclass
 
@@ -29,6 +32,11 @@ DEFAULT_T0 = dt.date(2000, 1, 1)
 
 REGIME_MODE_CURRENT = "current"
 REGIME_MODE_INITIAL = "initial"
+
+SCHEME_EULER = "euler"
+SCHEME_EXACT = "exact"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -135,12 +143,15 @@ class InitialLaw:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Euler-Maruyama population config, optionally with two regimes.
+    """Population config, optionally with two regimes.
 
     With both regimes present, `s_star` separates them; membership is
     re-evaluated each step on the current balance (mode 'current') or
     frozen at the initial balance (mode 'initial'). Balances at or above
-    s_star are wealthy.
+    s_star are wealthy. `scheme` is 'euler' (Euler-Maruyama) or 'exact'
+    (the log-normal step of proportional growth, which needs one regime
+    with alpha_drift = alpha_vol = 1). Parameters are evaluated at the
+    start of each step.
     """
 
     n_users: int
@@ -153,6 +164,7 @@ class SimConfig:
     seed: int = 0
     regime_mode: str = REGIME_MODE_CURRENT
     t0: dt.date = DEFAULT_T0
+    scheme: str = SCHEME_EULER
 
     def __post_init__(self):
         if self.n_users < 1:
@@ -165,10 +177,15 @@ class SimConfig:
             raise ConfigError("s_star is required when both regimes are configured")
         if self.regime_mode not in (REGIME_MODE_CURRENT, REGIME_MODE_INITIAL):
             raise ConfigError(f"unknown regime_mode {self.regime_mode!r}")
+        if self.scheme not in (SCHEME_EULER, SCHEME_EXACT):
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        proportional = (self.wealthy, self.poor.alpha_drift, self.poor.alpha_vol) == (None, 1, 1)
+        if self.scheme == SCHEME_EXACT and not proportional:
+            raise ConfigError("the exact scheme needs one regime with alpha_drift = alpha_vol = 1")
 
     @property
     def n_steps(self) -> int:
-        return self.horizon_days // self.step_days
+        return int(self.horizon_days // self.step_days)
 
 
 def _user_ids(n: int) -> np.ndarray:
@@ -185,9 +202,10 @@ def _integrate(
     wealthy: RegimeParams | None,
     s_star: float | None,
     regime_mode: str,
+    scheme: str = SCHEME_EULER,
     capture_steps=(),
 ):
-    """Step the Euler-Maruyama update, absorbing at 0 and flagging overflow.
+    """Step the update of `scheme`, absorbing at 0 and flagging overflow.
 
     `z_at(j)` supplies the standard-normal draws of step j. Returns the
     final balances, the overflow mask (overflowed entries read +inf),
@@ -207,7 +225,10 @@ def _integrate(
         t = j * h
         z = z_at(j)
         with np.errstate(over="ignore", invalid="ignore"):
-            if wealthy is None:
+            if scheme == SCHEME_EXACT:
+                _, mu, _, sg = poor.at(t)
+                s_new = S * np.exp((mu - 0.5 * sg * sg) * h + sg * sqrt_h * z)
+            elif wealthy is None:
                 a_d, mu, a_v, sg = poor.at(t)
                 s_new = S + S**a_d * (mu * h) + S**a_v * (sg * sqrt_h) * z
             else:
@@ -283,6 +304,7 @@ def _run_chunked(config: SimConfig, capture_steps=()):
             config.wealthy,
             config.s_star,
             config.regime_mode,
+            config.scheme,
             capture_steps=capture_steps,
         )
         s0_all[start:stop] = s0
@@ -290,26 +312,10 @@ def _run_chunked(config: SimConfig, capture_steps=()):
         over_all[start:stop] = over
         for j, values in caps.items():
             captured[j][start:stop] = values
+    n_over = int(np.count_nonzero(over_all))
+    if n_over:
+        log.warning("excluded %d of %d users whose balance overflowed 2^62 satoshi", n_over, n)
     return s0_all, s1_all, over_all, captured
-
-
-def _panel_from_arrays(
-    s0: np.ndarray, s1: np.ndarray, keep: np.ndarray, t0: dt.date, dt_days: int, meta: dict
-) -> TransitionPanel:
-    ids = _user_ids(s0.size)[keep]
-    s0_k = s0[keep]
-    s1_k = s1[keep]
-    ds = s1_k - s0_k
-    return TransitionPanel(
-        t0=t0,
-        dt_days=dt_days,
-        user_ids=ids,
-        s0=s0_k,
-        s1=s1_k,
-        ds=ds,
-        group=assign_groups(s0_k, ds),
-        meta=dict(meta),
-    )
 
 
 def simulate_gbm_exact(
@@ -321,37 +327,22 @@ def simulate_gbm_exact(
     seed: int = 0,
     t0: dt.date = DEFAULT_T0,
 ) -> TransitionPanel:
-    """Exact proportional-growth sampler (no time discretization).
+    """Exact proportional-growth panel: one exact step over the horizon.
 
     Per user, s1 = s0 * exp((mu - sigma^2/2) T + sigma sqrt(T) z) with mu
     per day and sigma per sqrt(day), z from the user chunk's substream.
     """
-    if sigma < 0:
-        raise ConfigError("sigma must be non-negative")
-    if n_users < 1:
-        raise ConfigError("n_users must be at least 1")
-    if horizon_days <= 0:
-        raise ConfigError("horizon_days must be positive")
-    T = float(horizon_days)
-    s0_all = np.empty(n_users, dtype=np.float64)
-    s1_all = np.empty(n_users, dtype=np.float64)
-    for chunk, start in enumerate(range(0, n_users, CHUNK_SIZE)):
-        stop = min(start + CHUNK_SIZE, n_users)
-        k = stop - start
-        rng = substream(seed, chunk)
-        s0 = s0_law.draw(rng, k)
-        z = rng.standard_normal(k)
-        s0_all[start:stop] = s0
-        s1_all[start:stop] = s0 * np.exp((mu - 0.5 * sigma * sigma) * T + sigma * math.sqrt(T) * z)
-    keep = np.ones(n_users, dtype=bool)
-    return _panel_from_arrays(
-        s0_all,
-        s1_all,
-        keep,
-        t0,
-        int(math.ceil(T)),
-        {"model": "gbm_exact", "mu_per_day": mu, "sigma_per_sqrtday": sigma, "n_overflow": 0},
+    config = SimConfig(
+        n_users=n_users,
+        s0_law=s0_law,
+        horizon_days=horizon_days,
+        poor=RegimeParams(mu=mu, sigma=sigma),
+        step_days=horizon_days,
+        seed=seed,
+        t0=t0,
+        scheme=SCHEME_EXACT,
     )
+    return simulate_two_regime(config)
 
 
 def simulate_power_sde(
@@ -377,20 +368,35 @@ def simulate_power_sde(
 
 
 def simulate_two_regime(config: SimConfig) -> TransitionPanel:
-    """Euler-Maruyama panel under the configured regime structure.
+    """Panel over the configured horizon, regime structure and step scheme.
 
     Overflowed users are excluded; their count lands in panel meta as
     'n_overflow'.
     """
     s0, s1, over, _ = _run_chunked(config)
-    meta = {
-        "model": "two_regime" if config.wealthy is not None else "power_sde",
-        "n_overflow": int(np.count_nonzero(over)),
-        "step_days": config.step_days,
-        "regime_mode": config.regime_mode,
-        "seed": config.seed,
-    }
-    return _panel_from_arrays(s0, s1, ~over, config.t0, config.horizon_days, meta)
+    if config.scheme == SCHEME_EXACT:
+        model = "gbm_exact"
+    else:
+        model = "two_regime" if config.wealthy is not None else "power_sde"
+    keep = ~over
+    s0, s1 = s0[keep], s1[keep]
+    ds = s1 - s0
+    return TransitionPanel(
+        t0=config.t0,
+        dt_days=math.ceil(config.horizon_days),
+        user_ids=_user_ids(config.n_users)[keep],
+        s0=s0,
+        s1=s1,
+        ds=ds,
+        group=assign_groups(s0, ds),
+        meta={
+            "model": model,
+            "n_overflow": int(np.count_nonzero(over)),
+            "step_days": config.step_days,
+            "regime_mode": config.regime_mode,
+            "seed": config.seed,
+        },
+    )
 
 
 def snapshot_series(config: SimConfig, emit_days) -> list[BalanceSnapshot]:

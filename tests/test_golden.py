@@ -65,7 +65,7 @@ wealthy_sigma = 0.001
 }
 
 GOLDEN = {
-    "abs.absfits.json": "e9aeced4a5cfc3b962546528c3f9c36c13560e1075d07fe96c9098fe9f7e9c7b",
+    "abs.absfits.json": "3b45094e9b7a936bb2ade1519aec78dea87c076f56af530aa326f5910e85b0dd",
     "abs.bins.csv": "39b7ba0d28a7e03769eabb46e264709d204812612e64c2de90b001a3483667f8",
     "est.bins.csv": "04fdd0f738a4c88932f434665449e64fb5a53a6d82bad491ff0d9494d3b012e4",
     "est.fitlines.csv": "d5819e599c5f7a7e31519c312df8e600cdd7b28d8f567f240c36e3df7067daa8",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from balancegrowth import InsufficientDataError, hopkins, hopkins_test
+from balancegrowth import InsufficientDataError, hopkins, hopkins_test, panel
 from balancegrowth.panel import hopkins_pvalue
 
 
@@ -75,3 +75,13 @@ def test_bimodal_data_rejects_strongly():
     b = rng.normal(25.0, 1.0, size=(4000, 2))
     result = hopkins_test(np.vstack([a, b]), 100, seed=9)
     assert result.p_value < 1e-3
+
+
+def test_hopkins_test_prepares_points_once(monkeypatch):
+    prepare = panel._prepare_points
+    calls = []
+    monkeypatch.setattr(panel, "_prepare_points", lambda *args: calls.append(args) or prepare(*args))
+    pts = np.random.default_rng(3).normal(size=(200, 2))
+    result = hopkins_test(pts, 20, seed=5, log_scale=True)
+    assert len(calls) == 1
+    assert result.statistic == hopkins(pts, 20, seed=5, log_scale=True)

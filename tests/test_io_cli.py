@@ -1,11 +1,14 @@
 import datetime as dt
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from balancegrowth import ConfigError, MalformedInputError
+from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel
 from balancegrowth.cli import main
 from balancegrowth.io import (
     parse_sim_config,
@@ -15,7 +18,8 @@ from balancegrowth.io import (
     write_panel_csv,
     write_snapshot_csv,
 )
-from balancegrowth.sim import Schedule
+from balancegrowth.panel import assign_groups
+from balancegrowth.sim import SCHEME_EXACT, Schedule
 
 from conftest import D0, panel_from_rows, snapshot
 
@@ -42,8 +46,14 @@ class TestSnapshotCsv:
 
     def test_duplicate_user_names_line(self, tmp_path):
         path = tmp_path / "dup.csv"
-        write(path, "user_id,balance\na,5\na,6\n")
-        with pytest.raises(MalformedInputError, match="duplicate"):
+        write(path, "user_id,balance\na,5\nb,7\na,6\n")
+        with pytest.raises(MalformedInputError, match=":4: duplicate"):
+            read_snapshot_csv(path, D0)
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        write(path, "user_id,balance\na,5\n\nb,x\n")
+        with pytest.raises(MalformedInputError, match=":4:"):
             read_snapshot_csv(path, D0)
 
     def test_negative_balance_rejected(self, tmp_path):
@@ -102,6 +112,43 @@ class TestPanelCsv:
             read_panel_csv(path)
 
 
+ROUND_TRIP = settings(derandomize=True, max_examples=60, deadline=None)
+SATOSHI = st.integers(0, 2**62 - 1)
+
+
+def _ids(n):
+    return np.array([f"u{i:03d}" for i in range(n)])
+
+
+class TestIntegerRoundTrip:
+    @ROUND_TRIP
+    @given(balances=st.lists(SATOSHI, min_size=1, max_size=30))
+    @example(balances=[2**62 - 1, 2**53 + 1, 0])
+    def test_snapshot(self, balances):
+        snap = BalanceSnapshot(D0, _ids(len(balances)), np.array(balances, dtype=np.int64))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snap.csv"
+            write_snapshot_csv(path, snap)
+            loaded = read_snapshot_csv(path, D0)
+        assert loaded.balances.tolist() == balances
+
+    @ROUND_TRIP
+    @given(pairs=st.lists(st.tuples(SATOSHI, SATOSHI), min_size=1, max_size=30))
+    @example(pairs=[(2**60, 2**60 + 1)])
+    def test_panel(self, pairs):
+        s0 = np.array([a for a, _ in pairs], dtype=np.int64)
+        s1 = np.array([b for _, b in pairs], dtype=np.int64)
+        ds = s1 - s0
+        panel = TransitionPanel(None, None, _ids(len(pairs)), s0, s1, ds, assign_groups(s0, ds))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            write_panel_csv(path, panel)
+            loaded = read_panel_csv(path)
+        assert loaded.s0.dtype == np.int64
+        for name in ("s0", "s1", "ds", "group"):
+            assert getattr(loaded, name).tolist() == getattr(panel, name).tolist()
+
+
 class TestValuesCsv:
     def test_reads_balance_column(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -149,6 +196,14 @@ class TestSimConfigFile:
         write(path, "model = gbm\nhorizon_days = 1\ns0_law = point\ns0_value = 1\n")
         with pytest.raises(ConfigError, match="n_users"):
             parse_sim_config(path)
+
+    def test_gbm_is_one_exact_step_by_default(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        write(path, "model = gbm\nn_users = 10\nhorizon_days = 30\ns0_law = point\ns0_value = 1\nmu = 0.01\n")
+        parsed = parse_sim_config(path)
+        assert parsed.sim.scheme == SCHEME_EXACT
+        assert parsed.sim.step_days == 30
+        assert parsed.sim.poor.mu == 0.01
 
     def test_schedule_values(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -211,6 +266,23 @@ class TestCmdPanel:
         tax = json.loads((tmp_path / "h.taxonomy.json").read_text())
         assert 0.0 <= tax["hopkins"]["statistic"] <= 1.0
         assert 0.0 <= tax["hopkins"]["p_value"] <= 1.0
+
+    def test_run_id_covers_snapshot_dates(self, tmp_path):
+        p0 = tmp_path / "a.csv"
+        p1 = tmp_path / "b.csv"
+        write(p0, "user_id,balance\nu1,10\n")
+        write(p1, "user_id,balance\nu1,12\n")
+        seen = {}
+        for date0 in ("2016-01-20", "2016-02-03"):
+            rc = main([
+                "panel", str(p0), str(p1), "p.csv", "--date0", date0, "--date1", "2016-02-20",
+                "--out", str(tmp_path), "--quiet",
+            ])
+            assert rc == 0
+            tax = json.loads((tmp_path / "p.taxonomy.json").read_text())
+            seen[tax["dt_days"]] = tax["run_id"]
+        assert sorted(seen) == [17, 31]
+        assert seen[17] != seen[31]
 
     def test_bad_input_nonzero_exit(self, tmp_path):
         bad = tmp_path / "bad_2016-01-23.csv"
@@ -361,6 +433,27 @@ wealthy_sigma = 0.001
         assert rc == 0
         panel = read_panel_csv(tmp_path / "g.panel.csv")
         assert np.array_equal(panel.s0, panel.s1)
+
+    @pytest.mark.parametrize("model", ["gbm", "power"])
+    def test_overflow_excluded_counted_and_logged(self, tmp_path, capsys, model):
+        cfg = tmp_path / "big.cfg"
+        write(cfg, f"model = {model}\nn_users = 5\nhorizon_days = 100\ns0_law = point\ns0_value = 1e18\nmu = 0.1\n")
+        rc = main(["simulate", str(cfg), "big", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert "WARNING excluded 5 of 5 users" in capsys.readouterr().err
+        assert read_panel_csv(tmp_path / "big.panel.csv").n_rows == 0
+
+    def test_gbm_honours_step_days(self, tmp_path):
+        cfg = tmp_path / "gbm.cfg"
+        write(
+            cfg,
+            "model = gbm\nn_users = 20\nhorizon_days = 10\nstep_days = 5\nemit_days = 0,5,10\n"
+            "s0_law = point\ns0_value = 1e8\nmu = 0.01\nsigma = 0\n",
+        )
+        rc = main(["simulate", str(cfg), "g", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        mid = read_snapshot_csv(tmp_path / "g.snapshot_2000-01-06.csv")
+        assert np.all(mid.balances == round(1e8 * np.exp(0.05)))
 
     def test_invalid_config_key_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

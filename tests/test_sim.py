@@ -47,6 +47,23 @@ class TestGbmExact:
         with pytest.raises(ConfigError):
             simulate_gbm_exact(10, InitialLaw.point(1.0), 0.0, -0.1, 1.0)
 
+    def test_exact_steps_compose(self):
+        base = dict(n_users=100_000, s0_law=InitialLaw.point(1e8), horizon_days=4, seed=3, scheme="exact")
+        flat = simulate_two_regime(SimConfig(poor=RegimeParams(mu=0.01), step_days=2, **base))
+        assert np.allclose(flat.s1, 1e8 * math.exp(0.04), rtol=1e-14)
+        panel = simulate_two_regime(SimConfig(poor=RegimeParams(mu=0.03, sigma=0.15), step_days=2, **base))
+        r = np.log(panel.s1 / panel.s0)
+        n = r.size
+        assert abs(r.mean() - (0.03 - 0.5 * 0.15**2) * 4) <= 3 * 0.3 / math.sqrt(n)
+        assert abs(r.var() - 0.09) <= 3 * 0.09 * math.sqrt(2.0 / (n - 1))
+
+    def test_exact_scheme_needs_one_proportional_regime(self):
+        base = dict(n_users=10, s0_law=InitialLaw.point(1.0), horizon_days=2, scheme="exact")
+        with pytest.raises(ConfigError):
+            SimConfig(poor=RegimeParams(alpha_drift=0.9), **base)
+        with pytest.raises(ConfigError):
+            SimConfig(poor=RegimeParams(), wealthy=RegimeParams(), s_star=1.0, **base)
+
 
 class TestEuler:
     def test_matches_exact_deterministic_case_up_to_discretization(self):
