@@ -56,7 +56,7 @@ class _Run:
 
     def close(self, manifest_path):
         self.manifest.duration_s = time.monotonic() - self.started
-        io.write_json(manifest_path, self.manifest.to_dict())
+        io.write_json(manifest_path, self.manifest)
         log.info("wrote %s", manifest_path)
 
 
@@ -65,9 +65,17 @@ def _sibling(out_path: Path, tag: str) -> Path:
     return out_path.with_name(f"{base}.{tag}")
 
 
+def _flag_value(flag: str, text: str, parse):
+    """`parse(text)`, with a ValueError reported as a bad value of `flag`."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise MalformedInputError(f"{flag} {text!r}: {exc}") from None
+
+
 def _snapshot_date(path: Path, override: str | None, flag: str) -> dt.date:
     if override:
-        return dt.date.fromisoformat(override)
+        return _flag_value(flag, override, dt.date.fromisoformat)
     date = io.date_from_filename(path)
     if date is None:
         raise MalformedInputError(
@@ -83,6 +91,8 @@ def _columns(records, names) -> dict:
 
 
 def cmd_panel(args) -> int:
+    if not args.epsilon_v >= 0:  # NaN fails too
+        raise MalformedInputError(f"--epsilon-v must be non-negative, got {args.epsilon_v}")
     out = Path(args.out) / args.out_path
     run = _Run(args, [args.snap0, args.snap1])
     snap0 = io.read_snapshot_csv(args.snap0, _snapshot_date(Path(args.snap0), args.date0, "--date0"))
@@ -112,6 +122,8 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
+    if args.hist_bins < 1:
+        raise MalformedInputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
     data_path = Path(args.data)
     prefix = Path(args.out) / (args.prefix or data_path.stem)
     run = _Run(args, [args.data])
@@ -120,7 +132,7 @@ def cmd_fit(args) -> int:
     if data.size == 0:
         raise MalformedInputError(f"{args.data}: no positive values")
     if data.size < raw.size:
-        log.info("dropped %d non-positive values", raw.size - data.size)
+        log.warning("dropped %d of %d values that are not positive", raw.size - data.size, raw.size)
 
     if args.xmin is not None:
         pl = tails.fit_power_law(data, xmin=args.xmin)
@@ -213,8 +225,8 @@ def cmd_estimate(args) -> int:
         run.write(Path(f"{prefix}.fitlines.csv"), _fitlines(split, bins), io.write_csv)
     else:
         payload = {
-            "drift": vars(growth.fit_drift_abs(bins)),
-            "vol": vars(growth.fit_vol_abs(bins)),
+            "drift": growth.fit_drift_abs(bins),
+            "vol": growth.fit_vol_abs(bins),
             "estimator_settings": settings,
         }
         run.write(Path(f"{prefix}.absfits.json"), payload)
@@ -223,6 +235,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    t0 = _flag_value("--t0", args.t0, dt.date.fromisoformat)
+    dts = _flag_value("--dts", args.dts, lambda text: [int(part) for part in text.split(",")])
     snap_dir = Path(args.snapshot_dir)
     files = sorted(snap_dir.glob("*.csv"))
     dated = [(io.date_from_filename(f), f) for f in files]
@@ -232,8 +246,6 @@ def cmd_sweep(args) -> int:
     prefix = Path(args.out) / args.prefix
     run = _Run(args, [f for _, f in dated])
     snapshots = [io.read_snapshot_csv(f, d) for d, f in dated]
-    t0 = dt.date.fromisoformat(args.t0)
-    dts = [int(part) for part in args.dts.split(",")]
     sweep = growth.horizon_sweep(
         snapshots,
         t0,
@@ -292,6 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    estimator = argparse.ArgumentParser(add_help=False)
+    estimator.add_argument("--bins", type=int, default=growth.DEFAULT_N_BINS, help="geometric bins (default %(default)s)")
+    estimator.add_argument(
+        "--min-count", type=int, default=growth.DEFAULT_MIN_COUNT, help="minimum rows per bin (default %(default)s)"
+    )
+    estimator.add_argument("--star-log-scale", action="store_true", help="average the regime boundary geometrically")
 
     p = sub.add_parser("panel", help="join two snapshots into a transition panel")
     p.add_argument("snap0")
@@ -325,26 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("estimate", help="bin a panel and regress the growth parameters")
+    p = sub.add_parser("estimate", parents=[estimator], help="bin a panel and regress the growth parameters")
     p.add_argument("panel", help="panel CSV")
     p.add_argument("out_prefix", help="output prefix")
-    p.add_argument("--bins", type=int, default=growth.DEFAULT_N_BINS, help="geometric bins (default %(default)s)")
-    p.add_argument("--min-count", type=int, default=growth.DEFAULT_MIN_COUNT, help="minimum rows per bin (default %(default)s)")
     p.add_argument("--target", choices=[growth.TARGET_RATIO, growth.TARGET_ABSOLUTE], default=growth.TARGET_RATIO)
     p.add_argument("--s-min", type=float, help="lower bin edge (default: data minimum)")
     p.add_argument("--s-max", type=float, help="upper bin edge (default: data maximum)")
-    p.add_argument("--star-log-scale", action="store_true", help="average the regime boundary geometrically")
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("sweep", help="estimate across horizons and test parameter trends")
+    p = sub.add_parser("sweep", parents=[estimator], help="estimate across horizons and test parameter trends")
     p.add_argument("snapshot_dir", help="directory of dated snapshot CSVs")
     p.add_argument("--t0", required=True, help="ISO date of the base snapshot")
     p.add_argument("--dts", required=True, help="comma-separated horizons in days")
     p.add_argument("--prefix", default="sweep", help="output prefix (default %(default)s)")
-    p.add_argument("--bins", type=int, default=growth.DEFAULT_N_BINS)
-    p.add_argument("--min-count", type=int, default=growth.DEFAULT_MIN_COUNT)
-    p.add_argument("--star-log-scale", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -10,7 +10,7 @@ accumulating ("poor") and divesting ("wealthy") regimes.
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, stats
@@ -60,16 +60,8 @@ class BinSeries:
         return int(self.centers.size)
 
     def take(self, mask: np.ndarray) -> "BinSeries":
-        return BinSeries(
-            bin_lo=self.bin_lo[mask],
-            bin_hi=self.bin_hi[mask],
-            centers=self.centers[mask],
-            counts=self.counts[mask],
-            means=self.means[mask],
-            stds=self.stds[mask],
-            target=self.target,
-            settings=dict(self.settings),
-        )
+        arrays = ("bin_lo", "bin_hi", "centers", "counts", "means", "stds")
+        return replace(self, **{name: getattr(self, name)[mask] for name in arrays}, settings=dict(self.settings))
 
 
 @dataclass(frozen=True)
@@ -131,31 +123,15 @@ class GrowthFit:
     n_bins_drift: int
     n_bins_vol: int
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "alpha_drift": self.alpha_drift,
-            "mu_dt": self.mu_dt,
-            "alpha_vol": self.alpha_vol,
-            "sigma_sqrtdt": self.sigma_sqrtdt,
-            "drift_alpha_se": self.drift_alpha_se,
-            "drift_intercept_se": self.drift_intercept_se,
-            "drift_r_squared": self.drift_r_squared,
-            "vol_alpha_se": self.vol_alpha_se,
-            "vol_intercept_se": self.vol_intercept_se,
-            "vol_r_squared": self.vol_r_squared,
-            "n_bins_drift": self.n_bins_drift,
-            "n_bins_vol": self.n_bins_vol,
-        }
-
 
 @dataclass(frozen=True)
 class RegimeSplit:
     """Two-regime decomposition of a ratio-target bin series.
 
-    `s_star` is the balance separating the regimes (None when only one
-    sign is present); `sign_pattern` records the sign of each retained
-    bin mean in balance order.
+    `s_star` is the balance separating the regimes (None when the cut
+    leaves one side without a sign-consistent bin, see `split_regimes`);
+    `sign_pattern` records the sign of each retained bin mean in balance
+    order.
     """
 
     s_star: float | None
@@ -168,17 +144,7 @@ class RegimeSplit:
     settings: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "s_star": self.s_star,
-            "poor": self.poor.to_dict() if self.poor else None,
-            "wealthy": self.wealthy.to_dict() if self.wealthy else None,
-            "sign_pattern": self.sign_pattern,
-            "n_bins_poor": self.n_bins_poor,
-            "n_bins_wealthy": self.n_bins_wealthy,
-            "star_averaging": self.star_averaging,
-            "settings": dict(self.settings),
-            "unit": "satoshi",
-        }
+        return {**vars(self), "unit": "satoshi"}
 
 
 @dataclass(frozen=True)
@@ -192,16 +158,6 @@ class TrendResult:
     var_s: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "tau": self.tau,
-            "p_value": self.p_value,
-            "s": self.s,
-            "var_s": self.var_s,
-            "n": self.n,
-        }
-
 
 @dataclass(frozen=True)
 class HorizonEntry:
@@ -210,9 +166,6 @@ class HorizonEntry:
     dt_days: int
     split: RegimeSplit
     derived: dict
-
-    def to_dict(self) -> dict:
-        return {"dt_days": self.dt_days, "split": self.split.to_dict(), "derived": self.derived}
 
 
 @dataclass(frozen=True)
@@ -224,15 +177,7 @@ class HorizonSweep:
     trends: dict
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "skipped": self.skipped,
-            "trends": {
-                regime: {param: tr.to_dict() for param, tr in params.items()}
-                for regime, params in self.trends.items()
-            },
-            "units": {"mu": "per-day", "sigma": "per-sqrt-day", "balance": "satoshi"},
-        }
+        return {**vars(self), "units": {"mu": "per-day", "sigma": "per-sqrt-day", "balance": "satoshi"}}
 
 
 def make_bins(s_min: float, s_max: float, n: int = DEFAULT_N_BINS) -> np.ndarray:
@@ -393,6 +338,14 @@ def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
     )
 
 
+def _fit_log_std(bins: BinSeries) -> OlsFit:
+    """OLS of ln std on ln s over the bins with positive std; at least three must remain."""
+    pos = bins.stds > 0
+    if np.count_nonzero(pos) < 3:
+        raise InsufficientDataError("need at least 3 retained bins with positive std")
+    return _ols(np.log(bins.centers[pos]), np.log(bins.stds[pos]))
+
+
 def fit_vol_abs(bins: BinSeries) -> AbsVolFit:
     """Log-log regression ln std(ds) = alpha ln s + ln(sigma sqrt(dt)).
 
@@ -401,17 +354,14 @@ def fit_vol_abs(bins: BinSeries) -> AbsVolFit:
     """
     if bins.target != TARGET_ABSOLUTE:
         raise MalformedInputError("fit_vol_abs expects an absolute-target bin series")
-    pos = bins.stds > 0
-    if np.count_nonzero(pos) < 3:
-        raise InsufficientDataError("need at least 3 retained bins with positive std")
-    fit = _ols(np.log(bins.centers[pos]), np.log(bins.stds[pos]))
+    fit = _fit_log_std(bins)
     return AbsVolFit(
         alpha=fit.slope,
         sigma_sqrtdt=math.exp(fit.intercept),
         alpha_se=fit.slope_se,
         intercept_se=fit.intercept_se,
         r_squared=fit.r_squared,
-        n_bins_used=int(np.count_nonzero(pos)),
+        n_bins_used=fit.n,
     )
 
 
@@ -435,12 +385,8 @@ def fit_ratio(bins: BinSeries, regime: str = REGIME_ALL) -> GrowthFit:
             "bin means carry mixed signs; split into regimes before fitting"
         )
     sign = 1.0 if has_pos else -1.0
-    lns = np.log(bins.centers)
-    drift = _ols(lns, np.log(sign * means))
-    pos_std = bins.stds > 0
-    if np.count_nonzero(pos_std) < 3:
-        raise InsufficientDataError("need at least 3 retained bins with positive std")
-    vol = _ols(lns[pos_std], np.log(bins.stds[pos_std]))
+    drift = _ols(np.log(bins.centers), np.log(sign * means))
+    vol = _fit_log_std(bins)
     return GrowthFit(
         regime=regime,
         alpha_drift=drift.slope + 1.0,
@@ -471,43 +417,25 @@ def split_regimes(bins: BinSeries, star_log_scale: bool = False) -> RegimeSplit:
     """Split a ratio-target bin series at the sign change of the bin means.
 
     Positive-mean bins form the accumulating (poor) side, negative-mean
-    bins the divesting (wealthy) side. When both signs occur, the cut
-    maximizing the number of sign-consistent bins on both sides is
-    chosen (ties toward the larger poor side), and the regime boundary
-    s_star averages the adjacent fit-set centers, linearly by default or
-    geometrically with `star_log_scale`.
+    bins the divesting (wealthy) side. The cut maximizing the number of
+    positive bins below it plus negative bins above it is chosen (ties
+    toward the larger poor side), and the regime boundary s_star
+    averages the adjacent fit-set centers, linearly by default or
+    geometrically with `star_log_scale`. When either side of the cut
+    holds no sign-consistent bin, s_star is None and each side is fitted
+    on all bins of its sign.
     """
     if bins.target != TARGET_RATIO:
         raise MalformedInputError("split_regimes expects a ratio-target bin series")
     if bins.n_bins < 3:
         raise InsufficientDataError("need at least 3 retained bins")
     means = bins.means
-    k = bins.n_bins
     blue = means > 0
     red = means < 0
-    sign_pattern = [int(v) for v in np.sign(means)]
-    averaging = "geometric" if star_log_scale else "linear"
-
-    if not (np.any(blue) and np.any(red)):
-        poor = _fit_side(bins, blue, REGIME_POOR) if np.any(blue) else None
-        wealthy = _fit_side(bins, red, REGIME_WEALTHY) if np.any(red) else None
-        return RegimeSplit(
-            s_star=None,
-            poor=poor,
-            wealthy=wealthy,
-            sign_pattern=sign_pattern,
-            n_bins_poor=int(np.count_nonzero(blue)),
-            n_bins_wealthy=int(np.count_nonzero(red)),
-            star_averaging=averaging,
-            settings=dict(bins.settings),
-        )
-
-    idx = np.arange(k)
-    best_cut, best_score = 0, -1
-    for cut in range(k + 1):
-        score = int(np.count_nonzero(blue[:cut])) + int(np.count_nonzero(red[cut:]))
-        if score >= best_score:
-            best_cut, best_score = cut, score
+    # score[cut] = positive bins before the cut + negative bins from it on
+    score = np.concatenate(([0], np.cumsum(blue))) + np.concatenate((np.cumsum(red[::-1])[::-1], [0]))
+    best_cut = score.size - 1 - int(np.argmax(score[::-1]))
+    idx = np.arange(bins.n_bins)
     poor_mask = blue & (idx < best_cut)
     wealthy_mask = red & (idx >= best_cut)
 
@@ -516,9 +444,9 @@ def split_regimes(bins: BinSeries, star_log_scale: bool = False) -> RegimeSplit:
         hi = float(bins.centers[wealthy_mask].min())
         s_star = math.sqrt(lo * hi) if star_log_scale else 0.5 * (lo + hi)
     else:
-        # sign structure does not match the accumulate-low / divest-high
-        # model (stray bins or inverted orientation): fit per sign with
-        # no boundary
+        # one sign only, or a sign structure that does not match the
+        # accumulate-low / divest-high model (stray bins or inverted
+        # orientation): fit per sign with no boundary
         s_star = None
         poor_mask = blue
         wealthy_mask = red
@@ -526,10 +454,10 @@ def split_regimes(bins: BinSeries, star_log_scale: bool = False) -> RegimeSplit:
         s_star=s_star,
         poor=_fit_side(bins, poor_mask, REGIME_POOR),
         wealthy=_fit_side(bins, wealthy_mask, REGIME_WEALTHY),
-        sign_pattern=sign_pattern,
+        sign_pattern=[int(v) for v in np.sign(means)],
         n_bins_poor=int(np.count_nonzero(poor_mask)),
         n_bins_wealthy=int(np.count_nonzero(wealthy_mask)),
-        star_averaging=averaging,
+        star_averaging="geometric" if star_log_scale else "linear",
         settings=dict(bins.settings),
     )
 
@@ -633,17 +561,8 @@ def horizon_sweep(
 
     trends: dict = {}
     for regime in (REGIME_POOR, REGIME_WEALTHY):
-        series_by_param: dict = {param: [] for param in SWEEP_PARAMS}
-        for entry in entries:
-            regime_values = entry.derived.get(regime)
-            if regime_values is None:
-                continue
-            for param in SWEEP_PARAMS:
-                series_by_param[param].append((entry.dt_days, regime_values[param]))
-        regime_trends = {}
-        for param, series in series_by_param.items():
-            if len(series) >= 4:
-                regime_trends[param] = trend_test(series)
-        if regime_trends:
-            trends[regime] = regime_trends
+        # every parameter of a regime shares the regime's horizons
+        series = [(entry.dt_days, entry.derived[regime]) for entry in entries if regime in entry.derived]
+        if len(series) >= 4:
+            trends[regime] = {param: trend_test([(d, v[param]) for d, v in series]) for param in SWEEP_PARAMS}
     return HorizonSweep(entries=entries, skipped=skipped, trends=trends)

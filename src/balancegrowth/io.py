@@ -152,23 +152,24 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, dt.date):
         return obj.isoformat()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _sanitize_nan(obj):
+def _plain(obj):
+    """JSON-ready copy: a record becomes its `to_dict()`, or else its fields; a non-finite float becomes None."""
+    if dataclasses.is_dataclass(obj):
+        obj = obj.to_dict() if hasattr(obj, "to_dict") else vars(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, dict):
-        return {k: _sanitize_nan(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize_nan(v) for v in obj]
+        return [_plain(v) for v in obj]
     return obj
 
 
 def json_text(obj) -> str:
-    return json.dumps(_sanitize_nan(obj), indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def write_json(path, obj):
@@ -467,6 +468,3 @@ class RunManifest:
     def __post_init__(self):
         ident = {key: getattr(self, key) for key in ("command", "parameters", "inputs", "seed", "version")}
         self.run_id = hashlib.sha256(json_text(ident).encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)

@@ -127,15 +127,7 @@ class ScatterTaxonomy:
         return self.vertical + self.horizontal + self.diagonal + self.interior
 
     def to_dict(self) -> dict:
-        return {
-            "vertical": self.vertical,
-            "horizontal": self.horizontal,
-            "diagonal": self.diagonal,
-            "interior": self.interior,
-            "total": self.total,
-            "epsilon_v": self.epsilon_v,
-            "unit": "satoshi",
-        }
+        return {**vars(self), "total": self.total, "unit": "satoshi"}
 
 
 @dataclass(frozen=True)

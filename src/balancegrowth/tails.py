@@ -134,17 +134,6 @@ class UmpuResult:
     p_value: float
     method: str
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "rank": self.rank,
-            "n_tail": self.n_tail,
-            "wilks_w": self.wilks_w,
-            "p_value": self.p_value,
-            "method": self.method,
-            "unit": "satoshi",
-        }
-
 
 def _positive_array(data) -> np.ndarray:
     x = np.asarray(data, dtype=np.float64)

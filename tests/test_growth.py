@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from balancegrowth import (
     InsufficientDataError,
@@ -250,6 +252,49 @@ class TestSplitRegimes:
         assert a.poor.sigma_sqrtdt == pytest.approx(b.wealthy.sigma_sqrtdt, rel=1e-12)
         assert a.poor.mu_dt == pytest.approx(-b.wealthy.mu_dt, rel=1e-12)
         assert b.sign_pattern == [-v for v in a.sign_pattern]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=30), st.booleans())
+    @example([1] * 6, False)
+    @example([-1] * 6, False)
+    @example([0, 0, 0], False)
+    @example([-1, -1, -1, 1, 1, 1], False)
+    @example([1, -1, 1, -1, 1, -1], True)
+    @example([1, 1, 1, 0, -1, 1, -1, -1, -1], True)
+    def test_cut_matches_bruteforce_oracle(self, pattern, star_log_scale):
+        k = len(pattern)
+        s = np.geomspace(10.0, 1e10, k)
+        means = np.array(pattern) * np.linspace(0.01, 0.05, k)
+        split = split_regimes(constant_bins(s, means, 0.1 * s**-0.05), star_log_scale=star_log_scale)
+        s_star, poor, wealthy = regime_cut_oracle(pattern, s, star_log_scale)
+        assert split.s_star == s_star
+        assert (split.n_bins_poor, split.n_bins_wealthy) == (len(poor), len(wealthy))
+        assert split.sign_pattern == pattern
+        for fit, side in ((split.poor, poor), (split.wealthy, wealthy)):
+            assert (fit is not None) == (len(side) >= 3)
+            assert fit is None or fit.n_bins_drift == len(side)
+
+
+def regime_cut_oracle(pattern, centers, star_log_scale):
+    """The documented regime cut, scored cut by cut.
+
+    The cut maximizes positive bins below it plus negative bins from it
+    on, ties going to the larger poor side. With no sign-consistent bin
+    on one side there is no boundary and each side takes every bin of
+    its sign. Returns (s_star, poor bin indices, wealthy bin indices).
+    """
+    k = len(pattern)
+    best_cut, best_score = 0, -1
+    for cut in range(k + 1):
+        score = sum(p > 0 for p in pattern[:cut]) + sum(p < 0 for p in pattern[cut:])
+        if score >= best_score:
+            best_cut, best_score = cut, score
+    poor = [i for i in range(best_cut) if pattern[i] > 0]
+    wealthy = [i for i in range(best_cut, k) if pattern[i] < 0]
+    if not poor or not wealthy:
+        return None, [i for i in range(k) if pattern[i] > 0], [i for i in range(k) if pattern[i] < 0]
+    lo, hi = float(centers[poor[-1]]), float(centers[wealthy[0]])
+    return (math.sqrt(lo * hi) if star_log_scale else 0.5 * (lo + hi)), poor, wealthy
 
 
 def exact_kendall_s_pmf(n):

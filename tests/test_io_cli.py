@@ -1,5 +1,7 @@
 import datetime as dt
 import json
+import logging
+import math
 import tempfile
 from pathlib import Path
 
@@ -8,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel
-from balancegrowth.cli import main
+from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel, TrendResult
+from balancegrowth.cli import build_parser, main
 from balancegrowth.io import (
+    json_text,
     parse_sim_config,
     read_panel_csv,
     read_snapshot_csv,
@@ -217,6 +220,12 @@ class TestSimConfigFile:
         assert parsed.sim.poor.sigma.at(5.0) == pytest.approx(0.0025)
 
 
+class TestJson:
+    def test_nan_inside_record_is_null(self):
+        trend = TrendResult(direction="none", tau=math.nan, p_value=1.0, s=0, var_s=0.0, n=4)
+        assert json.loads(json_text({"t": trend}))["t"]["tau"] is None
+
+
 @pytest.fixture
 def snap_pair(tmp_path):
     p0 = tmp_path / "snap_2016-01-23.csv"
@@ -293,6 +302,33 @@ class TestCmdPanel:
         assert rc != 0
 
 
+class TestBadFlagValues:
+    """A bad flag value exits 2 with a message naming the flag, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("panel", "--epsilon-v", "-1"),
+            ("panel", "--date0", "2016-13-01"),
+            ("sweep", "--t0", "notadate"),
+            ("sweep", "--dts", "28,x"),
+            ("fit", "--hist-bins", "0"),
+        ],
+    )
+    def test_rejected(self, snap_pair, tmp_path, capsys, command, flag, value):
+        p0, p1 = snap_pair
+        argv = {
+            "panel": ["panel", str(p0), str(p1), "p.csv"],
+            "sweep": ["sweep", str(tmp_path), "--t0", "2016-01-23", "--dts", "28"],
+            "fit": ["fit", str(p1)],
+        }[command]
+        rc = main([*argv, flag, value, "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def balances_csv(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fit")
@@ -344,6 +380,14 @@ class TestCmdFit:
         parsed = [r.split(",") for r in rows]
         beyond = [float(p[4]) for p in parsed if int(p[0]) >= 2000]
         assert beyond and all(p < 0.05 for p in beyond)
+
+    def test_non_positive_values_dropped_with_warning(self, tmp_path, caplog):
+        data = tmp_path / "v.csv"
+        write(data, "balance\n0\n-5\n" + "".join(f"{v}\n" for v in range(1, 41)))
+        args = build_parser().parse_args(["fit", str(data), "--xmin", "1", "--out", str(tmp_path), "--quiet"])
+        with caplog.at_level(logging.WARNING, logger="balancegrowth"):
+            assert args.func(args) == 0
+        assert "dropped 2 of 42 values that are not positive" in [r.getMessage() for r in caplog.records]
 
     def test_xmin_scan_when_omitted(self, balances_csv, tmp_path):
         rc = main(["fit", str(balances_csv), "--xmin-candidates", "64", "--out", str(tmp_path), "--quiet"])
