@@ -124,6 +124,8 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 def cmd_fit(args) -> int:
     if args.hist_bins < 1:
         raise MalformedInputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
+    if args.umpu and args.umpu_method == "monte_carlo" and args.mc_reps < 1:
+        raise MalformedInputError(f"--mc-reps must be at least 1, got {args.mc_reps}")
     data_path = Path(args.data)
     prefix = Path(args.out) / (args.prefix or data_path.stem)
     run = _Run(args, [args.data])

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import special
 
 from .errors import (
     InsufficientDataError,
@@ -288,6 +288,8 @@ def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
     y = bins.means
     if np.unique(s).size < 2:
         raise InsufficientDataError("all bin centers equal; design is singular")
+    from scipy.optimize import least_squares  # loaded on first use: it adds ~0.25 s to start-up
+
     lns = np.log(s)
     best = None
     for sign in (1.0, -1.0):
@@ -303,7 +305,7 @@ def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
         def resid(theta, sgn=sign):
             return sgn * np.exp(theta[0] + theta[1] * lns) - y
 
-        res = optimize.least_squares(
+        res = least_squares(
             resid, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000
         )
         if best is None or res.cost < best[0].cost:
@@ -490,7 +492,7 @@ def trend_test(series) -> TrendResult:
         z = (s + 1) / math.sqrt(var_s)
     else:
         z = 0.0
-    p = 2.0 * float(stats.norm.sf(abs(z)))
+    p = 2.0 * float(special.ndtr(-abs(z)))
     if p < 0.05 and s != 0:
         direction = "increasing" if s > 0 else "decreasing"
     else:

@@ -148,17 +148,18 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, (np.floating,)):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, dt.date):
         return obj.isoformat()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def _plain(obj):
-    """JSON-ready copy: a record becomes its `to_dict()`, or else its fields; a non-finite float becomes None."""
+    """JSON-ready copy: a record becomes its `to_dict()`, or else its fields; an array
+    becomes a list; a non-finite float becomes None."""
     if dataclasses.is_dataclass(obj):
         obj = obj.to_dict() if hasattr(obj, "to_dict") else vars(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, dict):

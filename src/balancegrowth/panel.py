@@ -9,8 +9,7 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.spatial import cKDTree
+from scipy import special
 
 from .errors import HorizonError, InsufficientDataError, MalformedInputError
 
@@ -237,6 +236,10 @@ def hopkins(points, m: int, seed: int, log_scale: bool = False) -> float:
 
 
 def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
+    # Imported here, not at module level: only `panel --hopkins-m` needs
+    # scipy.spatial, and loading it would slow every CLI start-up.
+    from scipy.spatial import cKDTree
+
     n, d = pts.shape
     if m < 1:
         raise InsufficientDataError("m must be at least 1")
@@ -262,7 +265,7 @@ def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
 
 def hopkins_pvalue(h: float, m: int) -> float:
     """One-sided p-value of a Hopkins statistic toward clustering (large H)."""
-    return float(stats.beta.sf(h, m, m))
+    return float(special.betaincc(m, m, h))
 
 
 def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from ._rng import substream
 from .errors import (
@@ -317,9 +317,11 @@ def _tn_interior_mle(n: int, zbar: float, m2: float):
         raise DegenerateTailError("tail has no spread after log transform")
     if ratio >= 2.0 or _moment_ratio(_DELTA_FLOOR) <= ratio:
         return None
+    from scipy.optimize import brentq  # loaded on first use: it adds ~0.25 s to start-up
+
     hi = max(40.0, 2.0 / math.sqrt(ratio - 1.0))
     try:
-        d = optimize.brentq(
+        d = brentq(
             lambda t: _moment_ratio(t) - ratio, _DELTA_FLOOR, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200
         )
     except (ValueError, RuntimeError) as exc:
@@ -618,6 +620,8 @@ def _umpu_results(tests: list, mc_reps: int, seed, method: str) -> list[UmpuResu
     """Tail tests given as (threshold, rank, n_tail, ratio, wilks); all share the replicates."""
     if method not in ("monte_carlo", "asymptotic"):
         raise ValueError(f"unknown p-value method: {method!r}")
+    if method == "monte_carlo" and mc_reps < 1:
+        raise ValueError(f"mc_reps must be at least 1, got {mc_reps}")
     if not tests:
         return []
     _, _, sizes, ratios, wilks = zip(*tests)
@@ -629,7 +633,7 @@ def _umpu_results(tests: list, mc_reps: int, seed, method: str) -> list[UmpuResu
         counts = _null_exceedances(seed, mc_reps, np.array(sizes), np.array(ratios))
         p = ((1.0 + counts) / (mc_reps + 1.0)).tolist()
     else:
-        p = [1.0 if w <= 0.0 else 0.5 * float(stats.chi2.sf(w, df=1)) for w in wilks]
+        p = [1.0 if w <= 0.0 else 0.5 * float(special.chdtrc(1, w)) for w in wilks]
     return [
         UmpuResult(
             threshold=float(thr),

@@ -225,6 +225,10 @@ class TestJson:
         trend = TrendResult(direction="none", tau=math.nan, p_value=1.0, s=0, var_s=0.0, n=4)
         assert json.loads(json_text({"t": trend}))["t"]["tau"] is None
 
+    def test_nan_inside_array_is_null(self):
+        text = json_text({"a": np.array([np.nan, 1.5, np.inf]), "b": np.array([[2, 3]])})
+        assert json.loads(text) == {"a": [None, 1.5, None], "b": [[2, 3]]}
+
 
 @pytest.fixture
 def snap_pair(tmp_path):
@@ -313,6 +317,7 @@ class TestBadFlagValues:
             ("sweep", "--t0", "notadate"),
             ("sweep", "--dts", "28,x"),
             ("fit", "--hist-bins", "0"),
+            ("umpu", "--mc-reps", "0"),
         ],
     )
     def test_rejected(self, snap_pair, tmp_path, capsys, command, flag, value):
@@ -321,6 +326,7 @@ class TestBadFlagValues:
             "panel": ["panel", str(p0), str(p1), "p.csv"],
             "sweep": ["sweep", str(tmp_path), "--t0", "2016-01-23", "--dts", "28"],
             "fit": ["fit", str(p1)],
+            "umpu": ["fit", str(p1), "--umpu"],
         }[command]
         rc = main([*argv, flag, value, "--out", str(tmp_path / "out"), "--quiet"])
         assert rc == 2

@@ -1,0 +1,69 @@
+"""The p-values call scipy.special kernels directly; scipy.stats is their oracle.
+
+Each kernel is the one the matching scipy.stats survival function calls,
+so the two must agree bit for bit, edges included.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy import stats
+
+import balancegrowth
+from balancegrowth import tails, trend_test, umpu_wilks
+from balancegrowth.panel import hopkins_pvalue
+
+N_RANDOM = 20_000
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    src = str(Path(balancegrowth.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, balancegrowth.cli\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.spatial')\n"
+        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""
+
+
+def test_hopkins_pvalue_equals_beta_sf():
+    rng = np.random.default_rng(11)
+    h = np.concatenate([rng.uniform(0.0, 1.0, N_RANDOM), [0.0, 1.0, 0.0, 1.0, 0.5]])
+    m = np.concatenate([rng.integers(1, 1000, N_RANDOM), [1, 1, 500, 500, 100]])
+    got = np.array([hopkins_pvalue(float(a), int(b)) for a, b in zip(h, m)])
+    assert np.array_equal(got, stats.beta.sf(h, m, m))
+
+
+def test_trend_pvalue_equals_twice_norm_sf():
+    rng = np.random.default_rng(12)
+    results = []
+    for _ in range(2000):
+        n = int(rng.integers(4, 25))
+        values = rng.integers(0, 6, n) if rng.random() < 0.5 else rng.normal(size=n)
+        results.append(trend_test(zip(range(n), values)))
+    # S = 0 with spread: z is exactly 0 and the p-value is 1.
+    results.append(trend_test([(1, 1.0), (2, 2.0), (3, 2.0), (4, 1.0)]))
+    assert results[-1].s == 0
+    results = [r for r in results if r.var_s > 0]
+    # the continuity-corrected Mann-Kendall z
+    z = np.array([(r.s - np.sign(r.s)) / math.sqrt(r.var_s) for r in results])
+    assert np.array_equal([r.p_value for r in results], 2.0 * stats.norm.sf(np.abs(z)))
+
+
+def test_asymptotic_umpu_pvalue_equals_half_chi2_sf():
+    rng = np.random.default_rng(13)
+    w = np.concatenate([rng.exponential(4.0, N_RANDOM), [1e-300, 1e-8, 1.0, 50.0, 1e4]])
+    tests = [(1.0, 10, 10, 1.5, float(v)) for v in w]
+    got = [r.p_value for r in tails._umpu_results(tests, 0, 0, "asymptotic")]
+    assert np.array_equal(got, 0.5 * stats.chi2.sf(w, df=1))
+    for seed in range(20):
+        local = np.random.default_rng(seed)
+        data = 50.0 * np.exp(local.lognormal(-1.0, 0.5 + seed / 20, 400))
+        r = umpu_wilks(data, 50.0, seed=seed, method="asymptotic")
+        assert r.p_value == (1.0 if r.wilks_w <= 0.0 else 0.5 * stats.chi2.sf(r.wilks_w, df=1))

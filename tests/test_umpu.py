@@ -95,6 +95,17 @@ def test_too_small_tail_rejected(rng):
         umpu_wilks(exp_tail_data(rng, 9), 50.0)
 
 
+@pytest.mark.parametrize("mc_reps", [0, -1])
+def test_monte_carlo_needs_a_replicate(rng, mc_reps):
+    data = exp_tail_data(rng, 40)
+    with pytest.raises(ValueError, match="mc_reps"):
+        umpu_wilks(data, 50.0, mc_reps=mc_reps)
+    with pytest.raises(ValueError, match="mc_reps"):
+        umpu_sweep(data, mc_reps=mc_reps)
+    # the asymptotic path draws no replicates, so mc_reps does not matter there
+    assert umpu_wilks(data, 50.0, mc_reps=mc_reps, method="asymptotic").method == "asymptotic"
+
+
 class TestSweep:
     def test_minimal_sweep_single_result(self, rng):
         data = exp_tail_data(rng, 10)
