@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from balancegrowth import (
+    BalanceSnapshot,
     HorizonError,
     MalformedInputError,
     build_panel,
     filter_active,
     taxonomy,
 )
-from balancegrowth.panel import GROUP_ACTIVE, GROUP_INACTIVE
+from balancegrowth.panel import GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE
 
 from conftest import D0, D28, panel_from_rows, snapshot
 
@@ -67,6 +70,54 @@ class TestBuildPanel:
             assert s0 == lookup0.get(u, 0)
             assert s1 == lookup1.get(u, 0)
             assert ds == s1 - s0
+
+
+# user id -> (balance at D0, balance at D28); None where the user is absent
+USERS = st.dictionaries(
+    st.text(alphabet="ab_0é", min_size=1, max_size=6),
+    st.tuples(*[st.one_of(st.none(), st.integers(0, 2**62 - 1))] * 2),
+    max_size=25,
+)
+IDENTICAL = {"a": (5, 5), "bb": (0, 0), "é0": (7, 7)}
+DISJOINT = {"a": (5, None), "ab": (None, 3), "b_": (0, None)}
+
+
+def _side(users, k, date, rng=None):
+    rows = [(u, b[k]) for u, b in users.items() if b[k] is not None]
+    if rng is not None:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    ids = np.array([u for u, _ in rows], dtype=str)
+    return BalanceSnapshot(date, ids, np.array([b for _, b in rows], dtype=np.int64))
+
+
+class TestJoinProperties:
+    """`build_panel` against a dict-based oracle of the join."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(users=USERS, seed=st.integers(0, 2**32 - 1))
+    @example(users={}, seed=0)
+    @example(users={"a": (5, None)}, seed=0)
+    @example(users={"abc": (None, 5), "a": (None, 0)}, seed=0)
+    @example(users=IDENTICAL, seed=1)
+    @example(users=DISJOINT, seed=2)
+    def test_matches_oracle_and_ignores_row_order(self, users, seed):
+        snap0, snap1 = _side(users, 0, D0), _side(users, 1, D28)
+        panel = build_panel(snap0, snap1)
+        present = sorted(u for u, (b0, b1) in users.items() if b0 is not None or b1 is not None)
+        assert panel.user_ids.tolist() == present
+        assert panel.user_ids.dtype == np.promote_types(snap0.user_ids.dtype, snap1.user_ids.dtype)
+        s0 = [users[u][0] or 0 for u in present]
+        s1 = [users[u][1] or 0 for u in present]
+        assert panel.s0.tolist() == s0 and panel.s1.tolist() == s1
+        assert panel.ds.tolist() == [b - a for a, b in zip(s0, s1)]
+        groups = [GROUP_NONE if a == 0 else GROUP_ACTIVE if b != a else GROUP_INACTIVE for a, b in zip(s0, s1)]
+        assert panel.group.tolist() == groups
+
+        rng = np.random.default_rng(seed)
+        shuffled = build_panel(_side(users, 0, D0, rng), _side(users, 1, D28, rng))
+        for name in ("user_ids", "s0", "s1", "ds", "group"):
+            a, b = getattr(panel, name), getattr(shuffled, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestFilterActive:
