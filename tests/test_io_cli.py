@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import logging
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -113,6 +114,137 @@ class TestPanelCsv:
         write(path, "user_id,s0,s1,ds,group\na,5,7,2,B\n")
         with pytest.raises(MalformedInputError, match="group"):
             read_panel_csv(path)
+
+
+class TestReaderContract:
+    """What every CSV read accepts and how it names a bad line."""
+
+    def test_crlf_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        write(path, "user_id,balance\r\na,5\r\nb,7\r\n")
+        snap = read_snapshot_csv(path, D0)
+        assert snap.user_ids.tolist() == ["a", "b"] and snap.balances.tolist() == [5, 7]
+
+    def test_crlf_error_names_line_and_bare_cell(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        write(path, "user_id,balance\r\na,5\r\nb,x\r\n")
+        with pytest.raises(MalformedInputError, match=r":3: balance must be .*, got 'x'$"):
+            read_snapshot_csv(path, D0)
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "open.csv"
+        write(path, "user_id,balance\na,5\nb,7")
+        assert read_snapshot_csv(path, D0).balances.tolist() == [5, 7]
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("\n\na,5\nb,x\n", 5),  # leading blanks
+            ("a,5\n\n\nb,x\n", 5),  # middle blanks
+            ("a,5\nb,x\n\n\n", 3),  # trailing blanks
+            ("\na,5\n\nb,7\n\nc,-1\n\n", 7),  # negative balance
+            ("a,5\n\nb,7\n\na,6\n", 6),  # duplicate user id
+        ],
+    )
+    def test_blank_lines_skipped_with_line_numbers(self, tmp_path, body, line):
+        path = tmp_path / "blank.csv"
+        write(path, "user_id,balance\n" + body)
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:{line}: "):
+            read_snapshot_csv(path, D0)
+
+    def test_trailing_blanks_read(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        write(path, "user_id,balance\n\na,5\n\nb,7\n\n\n")
+        assert read_snapshot_csv(path, D0).balances.tolist() == [5, 7]
+
+    @pytest.mark.parametrize("row, got", [("b", 1), ("b,7,9", 3)])
+    def test_short_and_long_rows(self, tmp_path, row, got):
+        path = tmp_path / "ragged.csv"
+        write(path, f"user_id,balance\na,5\n{row}\nc,2\n")
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:3: expected 2 fields, got {got}$"):
+            read_snapshot_csv(path, D0)
+
+    def test_panel_short_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write(path, "user_id,s0,s1,ds,group\na,5,7,2,A\n\nb,5,7,2\n")
+        with pytest.raises(MalformedInputError, match=r":4: expected 5 fields, got 4$"):
+            read_panel_csv(path)
+
+    def test_header_only_snapshot(self, tmp_path):
+        path = tmp_path / "empty_2016-01-23.csv"
+        write(path, "user_id,balance\n")
+        snap = read_snapshot_csv(path)
+        assert snap.n_users == 0 and snap.balances.dtype == np.int64
+
+    def test_header_only_panel(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write(path, "user_id,s0,s1,ds,group\n")
+        panel = read_panel_csv(path)
+        assert panel.n_rows == 0 and panel.s0.dtype == np.int64
+
+    @pytest.mark.parametrize("text", ["", "\n", "user_id,bal\na,5\n", "balance,user_id\n5,a\n"])
+    def test_snapshot_header_checked(self, tmp_path, text):
+        path = tmp_path / "h.csv"
+        write(path, text)
+        with pytest.raises(MalformedInputError, match=":1: expected header 'user_id,balance'"):
+            read_snapshot_csv(path, D0)
+
+    def test_header_cells_stripped(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write(path, " user_id , balance \na,5\n")
+        assert read_snapshot_csv(path, D0).balances.tolist() == [5]
+
+    def test_ids_keep_unicode_and_spaces(self, tmp_path):
+        path = tmp_path / "u.csv"
+        write(path, "user_id,balance\nzoë,5\n a ,7\n")
+        assert read_snapshot_csv(path, D0).user_ids.tolist() == [" a ", "zoë"]
+
+    def test_quoted_field_is_unquoted(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write(path, 'user_id,balance\n"a,x",5\n')
+        assert read_snapshot_csv(path, D0).user_ids.tolist() == ["a,x"]
+
+
+class TestValuesCsvContract:
+    def test_extra_columns(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write(path, "user_id,note,balance,extra\na,x,5,1\nb,y,7.5,2\n")
+        assert read_values_csv(path).tolist() == [5.0, 7.5]
+
+    def test_rows_may_carry_extra_fields(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write(path, "user_id,balance\na,5,extra\n\nb,7\nc,9,x,y\n")
+        assert read_values_csv(path).tolist() == [5.0, 7.0, 9.0]
+
+    def test_short_row_named(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write(path, "user_id,note,balance\na,x,5\nb,7\n")
+        with pytest.raises(MalformedInputError, match=r":3: expected 3 fields, got 2$"):
+            read_values_csv(path)
+
+    def test_bad_value_named(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write(path, "value\n5\n\nabc\n")
+        with pytest.raises(MalformedInputError, match=r":4: balance must be a number, got 'abc'$"):
+            read_values_csv(path)
+
+    def test_named_single_column(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write(path, "value\r\n5\r\n7.5")
+        assert read_values_csv(path).tolist() == [5.0, 7.5]
+
+    def test_headerless_single_column_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write(path, "5\n7.5\n")
+        with pytest.raises(MalformedInputError, match=":1: expected a header line"):
+            read_values_csv(path)
+
+    @pytest.mark.parametrize("text, message", [("", ": empty file"), ("\n", ":1: no `balance`"), ("a,b\n1,2\n", ":1: no `balance`")])
+    def test_header_problems(self, tmp_path, text, message):
+        path = tmp_path / "v.csv"
+        write(path, text)
+        with pytest.raises(MalformedInputError, match=message):
+            read_values_csv(path)
 
 
 ROUND_TRIP = settings(derandomize=True, max_examples=60, deadline=None)
