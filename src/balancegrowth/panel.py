@@ -156,11 +156,20 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
         if snap1.date == snap0.date:
             raise HorizonError(f"snapshots share the date {snap0.date}; horizon is zero")
         raise HorizonError(f"second snapshot ({snap1.date}) predates the first ({snap0.date})")
-    ids = np.union1d(snap0.user_ids, snap1.user_ids)
+    # Both id arrays are sorted, so a stable sort of the two runs is one
+    # merge; each input row then gets the integer code of its id.
+    ids = np.concatenate([snap0.user_ids, snap1.user_ids])
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    first = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    code = np.empty(ids.size, dtype=np.intp)
+    code[order] = np.cumsum(first) - 1
+    ids = ids[first]
     s0 = np.zeros(ids.size, dtype=np.int64)
     s1 = np.zeros(ids.size, dtype=np.int64)
-    s0[np.searchsorted(ids, snap0.user_ids)] = snap0.balances
-    s1[np.searchsorted(ids, snap1.user_ids)] = snap1.balances
+    s0[code[: snap0.n_users]] = snap0.balances
+    s1[code[snap0.n_users :]] = snap1.balances
     ds = s1 - s0
     return TransitionPanel(
         t0=snap0.date,
