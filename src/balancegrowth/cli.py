@@ -245,9 +245,16 @@ def cmd_sweep(args) -> int:
     dated = [(d, f) for d, f in dated if d is not None]
     if not dated:
         raise MalformedInputError(f"{snap_dir}: no dated snapshot CSVs found")
+    by_date = {}
+    for d, f in dated:
+        if d in by_date:
+            raise MalformedInputError(f"duplicate snapshot date {d}: {by_date[d]} and {f}")
+        by_date[d] = f
     prefix = Path(args.out) / args.prefix
     run = _Run(args, [f for _, f in dated])
-    snapshots = [io.read_snapshot_csv(f, d) for d, f in dated]
+    # only t0 and t0 + dt are joined; every dated file still counts as an input of the run
+    used = {t0, *(t0 + dt.timedelta(days=d) for d in dts)}
+    snapshots = [io.read_snapshot_csv(f, d) for d, f in dated if d in used]
     sweep = growth.horizon_sweep(
         snapshots,
         t0,

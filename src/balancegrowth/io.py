@@ -5,10 +5,11 @@ satoshi, UTF-8, LF line endings. Panel CSV: header
 `user_id,s0,s1,ds,group`. All writes are atomic (temp file + rename).
 Every CSV goes through one reader and one writer: integers round-trip
 exactly, and a real number is written as an integer when it is one.
+Cells are never quoted: the writer refuses a cell holding a comma, a
+quote, CR or LF, and the reader refuses a quote. Reads accept LF or
+CRLF line ends.
 """
 
-import bisect
-import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -58,12 +59,19 @@ def _format_cells(values: np.ndarray) -> list:
     return list(map(str, values.tolist()))
 
 
+def _unsafe(text: str) -> bool:
+    """Whether `text` holds a character that no CSV cell may hold."""
+    return any(char in text for char in ',"\r\n')
+
+
 def write_csv(path, columns: dict):
     """Write named, equal-length columns as CSV with LF endings.
 
     Integer and text cells are written as they are. A real cell is
     written as an integer when it is integral and below 2**63 in
-    magnitude, else as its shortest round-trip repr.
+    magnitude, else as its shortest round-trip repr. Cells are never
+    quoted, so a text cell holding a comma, a quote, CR or LF is an
+    error; the file is then left as it was.
     """
     arrays = [np.asarray(values) for values in columns.values()]
     n = len(arrays[0]) if arrays else 0
@@ -72,6 +80,12 @@ def write_csv(path, columns: dict):
         yield ",".join(columns) + "\n"
         for start in range(0, n, _ROWS_PER_CHUNK):
             cells = [_format_cells(a[start : start + _ROWS_PER_CHUNK]) for a in arrays]
+            for name, a, col in zip(columns, arrays, cells):
+                if a.dtype.kind not in "biuf" and _unsafe("".join(col)):
+                    cell = next(filter(_unsafe, col))
+                    raise MalformedInputError(
+                        f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR or LF"
+                    )
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     _atomic_write(path, chunks())
@@ -99,6 +113,10 @@ def _convert(path, name: str, kind: str, cells: list, line) -> np.ndarray:
         raise
 
 
+def _line_at(raw: bytes, pos: int) -> int:
+    return raw.count(b"\n", 0, pos) + 1
+
+
 def _read_csv(path, schema, locate=None):
     """Read one array per (column, kind) pair of `schema`, each column converted as a whole.
 
@@ -106,40 +124,69 @@ def _read_csv(path, schema, locate=None):
     when every cell is a decimal integer (so integers stay exact), else
     float64. The header must name exactly the schema's columns, unless
     `locate(names)` maps the stripped header (None if the file is empty)
-    to a field index per column; rows may then carry extra fields. Blank
-    lines are skipped. Returns the arrays and a row-to-line function.
+    to a field index per column; rows may then carry extra fields. Lines
+    end in LF or CRLF; blank lines are skipped; a quote is an error, as
+    no cell is ever quoted. Returns the arrays and a row-to-line function.
+
+    The file is parsed whole: line ends and field counts come from the
+    byte positions of LF and comma, and one split of the text gives every
+    cell, so a column is a slice of that list.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        names = None if header is None else [h.strip() for h in header]
-        if locate is None:
-            expected = [name for name, _ in schema]
-            if names != expected:
-                raise MalformedInputError(f"{path}:1: expected header {','.join(expected)!r}")
-            index = list(range(len(schema)))
-        else:
-            index = locate(names)
-        width = max(index) + 1
-        cells = [[] for _ in schema]
-        appends = [(col.append, i) for col, i in zip(cells, index)]
-        blanks = []  # rows read before each skipped blank line
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                blanks.append(len(cells[0]))
-                continue
-            if len(row) < width or (locate is None and len(row) > width):
-                raise MalformedInputError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            for append, i in appends:
-                append(row[i])
+    raw = Path(path).read_bytes()
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    stray = {b'"': "quoted cells are not supported", b"\r": "carriage return not before a line feed"}
+    for char, what in stray.items():
+        pos = raw.find(char)
+        if pos >= 0:
+            raise MalformedInputError(f"{path}:{_line_at(raw, pos)}: {what}")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if raw and not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    length = np.diff(ends, prepend=-1) - 1  # of each line, in bytes
+    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0) + 1
+    del buf
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}:{_line_at(raw, exc.start)}: not UTF-8 text") from None
+    del raw
+    cells = text.replace("\n", ",").split(",")  # a blank line is one empty cell
+    del text
+    first = np.cumsum(fields) - fields  # index in `cells` of each line's first field
+
+    names = None if not ends.size else [c.strip() for c in cells[: fields[0]]] if length[0] else []
+    if locate is None:
+        expected = [name for name, _ in schema]
+        if names != expected:
+            raise MalformedInputError(f"{path}:1: expected header {','.join(expected)!r}")
+        index = list(range(len(schema)))
+    else:
+        index = locate(names)
+    width = max(index) + 1
+    rows = np.flatnonzero(length[1:]) + 1  # 0-based line of each row
+    got = fields[rows]
+    bad = np.flatnonzero((got < width) | ((got > width) & (locate is None)))
+    if bad.size:
+        i = int(bad[0])
+        raise MalformedInputError(f"{path}:{rows[i] + 1}: expected {width} fields, got {got[i]}")
+    first, n = first[rows], rows.size
+    step = int(first[1] - first[0]) if n > 1 else 1
+    if np.all(np.diff(first) == step):  # no blank lines and equal field counts
+        start = int(first[0]) if n else 0
+        columns = [cells[start + i : start + i + step * n : step] for i in index]
+    else:
+        columns = [list(map(cells.__getitem__, (first + i).tolist())) for i in index]
+    del cells
 
     def line(i: int) -> int:
-        return i + 2 + bisect.bisect_right(blanks, i)
+        return int(rows[i]) + 1
 
     arrays = []
     for k, (name, kind) in enumerate(schema):
-        arrays.append(_convert(path, name, kind, cells[k], line))
-        cells[k] = None
+        arrays.append(_convert(path, name, kind, columns[k], line))
+        columns[k] = None
     return arrays, line
 
 

@@ -22,8 +22,9 @@ GROUP_NONE = ""
 class BalanceSnapshot:
     """Per-user balances at one date, sorted by user id.
 
-    Balances are non-negative integer satoshi. User ids are opaque
-    strings, unique within the snapshot.
+    Balances are non-negative integer satoshi; a float balance must be
+    a finite whole number. User ids are opaque strings, unique within
+    the snapshot.
     """
 
     date: dt.date
@@ -32,7 +33,14 @@ class BalanceSnapshot:
 
     def __post_init__(self):
         ids = np.asarray(self.user_ids)
-        bal = np.asarray(self.balances, dtype=np.int64)
+        bal = np.asarray(self.balances)
+        if bal.dtype.kind == "f":
+            whole = (np.abs(bal) < 2.0**63) & (bal == np.floor(bal))
+            if not np.all(whole):
+                raise MalformedInputError(
+                    f"balance {bal[~whole][0]} is not a finite whole number of satoshi"
+                )
+        bal = bal.astype(np.int64, copy=False)
         if ids.shape != bal.shape or ids.ndim != 1:
             raise MalformedInputError("user_ids and balances must be 1-d and aligned")
         if ids.size:
@@ -52,8 +60,7 @@ class BalanceSnapshot:
         """Build from an iterable of (user_id, balance) pairs."""
         pairs = list(records)
         ids = np.array([str(u) for u, _ in pairs])
-        bal = np.array([int(b) for _, b in pairs], dtype=np.int64)
-        return cls(date, ids, bal)
+        return cls(date, ids, [b for _, b in pairs])
 
     @property
     def n_users(self) -> int:

@@ -77,6 +77,16 @@ class TestSnapshotCsv:
         write(path, "user_id,balance\na,5\n")
         assert read_snapshot_csv(path).date == dt.date(2019, 1, 19)
 
+    @pytest.mark.parametrize("bad_id", ["a,b", 'q"x', "l\nm", "c\rr"])
+    def test_unreadable_id_refused(self, tmp_path, bad_id):
+        path = tmp_path / "s_2016-01-23.csv"
+        write(path, "user_id,balance\nold,1\n")
+        snap = snapshot(D0, [("ok", 1), (bad_id, 5)])
+        with pytest.raises(MalformedInputError, match=f"column user_id holds {re.escape(repr(bad_id))}"):
+            write_snapshot_csv(path, snap)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_text() == "user_id,balance\nold,1\n"
+
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "s_2016-01-23.csv"
         write_snapshot_csv(path, snapshot(D0, [("a", 1)]))
@@ -199,10 +209,18 @@ class TestReaderContract:
         write(path, "user_id,balance\nzoë,5\n a ,7\n")
         assert read_snapshot_csv(path, D0).user_ids.tolist() == [" a ", "zoë"]
 
-    def test_quoted_field_is_unquoted(self, tmp_path):
+    def test_quoted_field_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
-        write(path, 'user_id,balance\n"a,x",5\n')
-        assert read_snapshot_csv(path, D0).user_ids.tolist() == ["a,x"]
+        write(path, 'user_id,balance\na,4\n\n"a,x",5\n')
+        with pytest.raises(MalformedInputError, match=":4: quoted cells are not supported$"):
+            read_snapshot_csv(path, D0)
+
+    @pytest.mark.parametrize("raw, line", [(b"user_id,balance\na,4\rb,5\n", 2), (b"user_id,balance\na,\xff\n", 2)])
+    def test_stray_cr_and_bad_utf8_named(self, tmp_path, raw, line):
+        path = tmp_path / "b.csv"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedInputError, match=f":{line}: "):
+            read_snapshot_csv(path, D0)
 
 
 class TestValuesCsvContract:
@@ -584,6 +602,45 @@ class TestCmdEstimate:
         write_panel_csv(tmp_path / "p.csv", panel)
         rc = main(["estimate", str(tmp_path / "p.csv"), "est", "--out", str(tmp_path), "--quiet"])
         assert rc != 0
+
+
+class TestCmdSweepInputs:
+    @staticmethod
+    def _snapshots(snapdir, rng, days=(0, 28)):
+        ids = [f"u{i:05d}" for i in range(4000)]
+        s = rng.lognormal(14.0, 1.5, size=len(ids))
+        for day in days:
+            date = D0 + dt.timedelta(days=day)
+            body = "".join(f"{u},{int(b)}\n" for u, b in zip(ids, s))
+            write(snapdir / f"snap_{date.isoformat()}.csv", "user_id,balance\n" + body)
+            s = s * rng.lognormal(0.0, 0.05, size=s.size)
+
+    def _sweep(self, snapdir, tmp_path):
+        return main([
+            "sweep", str(snapdir), "--t0", D0.isoformat(), "--dts", "28", "--prefix", "sw",
+            "--bins", "20", "--min-count", "20", "--out", str(tmp_path / "out"), "--quiet",
+        ])
+
+    def test_unused_malformed_snapshot_is_listed_not_read(self, tmp_path, rng):
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        self._snapshots(snapdir, rng)
+        write(snapdir / "snap_2016-02-06.csv", "user_id,balance\na,xyz\n")
+        assert self._sweep(snapdir, tmp_path) == 0
+        manifest = json.loads((tmp_path / "out" / "sw.manifest.json").read_text())
+        assert str(snapdir / "snap_2016-02-06.csv") in manifest["inputs"]
+        assert len(manifest["inputs"]) == 3
+        rows = (tmp_path / "out" / "sw.series.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["28"] * (len(rows) - 1) and len(rows) > 1
+
+    def test_duplicate_date_at_unused_date_rejected(self, tmp_path, rng, capsys):
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        self._snapshots(snapdir, rng)
+        write(snapdir / "a_2016-02-06.csv", "user_id,balance\na,5\n")
+        write(snapdir / "b_2016-02-06.csv", "user_id,balance\na,6\n")
+        assert self._sweep(snapdir, tmp_path) == 2
+        assert "duplicate snapshot date 2016-02-06" in capsys.readouterr().err
 
 
 class TestCmdSimulateAndSweep:

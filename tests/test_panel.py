@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +54,20 @@ class TestBuildPanel:
     def test_negative_balance_rejected(self):
         with pytest.raises(MalformedInputError):
             snapshot(D0, [("a", -1)])
+
+    @pytest.mark.parametrize("balance", [5.7, -0.5, np.nan, np.inf, 2.0**63])
+    def test_non_whole_balance_rejected(self, balance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedInputError, match="not a finite whole number of satoshi"):
+                BalanceSnapshot(D0, np.array(["a", "b"]), np.array([1.0, balance]))
+            with pytest.raises(MalformedInputError, match="not a finite whole number"):
+                snapshot(D0, [("a", balance)])
+
+    def test_whole_float_balances_accepted(self):
+        snap = BalanceSnapshot(D0, np.array(["b", "a"]), np.array([5.0, 2.0**53]))
+        assert snap.balances.dtype == np.int64
+        assert snap.balances.tolist() == [2**53, 5]
 
     def test_join_reproduces_source_snapshots(self, rng):
         # users absent on one side must read 0 there, all others their balance
