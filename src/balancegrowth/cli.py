@@ -239,6 +239,10 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = _flag_value("--t0", args.t0, dt.date.fromisoformat)
     dts = _flag_value("--dts", args.dts, lambda text: [int(part) for part in text.split(",")])
+    try:
+        used = {t0, *(t0 + dt.timedelta(days=d) for d in dts)}
+    except OverflowError:
+        raise MalformedInputError(f"--dts {args.dts!r}: a horizon ends outside the calendar") from None
     snap_dir = Path(args.snapshot_dir)
     files = sorted(snap_dir.glob("*.csv"))
     dated = [(io.date_from_filename(f), f) for f in files]
@@ -252,9 +256,8 @@ def cmd_sweep(args) -> int:
         by_date[d] = f
     prefix = Path(args.out) / args.prefix
     run = _Run(args, [f for _, f in dated])
-    # only t0 and t0 + dt are joined; every dated file still counts as an input of the run
-    used = {t0, *(t0 + dt.timedelta(days=d) for d in dts)}
-    snapshots = [io.read_snapshot_csv(f, d) for d, f in dated if d in used]
+    # every dated file is an input of the run, but only those at t0 and t0 + dt are read
+    snapshots = [io.read_snapshot_csv(by_date[d], d) for d in sorted(used & by_date.keys())]
     sweep = growth.horizon_sweep(
         snapshots,
         t0,

@@ -6,8 +6,8 @@ satoshi, UTF-8, LF line endings. Panel CSV: header
 Every CSV goes through one reader and one writer: integers round-trip
 exactly, and a real number is written as an integer when it is one.
 Cells are never quoted: the writer refuses a cell holding a comma, a
-quote, CR or LF, and the reader refuses a quote. Reads accept LF or
-CRLF line ends.
+quote, CR, LF or NUL, and the reader refuses a quote or a NUL. Reads
+accept LF or CRLF line ends.
 """
 
 import dataclasses
@@ -61,7 +61,7 @@ def _format_cells(values: np.ndarray) -> list:
 
 def _unsafe(text: str) -> bool:
     """Whether `text` holds a character that no CSV cell may hold."""
-    return any(char in text for char in ',"\r\n')
+    return any(char in text for char in ',"\r\n\0')
 
 
 def write_csv(path, columns: dict):
@@ -70,8 +70,8 @@ def write_csv(path, columns: dict):
     Integer and text cells are written as they are. A real cell is
     written as an integer when it is integral and below 2**63 in
     magnitude, else as its shortest round-trip repr. Cells are never
-    quoted, so a text cell holding a comma, a quote, CR or LF is an
-    error; the file is then left as it was.
+    quoted, so a text cell holding a comma, a quote, CR, LF or NUL is
+    an error; the file is then left as it was.
     """
     arrays = [np.asarray(values) for values in columns.values()]
     n = len(arrays[0]) if arrays else 0
@@ -84,7 +84,7 @@ def write_csv(path, columns: dict):
                 if a.dtype.kind not in "biuf" and _unsafe("".join(col)):
                     cell = next(filter(_unsafe, col))
                     raise MalformedInputError(
-                        f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR or LF"
+                        f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR LF or NUL"
                     )
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
@@ -117,6 +117,16 @@ def _line_at(raw: bytes, pos: int) -> int:
     return raw.count(b"\n", 0, pos) + 1
 
 
+def _line_shapes(raw: bytes):
+    """Byte length and field count of each line of `raw`, from the positions of LF and comma."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if raw and not raw.endswith(b"\n"):
+        ends = np.append(ends, len(raw))
+    commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
+    return np.diff(ends, prepend=-1) - 1, np.diff(commas, prepend=0) + 1
+
+
 def _read_csv(path, schema, locate=None):
     """Read one array per (column, kind) pair of `schema`, each column converted as a whole.
 
@@ -135,28 +145,26 @@ def _read_csv(path, schema, locate=None):
     raw = Path(path).read_bytes()
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
-    stray = {b'"': "quoted cells are not supported", b"\r": "carriage return not before a line feed"}
+    stray = {
+        b'"': "quoted cells are not supported",
+        b"\r": "carriage return not before a line feed",
+        b"\0": "NUL byte",
+    }
     for char, what in stray.items():
         pos = raw.find(char)
         if pos >= 0:
             raise MalformedInputError(f"{path}:{_line_at(raw, pos)}: {what}")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if raw and not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    length = np.diff(ends, prepend=-1) - 1  # of each line, in bytes
-    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0) + 1
-    del buf
+    length, fields = _line_shapes(raw)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path}:{_line_at(raw, exc.start)}: not UTF-8 text") from None
     del raw
-    cells = text.replace("\n", ",").split(",")  # a blank line is one empty cell
+    text = text.replace("\n", ",")  # a blank line becomes one empty cell
+    cells = text.split(",")
     del text
-    first = np.cumsum(fields) - fields  # index in `cells` of each line's first field
 
-    names = None if not ends.size else [c.strip() for c in cells[: fields[0]]] if length[0] else []
+    names = None if not length.size else [c.strip() for c in cells[: fields[0]]] if length[0] else []
     if locate is None:
         expected = [name for name, _ in schema]
         if names != expected:
@@ -171,14 +179,16 @@ def _read_csv(path, schema, locate=None):
     if bad.size:
         i = int(bad[0])
         raise MalformedInputError(f"{path}:{rows[i] + 1}: expected {width} fields, got {got[i]}")
-    first, n = first[rows], rows.size
+    first = (np.cumsum(fields) - fields)[rows]  # index in `cells` of each row's first field
+    del length, fields, got
+    n = rows.size
     step = int(first[1] - first[0]) if n > 1 else 1
     if np.all(np.diff(first) == step):  # no blank lines and equal field counts
         start = int(first[0]) if n else 0
         columns = [cells[start + i : start + i + step * n : step] for i in index]
     else:
         columns = [list(map(cells.__getitem__, (first + i).tolist())) for i in index]
-    del cells
+    del cells, first
 
     def line(i: int) -> int:
         return int(rows[i]) + 1

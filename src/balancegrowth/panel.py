@@ -164,10 +164,11 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
             raise HorizonError(f"snapshots share the date {snap0.date}; horizon is zero")
         raise HorizonError(f"second snapshot ({snap1.date}) predates the first ({snap0.date})")
     # Both id arrays are sorted, so a stable sort of the two runs is one
-    # merge; each input row then gets the integer code of its id.
+    # merge; each input row then gets the integer code of its id. Sorting
+    # in place rather than gathering by `order` keeps one copy of the ids.
     ids = np.concatenate([snap0.user_ids, snap1.user_ids])
     order = np.argsort(ids, kind="stable")
-    ids = ids[order]
+    ids.sort(kind="stable")
     first = np.ones(ids.size, dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=first[1:])
     code = np.empty(ids.size, dtype=np.intp)

@@ -1,4 +1,6 @@
+import csv
 import datetime as dt
+import io as stdio
 import json
 import logging
 import math
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel, TrendResult
 from balancegrowth.cli import build_parser, main
 from balancegrowth.io import (
+    _read_csv,
     json_text,
     parse_sim_config,
     read_panel_csv,
@@ -77,7 +80,7 @@ class TestSnapshotCsv:
         write(path, "user_id,balance\na,5\n")
         assert read_snapshot_csv(path).date == dt.date(2019, 1, 19)
 
-    @pytest.mark.parametrize("bad_id", ["a,b", 'q"x', "l\nm", "c\rr"])
+    @pytest.mark.parametrize("bad_id", ["a,b", 'q"x', "l\nm", "c\rr", "n\0ul"])
     def test_unreadable_id_refused(self, tmp_path, bad_id):
         path = tmp_path / "s_2016-01-23.csv"
         write(path, "user_id,balance\nold,1\n")
@@ -215,12 +218,51 @@ class TestReaderContract:
         with pytest.raises(MalformedInputError, match=":4: quoted cells are not supported$"):
             read_snapshot_csv(path, D0)
 
-    @pytest.mark.parametrize("raw, line", [(b"user_id,balance\na,4\rb,5\n", 2), (b"user_id,balance\na,\xff\n", 2)])
-    def test_stray_cr_and_bad_utf8_named(self, tmp_path, raw, line):
+    @pytest.mark.parametrize(
+        "raw, line",
+        [(b"user_id,balance\na,4\rb,5\n", 2), (b"user_id,balance\na,\xff\n", 2), (b"user_id,balance\n\na\0,5\n", 3)],
+    )
+    def test_stray_cr_nul_and_bad_utf8_named(self, tmp_path, raw, line):
         path = tmp_path / "b.csv"
         path.write_bytes(raw)
         with pytest.raises(MalformedInputError, match=f":{line}: "):
             read_snapshot_csv(path, D0)
+
+
+# a cell of any text a writer may emit: no comma, quote, CR or LF
+CELL = st.text(alphabet="ab é0 _", max_size=4)
+
+
+class TestReaderMatchesCsvModule:
+    """The whole-text reader against `csv.reader` as the reference, on quote-free text."""
+
+    @staticmethod
+    def _reference(text):
+        rows = csv.reader(stdio.StringIO(text, newline=""))
+        return [(lineno, row) for lineno, row in enumerate(rows, start=1) if row][1:]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.one_of(st.just([]), st.lists(CELL, min_size=1, max_size=4)), max_size=12),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        final_eol=st.booleans(),
+    )
+    @example(rows=[["a", "b"], [], ["é", "0", "x"], []], eol="\r\n", final_eol=False)
+    @example(rows=[["a", "b"], ["c"], [" ", "é"]], eol="\n", final_eol=True)
+    def test_cells_and_lines(self, tmp_path_factory, rows, eol, final_eol):
+        text = eol.join(["x,y", *(",".join(row) for row in rows)]) + (eol if final_eol else "")
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        reference = self._reference(text)
+        short = [lineno for lineno, row in reference if len(row) < 2]
+        if short:
+            with pytest.raises(MalformedInputError, match=f":{short[0]}: expected 2 fields, got 1$"):
+                _read_csv(path, [("x", "str"), ("y", "str")], locate=lambda names: [0, 1])
+            return
+        (x, y), line = _read_csv(path, [("x", "str"), ("y", "str")], locate=lambda names: [0, 1])
+        assert x.tolist() == [row[0] for _, row in reference]
+        assert y.tolist() == [row[1] for _, row in reference]
+        assert [line(i) for i in range(len(reference))] == [lineno for lineno, _ in reference]
 
 
 class TestValuesCsvContract:
@@ -466,6 +508,7 @@ class TestBadFlagValues:
             ("panel", "--date0", "2016-13-01"),
             ("sweep", "--t0", "notadate"),
             ("sweep", "--dts", "28,x"),
+            ("sweep", "--dts", "28,99999999"),
             ("fit", "--hist-bins", "0"),
             ("umpu", "--mc-reps", "0"),
         ],
