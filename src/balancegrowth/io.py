@@ -36,6 +36,12 @@ _EXACT_LIMIT = 2**62
 _ROWS_PER_CHUNK = 1 << 16
 
 _DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
+# bytes a CSV file may not hold once CRLF line ends are read as LF
+_STRAY_BYTES = {
+    b'"': "quoted cells are not supported",
+    b"\r": "carriage return not before a line feed",
+    b"\0": "NUL byte",
+}
 
 
 def _atomic_write(path, chunks):
@@ -145,12 +151,7 @@ def _read_csv(path, schema, locate=None):
     raw = Path(path).read_bytes()
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")
-    stray = {
-        b'"': "quoted cells are not supported",
-        b"\r": "carriage return not before a line feed",
-        b"\0": "NUL byte",
-    }
-    for char, what in stray.items():
+    for char, what in _STRAY_BYTES.items():
         pos = raw.find(char)
         if pos >= 0:
             raise MalformedInputError(f"{path}:{_line_at(raw, pos)}: {what}")
@@ -164,7 +165,9 @@ def _read_csv(path, schema, locate=None):
     cells = text.split(",")
     del text
 
-    names = None if not length.size else [c.strip() for c in cells[: fields[0]]] if length[0] else []
+    names = None  # an empty file; a blank first line is an empty header
+    if length.size:
+        names = [c.strip() for c in cells[: fields[0]]] if length[0] else []
     if locate is None:
         expected = [name for name, _ in schema]
         if names != expected:
