@@ -126,11 +126,15 @@ def _line_at(raw: bytes, pos: int) -> int:
 def _line_shapes(raw: bytes):
     """Byte length and field count of each line of `raw`, from the positions of LF and comma."""
     buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    lf = buf == ord("\n")
+    is_sep = buf == ord(",")
+    is_sep |= lf
+    seps = np.flatnonzero(is_sep)
+    ends = np.flatnonzero(lf[seps])  # index in `seps` of each line's LF
     if raw and not raw.endswith(b"\n"):
-        ends = np.append(ends, len(raw))
-    commas = np.searchsorted(np.flatnonzero(buf == ord(",")), ends)
-    return np.diff(ends, prepend=-1) - 1, np.diff(commas, prepend=0) + 1
+        ends = np.append(ends, seps.size)
+        seps = np.append(seps, len(raw))
+    return np.diff(seps[ends], prepend=-1) - 1, np.diff(ends, prepend=-1)
 
 
 def _read_csv(path, schema, locate=None):
@@ -141,8 +145,9 @@ def _read_csv(path, schema, locate=None):
     float64. The header must name exactly the schema's columns, unless
     `locate(names)` maps the stripped header (None if the file is empty)
     to a field index per column; rows may then carry extra fields. Lines
-    end in LF or CRLF; blank lines are skipped; a quote is an error, as
-    no cell is ever quoted. Returns the arrays and a row-to-line function.
+    end in LF or CRLF; blank lines are skipped; a quote, a NUL or a lone
+    CR is an error, as no cell is ever quoted. Returns the arrays and a
+    row-to-line function.
 
     The file is parsed whole: line ends and field counts come from the
     byte positions of LF and comma, and one split of the text gives every
