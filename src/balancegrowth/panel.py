@@ -18,13 +18,22 @@ GROUP_INACTIVE = "B"
 GROUP_NONE = ""
 
 
+def _whole_satoshi(b) -> bool:
+    """True when `b` equals an integer in the int64 range."""
+    try:
+        i = int(b)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return i == b and -(2**63) <= i < 2**63
+
+
 @dataclass(frozen=True)
 class BalanceSnapshot:
     """Per-user balances at one date, sorted by user id.
 
-    Balances are non-negative integer satoshi; a float balance must be
-    a finite whole number. User ids are opaque strings, unique within
-    the snapshot.
+    Balances are non-negative integer satoshi; a balance held as a float
+    or a Python object must be a finite whole number below 2^63. User
+    ids are opaque strings, unique within the snapshot.
     """
 
     date: dt.date
@@ -34,12 +43,17 @@ class BalanceSnapshot:
     def __post_init__(self):
         ids = np.asarray(self.user_ids)
         bal = np.asarray(self.balances)
-        if bal.dtype.kind == "f":
-            whole = (np.abs(bal) < 2.0**63) & (bal == np.floor(bal))
-            if not np.all(whole):
-                raise MalformedInputError(
-                    f"balance {bal[~whole][0]} is not a finite whole number of satoshi"
-                )
+        bad = []
+        if bal.dtype.kind == "O":
+            bad = [b for b in bal.ravel().tolist() if not _whole_satoshi(b)]
+            if not bad:
+                bal = np.array([int(b) for b in bal.ravel().tolist()], dtype=np.int64).reshape(bal.shape)
+        elif bal.dtype.kind == "f":
+            bad = bal[~((np.abs(bal) < 2.0**63) & (bal == np.floor(bal)))]
+        elif bal.dtype.kind == "u":
+            bad = bal[bal >= 2**63]
+        if len(bad):
+            raise MalformedInputError(f"balance {bad[0]} is not a finite whole number of satoshi")
         bal = bal.astype(np.int64, copy=False)
         if ids.shape != bal.shape or ids.ndim != 1:
             raise MalformedInputError("user_ids and balances must be 1-d and aligned")

@@ -29,6 +29,16 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # truncated-normal family; reported boundary fits anchor much deeper
 _DELTA_FLOOR = -38.0
 _DELTA_BOUNDARY = -4000.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# truncated-normal kernels: delta <= -_CF_SWITCH uses a continued fraction
+# of this depth (chosen against 40-digit references); the shape solve
+# keeps brentq's tolerances
+_CF_SWITCH = 2.0
+_CF_DEPTH = 160
+_XTOL = 1e-13
+_RTOL = 8.9e-16
+_MAXITER = 200
 # xmin scan: probe points per tail for the KS lower bound, candidates per
 # bound block, and the slack that keeps the bound below the full KS
 _KS_PROBES = 32
@@ -51,7 +61,9 @@ class TailFitResult:
     location/scale of ln(x) for the log-normal. The log-likelihood is of
     the tail under the fitted, tail-normalized density. A power law with
     a scanned xmin carries the scan's counts: candidates scanned and full
-    KS evaluations made.
+    KS evaluations made. A truncated log-normal sets
+    `exponential_boundary` when its likelihood supremum is the family's
+    exponential limit, i.e. the power law itself.
     """
 
     family: str
@@ -64,6 +76,7 @@ class TailFitResult:
     v: float | None = None
     xmin_candidates: int | None = None
     ks_full_evaluations: int | None = None
+    exponential_boundary: bool | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -79,6 +92,8 @@ class TailFitResult:
         else:
             out["m"] = self.m
             out["v"] = self.v
+            if self.exponential_boundary is not None:
+                out["exponential_boundary"] = self.exponential_boundary
         if self.xmin_candidates is not None:
             out["diagnostics"] = {
                 "xmin_candidates": self.xmin_candidates,
@@ -104,10 +119,9 @@ class ComparisonResult:
     significance: float
 
     def to_dict(self) -> dict:
-        nlr = self.normalized_lr
         return {
             "xmin": self.xmin,
-            "normalized_lr": None if math.isnan(nlr) else nlr,
+            "normalized_lr": self.normalized_lr,
             "p_value": self.p_value,
             "preferred": self.preferred,
             "n_tail": self.n_tail,
@@ -154,10 +168,25 @@ def lognormal_logpdf(x, m: float, v: float, xmin: float) -> np.ndarray:
     """Log-density of the log-normal renormalized to x >= xmin (xmin <= 0: untruncated)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.log(x)
-    core = -y - math.log(v) - _LOG_SQRT_2PI - (y - m) ** 2 / (2.0 * v * v)
     if xmin > 0:
-        core = core - special.log_ndtr(-(math.log(xmin) - m) / v)
-    return core
+        log_l = math.log(xmin)
+        return _tn_logpdf(np.log(x / xmin), (m - log_l) / v, v) - y
+    return -y - math.log(v) - _LOG_SQRT_2PI - (y - m) ** 2 / (2.0 * v * v)
+
+
+def _tn_logpdf(z, delta: float, v: float) -> np.ndarray:
+    """Log-density at z >= 0 of the normal with mean delta * v and scale v truncated to z > 0.
+
+    For delta < 0 the delta^2/2 in the exponent and in ln Phi(delta)
+    cancel analytically, leaving ln(lambda/v) - w (w/2 - delta) with
+    w = z/v; near the exponential boundary (delta far below 0) the
+    direct form would subtract two terms of size delta^2/2.
+    """
+    w = np.asarray(z, dtype=np.float64) / v
+    if delta < 0.0:
+        lam = float(_tn_moments(np.array([delta]))[0][0])
+        return math.log(lam / v) - w * (0.5 * w - delta)
+    return -0.5 * (w - delta) ** 2 - math.log(v) - _LOG_SQRT_2PI - float(special.log_ndtr(delta))
 
 
 def _ks_distance(sorted_tail: np.ndarray, cdf: np.ndarray) -> float:
@@ -294,68 +323,129 @@ def fit_power_law(data, xmin: float | None = None, max_candidates: int | None = 
     )
 
 
-def _inverse_mills(d: float) -> float:
-    """phi(d) / Phi(d), stable for very negative d."""
-    return math.exp(-0.5 * d * d - _LOG_SQRT_2PI - special.log_ndtr(d))
+def _tn_moments(d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda, E[Z], E[Z^2], E[Z^2]/E[Z]^2 - 1) elementwise, for Z ~ N(d, 1) conditioned on Z > 0.
 
-
-def _moment_ratio(d: float) -> float:
-    """E[Z^2]/E[Z]^2 for a standard normal shifted to delta=d and truncated at 0."""
-    h = _inverse_mills(d)
-    return (1.0 + d * d + d * h) / (d + h) ** 2
-
-
-def _tn_interior_mle(n: int, zbar: float, m2: float):
-    """MLE of a normal truncated at 0 by moment matching on (mean, mean square).
-
-    Returns (m, v, loglik) for an interior optimum, or None when the
-    likelihood supremum sits on the family's exponential boundary
-    (sample m2/zbar^2 >= 2, i.e. coefficient of variation >= 1).
+    lambda = phi(d)/Phi(d) is the inverse Mills ratio. For d <= -_CF_SWITCH,
+    with x = -d and t = 2/(x + 3/(x + 4/(x + ...))) from the continued
+    fraction of the Mills ratio, E[Z] = 1/(x + t), E[Z^2] = t/(x + t) and
+    the ratio is t (x + t): nothing is subtracted. Above the switch,
+    lambda = sqrt(2/pi)/erfcx(-d/sqrt(2)); for d > 0 the exponent of
+    phi(d) is taken exactly, so lambda keeps its digits far out.
+    Against 40-digit references every output is within about 1e-14
+    relative over d in [-4000, 40].
     """
-    ratio = m2 / (zbar * zbar)
-    if ratio <= 1.0 + 1e-13:
+    d = np.asarray(d, dtype=np.float64)
+    lam, e1, e2, q = (np.empty_like(d) for _ in range(4))
+    deep = d <= -_CF_SWITCH
+    x = -d[deep]
+    t = np.zeros_like(x)
+    for k in range(_CF_DEPTH + 1, 1, -1):
+        t = k / (x + t)
+    s = x + t
+    e1[deep] = 1.0 / s
+    e2[deep] = t / s
+    q[deep] = t * s - 1.0
+    lam[deep] = x + e1[deep]
+    near = ~deep
+    dn = d[near]
+    up = dn > 0.0
+    ln = _SQRT_2_OVER_PI / special.erfcx(-dn / math.sqrt(2.0))
+    du = dn[up]
+    sq = du * du
+    # Veltkamp split: sq + err == du * du exactly
+    c = 134217729.0 * du
+    hi = c - (c - du)
+    lo = du - hi
+    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    ln[up] = np.exp(-0.5 * sq) * (1.0 - 0.5 * err) / (_SQRT_2PI * special.ndtr(du))
+    m1 = dn + ln
+    lam[near] = ln
+    e1[near] = m1
+    e2[near] = 1.0 + dn * m1
+    q[near] = (1.0 - ln * m1) / (m1 * m1)
+    return lam, e1, e2, q
+
+
+def _tn_shape(ratio) -> np.ndarray:
+    """delta = m/v of the truncated-at-0 normal whose moment ratio E[Z^2]/E[Z]^2 is `ratio`, per element.
+
+    NaN marks the exponential boundary: no interior optimum exists when
+    the ratio is at or above its value at delta = _DELTA_FLOOR (sample
+    coefficient of variation near or above 1). Each element runs its own
+    bracketed Newton iteration on E[Z^2]/E[Z]^2 - 1 in
+    [_DELTA_FLOOR, max(40, 2/sqrt(ratio - 1))], bisecting when a step
+    leaves the bracket, and stops when its step is within
+    _XTOL + _RTOL |delta|; an element's result does not depend on the
+    others solved with it.
+    """
+    ratio = np.asarray(ratio, dtype=np.float64)
+    if np.any(ratio <= 1.0 + 1e-13):
         raise DegenerateTailError("tail has no spread after log transform")
-    if ratio >= 2.0 or _moment_ratio(_DELTA_FLOOR) <= ratio:
-        return None
-    from scipy.optimize import brentq  # loaded on first use: it adds ~0.25 s to start-up
+    target = ratio - 1.0
+    delta = np.full(ratio.shape, np.nan)
+    q_floor = _tn_moments(np.array([_DELTA_FLOOR]))[3][0]
+    inner = np.flatnonzero(target < q_floor)
+    c = target[inner]
+    lo = np.full(c.shape, _DELTA_FLOOR)
+    hi = np.maximum(40.0, 2.0 / np.sqrt(c))
+    if np.any(_tn_moments(hi)[3] >= c):
+        raise FitConvergenceError("truncated-normal profile solve failed: root not bracketed")
+    # exact in both limits: delta -> -inf (ratio -> 2) and delta -> inf (ratio -> 1)
+    d = np.clip(1.0 / np.sqrt(c) - np.sqrt(2.0 / (1.0 - c)), lo, hi)
+    live = np.arange(c.size)
+    for _ in range(_MAXITER):
+        if live.size == 0:
+            break
+        dl, l, h = d[live], lo[live], hi[live]
+        lam, e1, _, q = _tn_moments(dl)
+        f = q - c[live]
+        # q is decreasing: the root lies above dl where f > 0
+        l = np.where(f > 0.0, dl, l)
+        h = np.where(f > 0.0, h, dl)
+        step = f / (lam * (1.0 - q) - 2.0 * q * q * e1)
+        new = np.where(f == 0.0, dl, dl - step)
+        done = (f == 0.0) | (np.abs(step) <= _XTOL + _RTOL * np.abs(dl))
+        bisect = ~done & ~((new > l) & (new < h))
+        new = np.where(bisect, 0.5 * (l + h), new)
+        done |= bisect & (h - l <= 2.0 * (_XTOL + _RTOL * np.abs(new)))
+        d[live], lo[live], hi[live] = new, l, h
+        live = live[~done]
+    if live.size:
+        raise FitConvergenceError(f"truncated-normal profile solve failed to converge for {live.size} tails")
+    delta[inner] = d
+    return delta
 
-    hi = max(40.0, 2.0 / math.sqrt(ratio - 1.0))
-    try:
-        d = brentq(
-            lambda t: _moment_ratio(t) - ratio, _DELTA_FLOOR, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200
-        )
-    except (ValueError, RuntimeError) as exc:
-        raise FitConvergenceError(f"truncated-normal profile solve failed: {exc}") from exc
-    h = _inverse_mills(d)
-    v = zbar / (d + h)
-    m = d * v
-    loglik = (
-        -n * math.log(v)
-        - n * _LOG_SQRT_2PI
-        - n * (m2 - 2.0 * m * zbar + m * m) / (2.0 * v * v)
-        - n * special.log_ndtr(d)
-    )
-    return m, v, loglik
 
+def _tn_mle(zbar, m2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated-at-0 normal MLE by moment matching, per tail of non-negative
+    values z with mean `zbar` and mean square `m2`.
 
-def _tn_mle(n: int, zbar: float, m2: float) -> tuple[float, float]:
-    """Truncated-at-0 normal MLE (m, v) for n non-negative values z with
-    mean `zbar` and mean square `m2`.
-
-    When the sample coefficient of variation is >= 1 no interior optimum
-    exists (the supremum is the exponential limit of the family); the
-    nearest in-family parameters at the numerical boundary are returned,
-    their log-likelihood within machine precision of the supremum.
+    Returns arrays (delta, v, gain, boundary); the location is m = delta * v.
+    `gain` is the mean log-likelihood gain per value over the exponential
+    MLE (rate 1/zbar). At the solution it depends on delta alone:
+    E[Z^2]/2 + log(1 - Var Z), or, for delta > 0 where Var Z nears 1,
+    1/2 + delta lambda/2 - ln sqrt(2 pi) - ln Phi(delta) + ln E[Z];
+    neither form subtracts the large terms of the two log-likelihoods.
+    Where the sample coefficient of variation is near or above 1 no
+    interior optimum exists (the supremum is the exponential limit of
+    the family): `boundary` is set, `gain` is 0, and the nearest
+    in-family parameters at delta = _DELTA_BOUNDARY are returned, their
+    log-likelihood within machine precision of the supremum.
     """
-    sol = _tn_interior_mle(n, zbar, m2)
-    if sol is not None:
-        return sol[0], sol[1]
-    # delta + inverse-Mills from the asymptotic series; the direct
-    # difference cancels catastrophically this deep
-    a = -_DELTA_BOUNDARY
-    dph = (1.0 - 2.0 / (a * a) + 10.0 / a**4) / a
-    v = zbar / dph
-    return _DELTA_BOUNDARY * v, v
+    zbar = np.atleast_1d(np.asarray(zbar, dtype=np.float64))
+    delta = _tn_shape(np.atleast_1d(m2) / (zbar * zbar))
+    boundary = np.isnan(delta)
+    delta[boundary] = _DELTA_BOUNDARY
+    lam, e1, e2, q = _tn_moments(delta)
+    # the branch not taken may see Var Z >= 1 from rounding
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.where(
+            delta > 0.0,
+            0.5 + 0.5 * delta * lam - _LOG_SQRT_2PI - special.log_ndtr(delta) + np.log(e1),
+            0.5 * e2 + np.log1p(-q * e1 * e1),
+        )
+    return delta, zbar / e1, np.where(boundary, 0.0, gain), boundary
 
 
 def fit_lognormal(data, xmin: float) -> TailFitResult:
@@ -364,10 +454,11 @@ def fit_lognormal(data, xmin: float) -> TailFitResult:
     The density is renormalized by the upper-tail mass above `xmin`
     (xmin <= 0 means no truncation, where the fit is the closed-form
     population moments of ln x). The truncated case is solved exactly by
-    matching the first two moments of ln(x/xmin), a scalar root solve in
-    the profiled shape parameter; heavy tails whose likelihood supremum
-    sits on the family's exponential boundary get the nearest in-family
-    parameters. Requires at least two distinct tail values.
+    matching the first two moments of ln(x/xmin), a root solve in the
+    profiled shape parameter; heavy tails whose likelihood supremum sits
+    on the family's exponential boundary get the nearest in-family
+    parameters and `exponential_boundary` set. Requires at least two
+    distinct tail values.
     """
     x = _positive_array(data)
     tail = x[x >= xmin] if xmin > 0 else x
@@ -375,11 +466,14 @@ def fit_lognormal(data, xmin: float) -> TailFitResult:
     if n < 2 or np.unique(tail).size < 2:
         raise InsufficientDataError(_FEW_DISTINCT)
     y = np.log(tail)
+    boundary = None
     if xmin > 0:
         log_l = math.log(xmin)
         z = y - log_l
-        m_z, v_hat = _tn_mle(n, float(z.mean()), float(np.mean(z * z)))
-        m_hat = m_z + log_l
+        (delta,), (v_hat,), _, (boundary,) = _tn_mle(z.mean(), np.mean(z * z))
+        v_hat = float(v_hat)
+        m_hat = float(delta * v_hat) + log_l
+        boundary = bool(boundary)
     else:
         m_hat = float(y.mean())
         v_hat = float(y.std())
@@ -392,6 +486,7 @@ def fit_lognormal(data, xmin: float) -> TailFitResult:
         ks_distance=_lognormal_ks(np.sort(tail), m_hat, v_hat, xmin),
         m=m_hat,
         v=v_hat,
+        exponential_boundary=boundary,
     )
 
 
@@ -423,12 +518,15 @@ def _compare_fits(
     """Normalized LR comparison of a power-law and a log-normal fit made at the same xmin."""
     xmin = pl.xmin
     tail = data[data >= xmin]
-    if xmin > 0 and ln.m / ln.v <= _DELTA_FLOOR:
+    if ln.exponential_boundary:
         # the log-normal MLE degenerated to its exponential boundary,
         # i.e. to the power law itself: the models are indistinguishable
         nlr, p = math.nan, 1.0
     else:
-        diff = powerlaw_logpdf(tail, pl.alpha, xmin) - lognormal_logpdf(tail, ln.m, ln.v, xmin)
+        # both densities in z = ln(x/xmin): the Jacobian 1/x cancels from the gap
+        z = np.log(tail / xmin)
+        delta = (ln.m - math.log(xmin)) / ln.v
+        diff = math.log(pl.alpha - 1.0) - (pl.alpha - 1.0) * z - _tn_logpdf(z, delta, ln.v)
         nlr, p = normalized_loglik_ratio(diff)
     return ComparisonResult(
         xmin=xmin,
@@ -451,21 +549,22 @@ def compare_tails(data, xmin: float, significance: float = 0.05) -> ComparisonRe
     return _compare_fits(tail, fit_power_law(tail, xmin=xmin), fit_lognormal(tail, xmin), significance)
 
 
-def _tail_power_sums(logx: np.ndarray, cuts: np.ndarray) -> list:
-    """Sums of (logx[i] - logx[c])^k over i >= c, k = 1..4, for increasing distinct cuts c.
+def _tail_power_sums(x: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Sums of ln(x[i]/x[c])^k over i >= c, k = 1..4, for increasing distinct cuts c; one row per cut.
 
-    `logx` is sorted. A tail is the block up to the next cut, summed
-    about its own first value, plus the next tail shifted onto that
-    value; every term of the shift is non-negative, so no sum cancels.
+    `x` is sorted and positive. A tail is the block up to the next cut,
+    summed about its own first value, plus the next tail shifted onto
+    that value; every term of the shift is non-negative, so no sum
+    cancels.
     """
-    ends = np.append(cuts[1:], logx.size)
-    w = logx[cuts[0] :] - np.repeat(logx[cuts], ends - cuts)
+    ends = np.append(cuts[1:], x.size)
+    w = np.log(x[cuts[0] :] / np.repeat(x[cuts], ends - cuts))
     wk = np.ones_like(w)
     blocks = np.empty((cuts.size, 4))
     for k in range(4):
         wk *= w
         blocks[:, k] = np.add.reduceat(wk, cuts - cuts[0])
-    gaps = np.diff(logx[cuts], append=logx[cuts[-1]]).tolist()
+    gaps = np.append(np.log(x[cuts[1:]] / x[cuts[:-1]]), 0.0).tolist()
     sizes = (ends - cuts).tolist()
     blocks = blocks.tolist()
     out = [None] * cuts.size
@@ -480,44 +579,40 @@ def _tail_power_sums(logx: np.ndarray, cuts: np.ndarray) -> list:
         s1 = b1 + s1 + a * n
         n += sizes[j]
         out[j] = (s1, s2, s3, s4)
-    return out
+    return np.array(out).reshape(-1, 4)
 
 
-def _sweep_lr(n: int, sums: tuple, y_lo: float, y_hi: float, log_l: float) -> tuple[float, float]:
-    """Normalized LR and p-value of one tail of y = ln(x/xmin), from the
-    power sums of y - y_lo, degree 1 to 4, where y_lo is its smallest y.
+def _sweep_lr(n, p, y_lo, y_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized LR and p-value per tail of y = ln(x/xmin), from the
+    means `p` of (y - y_lo)^k, k = 1..4, where y_lo is the tail's
+    smallest y and y_hi its largest.
 
     Both fits depend on the data only through the first two moments, and
-    the pointwise log-density gap is the quadratic c0 + b y + q (y - m)^2,
-    so its mean and variance follow from the first four.
+    the pointwise log-density gap is a quadratic in u = y - mean(y):
+    -gain + slope u + q (u^2 - mu2), with gain from `_tn_mle`,
+    q = 1/(2 v^2) and slope = -2 q mu2 / mean(y) (= -Var(Z)/mean(y) at
+    the fit); its mean and variance follow from the central moments
+    mu2..mu4 of y. Rows whose log-normal fit is on the exponential
+    boundary, or whose gap has no spread, give (NaN, 1).
     """
-    p1, p2, p3, p4 = (s / n for s in sums)
+    p1, p2, p3, p4 = p
     ybar = y_lo + p1
-    alpha = 1.0 + 1.0 / ybar
-    m, v = _tn_mle(n, ybar, p2 + y_lo * (2.0 * p1 + y_lo))
-    if (m + log_l) / v <= _DELTA_FLOOR:
-        return math.nan, 1.0
-    b = 1.0 - alpha
+    _, v, gain, boundary = _tn_mle(ybar, p2 + y_lo * (2.0 * p1 + y_lo))
     q = 0.5 / (v * v)
-    c0 = math.log(alpha - 1.0) + math.log(v) + _LOG_SQRT_2PI + float(special.log_ndtr(m / v))
     mu2 = p2 - p1 * p1
+    slope = -2.0 * q * mu2 / ybar
     mu3 = p3 - 3.0 * p1 * p2 + 2.0 * p1**3
     mu4 = p4 - 4.0 * p1 * p3 + 6.0 * p1 * p1 * p2 - 3.0 * p1**4
-    e = ybar - m
-    mean = c0 + b * ybar + q * (e * e + mu2)
-    # gap - mean = slope u + q (u^2 - mu2), with u = y - mean(y)
-    slope = b + 2.0 * q * e
     var = slope * slope * mu2 + 2.0 * slope * q * mu3 + q * q * (mu4 - mu2 * mu2)
-    sd = math.sqrt(max(var, 0.0) * n / (n - 1.0))
-    ends = [y_lo, y_hi]
-    vertex = m - b / (2.0 * q)
-    if y_lo < vertex < y_hi:
-        ends.append(vertex)
-    scale = max(abs(c0 + b * y + q * (y - m) ** 2) for y in ends)
-    if not math.isfinite(sd) or sd <= 1e-9 * scale or sd == 0.0:
-        return math.nan, 1.0
-    nlr = math.sqrt(n) * mean / sd
-    return nlr, float(special.erfc(abs(nlr) / math.sqrt(2.0)))
+    with np.errstate(invalid="ignore"):
+        sd = np.sqrt(np.maximum(var, 0.0) * n / (n - 1.0))
+    u_lo, u_hi = -p1, y_hi - ybar
+    vertex = np.clip(-slope / (2.0 * q), u_lo, u_hi)
+    scale = np.max([np.abs(slope * u + q * (u * u - mu2) - gain) for u in (u_lo, u_hi, vertex)], axis=0)
+    flat = boundary | ~np.isfinite(sd) | (sd <= 1e-9 * scale) | (sd == 0.0)
+    nlr = np.where(flat, np.nan, -np.sqrt(n) * gain / np.where(flat, 1.0, sd))
+    p_value = np.where(flat, 1.0, special.erfc(np.abs(nlr) / math.sqrt(2.0)))
+    return nlr, p_value
 
 
 def threshold_sweep(
@@ -530,8 +625,8 @@ def threshold_sweep(
     up to rounding, without refitting: after one sort every tail is
     located by binary search, and both fits and the normalized LR come
     from suffix power sums of ln x (degree 1 to 4), so a threshold costs
-    O(1) beyond the log-normal root solve. Per-tail KS distances are not
-    computed.
+    O(1), and the log-normal shape of every threshold comes from one
+    batched solve. Per-tail KS distances are not computed.
     """
     if start <= 0 or step <= 0:
         raise MalformedInputError("start and step must be positive")
@@ -551,45 +646,43 @@ def threshold_sweep(
     if thr.size == 0:
         return []
     cut = np.searchsorted(x, thr, side="left")
-    log_thr = [math.log(t) for t in thr.tolist()]
-    lo = int(cut[0])
-    logx = np.log(x[lo:])
-    tails_at = np.unique(cut[n - cut >= 2]) - lo
-    sums = _tail_power_sums(logx, tails_at) if tails_at.size else []
-    rows = np.searchsorted(tails_at, cut - lo).tolist()
-    results = []
-    for t, c, row, log_l in zip(thr.tolist(), cut.tolist(), rows, log_thr):
-        if c >= n:
+    # tails only shrink along the grid, so the ones compare_tails rejects come
+    # last; the rows before the first of them are solved (and may raise) first
+    bad = (cut >= n - 1) | (x[-1] == thr) | (x[np.minimum(cut, n - 1)] == x[-1])
+    k = int(np.argmax(bad)) if bad.any() else thr.size
+    n_t = n - cut[:k]
+    if k:
+        tails_at = np.unique(cut[:k])
+        sums = _tail_power_sums(x, tails_at)[np.searchsorted(tails_at, cut[:k])]
+        y_lo, y_hi = np.log(x[cut[:k]] / thr[:k]), np.log(x[-1] / thr[:k])
+        nlr, p_value = _sweep_lr(n_t, (sums / n_t[:, None]).T, y_lo, y_hi)
+    if k < thr.size:
+        if cut[k] >= n:
             raise MalformedInputError(_EMPTY_DATA)
-        if c == n - 1:
+        if cut[k] == n - 1:
             raise InsufficientDataError(_FEW_TAIL.format(1))
-        if x[-1] == t:
+        if x[-1] == thr[k]:
             raise DegenerateTailError(_FLAT_TAIL)
-        if x[c] == x[-1]:
-            raise InsufficientDataError(_FEW_DISTINCT)
-        nlr, p = _sweep_lr(n - c, sums[row], float(logx[c - lo]) - log_l, float(logx[-1]) - log_l, log_l)
-        results.append(
-            ComparisonResult(
-                xmin=t,
-                normalized_lr=nlr,
-                p_value=p,
-                preferred=_preference(nlr, p, significance),
-                n_tail=n - c,
-                significance=significance,
-            )
+        raise InsufficientDataError(_FEW_DISTINCT)
+    return [
+        ComparisonResult(
+            xmin=t,
+            normalized_lr=float(r),
+            p_value=float(pv),
+            preferred=_preference(float(r), float(pv), significance),
+            n_tail=int(size),
+            significance=significance,
         )
-    return results
+        for t, r, pv, size in zip(thr.tolist(), nlr, p_value, n_t.tolist())
+    ]
 
 
-def _umpu_statistic(y: np.ndarray) -> tuple[float, float]:
-    """(moment ratio m2/mean^2, Wilks statistic) of a log-transformed tail."""
-    n = y.size
-    ybar = float(y.mean())
-    m2 = float(np.mean(y * y))
-    ll0 = -n * (1.0 + math.log(ybar))
-    sol = _tn_interior_mle(n, ybar, m2)
-    wilks = max(0.0, 2.0 * (sol[2] - ll0)) if sol is not None else 0.0
-    return m2 / (ybar * ybar), wilks
+def _umpu_statistic(n, ybar, m2) -> tuple[np.ndarray, np.ndarray]:
+    """(moment ratio m2/mean^2, Wilks statistic) per log-transformed tail of n values with mean `ybar`
+    and mean square `m2`; the statistic is 0 where the alternative's fit is on its boundary."""
+    ybar, m2 = np.atleast_1d(ybar, m2)
+    gain = _tn_mle(ybar, m2)[2]
+    return m2 / (ybar * ybar), 2.0 * n * np.maximum(gain, 0.0)
 
 
 def _null_exceedances(seed, mc_reps: int, sizes: np.ndarray, ratios: np.ndarray) -> np.ndarray:
@@ -604,46 +697,50 @@ def _null_exceedances(seed, mc_reps: int, sizes: np.ndarray, ratios: np.ndarray)
     """
     n_max = int(sizes.max())
     block = max(1, _REP_BLOCK // n_max)
-    cols = sizes - 1
+    k = np.arange(1.0, n_max + 1.0)
     counts = np.zeros(sizes.size, dtype=np.int64)
     for lo in range(0, mc_reps, block):
         z = np.empty((min(block, mc_reps - lo), n_max))
         for row in range(z.shape[0]):
             substream(seed, lo + row).standard_exponential(out=z[row])
-        s1 = np.cumsum(z, axis=1)[:, cols]
-        s2 = np.cumsum(z * z, axis=1)[:, cols]
-        counts += np.count_nonzero(sizes * s2 / (s1 * s1) <= ratios, axis=0)
+        # the ratio k sum(z^2) / sum(z)^2 at every size k, in place
+        s1 = np.cumsum(z, axis=1)
+        np.multiply(z, z, out=z)
+        s2 = np.cumsum(z, axis=1)
+        s2 *= k
+        s1 *= s1
+        s2 /= s1
+        counts += np.count_nonzero(s2[:, sizes - 1] <= ratios, axis=0)
     return counts
 
 
-def _umpu_results(tests: list, mc_reps: int, seed, method: str) -> list[UmpuResult]:
-    """Tail tests given as (threshold, rank, n_tail, ratio, wilks); all share the replicates."""
+def _umpu_results(thresholds, ranks, sizes, ratios, wilks, mc_reps: int, seed, method: str) -> list[UmpuResult]:
+    """One result per tail test, given column-wise; all tests share the replicates."""
     if method not in ("monte_carlo", "asymptotic"):
         raise ValueError(f"unknown p-value method: {method!r}")
     if method == "monte_carlo" and mc_reps < 1:
         raise ValueError(f"mc_reps must be at least 1, got {mc_reps}")
-    if not tests:
+    if len(sizes) == 0:
         return []
-    _, _, sizes, ratios, wilks = zip(*tests)
+    wilks = np.asarray(wilks, dtype=np.float64)
     if method == "monte_carlo":
         # The replicate ordering uses the sample moment ratio m2/mean^2,
         # which orders tails exactly as the boundary-refined Wilks
         # statistic does (small ratio = strong truncated-normal evidence)
         # and stays continuous where W collapses to its point mass at 0.
-        counts = _null_exceedances(seed, mc_reps, np.array(sizes), np.array(ratios))
-        p = ((1.0 + counts) / (mc_reps + 1.0)).tolist()
+        counts = _null_exceedances(seed, mc_reps, np.asarray(sizes), np.asarray(ratios))
+        p = (1.0 + counts) / (mc_reps + 1.0)
     else:
-        p = [1.0 if w <= 0.0 else 0.5 * float(special.chdtrc(1, w)) for w in wilks]
+        p = np.where(wilks <= 0.0, 1.0, 0.5 * special.chdtrc(1, wilks))
     return [
-        UmpuResult(
-            threshold=float(thr),
-            rank=int(rank),
-            n_tail=int(size),
-            wilks_w=float(w),
-            p_value=float(pv),
-            method=method,
+        UmpuResult(threshold=thr, rank=rank, n_tail=size, wilks_w=w, p_value=pv, method=method)
+        for thr, rank, size, w, pv in zip(
+            np.asarray(thresholds, dtype=np.float64).tolist(),
+            np.asarray(ranks).tolist(),
+            np.asarray(sizes).tolist(),
+            wilks.tolist(),
+            p.tolist(),
         )
-        for (thr, rank, size, _, w), pv in zip(tests, p)
     ]
 
 
@@ -669,7 +766,8 @@ def umpu_wilks(
             f"need at least 10 tail points strictly above the threshold, got {tail.size}"
         )
     y = np.log(tail / threshold)
-    return _umpu_results([(threshold, tail.size, tail.size, *_umpu_statistic(y))], mc_reps, seed, method)[0]
+    ratio, wilks = _umpu_statistic(tail.size, y.mean(), np.mean(y * y))
+    return _umpu_results([threshold], [tail.size], [tail.size], ratio, wilks, mc_reps, seed, method)[0]
 
 
 def umpu_sweep(
@@ -680,19 +778,27 @@ def umpu_sweep(
     For rank r the threshold is the next data value below the r-th
     largest, so the strict tail holds exactly the r largest points
     (fewer under ties at the cut). Thresholds are non-increasing in rank.
-    All ranks share the Monte Carlo replicates (common random numbers):
-    the p-value at rank r is the one `umpu_wilks` gives at that rank's
-    threshold with the same seed.
+    Every rank's moments of ln(x/threshold) come from the shifted suffix
+    power sums of `_tail_power_sums`, and all ranks share one shape
+    solve. All ranks share the Monte Carlo replicates (common random
+    numbers): the p-value at rank r is the one `umpu_wilks` gives at that
+    rank's threshold with the same seed.
     """
     x = np.sort(_positive_array(data))
     n = x.size
     if n < min_rank:
         raise InsufficientDataError(f"need at least {min_rank} positive values, got {n}")
-    tests = []
-    for r in range(min_rank, n + 1):
-        thr = x[n - r - 1] if r < n else np.nextafter(x[0], 0.0)
-        cut = np.searchsorted(x, thr, side="right")
-        tail = x[cut:]
-        if tail.size >= 10:
-            tests.append((thr, r, tail.size, *_umpu_statistic(np.log(tail / thr))))
-    return _umpu_results(tests, mc_reps, seed, method)
+    ranks = np.arange(min_rank, n + 1)
+    thr = np.append(x[n - ranks[:-1] - 1], np.nextafter(x[0], 0.0))
+    cut = np.searchsorted(x, thr, side="right")
+    keep = n - cut >= 10
+    ranks, thr, cut = ranks[keep], thr[keep], cut[keep]
+    sizes = n - cut
+    ratio = wilks = np.empty(0)
+    if sizes.size:
+        starts = np.unique(cut)
+        s1, s2 = _tail_power_sums(x, starts)[np.searchsorted(starts, cut), :2].T / sizes
+        # shift from the tail's first value down to the threshold
+        a = np.log(x[cut] / thr)
+        ratio, wilks = _umpu_statistic(sizes, a + s1, s2 + a * (2.0 * s1 + a))
+    return _umpu_results(thr, ranks, sizes, ratio, wilks, mc_reps, seed, method)

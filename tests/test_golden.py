@@ -90,13 +90,13 @@ GOLDEN = {
     "sw.horizon.json": "466c183efc4acd79f8b985cdbc83cfdfd2a5b0cd6d36ed4381287916a5cd98ec",
     "sw.series.csv": "a02ce3577b387bd4a0cfb5b4ccfc2412d6432483b357e5c89ae6a3e6ceb52d27",
     "sw.trends.csv": "4a167fee37a6e22f2b18732af891bb5fc4a79cb27e933121f96832ca5b33fcd7",
-    "vals.comparison.json": "b9f1273130c38b8956b656baa1745da4266c520a899bd2fcc5879edbc21a5cea",
-    "vals.curves.csv": "5b50ef8ed016675e33d353a73c9155e2f3bbb3590c0901c5dac301a1724a386d",
+    "vals.comparison.json": "3cf0a68186e5d96fb5509e3b24bf203ce6b21c99de39efa8644bc2bd054f69a2",
+    "vals.curves.csv": "94a8b1d1baeae61be4b2e3eda8f88876ab71b376ae6ee7def0b7b3cf714e9782",
     "vals.hist.csv": "0223f46c2dcaba70f8d919548beecb496b404f8df3930e62cd084ef21f240c1b",
-    "vals.log_normal.json": "af499c662c0ed3383152c5518bcf009e15a66cc7ae3d3bd5b779f28bee7257e4",
+    "vals.log_normal.json": "499abf7b31d2939e4abb7f8de271e514c1ab361e85c05c5ba7fb7b12a27a92c6",
     "vals.power_law.json": "d68e0a91547da3bb088b7a8d09e46542bb296eeb77ae0c4f049280a2c3ff9985",
-    "vals.threshold_sweep.csv": "41217fde05617e94e6af1953eb84a6799fc743a42b4507415f0509dd42e619ff",
-    "vals.umpu_sweep.csv": "e91f325bed62666ba124743825ad8a1f4ffc697a9601a0260b43f0093342eace",
+    "vals.threshold_sweep.csv": "4a89d865b03c20cee2189e85579b540afb1371f4917f61bd3e1d97db9636452b",
+    "vals.umpu_sweep.csv": "c86c83d8abddca9f78e665fde214a2e2617a7aae05a3e9816b29037defc9cdcd",
 }
 
 SNAP0 = "user_id,balance\nalice,500000000\nbob,120000\ncarol,0\ndave,30000000\n"

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ class TestBuildPanel:
                 BalanceSnapshot(D0, np.array(["a", "b"]), np.array([1.0, balance]))
             with pytest.raises(MalformedInputError, match="not a finite whole number"):
                 snapshot(D0, [("a", balance)])
+
+    @pytest.mark.parametrize(
+        "balances",
+        [
+            np.array([1, 5.7], dtype=object),
+            [1, Decimal("5.7")],
+            np.array([1, 2**63], dtype=object),
+            [1, 2**63],
+            [1, 2**64],
+            np.array([1, 2**63], dtype=np.uint64),
+            [1, None],
+        ],
+    )
+    def test_non_whole_object_balance_rejected(self, balances):
+        with pytest.raises(MalformedInputError, match="not a finite whole number of satoshi"):
+            BalanceSnapshot(D0, np.array(["a", "b"]), balances)
+
+    def test_integer_object_balances_accepted(self):
+        balances = np.array([2**62, 7, Decimal(3), 4.0], dtype=object)
+        snap = BalanceSnapshot(D0, np.array(["d", "c", "b", "a"]), balances)
+        assert snap.balances.dtype == np.int64
+        assert snap.balances.tolist() == [4, 3, 7, 2**62]
 
     def test_whole_float_balances_accepted(self):
         snap = BalanceSnapshot(D0, np.array(["b", "a"]), np.array([5.0, 2.0**53]))

@@ -32,6 +32,27 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     assert out.stdout.strip() == ""
 
 
+def test_fit_leaves_scipy_optimize_unloaded(tmp_path):
+    values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
+    (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
+    src = str(Path(balancegrowth.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from balancegrowth.cli import main\n"
+        "for extra in ([], ['--sweep-start', '1000000', '--sweep-step', '1000000'], ['--umpu', '--mc-reps', '20']):\n"
+        "    assert main(['fit', 'v.csv', '--quiet', *extra]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+    # the log-normal fit was interior, so the shape solve ran
+    assert '"exponential_boundary": false' in (tmp_path / "v.log_normal.json").read_text()
+    assert (tmp_path / "v.threshold_sweep.csv").exists() and (tmp_path / "v.umpu_sweep.csv").exists()
+
+
 def test_hopkins_pvalue_equals_beta_sf():
     rng = np.random.default_rng(11)
     h = np.concatenate([rng.uniform(0.0, 1.0, N_RANDOM), [0.0, 1.0, 0.0, 1.0, 0.5]])
@@ -60,7 +81,7 @@ def test_asymptotic_umpu_pvalue_equals_half_chi2_sf():
     rng = np.random.default_rng(13)
     w = np.concatenate([rng.exponential(4.0, N_RANDOM), [1e-300, 1e-8, 1.0, 50.0, 1e4]])
     tests = [(1.0, 10, 10, 1.5, float(v)) for v in w]
-    got = [r.p_value for r in tails._umpu_results(tests, 0, 0, "asymptotic")]
+    got = [r.p_value for r in tails._umpu_results(*zip(*tests), 0, 0, "asymptotic")]
     assert np.array_equal(got, 0.5 * stats.chi2.sf(w, df=1))
     for seed in range(20):
         local = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from balancegrowth import (
     threshold_sweep,
 )
 from balancegrowth import tails
+from balancegrowth.cli import main
 from balancegrowth.tails import (
     lognormal_logpdf,
     normalized_loglik_ratio,
@@ -23,6 +26,17 @@ from balancegrowth.tails import (
 
 BTC = 10**8
 ORACLE = settings(derandomize=True, max_examples=60, deadline=None)
+COMPARISON_NAN = """{
+  "lr_normalization": "sum / (sqrt(n) * sample std of pointwise log-ratios)",
+  "n_tail": 300,
+  "normalized_lr": null,
+  "p_value": 1.0,
+  "preferred": "inconclusive",
+  "significance": 0.05,
+  "unit": "satoshi",
+  "xmin": 1000000.0
+}
+"""
 
 
 def powerlaw_sample(rng, n, alpha, xmin):
@@ -101,6 +115,42 @@ class TestFitPowerLaw:
 
 
 class TestFitLognormal:
+    def test_exponential_boundary_flag(self):
+        # pure Pareto: ln(x/xmin) is exponential, here with coefficient of variation above 1
+        pareto = np.floor(1e6 * np.random.default_rng(0).random(300) ** (-1 / 1.5))
+        flagged = fit_lognormal(pareto, 1e6)
+        assert flagged.exponential_boundary is True
+        assert flagged.to_dict()["exponential_boundary"] is True
+        lognormal = np.random.default_rng(1).lognormal(16.0, 1.5, 2000)
+        interior = fit_lognormal(lognormal, float(np.quantile(lognormal, 0.2)))
+        assert interior.exponential_boundary is False
+        assert interior.to_dict()["exponential_boundary"] is False
+        untruncated = fit_lognormal(lognormal, 0.0)
+        assert untruncated.exponential_boundary is None
+        assert "exponential_boundary" not in untruncated.to_dict()
+
+    def test_boundary_flag_agrees_with_shape_and_comparison(self):
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(3000 + seed)
+            if seed % 2:
+                data = powerlaw_sample(rng, 500, 2.0, 10.0)
+            else:
+                data = rng.lognormal(3.0, 1.0 + seed / 20, 500)
+            xmin = 10.0 if seed % 2 else float(np.quantile(data, 0.5))
+            fit = fit_lognormal(data, xmin)
+            assert fit.exponential_boundary == ((fit.m - math.log(xmin)) / fit.v <= tails._DELTA_FLOOR)
+            assert math.isnan(compare_tails(data, xmin).normalized_lr) == fit.exponential_boundary
+            seen.add(fit.exponential_boundary)
+        assert seen == {True, False}
+
+    def test_interior_fit_below_one_is_compared(self):
+        # the boundary is a property of the shape m/v of ln(x/xmin); ln(xmin) does not enter it
+        data = 1e-12 * np.random.default_rng(5).lognormal(0.0, 0.2, 2000)
+        xmin = float(np.median(data))
+        assert fit_lognormal(data, xmin).exponential_boundary is False
+        assert not math.isnan(compare_tails(data, xmin).normalized_lr)
+
     def test_untruncated_closed_form(self):
         fit = fit_lognormal([1.0, math.exp(2.0)], xmin=0.0)
         assert fit.m == pytest.approx(1.0, abs=1e-12)
@@ -160,6 +210,15 @@ class TestFitLognormal:
 
 
 class TestCompareTails:
+    def test_nan_statistic_written_as_null(self, tmp_path, monkeypatch):
+        # the log-normal fit lands on its exponential boundary, so the statistic is NaN
+        monkeypatch.chdir(tmp_path)
+        x = np.floor(1e6 * np.random.default_rng(0).random(300) ** (-1 / 1.5)).astype(np.int64)
+        (tmp_path / "p.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(x)))
+        assert main(["fit", "p.csv", "--xmin", "1000000", "--quiet"]) == 0
+        text = (tmp_path / "p.comparison.json").read_text()
+        assert re.sub(r'\n *"run_id": "[0-9a-f]*",', "", text) == COMPARISON_NAN
+
     def test_degenerate_tie_is_inconclusive(self):
         nlr, p = normalized_loglik_ratio(np.full(50, 0.3))
         assert math.isnan(nlr)
@@ -343,7 +402,7 @@ def assert_rows_match(got, want, significance):
         assert (g.xmin, g.n_tail, g.significance) == (w.xmin, w.n_tail, w.significance)
         assert math.isnan(g.normalized_lr) == math.isnan(w.normalized_lr)
         if not math.isnan(w.normalized_lr):
-            assert abs(g.normalized_lr - w.normalized_lr) <= 1e-5 * max(1.0, abs(w.normalized_lr))
+            assert abs(g.normalized_lr - w.normalized_lr) <= 1e-10 * max(1.0, abs(w.normalized_lr))
         if abs(w.p_value - significance) > 1e-5:
             assert g.preferred == w.preferred
 
@@ -367,3 +426,66 @@ class TestSweepOracle:
         got = threshold_sweep(data, 1e8, step)
         assert len(got) == 151
         assert_rows_match(got, sweep_reference(data, 1e8, step, 100, 0.05), 0.05)
+
+
+def mp_truncated_moments(d):
+    """(lambda, E[Z], E[Z^2], E[Z^2]/E[Z]^2) of N(d, 1) conditioned on Z > 0, at 50 digits."""
+    with mpmath.workdps(50):
+        d = mpmath.mpf(float(d))
+        lam = mpmath.npdf(d) / mpmath.ncdf(d)
+        e1 = d + lam
+        e2 = 1 + d * e1
+        return lam, e1, e2, e2 / e1**2
+
+
+class TestTruncatedNormalSolver:
+    def test_kernels_match_mpmath(self):
+        switch = -tails._CF_SWITCH
+        d = np.concatenate(
+            [-np.geomspace(4000.0, 2.0, 200), np.linspace(-2.0, 40.0, 400), [np.nextafter(switch, 0.0), 1e-300]]
+        )
+        lam, e1, e2, q = tails._tn_moments(d)
+        for i, di in enumerate(d):
+            want = mp_truncated_moments(di)
+            got = (lam[i], e1[i], e2[i], 1.0 + q[i])
+            for g, w in zip(got, want):
+                if w > 1e-300:  # lambda underflows far out on the right
+                    assert abs(float((g - w) / w)) <= 1e-14, (di, g, w)
+            # q = ratio - 1 is what the shape solve matches; it keeps ~13.7 digits
+            assert abs(float((q[i] - (want[3] - 1)) / (want[3] - 1))) <= 3e-14, di
+
+    def test_shape_solve_inverts_the_ratio(self):
+        ratios = 1.0 + np.concatenate([np.geomspace(1e-12, 0.9986, 300), [0.9987, 1.0, 1.5]])
+        delta = tails._tn_shape(ratios)
+        interior = ~np.isnan(delta)
+        assert interior[:300].all() and not interior[300:].any()
+        for r, d in zip(ratios[interior][::10], delta[interior][::10]):
+            with mpmath.workdps(50):
+                lam, e1, e2, ratio = mp_truncated_moments(d)
+                # the root error in delta, to first order in the ratio residual
+                slope = lam * (2 - ratio) - 2 * (ratio - 1) ** 2 * e1
+                err = abs((ratio - mpmath.mpf(float(r))) / slope)
+            assert float(err) <= 1e-12 * max(1.0, abs(d)), (r, d)
+
+    def test_shape_solve_rejects_no_spread(self):
+        with pytest.raises(DegenerateTailError, match="no spread"):
+            tails._tn_shape(np.array([1.5, 1.0 + 1e-14]))
+
+    @ORACLE
+    @given(
+        exps=st.lists(st.floats(-12.0, 0.4), min_size=1, max_size=40),
+        m=st.integers(1, 5),
+    )
+    def test_batch_equals_one_at_a_time(self, exps, m):
+        # moment ratios from near 1 to past the exponential boundary; also repeated and reordered
+        ratios = np.tile(1.0 + 10.0 ** np.array(exps), m)[::-1]
+        zbar = np.linspace(0.01, 50.0, ratios.size)
+        batch = tails._tn_mle(zbar, ratios * zbar * zbar)
+        single = [tails._tn_mle(z, r * z * z) for z, r in zip(zbar, ratios)]
+        for k in range(4):  # delta, v, gain, boundary
+            assert batch[k].tobytes() == np.concatenate([s[k] for s in single]).tobytes()
+        n = np.arange(10, 10 + ratios.size)
+        wilks = tails._umpu_statistic(n, zbar, ratios * zbar * zbar)[1]
+        for i in range(ratios.size):
+            alone = tails._umpu_statistic(n[i], zbar[i], ratios[i] * zbar[i] * zbar[i])[1]
+            assert alone.tobytes() == wilks[i : i + 1].tobytes()
