@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, growth, io, panel as panel_mod, sim, tails
+from . import __version__, growth, io, panel as panel_mod, sim
 from .errors import BalanceGrowthError, MalformedInputError
 
 DEFAULT_SEED = 101
@@ -126,6 +126,8 @@ def cmd_fit(args) -> int:
         raise MalformedInputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
     if args.umpu and args.umpu_method == "monte_carlo" and args.mc_reps < 1:
         raise MalformedInputError(f"--mc-reps must be at least 1, got {args.mc_reps}")
+    from . import tails  # imported here: only `fit` needs its scipy.special, ~0.3 s of start-up
+
     data_path = Path(args.data)
     prefix = Path(args.out) / (args.prefix or data_path.stem)
     run = _Run(args, [args.data])
@@ -293,6 +295,7 @@ def cmd_simulate(args) -> int:
     run = _Run(args, [args.config])
     parsed = io.parse_sim_config(args.config)
     snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
+    run.manifest.diagnostics["n_overflow"] = parsed.sim.n_users - snaps[0].n_users
     for snap in snaps:
         run.write(Path(f"{prefix}.snapshot_{snap.date.isoformat()}.csv"), snap, io.write_snapshot_csv)
     if len(snaps) >= 2:

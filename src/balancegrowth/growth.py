@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     InsufficientDataError,
@@ -492,7 +491,9 @@ def trend_test(series) -> TrendResult:
         z = (s + 1) / math.sqrt(var_s)
     else:
         z = 0.0
-    p = 2.0 * float(special.ndtr(-abs(z)))
+    from scipy.special import ndtr  # loaded on first use: of the commands, only `sweep` needs it
+
+    p = 2.0 * float(ndtr(-abs(z)))
     if p < 0.05 and s != 0:
         direction = "increasing" if s > 0 else "decreasing"
     else:

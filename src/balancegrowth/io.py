@@ -519,7 +519,9 @@ class RunManifest:
 
     The run id hashes the command, parameters, input digests, seed, and
     version; the wall-clock duration is recorded but excluded from the
-    id. Output files produced by the run are listed with their digests.
+    id. Output files produced by the run are listed with their digests,
+    and run diagnostics (such as simulated users lost to overflow) under
+    `diagnostics`, also outside the id.
     """
 
     command: str
@@ -529,6 +531,7 @@ class RunManifest:
     version: str = _version
     duration_s: float = 0.0
     outputs: dict = dataclasses.field(default_factory=dict)
+    diagnostics: dict = dataclasses.field(default_factory=dict)
     run_id: str = dataclasses.field(init=False)
 
     def __post_init__(self):

@@ -9,7 +9,6 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import HorizonError, InsufficientDataError, MalformedInputError
 
@@ -52,6 +51,8 @@ class BalanceSnapshot:
             bad = bal[~((np.abs(bal) < 2.0**63) & (bal == np.floor(bal)))]
         elif bal.dtype.kind == "u":
             bad = bal[bal >= 2**63]
+        elif bal.dtype.kind in "US":  # text is parsed by the CSV reader, not here
+            bad = [repr(b) for b in bal.ravel()[:1].tolist()]  # every text balance is bad; name the first
         if len(bad):
             raise MalformedInputError(f"balance {bad[0]} is not a finite whole number of satoshi")
         bal = bal.astype(np.int64, copy=False)
@@ -296,7 +297,9 @@ def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
 
 def hopkins_pvalue(h: float, m: int) -> float:
     """One-sided p-value of a Hopkins statistic toward clustering (large H)."""
-    return float(special.betaincc(m, m, h))
+    from scipy.special import betaincc  # loaded on first use: of the commands, only `panel --hopkins-m` needs it
+
+    return float(betaincc(m, m, h))
 
 
 def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:

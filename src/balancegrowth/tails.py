@@ -784,6 +784,8 @@ def umpu_sweep(
     numbers): the p-value at rank r is the one `umpu_wilks` gives at that
     rank's threshold with the same seed.
     """
+    if min_rank < 1:
+        raise ValueError(f"min_rank must be at least 1, got {min_rank}")
     x = np.sort(_positive_array(data))
     n = x.size
     if n < min_rank:

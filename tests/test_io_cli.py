@@ -715,6 +715,7 @@ wealthy_sigma = 0.001
         assert rc == 0
         panel = read_panel_csv(tmp_path / "g.panel.csv")
         assert np.array_equal(panel.s0, panel.s1)
+        assert json.loads((tmp_path / "g.manifest.json").read_text())["diagnostics"] == {"n_overflow": 0}
 
     @pytest.mark.parametrize("model", ["gbm", "power"])
     def test_overflow_excluded_counted_and_logged(self, tmp_path, capsys, model):
@@ -724,6 +725,7 @@ wealthy_sigma = 0.001
         assert rc == 0
         assert "WARNING excluded 5 of 5 users" in capsys.readouterr().err
         assert read_panel_csv(tmp_path / "big.panel.csv").n_rows == 0
+        assert json.loads((tmp_path / "big.manifest.json").read_text())["diagnostics"] == {"n_overflow": 5}
 
     def test_gbm_honours_step_days(self, tmp_path):
         cfg = tmp_path / "gbm.cfg"

@@ -75,6 +75,10 @@ class TestBuildPanel:
             [1, 2**64],
             np.array([1, 2**63], dtype=np.uint64),
             [1, None],
+            ["1", "5.7"],
+            ["1", "x"],
+            ["1", "5"],
+            np.array([b"1", b"5"]),
         ],
     )
     def test_non_whole_object_balance_rejected(self, balances):

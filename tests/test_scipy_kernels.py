@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import stats
 
 import balancegrowth
@@ -19,35 +20,123 @@ from balancegrowth.panel import hopkins_pvalue
 
 N_RANDOM = 20_000
 
+# `balancegrowth.__all__` as it was when every submodule was imported eagerly
+PUBLIC_NAMES = [
+    "__version__",
+    "BalanceGrowthError",
+    "ConfigError",
+    "DegenerateTailError",
+    "FitConvergenceError",
+    "HorizonError",
+    "InsufficientDataError",
+    "MalformedInputError",
+    "NoRetainedBinsError",
+    "RegimeMixError",
+    "AbsDriftFit",
+    "AbsVolFit",
+    "BinSeries",
+    "GrowthFit",
+    "HorizonEntry",
+    "HorizonSweep",
+    "RegimeSplit",
+    "TrendResult",
+    "bin_moments",
+    "fit_drift_abs",
+    "fit_ratio",
+    "fit_vol_abs",
+    "horizon_sweep",
+    "make_bins",
+    "split_regimes",
+    "trend_test",
+    "BalanceSnapshot",
+    "HopkinsResult",
+    "ScatterTaxonomy",
+    "TransitionPanel",
+    "build_panel",
+    "filter_active",
+    "hopkins",
+    "hopkins_test",
+    "taxonomy",
+    "InitialLaw",
+    "RegimeParams",
+    "Schedule",
+    "SimConfig",
+    "euler_paths",
+    "simulate_gbm_exact",
+    "simulate_power_sde",
+    "simulate_two_regime",
+    "snapshot_series",
+    "ComparisonResult",
+    "TailFitResult",
+    "UmpuResult",
+    "compare_tails",
+    "fit_lognormal",
+    "fit_power_law",
+    "threshold_sweep",
+    "umpu_sweep",
+    "umpu_wilks",
+]
+
+LOADED_SCIPY = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+
+
+def _fresh_python(code: str, cwd=None) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(balancegrowth.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
 
 def test_cli_import_leaves_heavy_scipy_unloaded():
-    src = str(Path(balancegrowth.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = (
-        "import sys, balancegrowth.cli\n"
-        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.spatial')\n"
-        "print(' '.join(m for m in heavy if m in sys.modules))\n"
+    assert _fresh_python("import sys, balancegrowth, balancegrowth.cli\n" + LOADED_SCIPY) == ""
+
+
+def test_simulate_and_estimate_load_no_scipy(tmp_path):
+    (tmp_path / "sim.cfg").write_text(
+        "model = two_regime\nn_users = 4000\nseed = 5\nhorizon_days = 14\ns0_law = lognormal\n"
+        "s0_m = 23.03\ns0_v = 2.3\ns_star = 1e10\npoor_mu = 0.003\nwealthy_mu = -0.002\n"
+        "poor_sigma = 0.001\nwealthy_sigma = 0.001\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == ""
+    code = (
+        "import sys\n"
+        "from balancegrowth.cli import main\n"
+        "assert main(['simulate', 'sim.cfg', 'sim', '--quiet']) == 0\n"
+        "assert main(['estimate', 'sim.panel.csv', 'est', '--bins', '20', '--quiet']) == 0\n" + LOADED_SCIPY
+    )
+    assert _fresh_python(code, cwd=tmp_path) == ""
+    assert (tmp_path / "est.regimes.json").exists()
+
+
+def test_public_names_resolve_on_demand():
+    # a fresh interpreter, so every name goes through the on-demand lookup
+    code = (
+        "import balancegrowth\n"
+        "print(balancegrowth.tails.__name__)\n"
+        "names = {}\n"
+        "exec('from balancegrowth import *', names)\n"
+        "print([n for n in balancegrowth.__all__ if n not in names or n not in vars(balancegrowth)])\n"
+    )
+    assert _fresh_python(code).split("\n") == ["balancegrowth.tails", "[]"]
+    assert balancegrowth.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(balancegrowth))
+    for name in PUBLIC_NAMES:
+        assert getattr(balancegrowth, name) is vars(balancegrowth)[name]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        balancegrowth.no_such_name
 
 
 def test_fit_leaves_scipy_optimize_unloaded(tmp_path):
     values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
     (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
-    src = str(Path(balancegrowth.__file__).resolve().parent.parent)
     code = (
         "import sys\n"
         "from balancegrowth.cli import main\n"
         "for extra in ([], ['--sweep-start', '1000000', '--sweep-step', '1000000'], ['--umpu', '--mc-reps', '20']):\n"
         "    assert main(['fit', 'v.csv', '--quiet', *extra]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.spatial')\n"
+        "print(' '.join(m for m in heavy if m in sys.modules))\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code, cwd=tmp_path) == ""
     # the log-normal fit was interior, so the shape solve ran
     assert '"exponential_boundary": false' in (tmp_path / "v.log_normal.json").read_text()
     assert (tmp_path / "v.threshold_sweep.csv").exists() and (tmp_path / "v.umpu_sweep.csv").exists()

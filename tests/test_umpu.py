@@ -106,6 +106,12 @@ def test_monte_carlo_needs_a_replicate(rng, mc_reps):
     assert umpu_wilks(data, 50.0, mc_reps=mc_reps, method="asymptotic").method == "asymptotic"
 
 
+@pytest.mark.parametrize("min_rank", [-1, 0])
+def test_sweep_needs_a_positive_min_rank(rng, min_rank):
+    with pytest.raises(ValueError, match="min_rank"):
+        umpu_sweep(exp_tail_data(rng, 50), mc_reps=10, min_rank=min_rank)
+
+
 class TestSweep:
     def test_minimal_sweep_single_result(self, rng):
         data = exp_tail_data(rng, 10)
