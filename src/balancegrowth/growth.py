@@ -27,6 +27,8 @@ TARGET_RATIO = "ratio"
 
 DEFAULT_N_BINS = 300
 DEFAULT_MIN_COUNT = 50
+# fit_drift_abs scans the drift exponent on this grid before bisecting
+DRIFT_ALPHA_GRID = np.linspace(-10.0, 10.0, 2001)
 
 REGIME_POOR = "poor"
 REGIME_WEALTHY = "wealthy"
@@ -75,7 +77,12 @@ class OlsFit:
 
 @dataclass(frozen=True)
 class AbsDriftFit:
-    """Nonlinear fit of mean(ds) = sign * exp(c + alpha ln s) on the linear scale."""
+    """Least-squares fit of mean(ds) = mu_dt * s^alpha on the linear scale.
+
+    mu_dt carries the drift sign. `alpha_se` is the Gauss-Newton
+    standard error of alpha. `mu_dt_alpha1` and `sse_alpha1` are the fit
+    with alpha fixed at 1.
+    """
 
     alpha: float
     mu_dt: float
@@ -271,13 +278,39 @@ def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
     )
 
 
-def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
-    """Fit mean(ds) = sign(mu_dt) * exp(ln|mu_dt| + alpha ln s) on the linear scale.
+def _drift_profile(alpha, lns: np.ndarray, y: np.ndarray):
+    """u = s^alpha / max s^alpha, the best amplitude c of y ~ c u, and the residual.
 
-    Both drift signs are attempted and the lower residual wins; the
-    constrained alpha=1 proportional fit is returned alongside for
-    comparison. Runs on the linear scale because bin means can carry
-    either sign.
+    `alpha` is a scalar or a 1-d grid. Scaling by the largest s^alpha
+    keeps u^2 finite for balances up to 2^62 at every alpha scanned.
+    """
+    a = np.multiply.outer(alpha, lns)
+    u = np.exp(a - a.max(axis=-1, keepdims=True))
+    c = (u * y).sum(axis=-1) / (u * u).sum(axis=-1)
+    return u, c, y - c[..., None] * u
+
+
+def _drift_slope(alpha: float, lns: np.ndarray, y: np.ndarray) -> float:
+    """c * sum(r u ln s): minus half the slope of the profile residual at `alpha`.
+
+    ln s is centred at its u^2-weighted mean. That leaves the value
+    unchanged, since sum(r u) = 0 at the best c, and it cancels the
+    rounding error of c to first order.
+    """
+    u, c, r = _drift_profile(alpha, lns, y)
+    w = u * u
+    return float(c * np.sum(r * u * (lns - np.sum(w * lns) / np.sum(w))))
+
+
+def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
+    """Fit mean(ds) = mu_dt * s^alpha on the linear scale by a profile in alpha.
+
+    For a fixed alpha the least-squares mu_dt is linear and carries its
+    own sign. The profile residual is scanned on `DRIFT_ALPHA_GRID`, and
+    the stationarity condition is bisected down to adjacent floats
+    between the grid neighbours of the best point. The constrained
+    alpha=1 proportional fit is returned alongside for comparison. Runs
+    on the linear scale because bin means can carry either sign.
     """
     if bins.target != TARGET_ABSOLUTE:
         raise MalformedInputError("fit_drift_abs expects an absolute-target bin series")
@@ -287,43 +320,31 @@ def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
     y = bins.means
     if np.unique(s).size < 2:
         raise InsufficientDataError("all bin centers equal; design is singular")
-    from scipy.optimize import least_squares  # loaded on first use: it adds ~0.25 s to start-up
-
-    lns = np.log(s)
-    best = None
-    for sign in (1.0, -1.0):
-        pos = sign * y > 0
-        if not np.any(pos):
-            continue
-        if np.count_nonzero(pos) >= 2:
-            init = _ols(lns[pos], np.log(sign * y[pos]))
-            theta0 = np.array([init.intercept, init.slope])
-        else:
-            theta0 = np.array([float(np.log(sign * y[pos][0])), 1.0])
-
-        def resid(theta, sgn=sign):
-            return sgn * np.exp(theta[0] + theta[1] * lns) - y
-
-        res = least_squares(
-            resid, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=20000
-        )
-        if best is None or res.cost < best[0].cost:
-            best = (res, sign)
-    if best is None:
+    if not np.any(y):
         raise InsufficientDataError("all bin means are zero; drift undefined")
-    res, sign = best
-    alpha = float(res.x[1])
-    mu_dt = sign * math.exp(float(res.x[0]))
-    sse = 2.0 * float(res.cost)
-    dof = bins.n_bins - 2
-    alpha_se = math.nan
-    if dof > 0:
-        jtj = res.jac.T @ res.jac
-        try:
-            cov = np.linalg.inv(jtj) * (sse / dof)
-            alpha_se = math.sqrt(max(cov[1, 1], 0.0))
-        except np.linalg.LinAlgError:
-            pass
+    lns = np.log(s)
+    # blocks of about 100 alphas keep the scan's memory small at any bin count
+    blocks = np.array_split(DRIFT_ALPHA_GRID, 20)
+    k = int(np.argmin(np.concatenate([np.sum(_drift_profile(b, lns, y)[2] ** 2, axis=-1) for b in blocks])))
+    if k in (0, DRIFT_ALPHA_GRID.size - 1):
+        raise InsufficientDataError(
+            f"the drift exponent's best fit lies at the edge of the scanned range "
+            f"[{DRIFT_ALPHA_GRID[0]:g}, {DRIFT_ALPHA_GRID[-1]:g}]"
+        )
+    lo, hi = float(DRIFT_ALPHA_GRID[k - 1]), float(DRIFT_ALPHA_GRID[k + 1])
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _drift_slope(mid, lns, y) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = min((lo, hi), key=lambda a: abs(_drift_slope(a, lns, y)))
+    u, c, r = _drift_profile(alpha, lns, y)
+    mu_dt = float(c) * math.exp(-float(np.max(alpha * lns)))
+    sse = float(np.sum(r * r))
+    # Gauss-Newton: the alpha entry of (J^T J)^-1 is 1 / (c^2 sum w (ln s - mean)^2), w = u^2
+    w = u * u
+    spread = float(c * c * np.sum(w * (lns - np.sum(w * lns) / np.sum(w)) ** 2))
+    alpha_se = math.sqrt(sse / (bins.n_bins - 2) / spread) if spread > 0.0 else math.nan
     sst = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
     mu1 = float(np.sum(y * s) / np.sum(s * s))

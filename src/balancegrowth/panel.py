@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._rng import substream
 from .errors import HorizonError, InsufficientDataError, MalformedInputError
 
 GROUP_ACTIVE = "A"
@@ -277,7 +278,7 @@ def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
         raise InsufficientDataError("m must be at least 1")
     if n < 2 * m:
         raise InsufficientDataError(f"need at least 2*m = {2 * m} points, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = substream(seed)
     sample_idx = rng.choice(n, size=m, replace=False)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

@@ -169,9 +169,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_users < 1:
             raise ConfigError("n_users must be at least 1")
-        if self.step_days <= 0 or self.horizon_days <= 0:
-            raise ConfigError("step_days and horizon_days must be positive")
-        if self.horizon_days % self.step_days != 0:
+        if not (0 < self.step_days < math.inf and 0 < self.horizon_days < math.inf):
+            raise ConfigError("step_days and horizon_days must be positive and finite")
+        if self.n_steps * self.step_days != self.horizon_days:
             raise ConfigError("step_days must divide horizon_days")
         if self.wealthy is not None and self.s_star is None:
             raise ConfigError("s_star is required when both regimes are configured")
@@ -185,7 +185,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(self.horizon_days // self.step_days)
+        return round(self.horizon_days / self.step_days)
 
 
 def _user_ids(n: int) -> np.ndarray:
@@ -193,19 +193,8 @@ def _user_ids(n: int) -> np.ndarray:
     return np.char.add("u", np.char.zfill(np.arange(n).astype(str), width))
 
 
-def _integrate(
-    s0: np.ndarray,
-    z_at,
-    n_steps: int,
-    h: float,
-    poor: RegimeParams,
-    wealthy: RegimeParams | None,
-    s_star: float | None,
-    regime_mode: str,
-    scheme: str = SCHEME_EULER,
-    capture_steps=(),
-):
-    """Step the update of `scheme`, absorbing at 0 and flagging overflow.
+def _integrate(config: SimConfig, s0: np.ndarray, z_at, capture_steps=()):
+    """Step the update of `config.scheme` from s0, absorbing at 0 and flagging overflow.
 
     `z_at(j)` supplies the standard-normal draws of step j. Returns the
     final balances, the overflow mask (overflowed entries read +inf),
@@ -218,21 +207,23 @@ def _integrate(
     capture_steps = set(capture_steps)
     if 0 in capture_steps:
         captures[0] = S.copy()
+    poor, wealthy, s_star = config.poor, config.wealthy, config.s_star
+    h = float(config.step_days)
     sqrt_h = math.sqrt(h)
-    if wealthy is not None and regime_mode == REGIME_MODE_INITIAL:
+    if wealthy is not None and config.regime_mode == REGIME_MODE_INITIAL:
         fixed_wealthy = S >= s_star
-    for j in range(n_steps):
+    for j in range(config.n_steps):
         t = j * h
         z = z_at(j)
         with np.errstate(over="ignore", invalid="ignore"):
-            if scheme == SCHEME_EXACT:
+            if config.scheme == SCHEME_EXACT:
                 _, mu, _, sg = poor.at(t)
                 s_new = S * np.exp((mu - 0.5 * sg * sg) * h + sg * sqrt_h * z)
             elif wealthy is None:
                 a_d, mu, a_v, sg = poor.at(t)
                 s_new = S + S**a_d * (mu * h) + S**a_v * (sg * sqrt_h) * z
             else:
-                is_wealthy = fixed_wealthy if regime_mode == REGIME_MODE_INITIAL else S >= s_star
+                is_wealthy = fixed_wealthy if config.regime_mode == REGIME_MODE_INITIAL else S >= s_star
                 pa_d, p_mu, pa_v, p_sg = poor.at(t)
                 wa_d, w_mu, wa_v, w_sg = wealthy.at(t)
                 drift = np.where(
@@ -264,28 +255,29 @@ def euler_paths(
     """Integrate supplied paths: z has shape (n_steps, n_users).
 
     This is the deterministic integrator core; the simulate_* entry
-    points wrap it with substream-drawn noise. Returns (final balances,
-    overflow mask).
+    points wrap it with substream-drawn noise. The arguments pass the
+    checks of `SimConfig`. Returns (final balances, overflow mask).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise MalformedInputError("z must have shape (n_steps, n_users)")
-    final, over, _ = _integrate(
-        np.asarray(s0, dtype=np.float64),
-        lambda j: z[j],
-        z.shape[0],
-        float(step_days),
-        params,
-        wealthy,
-        s_star,
-        regime_mode,
+    s0 = np.asarray(s0, dtype=np.float64)
+    config = SimConfig(
+        n_users=max(s0.size, 1),  # the population comes from s0, not from n_users and s0_law
+        s0_law=InitialLaw.point(0.0),
+        horizon_days=z.shape[0] * step_days,
+        poor=params,
+        wealthy=wealthy,
+        s_star=s_star,
+        step_days=step_days,
+        regime_mode=regime_mode,
     )
+    final, over, _ = _integrate(config, s0, lambda j: z[j])
     return final, over
 
 
 def _run_chunked(config: SimConfig, capture_steps=()):
     n = config.n_users
-    h = float(config.step_days)
     s0_all = np.empty(n, dtype=np.float64)
     s1_all = np.empty(n, dtype=np.float64)
     over_all = np.empty(n, dtype=bool)
@@ -295,18 +287,7 @@ def _run_chunked(config: SimConfig, capture_steps=()):
         k = stop - start
         rng = substream(config.seed, chunk)
         s0 = config.s0_law.draw(rng, k)
-        final, over, caps = _integrate(
-            s0,
-            lambda j: rng.standard_normal(k),
-            config.n_steps,
-            h,
-            config.poor,
-            config.wealthy,
-            config.s_star,
-            config.regime_mode,
-            config.scheme,
-            capture_steps=capture_steps,
-        )
+        final, over, caps = _integrate(config, s0, lambda j: rng.standard_normal(k), capture_steps)
         s0_all[start:stop] = s0
         s1_all[start:stop] = final
         over_all[start:stop] = over

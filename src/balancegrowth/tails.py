@@ -79,27 +79,11 @@ class TailFitResult:
     exponential_boundary: bool | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "xmin": self.xmin,
-            "n_tail": self.n_tail,
-            "log_likelihood": self.log_likelihood,
-            "ks_distance": self.ks_distance,
-            "unit": "satoshi",
-        }
-        if self.family == POWER_LAW:
-            out["alpha"] = self.alpha
-        else:
-            out["m"] = self.m
-            out["v"] = self.v
-            if self.exponential_boundary is not None:
-                out["exponential_boundary"] = self.exponential_boundary
-        if self.xmin_candidates is not None:
-            out["diagnostics"] = {
-                "xmin_candidates": self.xmin_candidates,
-                "ks_full_evaluations": self.ks_full_evaluations,
-            }
-        return out
+        out = {k: v for k, v in vars(self).items() if v is not None}
+        diagnostics = {k: out.pop(k) for k in ("xmin_candidates", "ks_full_evaluations") if k in out}
+        if diagnostics:
+            out["diagnostics"] = diagnostics
+        return {**out, "unit": "satoshi"}
 
 
 @dataclass(frozen=True)
@@ -120,12 +104,7 @@ class ComparisonResult:
 
     def to_dict(self) -> dict:
         return {
-            "xmin": self.xmin,
-            "normalized_lr": self.normalized_lr,
-            "p_value": self.p_value,
-            "preferred": self.preferred,
-            "n_tail": self.n_tail,
-            "significance": self.significance,
+            **vars(self),
             "lr_normalization": "sum / (sqrt(n) * sample std of pointwise log-ratios)",
             "unit": "satoshi",
         }

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,10 +24,13 @@ from balancegrowth import (
     split_regimes,
     trend_test,
 )
+from balancegrowth.cli import main
 from balancegrowth.growth import DEFAULT_MIN_COUNT, DEFAULT_N_BINS, BinSeries
+from balancegrowth.io import read_panel_csv
 from balancegrowth.panel import filter_active
 
 from conftest import panel_from_rows
+from test_golden import CONFIGS
 
 
 def constant_bins(centers, means, stds, counts=None, target="ratio"):
@@ -118,6 +122,39 @@ class TestBinMoments:
         assert np.allclose(a.stds, b.stds, rtol=1e-12, atol=1e-15)
         assert np.array_equal(a.counts, b.counts)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 2000)), min_size=1, max_size=60),
+        n_bins=st.integers(2, 4),
+        min_count=st.integers(2, 4),
+        target=st.sampled_from(["absolute", "ratio"]),
+    )
+    @example(rows=[(3, 1), (3, 3)], n_bins=2, min_count=2, target="absolute")
+    def test_matches_bruteforce_loop(self, rows, n_bins, min_count, target):
+        # s0 lies below the range, on an edge (the last one included), inside a bin, or above
+        edges = make_bins(16.0, 16.0 * 3**n_bins, n_bins)
+        spots = [8.0, *edges, *(1.25 * edges[:-1]), 2.0 * edges[-1]]
+        s0 = [spots[k % len(spots)] for k, _ in rows]
+        panel = panel_from_rows([(f"u{i}", a, s1) for i, (a, (_, s1)) in enumerate(zip(s0, rows))])
+        per_bin = [[] for _ in range(n_bins)]
+        for a, (_, s1) in zip(s0, rows):
+            for j in range(n_bins):
+                if edges[j] <= a < edges[j + 1] or (j == n_bins - 1 and a == edges[-1]):
+                    per_bin[j].append(s1 - a if target == "absolute" else (s1 - a) / a)
+        kept = [j for j in range(n_bins) if len(per_bin[j]) >= min_count]
+        if not kept:
+            with pytest.raises(NoRetainedBinsError):
+                bin_moments(panel, edges, min_count=min_count, target=target)
+            return
+        bins = bin_moments(panel, edges, min_count=min_count, target=target)
+        assert bins.bin_lo.tolist() == [edges[j] for j in kept]
+        assert bins.counts.tolist() == [len(per_bin[j]) for j in kept]
+        for pos, j in enumerate(kept):
+            mean = sum(per_bin[j]) / len(per_bin[j])
+            std = math.sqrt(sum((w - mean) ** 2 for w in per_bin[j]) / len(per_bin[j]))
+            assert bins.means[pos] == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            assert bins.stds[pos] == pytest.approx(std, rel=1e-12, abs=1e-12)
+
     def test_no_retained_bins_errors(self):
         panel = panel_from_rows([("a", 10.0, 12.0), ("b", 20.0, 19.0)])
         with pytest.raises(NoRetainedBinsError):
@@ -157,6 +194,38 @@ class TestAbsoluteFits:
         second = fit_drift_abs(constant_bins(s, predicted, s, target="absolute"))
         assert second.alpha == pytest.approx(first.alpha, abs=1e-9)
         assert second.mu_dt == pytest.approx(first.mu_dt, rel=1e-9)
+
+    def test_golden_bins_match_40_digit_optimum(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pow.cfg").write_text(CONFIGS["pow"], encoding="utf-8")
+        assert main(["simulate", "pow.cfg", "pow", "--quiet"]) == 0
+        active = filter_active(read_panel_csv("pow.panel.csv"))
+        edges = make_bins(float(active.s0.min()), float(active.s0.max()), 40)
+        bins = bin_moments(active, edges, min_count=30, target="absolute")
+        fit = fit_drift_abs(bins)
+
+        def slope(alpha):
+            p = [mpmath.exp(alpha * v) for v in lns]
+            c = mpmath.fsum(y * q for y, q in zip(ys, p)) / mpmath.fsum(q * q for q in p)
+            return mpmath.fsum((y - c * q) * q * v for y, q, v in zip(ys, p, lns)) / mpmath.fsum(y * y for y in ys)
+
+        with mpmath.workdps(40):
+            lns = [mpmath.log(float(v)) for v in bins.centers]
+            ys = [mpmath.mpf(float(v)) for v in bins.means]
+            assert abs(fit.alpha - mpmath.findroot(slope, fit.alpha)) < 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, mu", [(10.0, 1e4, -0.5), (1.0, 2.0**62, 0.5), (1.0, 2.0**62, -0.5)])
+    def test_wide_centres_and_negative_drift_raise_no_warning(self, lo, hi, mu):
+        s = np.geomspace(lo, hi, 40)
+        fit = fit_drift_abs(constant_bins(s, mu * s**0.9, s, target="absolute"))
+        assert fit.alpha == pytest.approx(0.9, abs=1e-9)
+        assert fit.mu_dt == pytest.approx(mu, rel=1e-9)
+
+    def test_optimum_on_grid_edge_rejected(self):
+        s = np.geomspace(10.0, 1e4, 12)
+        with pytest.raises(InsufficientDataError, match=r"\[-10, 10\]"):
+            fit_drift_abs(constant_bins(s, 3.0 * s**12, s, target="absolute"))
 
     def test_exact_proportional_vol(self):
         s = np.geomspace(10.0, 1e4, 12)

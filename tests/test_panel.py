@@ -203,6 +203,25 @@ class TestTaxonomy:
         tax = taxonomy(panel)
         assert tax.total == panel.n_rows
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40),
+        epsilon_v=st.sampled_from([0, 1, 2.5, 6]),
+    )
+    def test_each_row_in_exactly_one_class(self, rows, epsilon_v):
+        named = {
+            "vertical": lambda s0, s1: s1 > s0 and s0 <= epsilon_v,
+            "horizontal": lambda s0, s1: s1 == s0,
+            "diagonal": lambda s0, s1: s1 < s0 and s1 == 0,
+        }
+        counts = dict.fromkeys([*named, "interior"], 0)
+        for s0, s1 in rows:
+            hits = [name for name, member in named.items() if member(s0, s1)]
+            assert len(hits) <= 1
+            counts[hits[0] if hits else "interior"] += 1
+        tax = taxonomy(panel_from_rows([(f"u{i}", s0, s1) for i, (s0, s1) in enumerate(rows)]), epsilon_v)
+        assert {name: getattr(tax, name) for name in counts} == counts
+
     def test_constructed_mixture_recovered_exactly(self):
         rows = []
         k = 0

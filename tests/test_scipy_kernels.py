@@ -101,10 +101,13 @@ def test_simulate_and_estimate_load_no_scipy(tmp_path):
         "import sys\n"
         "from balancegrowth.cli import main\n"
         "assert main(['simulate', 'sim.cfg', 'sim', '--quiet']) == 0\n"
-        "assert main(['estimate', 'sim.panel.csv', 'est', '--bins', '20', '--quiet']) == 0\n" + LOADED_SCIPY
+        "assert main(['estimate', 'sim.panel.csv', 'est', '--bins', '20', '--quiet']) == 0\n"
+        "assert main(['estimate', 'sim.panel.csv', 'abs', '--bins', '20', '--target', 'absolute', '--quiet']) == 0\n"
+        + LOADED_SCIPY
     )
     assert _fresh_python(code, cwd=tmp_path) == ""
     assert (tmp_path / "est.regimes.json").exists()
+    assert (tmp_path / "abs.absfits.json").exists()
 
 
 def test_public_names_resolve_on_demand():

@@ -134,6 +134,28 @@ class TestEuler:
         assert 1.2 <= errors[4.0] / errors[2.0] <= 1.7
         assert 1.2 <= errors[2.0] / errors[1.0] <= 1.7
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"wealthy": RegimeParams()}, {"regime_mode": "frozen"}, {"step_days": 0.0}],
+        ids=["wealthy_without_s_star", "unknown_regime_mode", "zero_step"],
+    )
+    def test_euler_paths_checks_its_config(self, kwargs):
+        args = {"s0": np.full(3, 100.0), "z": np.zeros((4, 3)), "step_days": 1.0, "params": RegimeParams(mu=0.1)}
+        with pytest.raises(ConfigError):
+            euler_paths(**{**args, **kwargs})
+
+    def test_euler_paths_empty_population(self):
+        final, over = euler_paths(np.empty(0), np.empty((5, 0)), 1.0, RegimeParams(mu=0.1, sigma=0.2))
+        assert final.shape == over.shape == (0,)
+
+    def test_euler_paths_fractional_step(self):
+        # 3 * 0.1 is not a float multiple of 0.1, yet the three steps are taken
+        final, _ = euler_paths(np.array([100.0]), np.zeros((3, 1)), 0.1, RegimeParams(mu=0.5))
+        expected = 100.0
+        for _ in range(3):
+            expected += expected * (0.5 * 0.1)
+        assert final[0] == expected
+
 
 class TestTwoRegime:
     def test_drift_signs_with_zero_vol(self):
