@@ -78,21 +78,32 @@ def write_csv(path, columns: dict):
     magnitude, else as its shortest round-trip repr. Cells are never
     quoted, so a text cell holding a comma, a quote, CR, LF or NUL is
     an error; the file is then left as it was.
+
+    Each chunk of rows is one `%`-format over its cells in row order;
+    `%s` of an int or a bool is its `str`.
     """
     arrays = [np.asarray(values) for values in columns.values()]
     n = len(arrays[0]) if arrays else 0
+    m = len(arrays)
 
     def chunks():
         yield ",".join(columns) + "\n"
         for start in range(0, n, _ROWS_PER_CHUNK):
-            cells = [_format_cells(a[start : start + _ROWS_PER_CHUNK]) for a in arrays]
-            for name, a, col in zip(columns, arrays, cells):
-                if a.dtype.kind not in "biuf" and _unsafe("".join(col)):
-                    cell = next(filter(_unsafe, col))
-                    raise MalformedInputError(
-                        f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR LF or NUL"
-                    )
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            block = [a[start : start + _ROWS_PER_CHUNK] for a in arrays]
+            k = len(block[0])
+            flat = np.empty(k * m, dtype=object)
+            for i, (name, a) in enumerate(zip(columns, block)):
+                if a.dtype.kind in "biu":
+                    col = a.tolist()
+                else:
+                    col = _format_cells(a)
+                    if a.dtype.kind != "f" and _unsafe("".join(col)):
+                        cell = next(filter(_unsafe, col))
+                        raise MalformedInputError(
+                            f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR LF or NUL"
+                        )
+                flat[i::m] = col
+            yield (("%s," * (m - 1) + "%s\n") * k) % tuple(flat)
 
     _atomic_write(path, chunks())
 

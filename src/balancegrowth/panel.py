@@ -59,15 +59,17 @@ class BalanceSnapshot:
         bal = bal.astype(np.int64, copy=False)
         if ids.shape != bal.shape or ids.ndim != 1:
             raise MalformedInputError("user_ids and balances must be 1-d and aligned")
-        if ids.size:
+        if np.all(ids[1:] > ids[:-1]):  # already sorted and unique, as every written file is
+            ids, bal = ids.copy(), bal.copy()  # never alias the caller's arrays
+        else:
             order = np.argsort(ids, kind="stable")
             ids = ids[order]
             bal = bal[order]
             if np.any(ids[1:] == ids[:-1]):
                 dup = ids[1:][ids[1:] == ids[:-1]][0]
                 raise MalformedInputError(f"duplicate user_id in snapshot: {dup!r}")
-            if np.any(bal < 0):
-                raise MalformedInputError("negative balance in snapshot")
+        if np.any(bal < 0):
+            raise MalformedInputError("negative balance in snapshot")
         object.__setattr__(self, "user_ids", ids)
         object.__setattr__(self, "balances", bal)
 

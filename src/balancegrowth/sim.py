@@ -9,14 +9,16 @@ discretization error at any step size. Balances evolve as real-valued
 satoshi and are rounded only when snapshots are materialized.
 
 Randomness is drawn per user-chunk from counter-based substreams of the
-config seed, so results are bit-identical regardless of execution
-schedule. Users whose balance leaves the representable range are
-flagged, excluded from output, counted, and logged as a warning.
+config seed, and the chunks run on a thread per usable CPU, so results
+are bit-identical whatever the CPU count or schedule. Users whose
+balance leaves the representable range are flagged, excluded from
+output, counted, and logged as a warning.
 """
 
 import datetime as dt
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,8 +191,15 @@ class SimConfig:
 
 
 def _user_ids(n: int) -> np.ndarray:
+    """Ids `u` + the zero-padded index, at least 8 digits, built as ASCII bytes."""
     width = max(8, len(str(max(n - 1, 0))))
-    return np.char.add("u", np.char.zfill(np.arange(n).astype(str), width))
+    text = np.empty((n, width + 1), dtype=np.uint8)
+    text[:, 0] = ord("u")
+    index = np.arange(n, dtype=np.int64)
+    for col in range(width, 0, -1):
+        index, digit = np.divmod(index, 10)
+        text[:, col] = digit + ord("0")
+    return text.view(f"S{width + 1}").ravel().astype(f"U{width + 1}")
 
 
 def _integrate(config: SimConfig, s0: np.ndarray, z_at, capture_steps=()):
@@ -259,9 +268,9 @@ def euler_paths(
     checks of `SimConfig`. Returns (final balances, overflow mask).
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2:
-        raise MalformedInputError("z must have shape (n_steps, n_users)")
     s0 = np.asarray(s0, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != s0.size:
+        raise MalformedInputError("z must have shape (n_steps, n_users)")
     config = SimConfig(
         n_users=max(s0.size, 1),  # the population comes from s0, not from n_users and s0_law
         s0_law=InitialLaw.point(0.0),
@@ -277,12 +286,22 @@ def euler_paths(
 
 
 def _run_chunked(config: SimConfig, capture_steps=()):
+    """Draw and integrate each user chunk on its own substream, on every usable CPU.
+
+    NumPy's ufuncs and `Generator.standard_normal` release the GIL, and
+    each chunk writes only its own slice of the outputs, so the threads
+    share no state and any worker count gives the same bits.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     n = config.n_users
     s0_all = np.empty(n, dtype=np.float64)
     s1_all = np.empty(n, dtype=np.float64)
     over_all = np.empty(n, dtype=bool)
     captured = {j: np.empty(n, dtype=np.float64) for j in capture_steps}
-    for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
+
+    def run(chunk: int):
+        start = chunk * CHUNK_SIZE
         stop = min(start + CHUNK_SIZE, n)
         k = stop - start
         rng = substream(config.seed, chunk)
@@ -293,6 +312,14 @@ def _run_chunked(config: SimConfig, capture_steps=()):
         over_all[start:stop] = over
         for j, values in caps.items():
             captured[j][start:stop] = values
+
+    n_chunks = -(-n // CHUNK_SIZE)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(cpus, n_chunks)) as pool:
+        list(pool.map(run, range(n_chunks)))  # re-raises a worker's exception here
     n_over = int(np.count_nonzero(over_all))
     if n_over:
         log.warning("excluded %d of %d users whose balance overflowed 2^62 satoshi", n_over, n)

@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,14 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel, TrendResult
+from balancegrowth import io as bg_io
 from balancegrowth.cli import build_parser, main
 from balancegrowth.io import (
+    _format_cells,
     _read_csv,
     json_text,
     parse_sim_config,
     read_panel_csv,
     read_snapshot_csv,
     read_values_csv,
+    write_csv,
     write_panel_csv,
     write_snapshot_csv,
 )
@@ -263,6 +267,50 @@ class TestReaderMatchesCsvModule:
         assert x.tolist() == [row[0] for _, row in reference]
         assert y.tolist() == [row[1] for _, row in reference]
         assert [line(i) for i in range(len(reference))] == [lineno for lineno, _ in reference]
+
+
+# any text a cell may hold: no comma, quote, CR, LF, NUL, or lone surrogate
+SAFE_TEXT = st.text(st.characters(blacklist_characters=',"\r\n\0', blacklist_categories=("Cs",)), max_size=5)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+FLOAT = st.one_of(
+    st.floats(), st.integers(-(2**64), 2**64).map(float), st.sampled_from([-0.0, 2.0**63, -(2.0**63), 2.0**63 - 1024])
+)
+
+
+class TestWriterMatchesJoin:
+    """The chunked `%`-format writer against a per-cell `str` and `",".join` reference."""
+
+    @staticmethod
+    def _reference(columns):
+        cells = [_format_cells(np.asarray(values)) for values in columns.values()]
+        return ",".join(columns) + "\n" + "".join(line + "\n" for line in map(",".join, zip(*cells)))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(INT64, FLOAT, st.booleans(), SAFE_TEXT, st.one_of(INT64, FLOAT, SAFE_TEXT, st.none())),
+            max_size=12,
+        ),
+        rows_per_chunk=st.integers(1, 5),
+    )
+    @example(
+        rows=[(2**63 - 1, math.nan, True, "é", None), (-(2**63 - 1), -0.0, False, "漢字 ", 2.5)],
+        rows_per_chunk=1,
+    )
+    @example(rows=[(0, math.inf, True, "", -math.inf), (7, 1e300, False, "x", "ü")], rows_per_chunk=5)
+    def test_bytes(self, tmp_path_factory, rows, rows_per_chunk):
+        ints, reals, flags, texts, objects = (list(col) for col in zip(*rows)) if rows else ([],) * 5
+        columns = {
+            "i": np.array(ints, dtype=np.int64),
+            "f": np.array(reals, dtype=np.float64),
+            "b": np.array(flags, dtype=bool),
+            "t": np.array(texts, dtype=str),
+            "o": np.array(objects, dtype=object),
+        }
+        path = tmp_path_factory.mktemp("csv") / "w.csv"
+        with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_chunk):
+            write_csv(path, columns)
+        assert path.read_bytes() == self._reference(columns).encode("utf-8")
 
 
 class TestValuesCsvContract:

@@ -96,6 +96,14 @@ class TestBuildPanel:
         assert snap.balances.dtype == np.int64
         assert snap.balances.tolist() == [2**53, 5]
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["sorted", "shuffled"])
+    def test_sorted_copy_never_aliases_input(self, order):
+        ids = np.array(["a", "b", "c", "d"])[order]
+        balances = np.array([1, 2, 3, 4], dtype=np.int64)[order]
+        snap = BalanceSnapshot(D0, ids, balances)
+        assert snap.user_ids.tolist() == ["a", "b", "c", "d"] and snap.balances.tolist() == [1, 2, 3, 4]
+        assert not np.shares_memory(snap.user_ids, ids) and not np.shares_memory(snap.balances, balances)
+
     def test_join_reproduces_source_snapshots(self, rng):
         # users absent on one side must read 0 there, all others their balance
         users = [f"u{i}" for i in range(500)]

@@ -91,6 +91,11 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     assert _fresh_python("import sys, balancegrowth, balancegrowth.cli\n" + LOADED_SCIPY) == ""
 
 
+def test_cli_import_leaves_thread_pool_unloaded():
+    # the simulator imports its executor where it runs the chunks
+    assert _fresh_python("import sys, balancegrowth.cli, balancegrowth.sim\nprint('concurrent.futures' in sys.modules)") == "False"
+
+
 def test_simulate_and_estimate_load_no_scipy(tmp_path):
     (tmp_path / "sim.cfg").write_text(
         "model = two_regime\nn_users = 4000\nseed = 5\nhorizon_days = 14\ns0_law = lognormal\n"

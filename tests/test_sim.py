@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 from balancegrowth import (
     ConfigError,
     InitialLaw,
+    MalformedInputError,
     RegimeParams,
     Schedule,
     SimConfig,
@@ -18,6 +20,7 @@ from balancegrowth import (
     snapshot_series,
 )
 from balancegrowth.panel import GROUP_INACTIVE, build_panel
+from balancegrowth.sim import CHUNK_SIZE
 
 
 class TestGbmExact:
@@ -143,6 +146,11 @@ class TestEuler:
         args = {"s0": np.full(3, 100.0), "z": np.zeros((4, 3)), "step_days": 1.0, "params": RegimeParams(mu=0.1)}
         with pytest.raises(ConfigError):
             euler_paths(**{**args, **kwargs})
+
+    @pytest.mark.parametrize("columns", [1, 2], ids=["one_column_for_three", "two_columns_for_three"])
+    def test_euler_paths_needs_a_column_per_user(self, columns):
+        with pytest.raises(MalformedInputError, match=r"z must have shape \(n_steps, n_users\)"):
+            euler_paths(np.array([100.0, 200.0, 300.0]), np.ones((2, columns)), 1.0, RegimeParams(sigma=0.1))
 
     def test_euler_paths_empty_population(self):
         final, over = euler_paths(np.empty(0), np.empty((5, 0)), 1.0, RegimeParams(mu=0.1, sigma=0.2))
@@ -298,3 +306,50 @@ class TestSnapshots:
         snaps = snapshot_series(config, [0, 10])
         assert snaps[0].date == dt.date(2016, 1, 23)
         assert snaps[1].date == dt.date(2016, 2, 2)
+
+
+class TestSchedule:
+    """Each user chunk draws from its own substream, so the worker count changes no bit."""
+
+    CONFIGS = {
+        "two_regime_partial_chunk": SimConfig(
+            n_users=2 * CHUNK_SIZE + 123, s0_law=InitialLaw.lognormal(math.log(1e8), 2.0), horizon_days=6,
+            poor=RegimeParams(0.9, 5e-3, 0.95, 0.01), wealthy=RegimeParams(1.1, -5e-4, 1.0, 0.005),
+            s_star=1e9, step_days=1, seed=21,
+        ),
+        "under_one_chunk": SimConfig(
+            n_users=500, s0_law=InitialLaw.pareto(2.5, 1e6), horizon_days=4,
+            poor=RegimeParams(0.8, 1e-3, 0.9, 0.02), step_days=2, seed=22,
+        ),
+        "overflow": SimConfig(
+            n_users=CHUNK_SIZE + 77, s0_law=InitialLaw.lognormal(math.log(1e12), 3.0), horizon_days=6,
+            poor=RegimeParams(0.9, 5e-3, 0.95, 0.01), wealthy=RegimeParams(1.6, 0.5, 1.0, 0.05),
+            s_star=1e15, step_days=2, seed=11,
+        ),
+    }
+
+    @staticmethod
+    def _outputs(config):
+        panel = simulate_two_regime(config)
+        snaps = snapshot_series(config, range(0, config.horizon_days + 1, config.step_days))
+        arrays = [panel.user_ids, panel.s0, panel.s1]
+        for snap in snaps:
+            arrays += [snap.user_ids, snap.balances]
+        return panel.meta["n_overflow"], arrays
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_worker_count_changes_no_bit(self, monkeypatch, name):
+        config = self.CONFIGS[name]
+        outputs = []
+        for cpus in ({0}, {0, 1, 2, 3}, None):
+            if cpus is None:  # no affinity call: fall back to the CPU count
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            outputs.append(self._outputs(config))
+        (n_over, serial), *others = outputs
+        assert (n_over > 0) == (name == "overflow") and n_over < config.n_users
+        for other_over, arrays in others:
+            assert other_over == n_over
+            assert all(np.array_equal(a, b) for a, b in zip(serial, arrays, strict=True))
+
