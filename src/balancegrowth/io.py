@@ -24,15 +24,13 @@ import numpy as np
 
 from . import __version__ as _version
 from .errors import ConfigError, MalformedInputError
-from .panel import BalanceSnapshot, TransitionPanel, assign_groups
+from .panel import BalanceSnapshot, TransitionPanel
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
 
 SNAPSHOT_SCHEMA = [("user_id", "str"), ("balance", "int")]
 PANEL_SCHEMA = [("user_id", "str"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "str")]
 
 _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number"}
-# panel balances at or beyond this magnitude are held as float64
-_EXACT_LIMIT = 2**62
 _ROWS_PER_CHUNK = 1 << 16
 
 _DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
@@ -80,7 +78,7 @@ def write_csv(path, columns: dict):
     an error; the file is then left as it was.
 
     Each chunk of rows is one `%`-format over its cells in row order;
-    `%s` of an int or a bool is its `str`.
+    `%s` of an int, a bool or a str is its `str`.
     """
     arrays = [np.asarray(values) for values in columns.values()]
     n = len(arrays[0]) if arrays else 0
@@ -93,15 +91,12 @@ def write_csv(path, columns: dict):
             k = len(block[0])
             flat = np.empty(k * m, dtype=object)
             for i, (name, a) in enumerate(zip(columns, block)):
-                if a.dtype.kind in "biu":
-                    col = a.tolist()
-                else:
-                    col = _format_cells(a)
-                    if a.dtype.kind != "f" and _unsafe("".join(col)):
-                        cell = next(filter(_unsafe, col))
-                        raise MalformedInputError(
-                            f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR LF or NUL"
-                        )
+                col = a.tolist() if a.dtype.kind in "biuU" else _format_cells(a)
+                if a.dtype.kind not in "biuf" and _unsafe("".join(col)):
+                    cell = next(filter(_unsafe, col))
+                    raise MalformedInputError(
+                        f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR LF or NUL"
+                    )
                 flat[i::m] = col
             yield (("%s," * (m - 1) + "%s\n") * k) % tuple(flat)
 
@@ -299,33 +294,33 @@ def write_panel_csv(path, panel: TransitionPanel):
 
 
 def read_panel_csv(path, t0: dt.date | None = None, dt_days: int | None = None) -> TransitionPanel:
-    """Load a panel CSV. Group labels are validated against s0/ds.
+    """Load a panel CSV. Its ds and group cells are checked against s0 and s1.
 
-    Balances are int64 when every one is an integer below 2**62 in
-    magnitude, so integer panels round-trip exactly; otherwise float64.
+    Balances are int64 when every s0, s1 and ds cell is an int64, so
+    integer panels round-trip exactly; otherwise float64, and back to
+    int64 when every balance is integral and below 2**63.
     """
     (ids, s0, s1, ds, groups), line = _read_csv(path, PANEL_SCHEMA)
-    numbers = (s0, s1, ds)
-    if not all(c.dtype == np.int64 and np.all((-_EXACT_LIMIT < c) & (c < _EXACT_LIMIT)) for c in numbers):
-        s0, s1, ds = (c.astype(np.float64) for c in numbers)
-    bad = np.flatnonzero(ds != s1 - s0)
+    if not all(c.dtype == np.int64 for c in (s0, s1, ds)):
+        s0, s1, ds = (c.astype(np.float64) for c in (s0, s1, ds))
+    negative = np.flatnonzero((s0 < 0) | (s1 < 0))
+    if negative.size:
+        i = int(negative[0])
+        raise MalformedInputError(f"{path}:{line(i)}: negative balance {min(s0[i], s1[i])}")
+    if s0.dtype == np.float64 and all(np.all((c == np.floor(c)) & (c < 2**63)) for c in (s0, s1)):
+        s0, s1 = s0.astype(np.int64), s1.astype(np.int64)
+    panel = TransitionPanel(t0=t0, dt_days=dt_days, user_ids=ids, s0=s0, s1=s1)
+    # an exact int64 difference rounds to the float64 one, so the check does not depend on the cast
+    bad = np.flatnonzero(ds != panel.ds)
     if bad.size:
         raise MalformedInputError(f"{path}:{line(int(bad[0]))}: ds does not equal s1 - s0")
-    if s0.dtype == np.float64 and s0.size and all(
-        np.all(c == np.floor(c)) and np.all(np.abs(c) < _EXACT_LIMIT) for c in (s0, s1)
-    ):
-        s0, s1 = s0.astype(np.int64), s1.astype(np.int64)
-    ds = s1 - s0
-    expected = assign_groups(s0, ds)
-    mismatch = np.flatnonzero(groups != expected)
+    mismatch = np.flatnonzero(groups != panel.group)
     if mismatch.size:
         i = int(mismatch[0])
         raise MalformedInputError(
             f"{path}:{line(i)}: group label {str(groups[i])!r} inconsistent with s0/ds"
         )
-    return TransitionPanel(
-        t0=t0, dt_days=dt_days, user_ids=ids, s0=s0, s1=s1, ds=ds, group=expected
-    )
+    return panel
 
 
 def read_values_csv(path) -> np.ndarray:

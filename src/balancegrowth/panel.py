@@ -2,11 +2,13 @@
 
 A snapshot is a dated set of per-user balances in satoshi (1 bitcoin =
 10^8 satoshi). Two snapshots joined over a horizon form a transition
-panel of (s0, s1, ds) rows, which every downstream estimator consumes.
+panel of (s0, s1) rows, with ds = s1 - s0, which every downstream
+estimator consumes.
 """
 
 import datetime as dt
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,11 +89,13 @@ class BalanceSnapshot:
 
 @dataclass(frozen=True)
 class TransitionPanel:
-    """Joined snapshot pair: one row per user with (s0, s1, ds) over the horizon.
+    """Joined snapshot pair: one row per user with (s0, s1) over the horizon.
 
-    Group labels: 'A' for s0 > 0 and ds != 0 (traded), 'B' for s0 > 0 and
-    ds == 0 (held), '' for rows entering at s0 = 0. `dt_days` is None for
-    panels loaded from CSV, where the horizon is not part of the format.
+    `ds = s1 - s0` and the activity `group` are derived from s0 and s1
+    on first use, so they always agree with them. Group labels: 'A' for
+    s0 > 0 and ds != 0 (traded), 'B' for s0 > 0 and ds == 0 (held), ''
+    for rows entering at s0 = 0. `dt_days` is None for panels loaded
+    from CSV, where the horizon is not part of the format.
     """
 
     t0: dt.date | None
@@ -99,19 +103,25 @@ class TransitionPanel:
     user_ids: np.ndarray
     s0: np.ndarray
     s1: np.ndarray
-    ds: np.ndarray
-    group: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.dt_days is not None and self.dt_days <= 0:
             raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
         n = self.user_ids.size
-        for name in ("s0", "s1", "ds", "group"):
+        for name in ("s0", "s1"):
             if getattr(self, name).shape != (n,):
                 raise MalformedInputError(f"panel column {name} misaligned")
         if n and (np.any(self.s0 < 0) or np.any(self.s1 < 0)):
             raise MalformedInputError("panel balances must be non-negative")
+
+    @cached_property
+    def ds(self) -> np.ndarray:
+        return self.s1 - self.s0
+
+    @cached_property
+    def group(self) -> np.ndarray:
+        return assign_groups(self.s0, self.ds)
 
     @property
     def n_rows(self) -> int:
@@ -120,14 +130,7 @@ class TransitionPanel:
     def take(self, mask: np.ndarray, meta: dict | None = None) -> "TransitionPanel":
         """Row subset with the same horizon metadata."""
         return TransitionPanel(
-            t0=self.t0,
-            dt_days=self.dt_days,
-            user_ids=self.user_ids[mask],
-            s0=self.s0[mask],
-            s1=self.s1[mask],
-            ds=self.ds[mask],
-            group=self.group[mask],
-            meta=dict(meta or {}),
+            self.t0, self.dt_days, self.user_ids[mask], self.s0[mask], self.s1[mask], dict(meta or {})
         )
 
 
@@ -196,16 +199,7 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
     s1 = np.zeros(ids.size, dtype=np.int64)
     s0[code[: snap0.n_users]] = snap0.balances
     s1[code[snap0.n_users :]] = snap1.balances
-    ds = s1 - s0
-    return TransitionPanel(
-        t0=snap0.date,
-        dt_days=(snap1.date - snap0.date).days,
-        user_ids=ids,
-        s0=s0,
-        s1=s1,
-        ds=ds,
-        group=assign_groups(s0, ds),
-    )
+    return TransitionPanel(t0=snap0.date, dt_days=(snap1.date - snap0.date).days, user_ids=ids, s0=s0, s1=s1)
 
 
 def filter_active(panel: TransitionPanel) -> TransitionPanel:

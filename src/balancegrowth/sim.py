@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import ConfigError, MalformedInputError
-from .panel import BalanceSnapshot, TransitionPanel, assign_groups
+from .panel import BalanceSnapshot, TransitionPanel
 
 # balances above this are not representable as int64 satoshi
 OVERFLOW_LIMIT = float(2**62)
@@ -387,16 +387,12 @@ def simulate_two_regime(config: SimConfig) -> TransitionPanel:
     else:
         model = "two_regime" if config.wealthy is not None else "power_sde"
     keep = ~over
-    s0, s1 = s0[keep], s1[keep]
-    ds = s1 - s0
     return TransitionPanel(
         t0=config.t0,
         dt_days=math.ceil(config.horizon_days),
         user_ids=_user_ids(config.n_users)[keep],
-        s0=s0,
-        s1=s1,
-        ds=ds,
-        group=assign_groups(s0, ds),
+        s0=s0[keep],
+        s1=s1[keep],
         meta={
             "model": model,
             "n_overflow": int(np.count_nonzero(over)),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from balancegrowth import BalanceSnapshot, TransitionPanel
-from balancegrowth.panel import assign_groups
 
 D0 = dt.date(2016, 1, 23)
 D28 = dt.date(2016, 2, 20)
@@ -21,16 +20,7 @@ def panel_from_rows(rows, t0=D0, dt_days=28):
     s1 = np.array([r[2] for r in rows], dtype=np.float64)
     order = np.argsort(ids)
     ids, s0, s1 = ids[order], s0[order], s1[order]
-    ds = s1 - s0
-    return TransitionPanel(
-        t0=t0,
-        dt_days=dt_days,
-        user_ids=ids,
-        s0=s0,
-        s1=s1,
-        ds=ds,
-        group=assign_groups(s0, ds),
-    )
+    return TransitionPanel(t0=t0, dt_days=dt_days, user_ids=ids, s0=s0, s1=s1)
 
 
 @pytest.fixture

@@ -29,7 +29,6 @@ from balancegrowth.io import (
     write_panel_csv,
     write_snapshot_csv,
 )
-from balancegrowth.panel import assign_groups
 from balancegrowth.sim import SCHEME_EXACT, Schedule
 
 from conftest import D0, panel_from_rows, snapshot
@@ -131,6 +130,27 @@ class TestPanelCsv:
         write(path, "user_id,s0,s1,ds,group\na,5,7,2,B\n")
         with pytest.raises(MalformedInputError, match="group"):
             read_panel_csv(path)
+
+    @pytest.mark.parametrize("cell, dtype", [("4611686018427387904.0", np.int64), ("9223372036854775808", np.float64)])
+    def test_integral_float_balances_below_2_63_read_as_int64(self, tmp_path, cell, dtype):
+        path = tmp_path / "p.csv"
+        write(path, f"user_id,s0,s1,ds,group\na,{cell},0,-{cell},A\n")
+        loaded = read_panel_csv(path)
+        assert loaded.s0.dtype == loaded.s1.dtype == dtype
+        assert loaded.s0.tolist() == [dtype(float(cell))] and loaded.group.tolist() == ["A"]
+
+    @pytest.mark.parametrize("row", ["b,-3,4,7,", "b,4,-3,-7,A", "b,-3.5,4,7.5,"])
+    def test_negative_balance_names_line(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        write(path, f"user_id,s0,s1,ds,group\na,5,7,2,A\n{row}\n")
+        with pytest.raises(MalformedInputError, match=r"p\.csv:3: negative balance -3"):
+            read_panel_csv(path)
+
+    def test_estimate_names_line_of_negative_balance(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        write(path, "user_id,s0,s1,ds,group\na,5,7,2,A\nb,-3,4,7,\n")
+        assert main(["estimate", str(path), "est", "--out", str(tmp_path), "--quiet"]) == 2
+        assert "p.csv:3: negative balance -3" in capsys.readouterr().err
 
 
 class TestReaderContract:
@@ -356,7 +376,7 @@ class TestValuesCsvContract:
 
 
 ROUND_TRIP = settings(derandomize=True, max_examples=60, deadline=None)
-SATOSHI = st.integers(0, 2**62 - 1)
+SATOSHI = st.integers(0, 2**63 - 1)
 
 
 def _ids(n):
@@ -367,6 +387,7 @@ class TestIntegerRoundTrip:
     @ROUND_TRIP
     @given(balances=st.lists(SATOSHI, min_size=1, max_size=30))
     @example(balances=[2**62 - 1, 2**53 + 1, 0])
+    @example(balances=[2**62, 2**63 - 1])
     def test_snapshot(self, balances):
         snap = BalanceSnapshot(D0, _ids(len(balances)), np.array(balances, dtype=np.int64))
         with tempfile.TemporaryDirectory() as tmp:
@@ -378,11 +399,12 @@ class TestIntegerRoundTrip:
     @ROUND_TRIP
     @given(pairs=st.lists(st.tuples(SATOSHI, SATOSHI), min_size=1, max_size=30))
     @example(pairs=[(2**60, 2**60 + 1)])
+    @example(pairs=[(2**62, 2**62 - 1)])
+    @example(pairs=[(2**63 - 1, 0), (0, 2**63 - 1), (2**63 - 1, 2**63 - 1)])
     def test_panel(self, pairs):
         s0 = np.array([a for a, _ in pairs], dtype=np.int64)
         s1 = np.array([b for _, b in pairs], dtype=np.int64)
-        ds = s1 - s0
-        panel = TransitionPanel(None, None, _ids(len(pairs)), s0, s1, ds, assign_groups(s0, ds))
+        panel = TransitionPanel(None, None, _ids(len(pairs)), s0, s1)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "panel.csv"
             write_panel_csv(path, panel)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from decimal import Decimal
 
@@ -10,6 +11,7 @@ from balancegrowth import (
     BalanceSnapshot,
     HorizonError,
     MalformedInputError,
+    TransitionPanel,
     build_panel,
     filter_active,
     taxonomy,
@@ -169,6 +171,50 @@ class TestJoinProperties:
         for name in ("user_ids", "s0", "s1", "ds", "group"):
             a, b = getattr(panel, name), getattr(shuffled, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(users=USERS, data=st.data())
+    def test_either_side_in_any_row_order(self, users, data):
+        snaps = [_side(users, 0, D0), _side(users, 1, D28)]
+        panel = build_panel(*snaps)
+        for k, snap in enumerate(snaps):
+            order = data.draw(st.permutations(range(snap.n_users)))
+            pair = list(snaps)
+            pair[k] = BalanceSnapshot(snap.date, snap.user_ids[order], snap.balances[order])
+            shuffled = build_panel(*pair)
+            for name in ("user_ids", "s0", "s1", "ds", "group"):
+                a, b = getattr(panel, name), getattr(shuffled, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(users=USERS, pick=st.sets(st.text(alphabet="ab_0é", min_size=1, max_size=6)))
+    @example(users=IDENTICAL, pick={"a", "é0"})
+    @example(users=DISJOINT, pick=set())
+    def test_rows_of_a_subset_are_the_join_of_that_subset(self, users, pick):
+        pick = pick | set(list(users)[::2])  # most drawn ids are not in `users`
+        panel = build_panel(_side(users, 0, D0), _side(users, 1, D28))
+        part = build_panel(
+            _side({u: b for u, b in users.items() if u in pick}, 0, D0),
+            _side({u: b for u, b in users.items() if u in pick}, 1, D28),
+        )
+        rows = np.isin(panel.user_ids, list(pick))
+        for name in ("user_ids", "s0", "s1", "ds", "group"):
+            assert getattr(panel, name)[rows].tolist() == getattr(part, name).tolist()
+
+
+class TestTransitionPanel:
+    def test_fields_are_ids_and_balances(self):
+        names = [f.name for f in dataclasses.fields(TransitionPanel)]
+        assert names == ["t0", "dt_days", "user_ids", "s0", "s1", "meta"]
+
+    def test_ds_and_group_follow_s0_and_s1(self):
+        panel = TransitionPanel(None, None, np.array(["x", "y", "z"]), np.array([5, 4, 0]), np.array([7, 4, 3]))
+        assert panel.ds.tolist() == [2, 0, 3]
+        assert panel.group.tolist() == [GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE]
+        active = filter_active(panel)
+        assert active.user_ids.tolist() == ["x"] and active.ds.tolist() == [2]
+        tax = taxonomy(panel)
+        assert (tax.vertical, tax.horizontal, tax.interior) == (1, 1, 1)
 
 
 class TestFilterActive:

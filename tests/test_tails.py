@@ -15,6 +15,7 @@ from balancegrowth import (
     fit_lognormal,
     fit_power_law,
     threshold_sweep,
+    umpu_wilks,
 )
 from balancegrowth import tails
 from balancegrowth.cli import main
@@ -426,6 +427,33 @@ class TestSweepOracle:
         got = threshold_sweep(data, 1e8, step)
         assert len(got) == 151
         assert_rows_match(got, sweep_reference(data, 1e8, step, 100, 0.05), 0.05)
+
+
+@st.composite
+def tied_cases(draw):
+    """Integer data in which the threshold `t` occurs at least twice; at least 10
+    values lie above it, many of them tied, and the largest value occurs once."""
+    t = draw(st.integers(1, 10**6))
+    below = draw(st.lists(st.integers(1, t), max_size=30))
+    above = draw(st.lists(st.integers(t + 1, t + 12), min_size=10, max_size=60))
+    x = np.array(below + [t] * draw(st.integers(2, 5)) + above + [t + 13], dtype=np.float64)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(x), float(t)
+
+
+class TestThresholdConventionsAtTies:
+    """Tail fits keep x >= xmin and the exponentiality test keeps x > threshold,
+    also when the threshold equals a tied datum."""
+
+    @ORACLE
+    @given(case=tied_cases(), step=st.integers(1, 4))
+    def test_tail_membership(self, case, step):
+        x, t = case
+        assert fit_power_law(x, xmin=t).n_tail == np.count_nonzero(x >= t)
+        assert umpu_wilks(x, t, method="asymptotic").n_tail == np.count_nonzero(x > t)
+        rows = threshold_sweep(x, t, float(step), min_tail=2)
+        assert rows and rows[0].xmin == t
+        for row in rows:
+            assert row.n_tail == compare_tails(x, row.xmin).n_tail == np.count_nonzero(x >= row.xmin)
 
 
 def mp_truncated_moments(d):
