@@ -10,17 +10,7 @@ produce bit-identical results.
 import numpy as np
 
 
-def child_sequence(base: int | np.random.SeedSequence, *path: int) -> np.random.SeedSequence:
-    """Seed sequence for the substream at `path` under `base`."""
-    if isinstance(base, np.random.SeedSequence):
-        entropy = base.entropy
-        prefix = tuple(base.spawn_key)
-    else:
-        entropy = int(base)
-        prefix = ()
-    return np.random.SeedSequence(entropy=entropy, spawn_key=prefix + tuple(int(k) for k in path))
-
-
-def substream(base: int | np.random.SeedSequence, *path: int) -> np.random.Generator:
-    """Generator for the substream at `path` under `base`."""
-    return np.random.default_rng(child_sequence(base, *path))
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """Generator for the substream at `path` under `seed`."""
+    sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in path))
+    return np.random.default_rng(sequence)

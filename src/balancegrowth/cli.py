@@ -9,6 +9,7 @@ run id that the result JSONs reference.
 
 import argparse
 import datetime as dt
+import hashlib
 import logging
 import math
 import secrets
@@ -27,36 +28,41 @@ log = logging.getLogger("balancegrowth")
 
 
 class _Run:
-    """Collects outputs for the manifest and writes it last.
+    """Holds the run's manifest as one dict, records each output in it and writes it last.
 
-    The parameter echo is every parsed argument except those that only
-    place outputs or set logging, and the seed, which the manifest
-    records on its own; so the run id covers every flag that can change
-    an output.
+    `run_id` hashes the command, the parameter echo, the input digests,
+    the seed and the version; the output digests, the diagnostics (such
+    as simulated users lost to overflow) and the wall-clock duration lie
+    outside it. The parameter echo is every parsed argument except those
+    that only place outputs or set logging, and the seed, which the
+    manifest records on its own; so the run id covers every flag that
+    can change an output.
     """
 
     _NOT_ECHOED = {"command", "func", "seed", "entropy", "quiet", "out", "out_path", "out_prefix", "prefix"}
 
     def __init__(self, args: argparse.Namespace, inputs: list):
         self.started = time.monotonic()
-        self.manifest = io.RunManifest(
-            command=args.command,
-            parameters={k: v for k, v in vars(args).items() if k not in self._NOT_ECHOED},
-            inputs={str(p): io.file_sha256(p) for p in inputs},
-            seed=args.seed,
-        )
+        ident = {
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k not in self._NOT_ECHOED},
+            "inputs": {str(p): io.file_sha256(p) for p in inputs},
+            "seed": args.seed,
+            "version": __version__,
+        }
+        run_id = hashlib.sha256(io.json_text(ident).encode("utf-8")).hexdigest()[:16]
+        self.manifest = {**ident, "run_id": run_id, "outputs": {}, "diagnostics": {}}
 
     def write(self, path, payload, writer=None):
         """Write one output and record its digest; with no writer, a result JSON stamped with the run id."""
         if writer is None:
-            writer, payload = io.write_json, {**payload, "run_id": self.manifest.run_id}
+            writer, payload = io.write_json, {**payload, "run_id": self.manifest["run_id"]}
         writer(path, payload)
-        self.manifest.outputs[str(path)] = io.file_sha256(path)
+        self.manifest["outputs"][str(path)] = io.file_sha256(path)
         log.info("wrote %s", path)
 
     def close(self, manifest_path):
-        self.manifest.duration_s = time.monotonic() - self.started
-        io.write_json(manifest_path, self.manifest)
+        io.write_json(manifest_path, {**self.manifest, "duration_s": time.monotonic() - self.started})
         log.info("wrote %s", manifest_path)
 
 
@@ -295,7 +301,7 @@ def cmd_simulate(args) -> int:
     run = _Run(args, [args.config])
     parsed = io.parse_sim_config(args.config)
     snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
-    run.manifest.diagnostics["n_overflow"] = parsed.sim.n_users - snaps[0].n_users
+    run.manifest["diagnostics"]["n_overflow"] = parsed.sim.n_users - snaps[0].n_users
     for snap in snaps:
         run.write(Path(f"{prefix}.snapshot_{snap.date.isoformat()}.csv"), snap, io.write_snapshot_csv)
     if len(snaps) >= 2:

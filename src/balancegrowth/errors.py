@@ -22,12 +22,7 @@ class DegenerateTailError(BalanceGrowthError):
 
 
 class FitConvergenceError(BalanceGrowthError):
-    """Optimizer exhausted its budget; carries the best iterate found."""
-
-    def __init__(self, message, best_params=None, best_loglik=None):
-        super().__init__(message)
-        self.best_params = best_params
-        self.best_loglik = best_loglik
+    """A numerical solve in a fit did not bracket its root or did not converge."""
 
 
 class RegimeMixError(BalanceGrowthError):

@@ -1,4 +1,4 @@
-"""File formats: snapshot/panel CSV, result JSON, sim config, run manifest.
+"""File formats: snapshot/panel CSV, result JSON, sim config.
 
 Snapshot CSV: header `user_id,balance`, balance as decimal integer
 satoshi, UTF-8, LF line endings. Panel CSV: header
@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__ as _version
 from .errors import ConfigError, MalformedInputError
 from .panel import BalanceSnapshot, TransitionPanel
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
@@ -293,24 +292,24 @@ def write_panel_csv(path, panel: TransitionPanel):
     write_csv(path, columns)
 
 
-def read_panel_csv(path, t0: dt.date | None = None, dt_days: int | None = None) -> TransitionPanel:
+def read_panel_csv(path) -> TransitionPanel:
     """Load a panel CSV. Its ds and group cells are checked against s0 and s1.
 
-    Balances are int64 when every s0, s1 and ds cell is an int64, so
+    Balances are int64 when every s0 and s1 cell is an int64, so
     integer panels round-trip exactly; otherwise float64, and back to
     int64 when every balance is integral and below 2**63.
     """
     (ids, s0, s1, ds, groups), line = _read_csv(path, PANEL_SCHEMA)
-    if not all(c.dtype == np.int64 for c in (s0, s1, ds)):
-        s0, s1, ds = (c.astype(np.float64) for c in (s0, s1, ds))
+    if s0.dtype != s1.dtype:
+        s0, s1 = s0.astype(np.float64), s1.astype(np.float64)
     negative = np.flatnonzero((s0 < 0) | (s1 < 0))
     if negative.size:
         i = int(negative[0])
         raise MalformedInputError(f"{path}:{line(i)}: negative balance {min(s0[i], s1[i])}")
     if s0.dtype == np.float64 and all(np.all((c == np.floor(c)) & (c < 2**63)) for c in (s0, s1)):
         s0, s1 = s0.astype(np.int64), s1.astype(np.int64)
-    panel = TransitionPanel(t0=t0, dt_days=dt_days, user_ids=ids, s0=s0, s1=s1)
-    # an exact int64 difference rounds to the float64 one, so the check does not depend on the cast
+    panel = TransitionPanel(t0=None, dt_days=None, user_ids=ids, s0=s0, s1=s1)
+    # beside a float ds cell, an exact int64 difference is compared rounded to float64
     bad = np.flatnonzero(ds != panel.ds)
     if bad.size:
         raise MalformedInputError(f"{path}:{line(int(bad[0]))}: ds does not equal s1 - s0")
@@ -513,33 +512,3 @@ def parse_sim_config(path) -> ParsedSimConfig:
         **regimes,
     )
     return ParsedSimConfig(model=model, emit_days=emit_days, sim=sim)
-
-
-# ---------------------------------------------------------------------------
-# run manifests
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Reproducibility record for one CLI run.
-
-    The run id hashes the command, parameters, input digests, seed, and
-    version; the wall-clock duration is recorded but excluded from the
-    id. Output files produced by the run are listed with their digests,
-    and run diagnostics (such as simulated users lost to overflow) under
-    `diagnostics`, also outside the id.
-    """
-
-    command: str
-    parameters: dict
-    inputs: dict
-    seed: int
-    version: str = _version
-    duration_s: float = 0.0
-    outputs: dict = dataclasses.field(default_factory=dict)
-    diagnostics: dict = dataclasses.field(default_factory=dict)
-    run_id: str = dataclasses.field(init=False)
-
-    def __post_init__(self):
-        ident = {key: getattr(self, key) for key in ("command", "parameters", "inputs", "seed", "version")}
-        self.run_id = hashlib.sha256(json_text(ident).encode("utf-8")).hexdigest()[:16]

@@ -202,20 +202,17 @@ def _user_ids(n: int) -> np.ndarray:
     return text.view(f"S{width + 1}").ravel().astype(f"U{width + 1}")
 
 
-def _integrate(config: SimConfig, s0: np.ndarray, z_at, capture_steps=()):
+def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):
     """Step the update of `config.scheme` from s0, absorbing at 0 and flagging overflow.
 
     `z_at(j)` supplies the standard-normal draws of step j. Returns the
-    final balances, the overflow mask (overflowed entries read +inf),
-    and captured copies keyed by step index.
+    overflow mask and a list of the balances after each step in `steps`
+    (step 0 is s0), where overflowed entries read +inf.
     """
     S = np.asarray(s0, dtype=np.float64).copy()
     over = ~np.isfinite(S) | (S > OVERFLOW_LIMIT)
     S[over] = np.inf
-    captures = {}
-    capture_steps = set(capture_steps)
-    if 0 in capture_steps:
-        captures[0] = S.copy()
+    captures = {0: S} if 0 in steps else {}  # each step makes a new S, so no capture is written over
     poor, wealthy, s_star = config.poor, config.wealthy, config.s_star
     h = float(config.step_days)
     sqrt_h = math.sqrt(h)
@@ -247,9 +244,9 @@ def _integrate(config: SimConfig, s0: np.ndarray, z_at, capture_steps=()):
         over |= bad
         s_new[over] = np.inf
         S = s_new
-        if (j + 1) in capture_steps:
-            captures[j + 1] = S.copy()
-    return S, over, captures
+        if j + 1 in steps:
+            captures[j + 1] = S
+    return over, [captures[j] for j in steps]
 
 
 def euler_paths(
@@ -281,24 +278,24 @@ def euler_paths(
         step_days=step_days,
         regime_mode=regime_mode,
     )
-    final, over, _ = _integrate(config, s0, lambda j: z[j])
+    over, (final,) = _integrate(config, s0, lambda j: z[j], (config.n_steps,))
     return final, over
 
 
-def _run_chunked(config: SimConfig, capture_steps=()):
+def _run_chunked(config: SimConfig, steps):
     """Draw and integrate each user chunk on its own substream, on every usable CPU.
 
-    NumPy's ufuncs and `Generator.standard_normal` release the GIL, and
-    each chunk writes only its own slice of the outputs, so the threads
-    share no state and any worker count gives the same bits.
+    Returns the ids of the users that never overflowed and a list of
+    their balances after each step in `steps`. NumPy's ufuncs and
+    `Generator.standard_normal` release the GIL, and each chunk writes
+    only its own slice of the outputs, so the threads share no state and
+    any worker count gives the same bits.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     n = config.n_users
-    s0_all = np.empty(n, dtype=np.float64)
-    s1_all = np.empty(n, dtype=np.float64)
     over_all = np.empty(n, dtype=bool)
-    captured = {j: np.empty(n, dtype=np.float64) for j in capture_steps}
+    captured = [np.empty(n, dtype=np.float64) for _ in steps]
 
     def run(chunk: int):
         start = chunk * CHUNK_SIZE
@@ -306,12 +303,10 @@ def _run_chunked(config: SimConfig, capture_steps=()):
         k = stop - start
         rng = substream(config.seed, chunk)
         s0 = config.s0_law.draw(rng, k)
-        final, over, caps = _integrate(config, s0, lambda j: rng.standard_normal(k), capture_steps)
-        s0_all[start:stop] = s0
-        s1_all[start:stop] = final
+        over, caps = _integrate(config, s0, lambda j: rng.standard_normal(k), steps)
         over_all[start:stop] = over
-        for j, values in caps.items():
-            captured[j][start:stop] = values
+        for full, values in zip(captured, caps):
+            full[start:stop] = values
 
     n_chunks = -(-n // CHUNK_SIZE)
     try:
@@ -323,7 +318,10 @@ def _run_chunked(config: SimConfig, capture_steps=()):
     n_over = int(np.count_nonzero(over_all))
     if n_over:
         log.warning("excluded %d of %d users whose balance overflowed 2^62 satoshi", n_over, n)
-    return s0_all, s1_all, over_all, captured
+    keep = ~over_all
+    # each full-size array is dropped as soon as its kept copy is made
+    kept = [captured.pop(0)[keep] for _ in steps]
+    return _user_ids(n)[keep], kept
 
 
 def simulate_gbm_exact(
@@ -381,21 +379,20 @@ def simulate_two_regime(config: SimConfig) -> TransitionPanel:
     Overflowed users are excluded; their count lands in panel meta as
     'n_overflow'.
     """
-    s0, s1, over, _ = _run_chunked(config)
+    ids, (s0, s1) = _run_chunked(config, (0, config.n_steps))
     if config.scheme == SCHEME_EXACT:
         model = "gbm_exact"
     else:
         model = "two_regime" if config.wealthy is not None else "power_sde"
-    keep = ~over
     return TransitionPanel(
         t0=config.t0,
         dt_days=math.ceil(config.horizon_days),
-        user_ids=_user_ids(config.n_users)[keep],
-        s0=s0[keep],
-        s1=s1[keep],
+        user_ids=ids,
+        s0=s0,
+        s1=s1,
         meta={
             "model": model,
-            "n_overflow": int(np.count_nonzero(over)),
+            "n_overflow": config.n_users - ids.size,
             "step_days": config.step_days,
             "regime_mode": config.regime_mode,
             "seed": config.seed,
@@ -417,17 +414,10 @@ def snapshot_series(config: SimConfig, emit_days) -> list[BalanceSnapshot]:
             raise ConfigError(f"emit day {e} outside the horizon [0, {config.horizon_days}]")
         if e % config.step_days != 0:
             raise ConfigError(f"emit day {e} is not a multiple of step_days={config.step_days}")
-    capture_steps = {e // config.step_days for e in emits}
-    _, _, over, captured = _run_chunked(config, capture_steps=capture_steps)
-    keep = ~over
-    ids = _user_ids(config.n_users)[keep]
-    snapshots = []
-    for e in emits:
-        values = captured[e // config.step_days][keep]
-        balances = np.floor(values + 0.5).astype(np.int64)
-        snapshots.append(
-            BalanceSnapshot(
-                date=config.t0 + dt.timedelta(days=e), user_ids=ids, balances=balances
-            )
+    ids, captured = _run_chunked(config, [e // config.step_days for e in emits])
+    return [
+        BalanceSnapshot(
+            date=config.t0 + dt.timedelta(days=e), user_ids=ids, balances=np.floor(values + 0.5).astype(np.int64)
         )
-    return snapshots
+        for e, values in zip(emits, captured)
+    ]

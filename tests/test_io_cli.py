@@ -139,6 +139,12 @@ class TestPanelCsv:
         assert loaded.s0.dtype == loaded.s1.dtype == dtype
         assert loaded.s0.tolist() == [dtype(float(cell))] and loaded.group.tolist() == ["A"]
 
+    def test_integer_balances_stay_exact_beside_a_float_ds(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write(path, "user_id,s0,s1,ds,group\na,9007199254740993,0,-9007199254740993.0,A\n")
+        loaded = read_panel_csv(path)
+        assert loaded.s0.dtype == np.int64 and loaded.s0.tolist() == [9007199254740993]
+
     @pytest.mark.parametrize("row", ["b,-3,4,7,", "b,4,-3,-7,A", "b,-3.5,4,7.5,"])
     def test_negative_balance_names_line(self, tmp_path, row):
         path = tmp_path / "p.csv"
@@ -888,3 +894,16 @@ wealthy_sigma = 0.001
         assert manifest["run_id"]
         assert str(tmp_path / "g.panel.csv") in manifest["outputs"]
         assert manifest["seed"] == 101
+
+    def test_manifest_keys_and_run_id_pinned(self, tmp_path, monkeypatch):
+        """The run id hashes command, parameter echo, input digests, seed and version as JSON."""
+        monkeypatch.chdir(tmp_path)
+        write("a_2016-01-23.csv", "user_id,balance\nalice,500000000\nbob,120000\ncarol,0\ndave,30000000\n")
+        write("b_2016-02-20.csv", "user_id,balance\nalice,500000000\nbob,0\ndave,45000000\nerin,7000000\n")
+        rc = main(["panel", "a_2016-01-23.csv", "b_2016-02-20.csv", "p.csv", "--epsilon-v", "0.5", "--quiet"])
+        assert rc == 0
+        manifest = json.loads(Path("p.manifest.json").read_text())
+        assert set(manifest) == {
+            "command", "parameters", "inputs", "seed", "version", "run_id", "outputs", "diagnostics", "duration_s",
+        }
+        assert manifest["run_id"] == "dd9903d1cb3bfe4e"
