@@ -1,18 +1,18 @@
 """Command-line pipeline: panel, fit, estimate, sweep, simulate.
 
-Every subcommand is a pure function of its input files, flags, and seed:
-re-running reproduces the data outputs byte for byte. Diagnostics go to
+Every subcommand is a pure function of its input files and flags:
+re-running reproduces the data outputs byte for byte. Only `panel` (the
+Hopkins sample) and `fit` (the UMPU replicates) take `--seed`;
+`simulate` draws from its config's `seed` key. Diagnostics go to
 stderr, data to files; exit code 0 means no error was recorded. Each run
-writes a manifest JSON listing parameters, input/output digests, and a
-run id that the result JSONs reference.
+writes a manifest JSON listing parameters, input/output digests, the
+seed, and a run id that the result JSONs reference.
 """
 
 import argparse
 import datetime as dt
 import hashlib
 import logging
-import math
-import secrets
 import sys
 import time
 from pathlib import Path
@@ -22,8 +22,6 @@ import numpy as np
 from . import __version__, growth, io, panel as panel_mod, sim
 from .errors import BalanceGrowthError, MalformedInputError
 
-DEFAULT_SEED = 101
-
 log = logging.getLogger("balancegrowth")
 
 
@@ -31,23 +29,24 @@ class _Run:
     """Holds the run's manifest as one dict, records each output in it and writes it last.
 
     `run_id` hashes the command, the parameter echo, the input digests,
-    the seed and the version; the output digests, the diagnostics (such
-    as simulated users lost to overflow) and the wall-clock duration lie
+    the seed that drove the run (None for a command that draws nothing)
+    and the version; the output digests, the diagnostics (such as
+    simulated users lost to overflow) and the wall-clock duration lie
     outside it. The parameter echo is every parsed argument except those
     that only place outputs or set logging, and the seed, which the
     manifest records on its own; so the run id covers every flag that
     can change an output.
     """
 
-    _NOT_ECHOED = {"command", "func", "seed", "entropy", "quiet", "out", "out_path", "out_prefix", "prefix"}
+    _NOT_ECHOED = {"command", "func", "seed", "quiet", "out", "out_path", "out_prefix", "prefix"}
 
-    def __init__(self, args: argparse.Namespace, inputs: list):
+    def __init__(self, args: argparse.Namespace, inputs: list, seed: int | None):
         self.started = time.monotonic()
         ident = {
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k not in self._NOT_ECHOED},
             "inputs": {str(p): io.file_sha256(p) for p in inputs},
-            "seed": args.seed,
+            "seed": seed,
             "version": __version__,
         }
         run_id = hashlib.sha256(io.json_text(ident).encode("utf-8")).hexdigest()[:16]
@@ -96,11 +95,17 @@ def _columns(records, names) -> dict:
     return {name: [row[name] for row in rows] for name in names}
 
 
+def _check_seed(seed: int):
+    if seed < 0:
+        raise MalformedInputError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_panel(args) -> int:
     if not args.epsilon_v >= 0:  # NaN fails too
         raise MalformedInputError(f"--epsilon-v must be non-negative, got {args.epsilon_v}")
+    _check_seed(args.seed)
     out = Path(args.out) / args.out_path
-    run = _Run(args, [args.snap0, args.snap1])
+    run = _Run(args, [args.snap0, args.snap1], args.seed)
     snap0 = io.read_snapshot_csv(args.snap0, _snapshot_date(Path(args.snap0), args.date0, "--date0"))
     snap1 = io.read_snapshot_csv(args.snap1, _snapshot_date(Path(args.snap1), args.date1, "--date1"))
     joined = panel_mod.build_panel(snap0, snap1)
@@ -132,11 +137,18 @@ def cmd_fit(args) -> int:
         raise MalformedInputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
     if args.umpu and args.umpu_method == "monte_carlo" and args.mc_reps < 1:
         raise MalformedInputError(f"--mc-reps must be at least 1, got {args.mc_reps}")
+    if args.xmin_candidates is not None and args.xmin_candidates < 1:
+        raise MalformedInputError(f"--xmin-candidates must be at least 1, got {args.xmin_candidates}")
+    if args.sweep_step is not None:
+        for flag, value in (("--sweep-start", args.sweep_start), ("--sweep-step", args.sweep_step)):
+            if not 0 < value < np.inf:  # NaN fails too
+                raise MalformedInputError(f"{flag} must be positive and finite, got {value}")
+    _check_seed(args.seed)
     from . import tails  # imported here: only `fit` needs its scipy.special, ~0.3 s of start-up
 
     data_path = Path(args.data)
     prefix = Path(args.out) / (args.prefix or data_path.stem)
-    run = _Run(args, [args.data])
+    run = _Run(args, [args.data], args.seed)
     raw = io.read_values_csv(args.data)
     data = raw[raw > 0]
     if data.size == 0:
@@ -176,7 +188,6 @@ def cmd_fit(args) -> int:
     if args.sweep_step is not None:
         sweep = tails.threshold_sweep(data, start=args.sweep_start, step=args.sweep_step)
         columns = _columns(sweep, ["xmin", "normalized_lr", "p_value", "preferred"])
-        columns["normalized_lr"] = ["" if math.isnan(v) else repr(v) for v in columns["normalized_lr"]]
         run.write(Path(f"{prefix}.threshold_sweep.csv"), columns, io.write_csv)
     if args.umpu:
         sweep = tails.umpu_sweep(data, mc_reps=args.mc_reps, seed=args.seed, method=args.umpu_method)
@@ -203,7 +214,7 @@ def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
 
 def cmd_estimate(args) -> int:
     prefix = Path(args.out) / args.out_prefix
-    run = _Run(args, [args.panel])
+    run = _Run(args, [args.panel], None)
     loaded = io.read_panel_csv(args.panel)
     active = panel_mod.filter_active(loaded)
     if active.n_rows != loaded.n_rows:
@@ -263,7 +274,7 @@ def cmd_sweep(args) -> int:
             raise MalformedInputError(f"duplicate snapshot date {d}: {by_date[d]} and {f}")
         by_date[d] = f
     prefix = Path(args.out) / args.prefix
-    run = _Run(args, [f for _, f in dated])
+    run = _Run(args, [f for _, f in dated], None)
     # every dated file is an input of the run, but only those at t0 and t0 + dt are read
     snapshots = [io.read_snapshot_csv(by_date[d], d) for d in sorted(used & by_date.keys())]
     sweep = growth.horizon_sweep(
@@ -298,8 +309,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     prefix = Path(args.out) / args.out_prefix
-    run = _Run(args, [args.config])
     parsed = io.parse_sim_config(args.config)
+    run = _Run(args, [args.config], parsed.sim.seed)
     snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
     run.manifest["diagnostics"]["n_overflow"] = parsed.sim.n_users - snaps[0].n_users
     for snap in snaps:
@@ -312,8 +323,6 @@ def cmd_simulate(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)")
-    parser.add_argument("--entropy", action="store_true", help="draw the seed from system entropy")
     parser.add_argument("--out", default=".", help="output directory (default current)")
     parser.add_argument("--quiet", action="store_true", help="suppress informational logging")
 
@@ -331,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-count", type=int, default=growth.DEFAULT_MIN_COUNT, help="minimum rows per bin (default %(default)s)"
     )
     estimator.add_argument("--star-log-scale", action="store_true", help="average the regime boundary geometrically")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=101, help="RNG seed (default %(default)s)")
 
-    p = sub.add_parser("panel", help="join two snapshots into a transition panel")
+    p = sub.add_parser("panel", parents=[seeded], help="join two snapshots into a transition panel")
     p.add_argument("snap0")
     p.add_argument("snap1")
     p.add_argument("out_path", help="panel CSV output (taxonomy/manifest written alongside)")
@@ -345,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_panel)
 
-    p = sub.add_parser("fit", help="fit and compare tail models on balance data")
+    p = sub.add_parser("fit", parents=[seeded], help="fit and compare tail models on balance data")
     p.add_argument("data", help="snapshot CSV or any CSV with a `balance` column")
     p.add_argument("--prefix", help="output prefix (default: data file stem)")
     p.add_argument("--xmin", type=float, help="tail cutoff in satoshi (default: KS scan)")
@@ -397,9 +408,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
         force=True,
     )
-    if args.entropy:
-        args.seed = secrets.randbits(63)
-        log.info("entropy seed: %d", args.seed)
     try:
         return args.func(args)
     except BalanceGrowthError as exc:

@@ -58,7 +58,10 @@ def _atomic_write(path, chunks):
 
 def _format_cells(values: np.ndarray) -> list:
     if values.dtype.kind == "f":
-        return [str(int(v)) if v.is_integer() and abs(v) < 2**63 else repr(v) for v in values.tolist()]
+        return [
+            str(int(v)) if v.is_integer() and abs(v) < 2**63 else "" if v != v else repr(v)
+            for v in values.tolist()
+        ]
     return list(map(str, values.tolist()))
 
 
@@ -72,9 +75,10 @@ def write_csv(path, columns: dict):
 
     Integer and text cells are written as they are. A real cell is
     written as an integer when it is integral and below 2**63 in
-    magnitude, else as its shortest round-trip repr. Cells are never
-    quoted, so a text cell holding a comma, a quote, CR, LF or NUL is
-    an error; the file is then left as it was.
+    magnitude, as an empty cell when it is NaN, else as its shortest
+    round-trip repr. Cells are never quoted, so a text cell holding a
+    comma, a quote, CR, LF or NUL is an error; the file is then left as
+    it was.
 
     Each chunk of rows is one `%`-format over its cells in row order;
     `%s` of an int, a bool or a str is its `str`.

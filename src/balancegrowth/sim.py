@@ -171,6 +171,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_users < 1:
             raise ConfigError("n_users must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.step_days < math.inf and 0 < self.horizon_days < math.inf):
             raise ConfigError("step_days and horizon_days must be positive and finite")
         if self.n_steps * self.step_days != self.horizon_days:
@@ -222,22 +224,17 @@ def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):
         t = j * h
         z = z_at(j)
         with np.errstate(over="ignore", invalid="ignore"):
+            a_d, mu, a_v, sg = poor.at(t)
             if config.scheme == SCHEME_EXACT:
-                _, mu, _, sg = poor.at(t)
                 s_new = S * np.exp((mu - 0.5 * sg * sg) * h + sg * sqrt_h * z)
-            elif wealthy is None:
-                a_d, mu, a_v, sg = poor.at(t)
-                s_new = S + S**a_d * (mu * h) + S**a_v * (sg * sqrt_h) * z
             else:
-                is_wealthy = fixed_wealthy if config.regime_mode == REGIME_MODE_INITIAL else S >= s_star
-                pa_d, p_mu, pa_v, p_sg = poor.at(t)
-                wa_d, w_mu, wa_v, w_sg = wealthy.at(t)
-                drift = np.where(
-                    is_wealthy, S**wa_d * (w_mu * h), S**pa_d * (p_mu * h)
-                )
-                vol = np.where(
-                    is_wealthy, S**wa_v * (w_sg * sqrt_h), S**pa_v * (p_sg * sqrt_h)
-                )
+                drift = S**a_d * (mu * h)
+                vol = S**a_v * (sg * sqrt_h)
+                if wealthy is not None:
+                    is_wealthy = fixed_wealthy if config.regime_mode == REGIME_MODE_INITIAL else S >= s_star
+                    a_d, mu, a_v, sg = wealthy.at(t)
+                    drift = np.where(is_wealthy, S**a_d * (mu * h), drift)
+                    vol = np.where(is_wealthy, S**a_v * (sg * sqrt_h), vol)
                 s_new = S + drift + vol * z
             s_new = np.maximum(s_new, 0.0)
         bad = ~np.isfinite(s_new) | (s_new > OVERFLOW_LIMIT)

@@ -231,13 +231,13 @@ def fit_power_law(data, xmin: float | None = None, max_candidates: int | None = 
     absent, candidate cutoffs are scanned over the distinct data values
     and the one minimizing the KS distance between fitted and empirical
     tail CDFs wins, ties going to the lowest cutoff; `max_candidates`
-    caps the scan by even decimation. The scan is an exact branch and
-    bound: every candidate's exponent comes from suffix sums, a cheap KS
-    lower bound ranks the candidates, and the full KS distance is
-    evaluated in bound order until the bound exceeds the best distance
-    found. The result equals the exhaustive scan's; the number of
-    candidates and of full KS evaluations is reported in the fit's
-    diagnostics.
+    (at least 1) caps the scan by even decimation. The scan is an exact
+    branch and bound: every candidate's exponent comes from suffix sums,
+    a cheap KS lower bound ranks the candidates, and the full KS
+    distance is evaluated in bound order until the bound exceeds the
+    best distance found. The result equals the exhaustive scan's; the
+    number of candidates and of full KS evaluations is reported in the
+    fit's diagnostics.
     """
     x = np.sort(_positive_array(data))
     if xmin is not None:
@@ -256,6 +256,8 @@ def fit_power_law(data, xmin: float | None = None, max_candidates: int | None = 
             alpha=alpha,
         )
 
+    if max_candidates is not None and max_candidates < 1:
+        raise MalformedInputError(f"max_candidates must be at least 1, got {max_candidates}")
     n = x.size
     if n < 2:
         raise InsufficientDataError("need at least 2 values to scan xmin")
@@ -607,8 +609,8 @@ def threshold_sweep(
     O(1), and the log-normal shape of every threshold comes from one
     batched solve. Per-tail KS distances are not computed.
     """
-    if start <= 0 or step <= 0:
-        raise MalformedInputError("start and step must be positive")
+    if not (0 < start < math.inf and 0 < step < math.inf):  # NaN fails too
+        raise MalformedInputError("start and step must be positive and finite")
     x = np.sort(_positive_array(data))
     n = x.size
     if min_tail > n:

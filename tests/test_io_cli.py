@@ -338,6 +338,11 @@ class TestWriterMatchesJoin:
             write_csv(path, columns)
         assert path.read_bytes() == self._reference(columns).encode("utf-8")
 
+    def test_nan_real_cell_is_empty(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_csv(path, {"x": np.array([1.5, math.nan, 2.0]), "y": np.array([math.nan, -math.inf, 0.25])})
+        assert path.read_text() == "x,y\n1.5,\n,-inf\n2,0.25\n"
+
 
 class TestValuesCsvContract:
     def test_extra_columns(self, tmp_path):
@@ -460,6 +465,12 @@ class TestSimConfigFile:
         path = tmp_path / "c.cfg"
         write(path, "model = gbm\nn_users = 10\nhorizon_days = 1\ns0_law = point\ns0_value = 1\nbogus_key = 3\n")
         with pytest.raises(ConfigError, match="bogus_key"):
+            parse_sim_config(path)
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        write(path, "model = gbm\nn_users = 10\nhorizon_days = 1\ns0_law = point\ns0_value = 1\nseed = -1\n")
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
             parse_sim_config(path)
 
     def test_missing_required_key_named(self, tmp_path):
@@ -603,6 +614,28 @@ class TestBadFlagValues:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "--sweep-step", "nan"], "--sweep-step"),
+            (["fit", "--sweep-step", "0"], "--sweep-step"),
+            (["fit", "--sweep-step", "1e8", "--sweep-start", "inf"], "--sweep-start"),
+            (["fit", "--xmin-candidates", "-1"], "--xmin-candidates"),
+            (["fit", "--xmin-candidates", "0"], "--xmin-candidates"),
+            (["fit", "--umpu", "--seed", "-1"], "--seed"),
+            (["panel", "--hopkins-m", "5", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_rejected_before_any_output(self, snap_pair, tmp_path, capsys, argv, flag):
+        p0, p1 = snap_pair
+        command, *flags = argv
+        inputs = {"fit": [str(p1)], "panel": [str(p0), str(p1), "p.csv"]}[command]
+        rc = main([command, *inputs, *flags, "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def balances_csv(tmp_path_factory):
@@ -639,6 +672,16 @@ class TestCmdFit:
         rows = (tmp_path / "balances.threshold_sweep.csv").read_text().splitlines()
         xmins = [float(r.split(",")[0]) for r in rows[1:]]
         assert xmins == [1.0 + k * 1e8 for k in range(len(xmins))]
+
+    def test_sweep_row_on_exponential_boundary_writes_empty_lr(self, tmp_path):
+        # ln x is far heavier-tailed than exponential, so each log-normal fit sits on its boundary
+        data = tmp_path / "v.csv"
+        write(data, "balance\n" + "2\n" * 150 + "".join(f"{v}\n" for v in range(3, 103)) + "1000000000000\n" * 50)
+        rc = main(["fit", str(data), "--xmin", "1", "--sweep-step", "1", "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        rows = [r.split(",") for r in (tmp_path / "v.threshold_sweep.csv").read_text().splitlines()]
+        assert rows[0] == ["xmin", "normalized_lr", "p_value", "preferred"]
+        assert rows[1] == ["1", "", "1", "inconclusive"]
 
     def test_umpu_sweep_rejects_beyond_head(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -893,7 +936,42 @@ wealthy_sigma = 0.001
         manifest = json.loads((tmp_path / "g.manifest.json").read_text())
         assert manifest["run_id"]
         assert str(tmp_path / "g.panel.csv") in manifest["outputs"]
-        assert manifest["seed"] == 101
+        assert manifest["seed"] == 0
+
+    def test_manifests_record_the_seed_that_drove_the_run(self, tmp_path):
+        cfg = tmp_path / "two.cfg"
+        write(cfg, self.TWO_REGIME_CFG.replace("n_users = 60000", "n_users = 3000"))
+        snapdir = tmp_path / "snaps"
+        assert main(["simulate", str(cfg), "run", "--out", str(snapdir), "--quiet"]) == 0
+        binning = ["--bins", "20", "--min-count", "20", "--out", str(tmp_path), "--quiet"]
+        assert main(["estimate", str(snapdir / "run.panel.csv"), "est", *binning]) == 0
+        assert main(["sweep", str(snapdir), "--t0", "2000-01-01", "--dts", "28", *binning]) == 0
+        seeds = {
+            name: json.loads(path.read_text())["seed"]
+            for name, path in [
+                ("simulate", snapdir / "run.manifest.json"),
+                ("estimate", tmp_path / "est.manifest.json"),
+                ("sweep", tmp_path / "sweep.manifest.json"),
+            ]
+        }
+        assert seeds == {"simulate": 42, "estimate": None, "sweep": None}
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_seed_flag_only_where_randomness_is_drawn(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "in"), "x", "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_config_seed_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "gbm.cfg"
+        write(cfg, "model = gbm\nn_users = 50\nhorizon_days = 5\ns0_law = point\ns0_value = 1e6\nseed = -1\n")
+        rc = main(["simulate", str(cfg), "g", "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_keys_and_run_id_pinned(self, tmp_path, monkeypatch):
         """The run id hashes command, parameter echo, input digests, seed and version as JSON."""

@@ -11,6 +11,7 @@ from scipy import stats
 from balancegrowth import (
     DegenerateTailError,
     InsufficientDataError,
+    MalformedInputError,
     compare_tails,
     fit_lognormal,
     fit_power_law,
@@ -58,6 +59,11 @@ class TestFitPowerLaw:
     def test_closed_form_exponent(self):
         fit = fit_power_law([math.e] * 4, xmin=1.0)
         assert fit.alpha == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_candidate_cap_below_one_rejected(self, cap):
+        with pytest.raises(MalformedInputError, match="max_candidates must be at least 1"):
+            fit_power_law(np.arange(1.0, 50.0), max_candidates=cap)
 
     def test_mle_spread_on_large_sample(self):
         rng = np.random.default_rng(42)
@@ -276,6 +282,12 @@ class TestThresholdSweep:
         data = rng.lognormal(5.0, 1.0, size=500)
         with pytest.raises(Exception):
             threshold_sweep(data, start=0.0, step=1.0)
+
+    @pytest.mark.parametrize("start, step", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite_grid(self, rng, start, step):
+        data = rng.lognormal(5.0, 1.0, size=500)
+        with pytest.raises(MalformedInputError, match="positive and finite"):
+            threshold_sweep(data, start=start, step=step)
 
 
 def test_pointwise_logpdfs_are_normalized_densities(rng):
