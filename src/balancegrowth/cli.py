@@ -5,8 +5,9 @@ re-running reproduces the data outputs byte for byte. Only `panel` (the
 Hopkins sample) and `fit` (the UMPU replicates) take `--seed`;
 `simulate` draws from its config's `seed` key. Diagnostics go to
 stderr, data to files; exit code 0 means no error was recorded. Each run
-writes a manifest JSON listing parameters, input/output digests, the
-seed, and a run id that the result JSONs reference.
+computes every output before `_Run.finish` writes them and then a
+manifest JSON listing parameters, input/output digests, the seed, and a
+run id that the result JSONs reference; a run that fails writes nothing.
 """
 
 import argparse
@@ -26,7 +27,7 @@ log = logging.getLogger("balancegrowth")
 
 
 class _Run:
-    """Holds the run's manifest as one dict, records each output in it and writes it last.
+    """The only writer of a run: every output, then the manifest, once all are computed.
 
     `run_id` hashes the command, the parameter echo, the input digests,
     the seed that drove the run (None for a command that draws nothing)
@@ -40,8 +41,9 @@ class _Run:
 
     _NOT_ECHOED = {"command", "func", "seed", "quiet", "out", "out_path", "out_prefix", "prefix"}
 
-    def __init__(self, args: argparse.Namespace, inputs: list, seed: int | None):
+    def __init__(self, args: argparse.Namespace, prefix: Path, inputs: list, seed: int | None):
         self.started = time.monotonic()
+        self.prefix = prefix
         ident = {
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k not in self._NOT_ECHOED},
@@ -50,24 +52,33 @@ class _Run:
             "version": __version__,
         }
         run_id = hashlib.sha256(io.json_text(ident).encode("utf-8")).hexdigest()[:16]
-        self.manifest = {**ident, "run_id": run_id, "outputs": {}, "diagnostics": {}}
+        self.manifest = {**ident, "run_id": run_id}
 
-    def write(self, path, payload, writer=None):
-        """Write one output and record its digest; with no writer, a result JSON stamped with the run id."""
-        if writer is None:
-            writer, payload = io.write_json, {**payload, "run_id": self.manifest["run_id"]}
-        writer(path, payload)
-        self.manifest["outputs"][str(path)] = io.file_sha256(path)
+    def finish(self, outputs: dict, **diagnostics) -> int:
+        """Write each output in order, recording its digest, then `<prefix>.manifest.json`.
+
+        A key is a tag under the prefix (`"bins.csv"`) or a Path; a dict that
+        is not a `.csv` is a result JSON stamped with the run id. Writers are
+        looked up on `io` at call time, so a wrapper installed later sees them.
+        """
+        digests = {}
+        for key, payload in outputs.items():
+            path = key if isinstance(key, Path) else Path(f"{self.prefix}.{key}")
+            if isinstance(payload, panel_mod.TransitionPanel):
+                io.write_panel_csv(path, payload)
+            elif isinstance(payload, panel_mod.BalanceSnapshot):
+                io.write_snapshot_csv(path, payload)
+            elif path.suffix == ".csv":
+                io.write_csv(path, payload)
+            else:
+                io.write_json(path, {**payload, "run_id": self.manifest["run_id"]})
+            digests[str(path)] = io.file_sha256(path)
+            log.info("wrote %s", path)
+        path = Path(f"{self.prefix}.manifest.json")
+        duration = time.monotonic() - self.started
+        io.write_json(path, {**self.manifest, "outputs": digests, "diagnostics": diagnostics, "duration_s": duration})
         log.info("wrote %s", path)
-
-    def close(self, manifest_path):
-        io.write_json(manifest_path, {**self.manifest, "duration_s": time.monotonic() - self.started})
-        log.info("wrote %s", manifest_path)
-
-
-def _sibling(out_path: Path, tag: str) -> Path:
-    base = out_path.name[: -len(out_path.suffix)] if out_path.suffix else out_path.name
-    return out_path.with_name(f"{base}.{tag}")
+        return 0
 
 
 def _flag_value(flag: str, text: str, parse):
@@ -105,7 +116,7 @@ def cmd_panel(args) -> int:
         raise MalformedInputError(f"--epsilon-v must be non-negative, got {args.epsilon_v}")
     _check_seed(args.seed)
     out = Path(args.out) / args.out_path
-    run = _Run(args, [args.snap0, args.snap1], args.seed)
+    run = _Run(args, out.parent / out.stem, [args.snap0, args.snap1], args.seed)
     snap0 = io.read_snapshot_csv(args.snap0, _snapshot_date(Path(args.snap0), args.date0, "--date0"))
     snap1 = io.read_snapshot_csv(args.snap1, _snapshot_date(Path(args.snap1), args.date1, "--date1"))
     joined = panel_mod.build_panel(snap0, snap1)
@@ -120,10 +131,7 @@ def cmd_panel(args) -> int:
         points = np.column_stack([emitted.s0, emitted.ds])
         result = panel_mod.hopkins_test(points, args.hopkins_m, args.seed, log_scale=args.hopkins_log)
         payload["hopkins"] = {**vars(result), "log_scale": args.hopkins_log}
-    run.write(out, emitted, io.write_panel_csv)
-    run.write(_sibling(out, "taxonomy.json"), payload)
-    run.close(_sibling(out, "manifest.json"))
-    return 0
+    return run.finish({out: emitted, "taxonomy.json": payload})
 
 
 def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -146,9 +154,7 @@ def cmd_fit(args) -> int:
     _check_seed(args.seed)
     from . import tails  # imported here: only `fit` needs its scipy.special, ~0.3 s of start-up
 
-    data_path = Path(args.data)
-    prefix = Path(args.out) / (args.prefix or data_path.stem)
-    run = _Run(args, [args.data], args.seed)
+    run = _Run(args, Path(args.out) / (args.prefix or Path(args.data).stem), [args.data], args.seed)
     raw = io.read_values_csv(args.data)
     data = raw[raw > 0]
     if data.size == 0:
@@ -162,39 +168,33 @@ def cmd_fit(args) -> int:
         pl = tails.fit_power_law(data, max_candidates=args.xmin_candidates)
     xmin_used = pl.xmin
     ln = tails.fit_lognormal(data, xmin_used)
-    comparison = tails._compare_fits(data, pl, ln)
-    run.write(Path(f"{prefix}.power_law.json"), pl.to_dict())
-    run.write(Path(f"{prefix}.log_normal.json"), ln.to_dict())
-    run.write(Path(f"{prefix}.comparison.json"), comparison.to_dict())
-
+    outputs = {
+        "power_law.json": pl.to_dict(),
+        "log_normal.json": ln.to_dict(),
+        "comparison.json": tails._compare_fits(data, pl, ln).to_dict(),
+    }
     edges = _log_grid(float(data.min()), float(data.max()), args.hist_bins + 1)
     counts, _ = np.histogram(data, bins=edges)
-    hist = {
+    outputs["hist.csv"] = {
         "bin_lo": edges[:-1],
         "bin_hi": edges[1:],
         "center": np.sqrt(edges[:-1] * edges[1:]),
         "count": counts,
         "density": counts / (np.diff(edges) * data.size),
     }
-    run.write(Path(f"{prefix}.hist.csv"), hist, io.write_csv)
     grid = _log_grid(xmin_used, float(data.max()), 200)
-    curves = {
+    outputs["curves.csv"] = {
         "x": grid,
         "power_law_pdf": np.exp(tails.powerlaw_logpdf(grid, pl.alpha, xmin_used)),
         "log_normal_pdf": np.exp(tails.lognormal_logpdf(grid, ln.m, ln.v, xmin_used)),
     }
-    run.write(Path(f"{prefix}.curves.csv"), curves, io.write_csv)
-
     if args.sweep_step is not None:
         sweep = tails.threshold_sweep(data, start=args.sweep_start, step=args.sweep_step)
-        columns = _columns(sweep, ["xmin", "normalized_lr", "p_value", "preferred"])
-        run.write(Path(f"{prefix}.threshold_sweep.csv"), columns, io.write_csv)
+        outputs["threshold_sweep.csv"] = _columns(sweep, ["xmin", "normalized_lr", "p_value", "preferred"])
     if args.umpu:
         sweep = tails.umpu_sweep(data, mc_reps=args.mc_reps, seed=args.seed, method=args.umpu_method)
-        columns = _columns(sweep, ["rank", "threshold", "n_tail", "wilks_w", "p_value", "method"])
-        run.write(Path(f"{prefix}.umpu_sweep.csv"), columns, io.write_csv)
-    run.close(Path(f"{prefix}.manifest.json"))
-    return 0
+        outputs["umpu_sweep.csv"] = _columns(sweep, ["rank", "threshold", "n_tail", "wilks_w", "p_value", "method"])
+    return run.finish(outputs)
 
 
 def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
@@ -213,8 +213,7 @@ def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    prefix = Path(args.out) / args.out_prefix
-    run = _Run(args, [args.panel], None)
+    run = _Run(args, Path(args.out) / args.out_prefix, [args.panel], None)
     loaded = io.read_panel_csv(args.panel)
     active = panel_mod.filter_active(loaded)
     if active.n_rows != loaded.n_rows:
@@ -225,15 +224,16 @@ def cmd_estimate(args) -> int:
     s_max = args.s_max if args.s_max is not None else float(np.max(active.s0))
     edges = growth.make_bins(s_min, s_max, args.bins)
     bins = growth.bin_moments(active, edges, min_count=args.min_count, target=args.target)
-    bin_columns = {
-        "bin_lo": bins.bin_lo,
-        "bin_hi": bins.bin_hi,
-        "center": bins.centers,
-        "count": bins.counts,
-        "mean": bins.means,
-        "std": bins.stds,
+    outputs = {
+        "bins.csv": {
+            "bin_lo": bins.bin_lo,
+            "bin_hi": bins.bin_hi,
+            "center": bins.centers,
+            "count": bins.counts,
+            "mean": bins.means,
+            "std": bins.stds,
+        }
     }
-    run.write(Path(f"{prefix}.bins.csv"), bin_columns, io.write_csv)
     settings = {
         "bins": args.bins,
         "min_count": args.min_count,
@@ -242,17 +242,15 @@ def cmd_estimate(args) -> int:
     }
     if args.target == growth.TARGET_RATIO:
         split = growth.split_regimes(bins, star_log_scale=args.star_log_scale)
-        run.write(Path(f"{prefix}.regimes.json"), {**split.to_dict(), "estimator_settings": settings})
-        run.write(Path(f"{prefix}.fitlines.csv"), _fitlines(split, bins), io.write_csv)
+        outputs["regimes.json"] = {**split.to_dict(), "estimator_settings": settings}
+        outputs["fitlines.csv"] = _fitlines(split, bins)
     else:
-        payload = {
+        outputs["absfits.json"] = {
             "drift": growth.fit_drift_abs(bins),
             "vol": growth.fit_vol_abs(bins),
             "estimator_settings": settings,
         }
-        run.write(Path(f"{prefix}.absfits.json"), payload)
-    run.close(Path(f"{prefix}.manifest.json"))
-    return 0
+    return run.finish(outputs)
 
 
 def cmd_sweep(args) -> int:
@@ -273,8 +271,7 @@ def cmd_sweep(args) -> int:
         if d in by_date:
             raise MalformedInputError(f"duplicate snapshot date {d}: {by_date[d]} and {f}")
         by_date[d] = f
-    prefix = Path(args.out) / args.prefix
-    run = _Run(args, [f for _, f in dated], None)
+    run = _Run(args, Path(args.out) / args.prefix, [f for _, f in dated], None)
     # every dated file is an input of the run, but only those at t0 and t0 + dt are read
     snapshots = [io.read_snapshot_csv(by_date[d], d) for d in sorted(used & by_date.keys())]
     sweep = growth.horizon_sweep(
@@ -287,39 +284,32 @@ def cmd_sweep(args) -> int:
     )
     for record in sweep.skipped:
         log.warning("skipped dt=%s: %s", record["dt_days"], record["reason"])
-    run.write(Path(f"{prefix}.horizon.json"), sweep.to_dict())
     series = [
         {"dt_days": entry.dt_days, "regime": regime, **entry.derived[regime]}
         for entry in sweep.entries
         for regime in (growth.REGIME_POOR, growth.REGIME_WEALTHY)
         if entry.derived.get(regime) is not None
     ]
-    columns = _columns(series, ["dt_days", "regime", *growth.SWEEP_PARAMS])
-    run.write(Path(f"{prefix}.series.csv"), columns, io.write_csv)
     trends = [
         {"regime": regime, "parameter": param, **vars(trend)}
         for regime, params in sweep.trends.items()
         for param, trend in params.items()
     ]
-    columns = _columns(trends, ["regime", "parameter", "direction", "tau", "p_value", "n"])
-    run.write(Path(f"{prefix}.trends.csv"), columns, io.write_csv)
-    run.close(Path(f"{prefix}.manifest.json"))
-    return 0
+    return run.finish({
+        "horizon.json": sweep.to_dict(),
+        "series.csv": _columns(series, ["dt_days", "regime", *growth.SWEEP_PARAMS]),
+        "trends.csv": _columns(trends, ["regime", "parameter", "direction", "tau", "p_value", "n"]),
+    })
 
 
 def cmd_simulate(args) -> int:
-    prefix = Path(args.out) / args.out_prefix
     parsed = io.parse_sim_config(args.config)
-    run = _Run(args, [args.config], parsed.sim.seed)
+    run = _Run(args, Path(args.out) / args.out_prefix, [args.config], parsed.sim.seed)
     snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
-    run.manifest["diagnostics"]["n_overflow"] = parsed.sim.n_users - snaps[0].n_users
-    for snap in snaps:
-        run.write(Path(f"{prefix}.snapshot_{snap.date.isoformat()}.csv"), snap, io.write_snapshot_csv)
+    outputs = {f"snapshot_{snap.date.isoformat()}.csv": snap for snap in snaps}
     if len(snaps) >= 2:
-        joined = panel_mod.build_panel(snaps[0], snaps[-1])
-        run.write(Path(f"{prefix}.panel.csv"), joined, io.write_panel_csv)
-    run.close(Path(f"{prefix}.manifest.json"))
-    return 0
+        outputs["panel.csv"] = panel_mod.build_panel(snaps[0], snaps[-1])
+    return run.finish(outputs, n_overflow=parsed.sim.n_users - snaps[0].n_users)
 
 
 def _add_common(parser: argparse.ArgumentParser):

@@ -188,8 +188,8 @@ class HorizonSweep:
 
 def make_bins(s_min: float, s_max: float, n: int = DEFAULT_N_BINS) -> np.ndarray:
     """n geometric bin edges over [s_min, s_max]: edge_k = s_min*(s_max/s_min)^(k/n)."""
-    if not (0 < s_min < s_max):
-        raise MalformedInputError(f"need 0 < s_min < s_max, got ({s_min}, {s_max})")
+    if not (0 < s_min < s_max < math.inf):  # NaN fails too
+        raise MalformedInputError(f"need 0 < s_min < s_max < inf, got ({s_min}, {s_max})")
     if n < 2:
         raise MalformedInputError("need at least 2 bins")
     return np.geomspace(float(s_min), float(s_max), n + 1)

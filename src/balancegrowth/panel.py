@@ -35,7 +35,8 @@ class BalanceSnapshot:
 
     Balances are non-negative integer satoshi; a balance held as a float
     or a Python object must be a finite whole number below 2^63. User
-    ids are opaque strings, unique within the snapshot.
+    ids are opaque strings, unique within the snapshot; a read-only id
+    array that owns its memory is stored as given, so snapshots can share it.
     """
 
     date: dt.date
@@ -62,7 +63,10 @@ class BalanceSnapshot:
         if ids.shape != bal.shape or ids.ndim != 1:
             raise MalformedInputError("user_ids and balances must be 1-d and aligned")
         if np.all(ids[1:] > ids[:-1]):  # already sorted and unique, as every written file is
-            ids, bal = ids.copy(), bal.copy()  # never alias the caller's arrays
+            # never alias an array the caller can write through; a read-only array that owns its memory is shared
+            if ids.flags.writeable or ids.base is not None:
+                ids = ids.copy()
+            bal = bal.copy()
         else:
             order = np.argsort(ids, kind="stable")
             ids = ids[order]

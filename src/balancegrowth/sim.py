@@ -412,6 +412,7 @@ def snapshot_series(config: SimConfig, emit_days) -> list[BalanceSnapshot]:
         if e % config.step_days != 0:
             raise ConfigError(f"emit day {e} is not a multiple of step_days={config.step_days}")
     ids, captured = _run_chunked(config, [e // config.step_days for e in emits])
+    ids.flags.writeable = False  # so every snapshot shares this one array
     return [
         BalanceSnapshot(
             date=config.t0 + dt.timedelta(days=e), user_ids=ids, balances=np.floor(values + 0.5).astype(np.int64)

@@ -61,10 +61,9 @@ class TestMakeBins:
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-12
 
     def test_bad_bounds_rejected(self):
-        with pytest.raises(MalformedInputError):
-            make_bins(0.0, 10.0, 5)
-        with pytest.raises(MalformedInputError):
-            make_bins(10.0, 1.0, 5)
+        for s_min, s_max in [(0.0, 10.0), (10.0, 1.0), (1.0, math.inf), (1.0, math.nan), (math.nan, 10.0)]:
+            with pytest.raises(MalformedInputError, match="need 0 < s_min < s_max < inf"):
+                make_bins(s_min, s_max, 5)
 
 
 class TestBinMoments:

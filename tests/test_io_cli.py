@@ -637,6 +637,30 @@ class TestBadFlagValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestFailedRunWritesNoFile:
+    """Every output is computed before the first write, so a run that fails leaves only its inputs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "v.csv", "--umpu"], "need at least 10 positive values"),
+            (["estimate", "p.csv", "e", "--bins", "2", "--min-count", "2"], "need at least 3 retained bins"),
+            (["estimate", "p.csv", "e", "--s-max", "inf", "--bins", "2", "--min-count", "2"], "< inf"),
+        ],
+        ids=["fit-umpu-5-values", "estimate-split-fails", "estimate-s-max-inf"],
+    )
+    def test_only_inputs_remain(self, tmp_path, capsys, argv, message):
+        write(tmp_path / "v.csv", "balance\n5\n17\n300\n2000\n90000\n")
+        rows = [("a", 10, 12), ("b", 20, 25), ("c", 40, 44), ("d", 80, 70), ("e", 160, 200)]
+        write_panel_csv(tmp_path / "p.csv", panel_from_rows(rows))
+        command, data, *flags = argv
+        rc = main([command, str(tmp_path / data), *flags, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "v.csv"]
+
+
 @pytest.fixture(scope="module")
 def balances_csv(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fit")

@@ -106,6 +106,16 @@ class TestBuildPanel:
         assert snap.user_ids.tolist() == ["a", "b", "c", "d"] and snap.balances.tolist() == [1, 2, 3, 4]
         assert not np.shares_memory(snap.user_ids, ids) and not np.shares_memory(snap.balances, balances)
 
+    def test_read_only_ids_shared_only_when_no_writeable_handle_exists(self):
+        owned = np.array(["a", "b", "c"])
+        owned.flags.writeable = False
+        assert np.shares_memory(BalanceSnapshot(D0, owned, [1, 2, 3]).user_ids, owned)
+        base = np.array(["a", "b", "c"])
+        view = base[:]
+        view.flags.writeable = False
+        snap = BalanceSnapshot(D0, view, [1, 2, 3])
+        assert not np.shares_memory(snap.user_ids, base)
+
     def test_join_reproduces_source_snapshots(self, rng):
         # users absent on one side must read 0 there, all others their balance
         users = [f"u{i}" for i in range(500)]

@@ -288,6 +288,17 @@ class TestSnapshots:
         assert np.max(np.abs(joined.s0 - panel.s0)) <= 0.5
         assert np.max(np.abs(joined.s1 - panel.s1)) <= 0.5
 
+    def test_series_shares_one_read_only_id_array(self):
+        config = SimConfig(
+            n_users=500, s0_law=InitialLaw.lognormal(12.0, 1.0), horizon_days=6,
+            poor=RegimeParams(1.0, 0.01, 1.0, 0.05), step_days=2, seed=3,
+        )
+        snaps = snapshot_series(config, [0, 2, 6])
+        assert all(np.shares_memory(snaps[0].user_ids, snap.user_ids) for snap in snaps[1:])
+        assert not any(snap.user_ids.flags.writeable for snap in snaps)
+        with pytest.raises(ValueError):
+            snaps[1].user_ids[0] = "x"
+
     def test_emit_times_validated(self):
         config = SimConfig(
             n_users=10, s0_law=InitialLaw.point(100.0), horizon_days=10,
