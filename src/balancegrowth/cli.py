@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, growth, io, panel as panel_mod, sim
+from ._workers import map_on_cpus
 from .errors import BalanceGrowthError, MalformedInputError
 
 log = logging.getLogger("balancegrowth")
@@ -117,8 +118,13 @@ def cmd_panel(args) -> int:
     _check_seed(args.seed)
     out = Path(args.out) / args.out_path
     run = _Run(args, out.parent / out.stem, [args.snap0, args.snap1], args.seed)
-    snap0 = io.read_snapshot_csv(args.snap0, _snapshot_date(Path(args.snap0), args.date0, "--date0"))
-    snap1 = io.read_snapshot_csv(args.snap1, _snapshot_date(Path(args.snap1), args.date1, "--date1"))
+    snap0, snap1 = map_on_cpus(
+        lambda path, date, flag: io.read_snapshot_csv(path, _snapshot_date(Path(path), date, flag)),
+        [args.snap0, args.snap1],
+        [args.date0, args.date1],
+        ["--date0", "--date1"],
+        share_freed_memory=True,
+    )
     joined = panel_mod.build_panel(snap0, snap1)
     tax = panel_mod.taxonomy(joined, epsilon_v=args.epsilon_v)
     emitted = joined
@@ -273,7 +279,9 @@ def cmd_sweep(args) -> int:
         by_date[d] = f
     run = _Run(args, Path(args.out) / args.prefix, [f for _, f in dated], None)
     # every dated file is an input of the run, but only those at t0 and t0 + dt are read
-    snapshots = [io.read_snapshot_csv(by_date[d], d) for d in sorted(used & by_date.keys())]
+    snapshots = map_on_cpus(
+        lambda d: io.read_snapshot_csv(by_date[d], d), sorted(used & by_date.keys()), share_freed_memory=True
+    )
     sweep = growth.horizon_sweep(
         snapshots,
         t0,

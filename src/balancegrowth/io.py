@@ -1,7 +1,7 @@
 """File formats: snapshot/panel CSV, result JSON, sim config.
 
-Snapshot CSV: header `user_id,balance`, balance as decimal integer
-satoshi, UTF-8, LF line endings. Panel CSV: header
+Snapshot CSV: header `user_id,balance`, balance as a decimal integer
+of satoshi (`-?[0-9]+`), UTF-8, LF line endings. Panel CSV: header
 `user_id,s0,s1,ds,group`. All writes are atomic (temp file + rename).
 Every CSV goes through one reader and one writer: integers round-trip
 exactly, and a real number is written as an integer when it is one.
@@ -23,14 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MalformedInputError
-from .panel import BalanceSnapshot, TransitionPanel
+from .panel import BalanceSnapshot, TransitionPanel, _id_order, _utf8_text
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
 
-SNAPSHOT_SCHEMA = [("user_id", "str"), ("balance", "int")]
+SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
 PANEL_SCHEMA = [("user_id", "str"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "str")]
 
 _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number"}
 _ROWS_PER_CHUNK = 1 << 16
+_INT_DIGITS = 19  # the most digits an int64 has
+_POW10 = 10 ** np.arange(_INT_DIGITS - 1, -1, -1, dtype=np.uint64)
+_INT_CELL = re.compile(rb"-?[0-9]+")
 
 _DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
 # bytes a CSV file may not hold once CRLF line ends are read as LF
@@ -106,34 +109,15 @@ def write_csv(path, columns: dict):
     _atomic_write(path, chunks())
 
 
-def _convert(path, name: str, kind: str, cells: list, line) -> np.ndarray:
-    if kind == "str":
-        return np.array(cells, dtype=str)
-    if kind == "real":
-        try:
-            return np.array(cells, dtype=np.int64)
-        except (ValueError, OverflowError):
-            pass
-    dtype = np.int64 if kind == "int" else np.float64
-    try:
-        return np.array(cells, dtype=dtype)
-    except (ValueError, OverflowError):
-        for i, cell in enumerate(cells):  # name the first cell that fails alone
-            try:
-                np.array([cell], dtype=dtype)
-            except (ValueError, OverflowError):
-                raise MalformedInputError(
-                    f"{path}:{line(i)}: {name} must be {_KIND_TEXT[kind]}, got {cell!r}"
-                ) from None
-        raise
-
-
 def _line_at(raw: bytes, pos: int) -> int:
     return raw.count(b"\n", 0, pos) + 1
 
 
-def _line_shapes(raw: bytes):
-    """Byte length and field count of each line of `raw`, from the positions of LF and comma."""
+def _separators(raw: bytes):
+    """Positions of every comma and LF in `raw`, of each line's LF, and each line's field count.
+
+    A last line without its LF ends at `len(raw)`, as if one were there.
+    """
     buf = np.frombuffer(raw, dtype=np.uint8)
     lf = buf == ord("\n")
     is_sep = buf == ord(",")
@@ -143,24 +127,107 @@ def _line_shapes(raw: bytes):
     if raw and not raw.endswith(b"\n"):
         ends = np.append(ends, seps.size)
         seps = np.append(seps, len(raw))
-    return np.diff(seps[ends], prepend=-1) - 1, np.diff(ends, prepend=-1)
+    return seps, seps[ends], np.diff(ends, prepend=-1)
+
+
+def _check_utf8(path, raw: bytes, line_ends: np.ndarray):
+    """Raise on the first line of `raw` that is not UTF-8, decoding one block of lines at a time."""
+    if raw.isascii():
+        return
+    view = memoryview(raw)
+    # LF is never inside a multi-byte sequence, so a block of whole lines decodes on its own
+    bounds = [0, *(line_ends[_ROWS_PER_CHUNK - 1 :: _ROWS_PER_CHUNK] + 1).tolist(), len(raw)]
+    for start, stop in zip(bounds, bounds[1:]):
+        try:
+            str(view[start:stop], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(f"{path}:{_line_at(raw, start + exc.start)}: not UTF-8 text") from None
+
+
+def _text_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The cells `buf[start:stop]` as one `S` array; `buf` holds at least one line's length past its last cell."""
+    size = stops - starts
+    width = max(1, int(size.max(initial=0)))
+    windows = np.ndarray((buf.size - width + 1,), dtype=f"S{width}", buffer=buf, strides=(1,))
+    out = windows[starts]  # each cell, then the bytes after it
+    cells = out.view(np.uint8).reshape(starts.size, width)
+    inside = np.arange(width)
+    for block in _blocks(starts.size):
+        cells[block] *= inside < size[block, None]
+    return out
+
+
+def _int_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """int64 values of the cells `buf[start:stop]`, and a mask of the cells that are
+    not `-?[0-9]+` in the int64 range; `buf` holds `_INT_DIGITS` bytes before its first cell.
+
+    Each cell is read right-aligned: its digits times their powers of ten,
+    with the bytes left of them counted as zeros, so leading zeros are free.
+    A cell of more than `_INT_DIGITS` digits is checked on its own.
+    """
+    neg = buf[starts] == ord("-")
+    digits = stops - starts - neg
+    values = np.empty(starts.size, dtype=np.int64)
+    bad = np.empty(starts.size, dtype=bool)
+    for block in _blocks(starts.size):
+        k = min(_INT_DIGITS, max(1, int(digits[block].max())))
+        d = np.lib.stride_tricks.sliding_window_view(buf, k)[stops[block] - k] - np.uint8(ord("0"))
+        d[np.arange(k) < k - digits[block, None]] = 0  # the sign and the bytes before the cell
+        magnitude = d.astype(np.uint64) @ _POW10[-k:]
+        limit = np.uint64(2**63 - 1) + neg[block]
+        bad[block] = (d > 9).any(axis=1) | (digits[block] < 1) | (magnitude > limit)
+        signed = magnitude.view(np.int64)
+        np.negative(signed, out=signed, where=neg[block])  # -2**63 maps to itself
+        values[block] = signed
+    for i in np.flatnonzero(digits > _INT_DIGITS).tolist():
+        cell = buf[starts[i] : stops[i]].tobytes()
+        ok = _INT_CELL.fullmatch(cell) is not None and -(2**63) <= int(cell) < 2**63
+        bad[i] = not ok
+        values[i] = int(cell) if ok else 0
+    return values, bad
+
+
+def _float_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """float64 values of the cells `buf[start:stop]`, parsed as `float` parses text, and a
+    mask that flags the first cell `float` rejects."""
+    values = np.empty(starts.size, dtype=np.float64)
+    bad = np.zeros(starts.size, dtype=bool)
+    for block in _blocks(starts.size):
+        text = _utf8_text(_text_cells(buf, starts[block], stops[block]))
+        try:
+            values[block] = text.astype(np.float64)
+        except ValueError:
+            for i, cell in enumerate(text):  # find the first cell that fails alone
+                try:
+                    float(cell)
+                except ValueError:
+                    bad[block.start + i] = True
+                    return values, bad
+            raise
+    return values, bad
+
+
+def _blocks(n: int):
+    return (slice(start, start + _ROWS_PER_CHUNK) for start in range(0, n, _ROWS_PER_CHUNK))
 
 
 def _read_csv(path, schema, locate=None):
     """Read one array per (column, kind) pair of `schema`, each column converted as a whole.
 
-    Kind 'str' keeps the text, 'int' reads int64, and 'real' reads int64
-    when every cell is a decimal integer (so integers stay exact), else
-    float64. The header must name exactly the schema's columns, unless
-    `locate(names)` maps the stripped header (None if the file is empty)
-    to a field index per column; rows may then carry extra fields. Lines
-    end in LF or CRLF; blank lines are skipped; a quote, a NUL or a lone
-    CR is an error, as no cell is ever quoted. Returns the arrays and a
-    row-to-line function.
+    Kind 'str' keeps the text, 'utf8' keeps it as UTF-8 bytes (`S`),
+    'int' reads int64 from cells of the form `-?[0-9]+`, and 'real' reads
+    int64 when every cell is such an int64 (so integers stay exact), else
+    float64 as `float` parses text. The header must name exactly the
+    schema's columns, unless `locate(names)` maps the stripped header
+    (None if the file is empty) to a field index per column; rows may then
+    carry extra fields. Lines end in LF or CRLF; blank lines are skipped; a
+    quote, a NUL or a lone CR is an error, as no cell is ever quoted.
+    Returns the arrays and a row-to-line function.
 
-    The file is parsed whole: line ends and field counts come from the
-    byte positions of LF and comma, and one split of the text gives every
-    cell, so a column is a slice of that list.
+    The file is never decoded as a whole: line ends, field counts and
+    every cell's bounds come from the byte positions of LF and comma, and
+    each column is gathered from the bytes into one fixed-width block of
+    rows at a time.
     """
     raw = Path(path).read_bytes()
     if b"\r" in raw:
@@ -169,19 +236,15 @@ def _read_csv(path, schema, locate=None):
         pos = raw.find(char)
         if pos >= 0:
             raise MalformedInputError(f"{path}:{_line_at(raw, pos)}: {what}")
-    length, fields = _line_shapes(raw)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"{path}:{_line_at(raw, exc.start)}: not UTF-8 text") from None
-    del raw
-    text = text.replace("\n", ",")  # a blank line becomes one empty cell
-    cells = text.split(",")
-    del text
+    seps, line_ends, fields = _separators(raw)
+    _check_utf8(path, raw, line_ends)
+    length = np.diff(line_ends, prepend=-1) - 1
+    del line_ends
 
     names = None  # an empty file; a blank first line is an empty header
     if length.size:
-        names = [c.strip() for c in cells[: fields[0]]] if length[0] else []
+        cut = [-1, *seps[: fields[0]].tolist()]
+        names = [raw[a + 1 : b].decode("utf-8").strip() for a, b in zip(cut, cut[1:])] if length[0] else []
     if locate is None:
         expected = [name for name, _ in schema]
         if names != expected:
@@ -196,24 +259,31 @@ def _read_csv(path, schema, locate=None):
     if bad.size:
         i = int(bad[0])
         raise MalformedInputError(f"{path}:{rows[i] + 1}: expected {width} fields, got {got[i]}")
-    first = (np.cumsum(fields) - fields)[rows]  # index in `cells` of each row's first field
-    del length, fields, got
-    n = rows.size
-    step = int(first[1] - first[0]) if n > 1 else 1
-    if np.all(np.diff(first) == step):  # no blank lines and equal field counts
-        start = int(first[0]) if n else 0
-        columns = [cells[start + i : start + i + step * n : step] for i in index]
-    else:
-        columns = [list(map(cells.__getitem__, (first + i).tolist())) for i in index]
-    del cells, first
+    first = (np.cumsum(fields) - fields)[rows]  # index in `seps` of the end of each row's first field
+    # the bytes with room before the first cell for a right-aligned integer and after the last for a line
+    buf = np.zeros(_INT_DIGITS + len(raw) + int(length.max(initial=0)) + 1, dtype=np.uint8)
+    buf[_INT_DIGITS : _INT_DIGITS + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    del raw, length, fields, got
+    seps += _INT_DIGITS
 
     def line(i: int) -> int:
         return int(rows[i]) + 1
 
     arrays = []
-    for k, (name, kind) in enumerate(schema):
-        arrays.append(_convert(path, name, kind, columns[k], line))
-        columns[k] = None
+    for (name, kind), field in zip(schema, index):
+        starts, stops = seps[first + field - 1] + 1, seps[first + field]
+        if kind in ("str", "utf8"):
+            cells = _text_cells(buf, starts, stops)
+            arrays.append(_utf8_text(cells) if kind == "str" else cells)
+            continue
+        values, bad = _int_cells(buf, starts, stops)
+        if bad.any() and kind == "real":
+            values, bad = _float_cells(buf, starts, stops)
+        if bad.any():
+            i = int(np.argmax(bad))
+            cell = buf[starts[i] : stops[i]].tobytes().decode("utf-8")
+            raise MalformedInputError(f"{path}:{line(i)}: {name} must be {_KIND_TEXT[kind]}, got {cell!r}")
+        arrays.append(values)
     return arrays, line
 
 
@@ -281,10 +351,10 @@ def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
     try:
         return BalanceSnapshot(date=date, user_ids=ids, balances=balances)
     except MalformedInputError:  # a repeated user id: name the line of its first repeat
-        order = np.argsort(ids, kind="stable")
+        order = _id_order(ids)
         sorted_ids = ids[order]
         i = int(order[1:][sorted_ids[1:] == sorted_ids[:-1]].min())
-        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {str(ids[i])!r}") from None
+        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {ids[i].decode('utf-8')!r}") from None
 
 
 def write_snapshot_csv(path, snapshot: BalanceSnapshot):

@@ -18,6 +18,8 @@ from .errors import HorizonError, InsufficientDataError, MalformedInputError
 GROUP_ACTIVE = "A"
 GROUP_INACTIVE = "B"
 GROUP_NONE = ""
+# rows decoded at once, so the scratch memory of a decode stays bounded
+_ROWS_PER_BLOCK = 1 << 16
 
 
 def _whole_satoshi(b) -> bool:
@@ -29,6 +31,57 @@ def _whole_satoshi(b) -> bool:
     return i == b and -(2**63) <= i < 2**63
 
 
+def _id_order(ids: np.ndarray) -> np.ndarray:
+    """`np.argsort(ids, kind="stable")`, the one sort of snapshot ids.
+
+    UTF-8 ids (`S`) sort on a narrower key first: their first 8 bytes as
+    one big-endian integer, which orders as the bytes do. Only runs of
+    ids that tie on it are then sorted as whole strings.
+    """
+    width = ids.dtype.itemsize
+    if ids.dtype.kind != "S" or ids.size < 2:
+        return np.argsort(ids, kind="stable")
+    head = np.zeros((ids.size, 8), dtype=np.uint8)
+    head[:, : min(width, 8)] = ids.view(np.uint8).reshape(ids.size, width)[:, :8]
+    key = head.view(">u8").ravel().astype(np.uint64)
+    del head
+    order = np.argsort(key)  # keys that tie are resolved below, so stability is not needed here
+    key = key[order]
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        run = np.zeros(ids.size, dtype=bool)
+        run[1:] = tie
+        run[:-1] |= tie
+        members = np.sort(order[run])  # in input order, so the sort below is stable over the whole array
+        order[run] = members[np.argsort(ids[members], kind="stable")]
+    return order
+
+
+def _utf8_text(ids: np.ndarray) -> np.ndarray:
+    """The 1-d `<U` array of a 1-d array of UTF-8 byte strings (`S`), as wide as its longest text."""
+    width = ids.dtype.itemsize
+    codes = ids.view(np.uint8).reshape(ids.size, width)
+    if not np.any(codes >= 0x80):  # ASCII: each byte is its code point
+        return codes.astype(np.uint32).view(f"<U{width}").ravel()
+    continuation = (codes & 0xC0) == 0x80
+    chars = np.count_nonzero((codes != 0) & ~continuation, axis=1)
+    text = np.zeros((ids.size, max(1, int(chars.max()))), dtype=np.uint32)
+    col = np.arange(text.shape[1])
+    for start in range(0, ids.size, _ROWS_PER_BLOCK):
+        block = slice(start, start + _ROWS_PER_BLOCK)
+        try:
+            decoded = codes[block].tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedInputError("user ids are not UTF-8 text") from None
+        # a string decodes to `width` code points less one per continuation byte, its NUL padding included
+        points = np.frombuffer(decoded.encode("utf-32-le"), dtype=np.uint32)
+        length = width - continuation[block].sum(axis=1)
+        first = np.cumsum(length) - length
+        inside = col < chars[block, None]
+        text[block][inside] = points[(first[:, None] + col)[inside]]
+    return text.view(f"<U{text.shape[1]}").ravel()
+
+
 @dataclass(frozen=True)
 class BalanceSnapshot:
     """Per-user balances at one date, sorted by user id.
@@ -37,6 +90,8 @@ class BalanceSnapshot:
     or a Python object must be a finite whole number below 2^63. User
     ids are opaque strings, unique within the snapshot; a read-only id
     array that owns its memory is stored as given, so snapshots can share it.
+    Ids given as bytes (`S`) are UTF-8 text: they are sorted as bytes,
+    which is code-point order, and stored decoded.
     """
 
     date: dt.date
@@ -64,16 +119,19 @@ class BalanceSnapshot:
             raise MalformedInputError("user_ids and balances must be 1-d and aligned")
         if np.all(ids[1:] > ids[:-1]):  # already sorted and unique, as every written file is
             # never alias an array the caller can write through; a read-only array that owns its memory is shared
-            if ids.flags.writeable or ids.base is not None:
+            if ids.dtype.kind != "S" and (ids.flags.writeable or ids.base is not None):
                 ids = ids.copy()
             bal = bal.copy()
         else:
-            order = np.argsort(ids, kind="stable")
+            order = _id_order(ids)
             ids = ids[order]
             bal = bal[order]
             if np.any(ids[1:] == ids[:-1]):
-                dup = ids[1:][ids[1:] == ids[:-1]][0]
-                raise MalformedInputError(f"duplicate user_id in snapshot: {dup!r}")
+                dup = ids[1:][ids[1:] == ids[:-1]][:1]
+                dup = _utf8_text(dup) if dup.dtype.kind == "S" else dup
+                raise MalformedInputError(f"duplicate user_id in snapshot: {dup[0]!r}")
+        if ids.dtype.kind == "S":
+            ids = _utf8_text(ids)
         if np.any(bal < 0):
             raise MalformedInputError("negative balance in snapshot")
         object.__setattr__(self, "user_ids", ids)

@@ -18,12 +18,12 @@ output, counted, and logged as a warning.
 import datetime as dt
 import logging
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import substream
+from ._workers import map_on_cpus
 from .errors import ConfigError, MalformedInputError
 from .panel import BalanceSnapshot, TransitionPanel
 
@@ -288,8 +288,6 @@ def _run_chunked(config: SimConfig, steps):
     only its own slice of the outputs, so the threads share no state and
     any worker count gives the same bits.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     n = config.n_users
     over_all = np.empty(n, dtype=bool)
     captured = [np.empty(n, dtype=np.float64) for _ in steps]
@@ -305,13 +303,7 @@ def _run_chunked(config: SimConfig, steps):
         for full, values in zip(captured, caps):
             full[start:stop] = values
 
-    n_chunks = -(-n // CHUNK_SIZE)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(cpus, n_chunks)) as pool:
-        list(pool.map(run, range(n_chunks)))  # re-raises a worker's exception here
+    map_on_cpus(run, range(-(-n // CHUNK_SIZE)))
     n_over = int(np.count_nonzero(over_all))
     if n_over:
         log.warning("excluded %d of %d users whose balance overflowed 2^62 satoshi", n_over, n)

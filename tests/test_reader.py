@@ -1,0 +1,281 @@
+"""The byte-level CSV reader: its integer grammar, the writer's cells as its oracle,
+and snapshot reads on a thread per usable CPU."""
+
+import datetime as dt
+import math
+import os
+import re
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from balancegrowth import BalanceSnapshot, MalformedInputError
+from balancegrowth import io as bg_io
+from balancegrowth import panel as bg_panel
+from balancegrowth._workers import map_on_cpus
+from balancegrowth.cli import main
+from balancegrowth.io import _format_cells, _read_csv, read_snapshot_csv, read_values_csv, write_csv
+from balancegrowth.panel import _id_order, _utf8_text
+
+from conftest import D0
+
+INT_MESSAGE = "balance must be a decimal integer in the int64 range, got "
+INT_CELL = re.compile(r"-?[0-9]+")
+
+
+def _snapshot_file(path, rows):
+    path.write_text("user_id,balance\n" + "".join(f"{u},{b}\n" for u, b in rows), encoding="utf-8")
+    return path
+
+
+class TestIntegerGrammar:
+    """A balance cell is `-?[0-9]+` in ASCII, as the writer emits it, and nothing else."""
+
+    @pytest.mark.parametrize("cell", ["١٢", " 7", "+5", "1_000", "7 ", "", "-", "--5", "5-", "1e3", "0x10", "1.0"])
+    def test_other_forms_named(self, tmp_path, cell):
+        path = _snapshot_file(tmp_path / "s.csv", [("a", 1), ("b", cell), ("c", 2)])
+        message = f"^{re.escape(str(path))}:3: {re.escape(INT_MESSAGE + repr(cell))}$"
+        with pytest.raises(MalformedInputError, match=message):
+            read_snapshot_csv(path, D0)
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [("007", 7), ("-0", 0), ("9223372036854775807", 2**63 - 1), ("00000000000000000000009", 9)],
+    )
+    def test_leading_zeros_and_edges_read(self, tmp_path, cell, value):
+        path = _snapshot_file(tmp_path / "s.csv", [("a", cell)])
+        assert read_snapshot_csv(path, D0).balances.tolist() == [value]
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "9223372036854775808",  # 19 digits, one past the limit
+            "9999999999999999999",
+            "10000000000000000000",  # 20 digits
+            "-10000000000000000000",
+            "123456789012345678901234567890",
+        ],
+    )
+    def test_overflow_named(self, tmp_path, cell):
+        path = tmp_path / "v.csv"
+        path.write_text(f"user_id,n\n\na,1\nb,{cell}\n", encoding="utf-8")
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:4: n must be a decimal integer"):
+            _read_csv(path, [("user_id", "str"), ("n", "int")])
+
+    def test_int64_extremes_exact(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(f"n\n{2**63 - 1}\n{-(2**63 - 1)}\n{-(2**63)}\n-0000000000000000000001\n", encoding="utf-8")
+        (n,), _ = _read_csv(path, [("n", "int")])
+        assert n.dtype == np.int64 and n.tolist() == [2**63 - 1, -(2**63 - 1), -(2**63), -1]
+
+    @pytest.mark.parametrize("cell, value", [(" 7", 7.0), ("+5", 5.0), ("1_000", 1000.0), ("١٢", 12.0)])
+    def test_real_cells_keep_float_grammar(self, tmp_path, cell, value):
+        path = tmp_path / "v.csv"
+        path.write_text(f"balance\n{cell}\n", encoding="utf-8")
+        assert read_values_csv(path).tolist() == [value]
+
+
+# any text a cell may hold: no comma, quote, CR, LF, NUL, or lone surrogate; astral planes included
+ID_TEXT = st.text(st.characters(blacklist_characters=',"\r\n\0', blacklist_categories=("Cs",)), max_size=6)
+INT64 = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.sampled_from([2**63 - 1, -(2**63 - 1), -(2**63), 0, -1, 10**18])
+)
+REAL = st.one_of(st.floats(), INT64.map(float), st.integers(-(2**63), 2**63 - 1))
+
+
+class TestReaderMatchesWriterCells:
+    """Whatever `write_csv` writes, `_read_csv` reads back cell for cell and line for line."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(ID_TEXT, INT64, REAL), max_size=14),
+        blank_after=st.lists(st.integers(0, 14), max_size=4),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        final_eol=st.booleans(),
+        rows_per_block=st.integers(1, 5),
+    )
+    @example(
+        rows=[("é", 2**63 - 1, math.nan), ("𝔘", -(2**63), 1.5)], blank_after=[0, 2], eol="\r\n",
+        final_eol=False, rows_per_block=1,
+    )
+    @example(
+        rows=[("a", 5, 2.0**63), ("", -1, -(2**63)), ("\U0010ffff", 0, 9007199254740993)], blank_after=[1],
+        eol="\n", final_eol=True, rows_per_block=2,
+    )
+    def test_cells_and_lines(self, rows, blank_after, eol, final_eol, rows_per_block):
+        ids, ints, reals = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+        real_column = np.array(reals, dtype=np.int64 if all(isinstance(r, int) for r in reals) else np.float64)
+        columns = {"id": np.array(ids, dtype=str), "n": np.array(ints, dtype=np.int64), "x": real_column}
+        cells = _format_cells(real_column)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(path, columns)
+            lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+            for k in sorted(blank_after, reverse=True):  # blank lines after data row k
+                lines.insert(min(k, len(rows)) + 1, "")
+            path.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
+            lineno = [i + 1 for i, text in enumerate(lines) if text][1:]
+            schema = [("id", "str"), ("n", "int"), ("x", "real")]
+            with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_block), mock.patch.object(
+                bg_panel, "_ROWS_PER_BLOCK", rows_per_block
+            ):
+                if "" in cells:  # NaN is written as an empty cell, which is not a number
+                    i = cells.index("")
+                    message = f"^{re.escape(str(path))}:{lineno[i]}: x must be a number, got ''$"
+                    with pytest.raises(MalformedInputError, match=message):
+                        _read_csv(path, schema)
+                    return
+                (got_ids, got_ints, got_reals), line = _read_csv(path, schema)
+        assert got_ids.tolist() == ids
+        assert got_ints.dtype == np.int64 and got_ints.tolist() == ints
+        exact = all(INT_CELL.fullmatch(c) and -(2**63) <= int(c) < 2**63 for c in cells)
+        assert got_reals.dtype == (np.int64 if exact else np.float64)
+        assert got_reals.tolist() == [int(c) if exact else float(c) for c in cells]
+        assert [line(i) for i in range(len(rows))] == lineno
+
+
+class TestIdSort:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(ids=st.lists(ID_TEXT, unique=True, max_size=12), seed=st.integers(0, 2**32 - 1))
+    @example(ids=["zoë", "zo", "\U0001f600", "\x7f", "\x80", "a" * 9, "a" * 8, "aaaaaaaab"], seed=3)
+    def test_read_ids_sort_as_unicode(self, ids, seed):
+        rng = np.random.default_rng(seed)
+        balances = rng.integers(0, 10**12, size=len(ids))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _snapshot_file(Path(tmp) / "s.csv", zip(ids, balances.tolist()))
+            snap = read_snapshot_csv(path, D0)
+        want = np.sort(np.array(ids, dtype=str))
+        assert snap.user_ids.dtype.kind == "U" and snap.user_ids.tolist() == want.tolist()
+        by_id = dict(zip(ids, balances.tolist()))
+        assert snap.balances.tolist() == [by_id[u] for u in want.tolist()]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(ids=st.lists(st.text(alphabet="abé\U0001f600", max_size=11), max_size=20))
+    @example(ids=["aaaaaaaab", "aaaaaaaa", "aaaaaaaab", "b", "aaaaaaaaa"])
+    def test_order_is_the_stable_argsort(self, ids):
+        utf8 = np.array([u.encode("utf-8") for u in ids], dtype=bytes) if ids else np.array([], dtype="S1")
+        assert _id_order(utf8).tolist() == np.argsort(utf8, kind="stable").tolist()
+        assert _utf8_text(utf8).tolist() == ids
+        assert np.array_equal(np.argsort(utf8, kind="stable"), np.argsort(np.array(ids, dtype=str), kind="stable"))
+
+
+    def test_byte_ids_are_utf8_text(self):
+        snap = BalanceSnapshot(D0, np.array(["zoë".encode(), b"a", "\U0001f600".encode()]), [1, 2, 3])
+        assert snap.user_ids.dtype.kind == "U" and snap.user_ids.tolist() == ["a", "zoë", "\U0001f600"]
+        assert snap.balances.tolist() == [2, 1, 3]
+        with pytest.raises(MalformedInputError, match="duplicate user_id in snapshot: np.str_\\('ë'\\)"):
+            BalanceSnapshot(D0, np.array(["ë".encode(), b"b", "ë".encode()]), [1, 2, 3])
+        with pytest.raises(MalformedInputError, match="user ids are not UTF-8 text"):
+            BalanceSnapshot(D0, np.array([b"\xff", b"a"]), [1, 2])
+
+
+def _affinities():
+    """The worker counts to compare: one CPU, four CPUs, and no affinity call at all."""
+    return [{0}, {0, 1, 2, 3}, None]
+
+
+def _set_affinity(monkeypatch, cpus):
+    if cpus is None:  # no affinity call: fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+
+
+class TestReadsOnEveryCpu:
+    DAYS = (0, 28, 56, 84)
+
+    def _snapshots(self, snapdir, rng):
+        snapdir.mkdir()
+        ids = np.array([f"{k:x}ü{i}" for i, k in enumerate(rng.integers(0, 2**40, size=3000))])
+        s = rng.lognormal(14.0, 1.5, size=ids.size)
+        paths = []
+        for day in self.DAYS:
+            order = rng.permutation(ids.size)
+            date = D0 + dt.timedelta(days=day)
+            rows = zip(ids[order], s[order].astype(np.int64))
+            paths.append(_snapshot_file(snapdir / f"snap_{date.isoformat()}.csv", rows))
+            s = s * rng.lognormal(0.0, 0.05, size=s.size)
+        return paths
+
+    @staticmethod
+    def _outputs(out: Path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if not p.name.endswith("manifest.json")}
+
+    def test_worker_count_changes_no_byte(self, tmp_path, monkeypatch, rng):
+        paths = self._snapshots(tmp_path / "snaps", rng)
+        results = []
+        for k, cpus in enumerate(_affinities()):
+            _set_affinity(monkeypatch, cpus)
+            snaps = map_on_cpus(read_snapshot_csv, paths)
+            out = tmp_path / f"out{k}"
+            assert main(["panel", str(paths[0]), str(paths[1]), "p.csv", "--out", str(out), "--quiet"]) == 0
+            assert main(["sweep", str(tmp_path / "snaps"), "--t0", D0.isoformat(), "--dts", "28,56,84",
+                         "--bins", "20", "--min-count", "20", "--out", str(out), "--quiet"]) == 0
+            results.append(([(s.user_ids, s.balances) for s in snaps], self._outputs(out)))
+        (snaps, outputs), *others = results
+        for other_snaps, other_outputs in others:
+            assert other_outputs == outputs
+            assert all(np.array_equal(a, b) for pair, other in zip(snaps, other_snaps) for a, b in zip(pair, other))
+
+    def test_first_bad_file_in_date_order_reported(self, tmp_path, monkeypatch, capsys, rng):
+        paths = self._snapshots(tmp_path / "snaps", rng)
+        paths[1].write_text(paths[1].read_text() + "late,x\n", encoding="utf-8")  # fails on its last line
+        paths[2].write_text("user_id,balance\nearly,-\n", encoding="utf-8")  # fails at once
+        errors = []
+        for k, cpus in enumerate(_affinities()):
+            _set_affinity(monkeypatch, cpus)
+            out = str(tmp_path / f"out{k}")
+            sweep = ["sweep", str(tmp_path / "snaps"), "--t0", D0.isoformat(), "--dts", "28,56"]
+            assert main([*sweep, "--out", out, "--quiet"]) == 2
+            assert main(["panel", str(paths[2]), str(paths[1]), "p.csv", "--out", out, "--quiet"]) == 2
+            assert main(["panel", str(paths[1]), str(paths[2]), "p.csv", "--out", out, "--quiet"]) == 2
+            errors.append(capsys.readouterr().err.splitlines())
+            assert not (tmp_path / f"out{k}").exists()
+        sweep, first, second = errors[0]
+        assert f"{paths[1]}:3002: " in sweep and f"{paths[2]}:2: " in first and f"{paths[1]}:3002: " in second
+        assert errors[1] == errors[2] == errors[0]
+
+
+class TestMapOnCpus:
+    def test_results_in_order_and_first_failure_raised(self, monkeypatch):
+        _set_affinity(monkeypatch, {0, 1, 2, 3})
+        assert map_on_cpus(lambda a, b: a * b, range(6), range(6, 12)) == [a * (a + 6) for a in range(6)]
+        second_failed = threading.Event()
+
+        def fail(i):
+            if i == 0:  # fails only after the later call has failed
+                second_failed.wait(5)
+                raise ValueError("first")
+            second_failed.set()
+            raise KeyError("second")
+
+        with pytest.raises(ValueError, match="first"):
+            map_on_cpus(fail, [0, 1])
+
+    def test_more_workers_than_cores_read_what_one_does(self, monkeypatch, tmp_path, rng):
+        ids = [f"ü{i}" for i in range(300)]
+        paths = [
+            _snapshot_file(tmp_path / f"s{k}.csv", zip(rng.permutation(ids), rng.integers(0, 10**9, len(ids))))
+            for k in range(16)
+        ]
+        _set_affinity(monkeypatch, set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            snaps = map_on_cpus(lambda path: read_snapshot_csv(path, D0), paths)
+        finally:
+            sys.setswitchinterval(interval)
+        for path, snap in zip(paths, snaps):
+            alone = read_snapshot_csv(path, D0)
+            assert np.array_equal(snap.user_ids, alone.user_ids) and np.array_equal(snap.balances, alone.balances)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        _set_affinity(monkeypatch, {0})
+        assert map_on_cpus(lambda i: threading.current_thread(), range(3)) == [threading.main_thread()] * 3
