@@ -123,7 +123,6 @@ def cmd_panel(args) -> int:
         [args.snap0, args.snap1],
         [args.date0, args.date1],
         ["--date0", "--date1"],
-        share_freed_memory=True,
     )
     joined = panel_mod.build_panel(snap0, snap1)
     tax = panel_mod.taxonomy(joined, epsilon_v=args.epsilon_v)
@@ -279,9 +278,7 @@ def cmd_sweep(args) -> int:
         by_date[d] = f
     run = _Run(args, Path(args.out) / args.prefix, [f for _, f in dated], None)
     # every dated file is an input of the run, but only those at t0 and t0 + dt are read
-    snapshots = map_on_cpus(
-        lambda d: io.read_snapshot_csv(by_date[d], d), sorted(used & by_date.keys()), share_freed_memory=True
-    )
+    snapshots = map_on_cpus(lambda d: io.read_snapshot_csv(by_date[d], d), sorted(used & by_date.keys()))
     sweep = growth.horizon_sweep(
         snapshots,
         t0,

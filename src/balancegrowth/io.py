@@ -5,9 +5,10 @@ of satoshi (`-?[0-9]+`), UTF-8, LF line endings. Panel CSV: header
 `user_id,s0,s1,ds,group`. All writes are atomic (temp file + rename).
 Every CSV goes through one reader and one writer: integers round-trip
 exactly, and a real number is written as an integer when it is one.
-Cells are never quoted: the writer refuses a cell holding a comma, a
-quote, CR, LF or NUL, and the reader refuses a quote or a NUL. Reads
-accept LF or CRLF line ends.
+Text cells, user ids included, are read as UTF-8 bytes (`S`) and
+written from them as they are. Cells are never quoted: the writer
+refuses a cell holding a comma, a quote, CR, LF or NUL, and the reader
+refuses a quote or a NUL. Reads accept LF or CRLF line ends.
 """
 
 import dataclasses
@@ -23,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MalformedInputError
-from .panel import BalanceSnapshot, TransitionPanel, _id_order, _utf8_text
+from .panel import GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE, BalanceSnapshot, TransitionPanel, _id_order, _id_text
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
 
 SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
-PANEL_SCHEMA = [("user_id", "str"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "str")]
+PANEL_SCHEMA = [("user_id", "utf8"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "utf8")]
 
 _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number"}
 _ROWS_PER_CHUNK = 1 << 16
@@ -68,15 +69,41 @@ def _format_cells(values: np.ndarray) -> list:
     return list(map(str, values.tolist()))
 
 
-def _unsafe(text: str) -> bool:
-    """Whether `text` holds a character that no CSV cell may hold."""
-    return any(char in text for char in ',"\r\n\0')
+def _unsafe(cell) -> bool:
+    """Whether `cell` (str or bytes) holds a character that no CSV cell may hold."""
+    return any(char in cell for char in (b',"\r\n\0' if isinstance(cell, bytes) else ',"\r\n\0'))
+
+
+def _str_cells(path, name, a: np.ndarray) -> list:
+    """One block of a text column as str cells, refused if a cell holds , " CR LF or NUL.
+
+    Byte-string (`S`) cells are UTF-8, checked on their bytes before one
+    decode of the block: ASCII bytes are widened to their code points,
+    and other blocks are joined on LF, decoded and split.
+    """
+    if a.dtype.kind == "S":
+        codes = np.ascontiguousarray(a).view(np.uint8).reshape(a.size, a.dtype.itemsize)
+        raw = codes.tobytes()  # each cell, then NUL up to the width
+        nul_inside = np.count_nonzero(codes) != np.strings.str_len(a).sum()
+        if not nul_inside and not any(char in raw for char in b',"\r\n'):
+            if raw.isascii():
+                return codes.astype(np.uint32).view(f"U{a.dtype.itemsize}").ravel().tolist()
+            return b"\n".join(a.tolist()).decode("utf-8").split("\n")
+        cells = a.tolist()
+    else:
+        cells = a.tolist() if a.dtype.kind == "U" else _format_cells(a)
+        if not _unsafe("".join(cells)):
+            return cells
+    cell = next(filter(_unsafe, cells))
+    shown = repr(cell.decode("utf-8", "backslashreplace") if isinstance(cell, bytes) else cell)
+    raise MalformedInputError(f"{path}: column {name} holds {shown}; a cell may not hold , \" CR LF or NUL")
 
 
 def write_csv(path, columns: dict):
     """Write named, equal-length columns as CSV with LF endings.
 
-    Integer and text cells are written as they are. A real cell is
+    Integer and text cells are written as they are; a byte-string (`S`)
+    cell is UTF-8 text, checked on its bytes. A real cell is
     written as an integer when it is integral and below 2**63 in
     magnitude, as an empty cell when it is NaN, else as its shortest
     round-trip repr. Cells are never quoted, so a text cell holding a
@@ -97,13 +124,10 @@ def write_csv(path, columns: dict):
             k = len(block[0])
             flat = np.empty(k * m, dtype=object)
             for i, (name, a) in enumerate(zip(columns, block)):
-                col = a.tolist() if a.dtype.kind in "biuU" else _format_cells(a)
-                if a.dtype.kind not in "biuf" and _unsafe("".join(col)):
-                    cell = next(filter(_unsafe, col))
-                    raise MalformedInputError(
-                        f"{path}: column {name} holds {cell!r}; a cell may not hold , \" CR LF or NUL"
-                    )
-                flat[i::m] = col
+                if a.dtype.kind in "biuf":
+                    flat[i::m] = _format_cells(a) if a.dtype.kind == "f" else a.tolist()
+                else:
+                    flat[i::m] = _str_cells(path, name, a)
             yield (("%s," * (m - 1) + "%s\n") * k) % tuple(flat)
 
     _atomic_write(path, chunks())
@@ -193,17 +217,16 @@ def _float_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     values = np.empty(starts.size, dtype=np.float64)
     bad = np.zeros(starts.size, dtype=bool)
     for block in _blocks(starts.size):
-        text = _utf8_text(_text_cells(buf, starts[block], stops[block]))
+        cells = _text_cells(buf, starts[block], stops[block])
         try:
-            values[block] = text.astype(np.float64)
-        except ValueError:
-            for i, cell in enumerate(text):  # find the first cell that fails alone
+            values[block] = cells.astype(np.float64)  # as `float` parses ASCII text
+        except ValueError:  # a block with a cell that fails, or with non-ASCII digits: cell by cell
+            for i, cell in enumerate(cells.tolist(), start=block.start):
                 try:
-                    float(cell)
+                    values[i] = float(cell.decode("utf-8"))
                 except ValueError:
-                    bad[block.start + i] = True
+                    bad[i] = True
                     return values, bad
-            raise
     return values, bad
 
 
@@ -214,8 +237,9 @@ def _blocks(n: int):
 def _read_csv(path, schema, locate=None):
     """Read one array per (column, kind) pair of `schema`, each column converted as a whole.
 
-    Kind 'str' keeps the text, 'utf8' keeps it as UTF-8 bytes (`S`),
-    'int' reads int64 from cells of the form `-?[0-9]+`, and 'real' reads
+    Kind 'utf8' keeps a text cell as its UTF-8 bytes (`S`), in an array
+    that owns its memory and is read-only, so a snapshot can share it;
+    'int' reads int64 from cells of the form `-?[0-9]+`; 'real' reads
     int64 when every cell is such an int64 (so integers stay exact), else
     float64 as `float` parses text. The header must name exactly the
     schema's columns, unless `locate(names)` maps the stripped header
@@ -272,9 +296,10 @@ def _read_csv(path, schema, locate=None):
     arrays = []
     for (name, kind), field in zip(schema, index):
         starts, stops = seps[first + field - 1] + 1, seps[first + field]
-        if kind in ("str", "utf8"):
+        if kind == "utf8":
             cells = _text_cells(buf, starts, stops)
-            arrays.append(_utf8_text(cells) if kind == "str" else cells)
+            cells.flags.writeable = False
+            arrays.append(cells)
             continue
         values, bad = _int_cells(buf, starts, stops)
         if bad.any() and kind == "real":
@@ -354,7 +379,7 @@ def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
         order = _id_order(ids)
         sorted_ids = ids[order]
         i = int(order[1:][sorted_ids[1:] == sorted_ids[:-1]].min())
-        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {ids[i].decode('utf-8')!r}") from None
+        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {_id_text(ids[i])}") from None
 
 
 def write_snapshot_csv(path, snapshot: BalanceSnapshot):
@@ -387,12 +412,14 @@ def read_panel_csv(path) -> TransitionPanel:
     bad = np.flatnonzero(ds != panel.ds)
     if bad.size:
         raise MalformedInputError(f"{path}:{line(int(bad[0]))}: ds does not equal s1 - s0")
-    mismatch = np.flatnonzero(groups != panel.group)
+    # casting a whole column between `U` and `S` is slow; the labels are ASCII, so compare label by label
+    mismatch = np.zeros(panel.n_rows, dtype=bool)
+    for label in (GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE):
+        mismatch |= (panel.group == label) & (groups != label.encode())
+    mismatch = np.flatnonzero(mismatch)
     if mismatch.size:
         i = int(mismatch[0])
-        raise MalformedInputError(
-            f"{path}:{line(i)}: group label {str(groups[i])!r} inconsistent with s0/ds"
-        )
+        raise MalformedInputError(f"{path}:{line(i)}: group label {_id_text(groups[i])} inconsistent with s0/ds")
     return panel
 
 

@@ -18,7 +18,7 @@ from .errors import HorizonError, InsufficientDataError, MalformedInputError
 GROUP_ACTIVE = "A"
 GROUP_INACTIVE = "B"
 GROUP_NONE = ""
-# rows decoded at once, so the scratch memory of a decode stays bounded
+# ids checked at once, so the scratch memory of a check stays bounded
 _ROWS_PER_BLOCK = 1 << 16
 
 
@@ -32,14 +32,14 @@ def _whole_satoshi(b) -> bool:
 
 
 def _id_order(ids: np.ndarray) -> np.ndarray:
-    """`np.argsort(ids, kind="stable")`, the one sort of snapshot ids.
+    """`np.argsort(ids, kind="stable")` of UTF-8 ids (`S`), the one sort of snapshot ids.
 
-    UTF-8 ids (`S`) sort on a narrower key first: their first 8 bytes as
-    one big-endian integer, which orders as the bytes do. Only runs of
-    ids that tie on it are then sorted as whole strings.
+    Ids sort on a narrower key first: their first 8 bytes as one
+    big-endian integer, which orders as the bytes do. Only runs of ids
+    that tie on it are then sorted as whole strings.
     """
     width = ids.dtype.itemsize
-    if ids.dtype.kind != "S" or ids.size < 2:
+    if ids.size < 2:
         return np.argsort(ids, kind="stable")
     head = np.zeros((ids.size, 8), dtype=np.uint8)
     head[:, : min(width, 8)] = ids.view(np.uint8).reshape(ids.size, width)[:, :8]
@@ -57,29 +57,50 @@ def _id_order(ids: np.ndarray) -> np.ndarray:
     return order
 
 
-def _utf8_text(ids: np.ndarray) -> np.ndarray:
-    """The 1-d `<U` array of a 1-d array of UTF-8 byte strings (`S`), as wide as its longest text."""
+def _id_text(user_id: bytes) -> str:
+    """One id as text for a message."""
+    return repr(user_id.decode("utf-8", "backslashreplace"))
+
+
+def _utf8_ids(ids) -> np.ndarray:
+    """User ids as a 1-d array of UTF-8 byte strings (`S`), the one form ids take.
+
+    Text (a `U` array or a sequence of str) is encoded into a new array;
+    a contiguous `S` array is returned as it is. An id that is not UTF-8
+    or that holds NUL is refused: `S` drops trailing NULs, so `"a\\0"`
+    would merge with `"a"`. A sequence is checked for NUL before it
+    becomes an array, an array on its bytes, one block of rows at a time.
+    """
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "U":
+        ids = ids.tolist()  # encoding str by str is faster than `np.strings.encode`
+    if not isinstance(ids, np.ndarray):
+        ids = [u.encode("utf-8") if isinstance(u, str) else u for u in ids]
+        if not all(isinstance(u, bytes) for u in ids):
+            raise MalformedInputError("user ids must be a 1-d array of text")
+        if b"\0" in b"".join(ids):
+            nul = next(u for u in ids if b"\0" in u)
+            raise MalformedInputError(f"user id {_id_text(nul)} holds NUL")
+        ids = np.array(ids, dtype=bytes)
+    if ids.dtype.kind != "S" or ids.ndim != 1:
+        raise MalformedInputError("user ids must be a 1-d array of text")
+    ids = np.ascontiguousarray(ids)
     width = ids.dtype.itemsize
-    codes = ids.view(np.uint8).reshape(ids.size, width)
-    if not np.any(codes >= 0x80):  # ASCII: each byte is its code point
-        return codes.astype(np.uint32).view(f"<U{width}").ravel()
-    continuation = (codes & 0xC0) == 0x80
-    chars = np.count_nonzero((codes != 0) & ~continuation, axis=1)
-    text = np.zeros((ids.size, max(1, int(chars.max()))), dtype=np.uint32)
-    col = np.arange(text.shape[1])
-    for start in range(0, ids.size, _ROWS_PER_BLOCK):
-        block = slice(start, start + _ROWS_PER_BLOCK)
-        try:
-            decoded = codes[block].tobytes().decode("utf-8")
-        except UnicodeDecodeError:
-            raise MalformedInputError("user ids are not UTF-8 text") from None
-        # a string decodes to `width` code points less one per continuation byte, its NUL padding included
-        points = np.frombuffer(decoded.encode("utf-32-le"), dtype=np.uint32)
-        length = width - continuation[block].sum(axis=1)
-        first = np.cumsum(length) - length
-        inside = col < chars[block, None]
-        text[block][inside] = points[(first[:, None] + col)[inside]]
-    return text.view(f"<U{text.shape[1]}").ravel()
+    codes = ids.view(np.uint8)
+    for start in range(0, codes.size, _ROWS_PER_BLOCK * width):
+        block = codes[start : start + _ROWS_PER_BLOCK * width]
+        nul = (block[:-1] == 0) & (block[1:] != 0)
+        nul[width - 1 :: width] = False  # a NUL before a byte of the same id, not of the next
+        if nul.any():
+            raise MalformedInputError(f"user id {_id_text(ids[(start + np.argmax(nul)) // width])} holds NUL")
+        if block.max() >= 0x80:
+            ended = np.zeros((block.size // width, width + 1), dtype=np.uint8)  # so no sequence runs into the next id
+            ended[:, :width] = block.reshape(-1, width)
+            try:
+                ended.tobytes().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = ids[start // width + exc.start // (width + 1)]
+                raise MalformedInputError(f"user ids are not UTF-8 text: {_id_text(bad)}") from None
+    return ids
 
 
 @dataclass(frozen=True)
@@ -88,10 +109,12 @@ class BalanceSnapshot:
 
     Balances are non-negative integer satoshi; a balance held as a float
     or a Python object must be a finite whole number below 2^63. User
-    ids are opaque strings, unique within the snapshot; a read-only id
-    array that owns its memory is stored as given, so snapshots can share it.
-    Ids given as bytes (`S`) are UTF-8 text: they are sorted as bytes,
-    which is code-point order, and stored decoded.
+    ids are opaque, unique within the snapshot, and stored as UTF-8 byte
+    strings (`S`) sorted as bytes, which is code-point order. Text ids
+    are encoded once; an id holding NUL is refused. A read-only `S` array
+    that owns its memory is stored as given, so snapshots can share it;
+    any other `S` array is copied, so a snapshot never aliases an array
+    the caller can write through.
     """
 
     date: dt.date
@@ -99,7 +122,8 @@ class BalanceSnapshot:
     balances: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.user_ids)
+        given = self.user_ids
+        ids = _utf8_ids(given)
         bal = np.asarray(self.balances)
         bad = []
         if bal.dtype.kind == "O":
@@ -115,11 +139,11 @@ class BalanceSnapshot:
         if len(bad):
             raise MalformedInputError(f"balance {bad[0]} is not a finite whole number of satoshi")
         bal = bal.astype(np.int64, copy=False)
-        if ids.shape != bal.shape or ids.ndim != 1:
+        if ids.shape != bal.shape:
             raise MalformedInputError("user_ids and balances must be 1-d and aligned")
         if np.all(ids[1:] > ids[:-1]):  # already sorted and unique, as every written file is
             # never alias an array the caller can write through; a read-only array that owns its memory is shared
-            if ids.dtype.kind != "S" and (ids.flags.writeable or ids.base is not None):
+            if ids is given and (ids.flags.writeable or ids.base is not None):
                 ids = ids.copy()
             bal = bal.copy()
         else:
@@ -127,11 +151,8 @@ class BalanceSnapshot:
             ids = ids[order]
             bal = bal[order]
             if np.any(ids[1:] == ids[:-1]):
-                dup = ids[1:][ids[1:] == ids[:-1]][:1]
-                dup = _utf8_text(dup) if dup.dtype.kind == "S" else dup
-                raise MalformedInputError(f"duplicate user_id in snapshot: {dup[0]!r}")
-        if ids.dtype.kind == "S":
-            ids = _utf8_text(ids)
+                dup = ids[1:][ids[1:] == ids[:-1]][0]
+                raise MalformedInputError(f"duplicate user_id in snapshot: {_id_text(dup)}")
         if np.any(bal < 0):
             raise MalformedInputError("negative balance in snapshot")
         object.__setattr__(self, "user_ids", ids)
@@ -141,8 +162,7 @@ class BalanceSnapshot:
     def from_records(cls, date: dt.date, records) -> "BalanceSnapshot":
         """Build from an iterable of (user_id, balance) pairs."""
         pairs = list(records)
-        ids = np.array([str(u) for u, _ in pairs])
-        return cls(date, ids, [b for _, b in pairs])
+        return cls(date, [str(u) for u, _ in pairs], [b for _, b in pairs])
 
     @property
     def n_users(self) -> int:
@@ -153,11 +173,12 @@ class BalanceSnapshot:
 class TransitionPanel:
     """Joined snapshot pair: one row per user with (s0, s1) over the horizon.
 
-    `ds = s1 - s0` and the activity `group` are derived from s0 and s1
-    on first use, so they always agree with them. Group labels: 'A' for
-    s0 > 0 and ds != 0 (traded), 'B' for s0 > 0 and ds == 0 (held), ''
-    for rows entering at s0 = 0. `dt_days` is None for panels loaded
-    from CSV, where the horizon is not part of the format.
+    User ids are UTF-8 byte strings (`S`), as in `BalanceSnapshot`; text
+    ids are encoded once. `ds = s1 - s0` and the activity `group` are
+    derived from s0 and s1 on first use, so they always agree with them.
+    Group labels: 'A' for s0 > 0 and ds != 0 (traded), 'B' for s0 > 0
+    and ds == 0 (held), '' for rows entering at s0 = 0. `dt_days` is None
+    for panels loaded from CSV, where the horizon is not part of the format.
     """
 
     t0: dt.date | None
@@ -170,6 +191,7 @@ class TransitionPanel:
     def __post_init__(self):
         if self.dt_days is not None and self.dt_days <= 0:
             raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
+        object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
         n = self.user_ids.size
         for name in ("s0", "s1"):
             if getattr(self, name).shape != (n,):

@@ -201,7 +201,7 @@ def _user_ids(n: int) -> np.ndarray:
     for col in range(width, 0, -1):
         index, digit = np.divmod(index, 10)
         text[:, col] = digit + ord("0")
-    return text.view(f"S{width + 1}").ravel().astype(f"U{width + 1}")
+    return text.view(f"S{width + 1}").ravel()
 
 
 def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):

@@ -1,9 +1,14 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, or imports `ctypes`.
 
 A stdlib stand-in for a linter's unused-import rule: every name an
 `import` binds anywhere in a module must be loaded somewhere in that
 module, as a bare name or as the base of an attribute chain (both are
 `ast.Name` loads).
+
+Through `ctypes` a module can change the whole process from foreign
+code, as a C allocator setting does, with nothing in Python to show it.
+numpy itself loads `ctypes`, so the check reads the source, not
+`sys.modules`.
 """
 
 import ast
@@ -29,6 +34,36 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """The top-level name of every module that `source` imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_ctypes(path):
+    assert "ctypes" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f():\n    import ctypes\n", True),
+        ("from ctypes import CDLL\n", True),
+        ("import ctypes.util as u\n", True),
+        ("from . import ctypes\n", False),  # a module of the package, not the stdlib one
+        ("import numpy as np\n", False),
+    ],
+)
+def test_ctypes_check_finds_every_import_form(source, found):
+    assert ("ctypes" in imported_modules(source)) == found
 
 
 @pytest.mark.parametrize(

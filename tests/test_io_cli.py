@@ -83,15 +83,31 @@ class TestSnapshotCsv:
         write(path, "user_id,balance\na,5\n")
         assert read_snapshot_csv(path).date == dt.date(2019, 1, 19)
 
-    @pytest.mark.parametrize("bad_id", ["a,b", 'q"x', "l\nm", "c\rr", "n\0ul"])
-    def test_unreadable_id_refused(self, tmp_path, bad_id):
+    @pytest.mark.parametrize(
+        "bad_id, kind",
+        [
+            pytest.param(bad_id, kind, id=bad_id if kind == "S" else f"{bad_id}-U")
+            for kind in ("S", "U")
+            for bad_id in ["a,b", 'q"x', "l\nm", "c\rr", "zoë\n"]
+        ],
+    )
+    def test_unreadable_id_refused(self, tmp_path, bad_id, kind):
         path = tmp_path / "s_2016-01-23.csv"
         write(path, "user_id,balance\nold,1\n")
-        snap = snapshot(D0, [("ok", 1), (bad_id, 5)])
+        ids = np.array(["ok", bad_id]) if kind == "U" else np.array([b"ok", bad_id.encode()])
         with pytest.raises(MalformedInputError, match=f"column user_id holds {re.escape(repr(bad_id))}"):
-            write_snapshot_csv(path, snap)
+            if kind == "S":
+                write_snapshot_csv(path, BalanceSnapshot(D0, ids, [1, 5]))
+            else:
+                write_csv(path, {"user_id": ids, "balance": [1, 5]})
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert path.read_text() == "user_id,balance\nold,1\n"
+
+    def test_nul_inside_byte_cell_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(MalformedInputError, match=r"column id holds 'n\\x00ul'"):
+            write_csv(path, {"id": np.array([b"ok", b"n\0ul"])})
+        assert list(tmp_path.iterdir()) == []
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "s_2016-01-23.csv"
@@ -130,6 +146,11 @@ class TestPanelCsv:
         write(path, "user_id,s0,s1,ds,group\na,5,7,2,B\n")
         with pytest.raises(MalformedInputError, match="group"):
             read_panel_csv(path)
+        # a wrong label where each of the three labels is due, and a label that is no label
+        for row, label in [("b,5,5,0,A", "A"), ("b,0,3,3,B", "B"), ("b,5,7,2,", ""), ("b,5,7,2,é", "é")]:
+            write(path, f"user_id,s0,s1,ds,group\na,5,7,2,A\n{row}\n")
+            with pytest.raises(MalformedInputError, match=f":3: group label '{label}' inconsistent with s0/ds$"):
+                read_panel_csv(path)
 
     @pytest.mark.parametrize("cell, dtype", [("4611686018427387904.0", np.int64), ("9223372036854775808", np.float64)])
     def test_integral_float_balances_below_2_63_read_as_int64(self, tmp_path, cell, dtype):
@@ -166,7 +187,7 @@ class TestReaderContract:
         path = tmp_path / "crlf.csv"
         write(path, "user_id,balance\r\na,5\r\nb,7\r\n")
         snap = read_snapshot_csv(path, D0)
-        assert snap.user_ids.tolist() == ["a", "b"] and snap.balances.tolist() == [5, 7]
+        assert snap.user_ids.tolist() == [b"a", b"b"] and snap.balances.tolist() == [5, 7]
 
     def test_crlf_error_names_line_and_bare_cell(self, tmp_path):
         path = tmp_path / "crlf.csv"
@@ -240,7 +261,7 @@ class TestReaderContract:
     def test_ids_keep_unicode_and_spaces(self, tmp_path):
         path = tmp_path / "u.csv"
         write(path, "user_id,balance\nzoë,5\n a ,7\n")
-        assert read_snapshot_csv(path, D0).user_ids.tolist() == [" a ", "zoë"]
+        assert read_snapshot_csv(path, D0).user_ids.tolist() == [b" a ", "zoë".encode()]
 
     def test_quoted_field_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
@@ -287,11 +308,11 @@ class TestReaderMatchesCsvModule:
         short = [lineno for lineno, row in reference if len(row) < 2]
         if short:
             with pytest.raises(MalformedInputError, match=f":{short[0]}: expected 2 fields, got 1$"):
-                _read_csv(path, [("x", "str"), ("y", "str")], locate=lambda names: [0, 1])
+                _read_csv(path, [("x", "utf8"), ("y", "utf8")], locate=lambda names: [0, 1])
             return
-        (x, y), line = _read_csv(path, [("x", "str"), ("y", "str")], locate=lambda names: [0, 1])
-        assert x.tolist() == [row[0] for _, row in reference]
-        assert y.tolist() == [row[1] for _, row in reference]
+        (x, y), line = _read_csv(path, [("x", "utf8"), ("y", "utf8")], locate=lambda names: [0, 1])
+        assert x.tolist() == [row[0].encode() for _, row in reference]
+        assert y.tolist() == [row[1].encode() for _, row in reference]
         assert [line(i) for i in range(len(reference))] == [lineno for lineno, _ in reference]
 
 

@@ -26,7 +26,7 @@ class TestBuildPanel:
         snap0 = snapshot(D0, [("u1", 5)])
         snap1 = snapshot(D28, [("u2", 7)])
         panel = build_panel(snap0, snap1)
-        i = int(np.flatnonzero(panel.user_ids == "u1")[0])
+        i = int(np.flatnonzero(panel.user_ids == b"u1")[0])
         assert (panel.s0[i], panel.s1[i], panel.ds[i]) == (5, 0, -5)
         assert panel.group[i] == GROUP_ACTIVE
         tax = taxonomy(panel)
@@ -100,21 +100,51 @@ class TestBuildPanel:
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["sorted", "shuffled"])
     def test_sorted_copy_never_aliases_input(self, order):
-        ids = np.array(["a", "b", "c", "d"])[order]
+        ids = np.array([b"a", b"b", b"c", b"d"])[order]
         balances = np.array([1, 2, 3, 4], dtype=np.int64)[order]
         snap = BalanceSnapshot(D0, ids, balances)
-        assert snap.user_ids.tolist() == ["a", "b", "c", "d"] and snap.balances.tolist() == [1, 2, 3, 4]
+        assert snap.user_ids.tolist() == [b"a", b"b", b"c", b"d"] and snap.balances.tolist() == [1, 2, 3, 4]
         assert not np.shares_memory(snap.user_ids, ids) and not np.shares_memory(snap.balances, balances)
 
     def test_read_only_ids_shared_only_when_no_writeable_handle_exists(self):
-        owned = np.array(["a", "b", "c"])
+        owned = np.array([b"a", b"b", b"c"])
         owned.flags.writeable = False
         assert np.shares_memory(BalanceSnapshot(D0, owned, [1, 2, 3]).user_ids, owned)
-        base = np.array(["a", "b", "c"])
+        base = np.array([b"a", b"b", b"c"])
         view = base[:]
         view.flags.writeable = False
         snap = BalanceSnapshot(D0, view, [1, 2, 3])
         assert not np.shares_memory(snap.user_ids, base)
+
+    def test_text_ids_encoded_once(self):
+        snap = BalanceSnapshot(D0, np.array(["zoë", "a"]), [1, 2])
+        assert snap.user_ids.dtype == np.dtype("S4") and snap.user_ids.tolist() == [b"a", "zoë".encode()]
+        assert snapshot(D0, [("zoë", 1), ("a", 2)]).user_ids.tolist() == snap.user_ids.tolist()
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            pytest.param(np.array(["ok", "n\0ul"]), id="inner-text"),
+            pytest.param(np.array([b"ok", b"n\0ul"]), id="inner-bytes"),
+            pytest.param(["ok", "a\0"], id="trailing-text"),  # an array would drop the NUL
+            pytest.param([b"ok", b"a\0"], id="trailing-bytes"),
+        ],
+    )
+    def test_nul_in_id_refused(self, ids):
+        with pytest.raises(MalformedInputError, match=r"^user id '(n\\x00ul|a\\x00)' holds NUL$"):
+            BalanceSnapshot(D0, ids, [1, 5])
+        with pytest.raises(MalformedInputError, match="holds NUL"):
+            TransitionPanel(None, None, ids, np.array([1, 5]), np.array([1, 5]))
+
+    @pytest.mark.parametrize("ids", [[1, 2], np.array([1, 2]), np.array([["a"], ["b"]]), [b"a", None]])
+    def test_ids_that_are_not_text_refused(self, ids):
+        with pytest.raises(MalformedInputError, match="^user ids must be a 1-d array of text$"):
+            BalanceSnapshot(D0, ids, [1, 2])
+
+    @pytest.mark.parametrize("bad_id", ["n\0ul", "a\0"])
+    def test_nul_in_record_id_refused(self, bad_id):
+        with pytest.raises(MalformedInputError, match="holds NUL"):
+            snapshot(D0, [("ok", 1), (bad_id, 5), ("a", 2)])
 
     def test_join_reproduces_source_snapshots(self, rng):
         # users absent on one side must read 0 there, all others their balance
@@ -167,7 +197,7 @@ class TestJoinProperties:
         snap0, snap1 = _side(users, 0, D0), _side(users, 1, D28)
         panel = build_panel(snap0, snap1)
         present = sorted(u for u, (b0, b1) in users.items() if b0 is not None or b1 is not None)
-        assert panel.user_ids.tolist() == present
+        assert panel.user_ids.tolist() == [u.encode() for u in present]
         assert panel.user_ids.dtype == np.promote_types(snap0.user_ids.dtype, snap1.user_ids.dtype)
         s0 = [users[u][0] or 0 for u in present]
         s1 = [users[u][1] or 0 for u in present]
@@ -207,7 +237,7 @@ class TestJoinProperties:
             _side({u: b for u, b in users.items() if u in pick}, 0, D0),
             _side({u: b for u, b in users.items() if u in pick}, 1, D28),
         )
-        rows = np.isin(panel.user_ids, list(pick))
+        rows = np.isin(panel.user_ids, [u.encode() for u in pick])
         for name in ("user_ids", "s0", "s1", "ds", "group"):
             assert getattr(panel, name)[rows].tolist() == getattr(part, name).tolist()
 
@@ -222,7 +252,7 @@ class TestTransitionPanel:
         assert panel.ds.tolist() == [2, 0, 3]
         assert panel.group.tolist() == [GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE]
         active = filter_active(panel)
-        assert active.user_ids.tolist() == ["x"] and active.ds.tolist() == [2]
+        assert active.user_ids.tolist() == [b"x"] and active.ds.tolist() == [2]
         tax = taxonomy(panel)
         assert (tax.vertical, tax.horizontal, tax.interior) == (1, 1, 1)
 
@@ -248,7 +278,7 @@ class TestFilterActive:
             rows.append((f"u{i}", s0, s1))
         panel = panel_from_rows(rows)
         active = filter_active(panel)
-        expected = {u for u, s0, s1 in rows if s0 > 0 and s1 != s0}
+        expected = {u.encode() for u, s0, s1 in rows if s0 > 0 and s1 != s0}
         assert set(active.user_ids) == expected
         # removed and retained partition the panel
         assert active.n_rows + active.meta["removed_total"] == panel.n_rows

@@ -16,15 +16,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balancegrowth import BalanceSnapshot, MalformedInputError
+from balancegrowth import BalanceSnapshot, MalformedInputError, build_panel
 from balancegrowth import io as bg_io
 from balancegrowth import panel as bg_panel
 from balancegrowth._workers import map_on_cpus
 from balancegrowth.cli import main
-from balancegrowth.io import _format_cells, _read_csv, read_snapshot_csv, read_values_csv, write_csv
-from balancegrowth.panel import _id_order, _utf8_text
+from balancegrowth.io import (
+    _format_cells,
+    _read_csv,
+    read_panel_csv,
+    read_snapshot_csv,
+    read_values_csv,
+    write_csv,
+    write_panel_csv,
+    write_snapshot_csv,
+)
+from balancegrowth.panel import _id_order
 
-from conftest import D0
+from conftest import D0, D28
 
 INT_MESSAGE = "balance must be a decimal integer in the int64 range, got "
 INT_CELL = re.compile(r"-?[0-9]+")
@@ -67,7 +76,7 @@ class TestIntegerGrammar:
         path = tmp_path / "v.csv"
         path.write_text(f"user_id,n\n\na,1\nb,{cell}\n", encoding="utf-8")
         with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:4: n must be a decimal integer"):
-            _read_csv(path, [("user_id", "str"), ("n", "int")])
+            _read_csv(path, [("user_id", "utf8"), ("n", "int")])
 
     def test_int64_extremes_exact(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -122,7 +131,7 @@ class TestReaderMatchesWriterCells:
                 lines.insert(min(k, len(rows)) + 1, "")
             path.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
             lineno = [i + 1 for i, text in enumerate(lines) if text][1:]
-            schema = [("id", "str"), ("n", "int"), ("x", "real")]
+            schema = [("id", "utf8"), ("n", "int"), ("x", "real")]
             with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_block), mock.patch.object(
                 bg_panel, "_ROWS_PER_BLOCK", rows_per_block
             ):
@@ -133,7 +142,7 @@ class TestReaderMatchesWriterCells:
                         _read_csv(path, schema)
                     return
                 (got_ids, got_ints, got_reals), line = _read_csv(path, schema)
-        assert got_ids.tolist() == ids
+        assert got_ids.tolist() == [u.encode() for u in ids]
         assert got_ints.dtype == np.int64 and got_ints.tolist() == ints
         exact = all(INT_CELL.fullmatch(c) and -(2**63) <= int(c) < 2**63 for c in cells)
         assert got_reals.dtype == (np.int64 if exact else np.float64)
@@ -152,7 +161,7 @@ class TestIdSort:
             path = _snapshot_file(Path(tmp) / "s.csv", zip(ids, balances.tolist()))
             snap = read_snapshot_csv(path, D0)
         want = np.sort(np.array(ids, dtype=str))
-        assert snap.user_ids.dtype.kind == "U" and snap.user_ids.tolist() == want.tolist()
+        assert snap.user_ids.dtype.kind == "S" and snap.user_ids.tolist() == [u.encode() for u in want.tolist()]
         by_id = dict(zip(ids, balances.tolist()))
         assert snap.balances.tolist() == [by_id[u] for u in want.tolist()]
 
@@ -162,18 +171,46 @@ class TestIdSort:
     def test_order_is_the_stable_argsort(self, ids):
         utf8 = np.array([u.encode("utf-8") for u in ids], dtype=bytes) if ids else np.array([], dtype="S1")
         assert _id_order(utf8).tolist() == np.argsort(utf8, kind="stable").tolist()
-        assert _utf8_text(utf8).tolist() == ids
         assert np.array_equal(np.argsort(utf8, kind="stable"), np.argsort(np.array(ids, dtype=str), kind="stable"))
 
 
     def test_byte_ids_are_utf8_text(self):
         snap = BalanceSnapshot(D0, np.array(["zoë".encode(), b"a", "\U0001f600".encode()]), [1, 2, 3])
-        assert snap.user_ids.dtype.kind == "U" and snap.user_ids.tolist() == ["a", "zoë", "\U0001f600"]
+        assert snap.user_ids.dtype.kind == "S"
+        assert snap.user_ids.tolist() == [b"a", "zoë".encode(), "\U0001f600".encode()]
         assert snap.balances.tolist() == [2, 1, 3]
-        with pytest.raises(MalformedInputError, match="duplicate user_id in snapshot: np.str_\\('ë'\\)"):
+        with pytest.raises(MalformedInputError, match="duplicate user_id in snapshot: 'ë'$"):
             BalanceSnapshot(D0, np.array(["ë".encode(), b"b", "ë".encode()]), [1, 2, 3])
         with pytest.raises(MalformedInputError, match="user ids are not UTF-8 text"):
             BalanceSnapshot(D0, np.array([b"\xff", b"a"]), [1, 2])
+
+
+class TestByteIdRoundTrip:
+    """Ids stay UTF-8 bytes from a read to the next write, so every file reads back and writes again byte for byte."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(ids=st.lists(ID_TEXT, unique=True, max_size=12), seed=st.integers(0, 2**32 - 1))
+    @example(ids=["zoë", "zo", "\U0001f600", "aaaaaaaab", "aaaaaaaac", "ééééb", "ééééa", "éééé"], seed=5)
+    def test_snapshot_and_panel_files(self, ids, seed):
+        rng = np.random.default_rng(seed)
+        s0 = rng.integers(0, 10**12, size=len(ids))
+        s1 = np.where(rng.random(len(ids)) < 0.3, s0, rng.integers(0, 10**12, size=len(ids)))
+        order = rng.permutation(len(ids))
+        held = rng.random(len(ids)) < 0.8  # the other users sold out or left by D28
+        snap0 = BalanceSnapshot(D0, [ids[i] for i in order], s0[order])
+        snap1 = BalanceSnapshot(D28, [u for u, k in zip(ids, held) if k], s1[held])
+        want = [u.encode("utf-8") for u in sorted(ids)]
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {name: [Path(tmp) / f"{name}{k}.csv" for k in (1, 2)] for name in ("snap", "panel")}
+            write_snapshot_csv(files["snap"][0], snap0)
+            back = read_snapshot_csv(files["snap"][0], D0)
+            write_snapshot_csv(files["snap"][1], back)
+            write_panel_csv(files["panel"][0], build_panel(snap0, snap1))
+            joined = read_panel_csv(files["panel"][0])
+            write_panel_csv(files["panel"][1], joined)
+            for first, second in files.values():
+                assert first.read_bytes() == second.read_bytes()
+        assert back.user_ids.tolist() == want and joined.user_ids.tolist() == want
 
 
 def _affinities():
