@@ -56,7 +56,7 @@ class _Run:
         self.manifest = {**ident, "run_id": run_id}
 
     def finish(self, outputs: dict, **diagnostics) -> int:
-        """Write each output in order, recording its digest, then `<prefix>.manifest.json`.
+        """Write each output in order, recording the digest its writer returns, then `<prefix>.manifest.json`.
 
         A key is a tag under the prefix (`"bins.csv"`) or a Path; a dict that
         is not a `.csv` is a result JSON stamped with the run id. Writers are
@@ -66,14 +66,13 @@ class _Run:
         for key, payload in outputs.items():
             path = key if isinstance(key, Path) else Path(f"{self.prefix}.{key}")
             if isinstance(payload, panel_mod.TransitionPanel):
-                io.write_panel_csv(path, payload)
+                digests[str(path)] = io.write_panel_csv(path, payload)
             elif isinstance(payload, panel_mod.BalanceSnapshot):
-                io.write_snapshot_csv(path, payload)
+                digests[str(path)] = io.write_snapshot_csv(path, payload)
             elif path.suffix == ".csv":
-                io.write_csv(path, payload)
+                digests[str(path)] = io.write_csv(path, payload)
             else:
-                io.write_json(path, {**payload, "run_id": self.manifest["run_id"]})
-            digests[str(path)] = io.file_sha256(path)
+                digests[str(path)] = io.write_json(path, {**payload, "run_id": self.manifest["run_id"]})
             log.info("wrote %s", path)
         path = Path(f"{self.prefix}.manifest.json")
         duration = time.monotonic() - self.started

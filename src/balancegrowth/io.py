@@ -2,7 +2,8 @@
 
 Snapshot CSV: header `user_id,balance`, balance as a decimal integer
 of satoshi (`-?[0-9]+`), UTF-8, LF line endings. Panel CSV: header
-`user_id,s0,s1,ds,group`. All writes are atomic (temp file + rename).
+`user_id,s0,s1,ds,group`. All writes are atomic (temp file + rename),
+and each writer returns the SHA-256 of the bytes it wrote.
 Every CSV goes through one reader and one writer: integers round-trip
 exactly, and a real number is written as an integer when it is one.
 Text cells, user ids included, are read as UTF-8 bytes (`S`) and
@@ -24,7 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MalformedInputError
-from .panel import GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE, BalanceSnapshot, TransitionPanel, _id_order, _id_text
+from .panel import (
+    GROUP_ACTIVE,
+    GROUP_INACTIVE,
+    GROUP_NONE,
+    BalanceSnapshot,
+    TransitionPanel,
+    _encode_utf8,
+    _id_order,
+    _id_text,
+)
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
 
 SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
@@ -34,6 +44,10 @@ _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number"}
 _ROWS_PER_CHUNK = 1 << 16
 _INT_DIGITS = 19  # the most digits an int64 has
 _POW10 = 10 ** np.arange(_INT_DIGITS - 1, -1, -1, dtype=np.uint64)
+_GROUP = 8  # digits per group when writing: 10**8 fits a uint32
+_GROUP_BASE = np.uint64(10**_GROUP)
+# a written digit is shown when the magnitude reaches its place (10**19 ... 10), the units digit always
+_SHOWN_FROM = np.append(10 ** np.arange(_INT_DIGITS, 0, -1, dtype=np.uint64), np.uint64(0))
 _INT_CELL = re.compile(rb"-?[0-9]+")
 
 _DATE_RE = re.compile(r"(\d{4}-\d{2}-\d{2})")
@@ -45,19 +59,25 @@ _STRAY_BYTES = {
 }
 
 
-def _atomic_write(path, chunks):
-    """Write text chunks to `path` via a temp file in the same directory, then rename."""
+def _atomic_write(path, chunks) -> str:
+    """Write byte chunks (bytes or contiguous arrays) to `path` via a temp file in the same
+    directory, then rename; returns the SHA-256 hex digest of the bytes written, so no
+    output is read back to be hashed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    digest = hashlib.sha256()
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
 def _format_cells(values: np.ndarray) -> list:
@@ -74,63 +94,109 @@ def _unsafe(cell) -> bool:
     return any(char in cell for char in (b',"\r\n\0' if isinstance(cell, bytes) else ',"\r\n\0'))
 
 
-def _str_cells(path, name, a: np.ndarray) -> list:
-    """One block of a text column as str cells, refused if a cell holds , " CR LF or NUL.
-
-    Byte-string (`S`) cells are UTF-8, checked on their bytes before one
-    decode of the block: ASCII bytes are widened to their code points,
-    and other blocks are joined on LF, decoded and split.
-    """
-    if a.dtype.kind == "S":
-        codes = np.ascontiguousarray(a).view(np.uint8).reshape(a.size, a.dtype.itemsize)
-        raw = codes.tobytes()  # each cell, then NUL up to the width
-        nul_inside = np.count_nonzero(codes) != np.strings.str_len(a).sum()
-        if not nul_inside and not any(char in raw for char in b',"\r\n'):
-            if raw.isascii():
-                return codes.astype(np.uint32).view(f"U{a.dtype.itemsize}").ravel().tolist()
-            return b"\n".join(a.tolist()).decode("utf-8").split("\n")
-        cells = a.tolist()
-    else:
-        cells = a.tolist() if a.dtype.kind == "U" else _format_cells(a)
-        if not _unsafe("".join(cells)):
-            return cells
+def _refuse(path, name, cells):
+    """Raise on the first of `cells` (str or bytes) that holds , " CR LF or NUL."""
     cell = next(filter(_unsafe, cells))
     shown = repr(cell.decode("utf-8", "backslashreplace") if isinstance(cell, bytes) else cell)
     raise MalformedInputError(f"{path}: column {name} holds {shown}; a cell may not hold , \" CR LF or NUL")
 
 
-def write_csv(path, columns: dict):
-    """Write named, equal-length columns as CSV with LF endings.
+def _text_matrix(path, name, a: np.ndarray) -> np.ndarray:
+    """One block of a non-integer column as its UTF-8 cells, left-aligned and NUL-padded in a
+    (rows, width) `uint8` matrix; refused if a cell holds , " CR LF or NUL.
 
-    Integer and text cells are written as they are; a byte-string (`S`)
-    cell is UTF-8 text, checked on its bytes. A real cell is
-    written as an integer when it is integral and below 2**63 in
-    magnitude, as an empty cell when it is NaN, else as its shortest
-    round-trip repr. Cells are never quoted, so a text cell holding a
-    comma, a quote, CR, LF or NUL is an error; the file is then left as
-    it was.
+    `S` cells are their bytes and `U` cells are encoded once; any other
+    cell is its `_format_cells` text, checked as text, since `S` would
+    drop a trailing NUL.
+    """
+    if a.dtype.kind not in "SU":
+        cells = _format_cells(a)
+        if _unsafe("".join(cells)):
+            _refuse(path, name, cells)
+        a = np.array(cells, dtype=str)
+    if a.dtype.kind == "U":
+        a = _encode_utf8(a)
+    a = np.ascontiguousarray(a)
+    codes = a.view(np.uint8).reshape(a.size, a.dtype.itemsize)
+    raw = codes.tobytes()  # each cell, then NUL up to the width
+    if any(char in raw for char in b',"\r\n') or np.count_nonzero(codes) != np.strings.str_len(a).sum():
+        _refuse(path, name, a.tolist())
+    return codes
 
-    Each chunk of rows is one `%`-format over its cells in row order;
-    `%s` of an int, a bool or a str is its `str`.
+
+def _digit_matrix(a: np.ndarray) -> np.ndarray:
+    """One block of an integer column as its decimal text, right-aligned and NUL-padded in a
+    (rows, width) `uint8` matrix.
+
+    The width is that of the block's widest magnitude, plus a sign column
+    only when a value is negative. Each magnitude is split into groups of
+    `_GROUP` digits, whose digits are taken by `uint32` division by 10;
+    a digit above the first significant one is NUL.
+    """
+    negative = a < 0
+    sign = int(negative.any())
+    if a.dtype.kind == "u":
+        magnitude = a.astype(np.uint64)
+    else:  # abs(-2**63) is -2**63, whose uint64 view is 2**63
+        magnitude = np.abs(a.astype(np.int64, copy=False)).view(np.uint64)
+    width = len(str(int(magnitude.max(initial=0))))
+    cells = np.empty((sign + width, a.size), dtype=np.uint8)  # one row per column of text
+    rest = magnitude
+    for stop in range(sign + width, sign, -_GROUP):  # each group of digits, lowest first; its units in row stop - 1
+        if stop - _GROUP > sign:  # digits remain above this group
+            above = rest // _GROUP_BASE
+            group = (rest - above * _GROUP_BASE).astype(np.uint32)
+            rest = above
+        else:
+            group = rest.astype(np.uint32)
+        for row in range(stop - 1, max(stop - _GROUP, sign) - 1, -1):
+            tens = group // 10
+            cells[row] = group - tens * 10
+            group = tens
+    digits = cells[sign:]
+    digits += ord("0")
+    digits *= magnitude >= _SHOWN_FROM[-width:, None]
+    if sign:
+        cells[0] = np.where(negative, ord("-"), 0)
+    return cells.T
+
+
+def write_csv(path, columns: dict) -> str:
+    """Write named, equal-length columns as CSV with LF endings; returns the file's SHA-256.
+
+    Integer cells are their decimal text, and a byte-string (`S`) cell
+    is UTF-8 text written as it is. A real cell is written as an integer
+    when it is integral and below 2**63 in magnitude, as an empty cell
+    when it is NaN, else as its shortest round-trip repr; any other cell
+    is its `str`. Cells are never quoted, so a text cell holding a comma,
+    a quote, CR, LF or NUL is an error; the file is then left as it was.
+
+    Each chunk of rows is assembled as bytes: every column becomes a
+    NUL-padded `uint8` matrix (integers by digit arithmetic), the
+    matrices are laid side by side between commas and LFs, and the NULs
+    are deleted. A written cell never holds NUL, so no text is lost.
     """
     arrays = [np.asarray(values) for values in columns.values()]
     n = len(arrays[0]) if arrays else 0
-    m = len(arrays)
 
     def chunks():
-        yield ",".join(columns) + "\n"
+        yield (",".join(columns) + "\n").encode("utf-8")
         for start in range(0, n, _ROWS_PER_CHUNK):
-            block = [a[start : start + _ROWS_PER_CHUNK] for a in arrays]
-            k = len(block[0])
-            flat = np.empty(k * m, dtype=object)
-            for i, (name, a) in enumerate(zip(columns, block)):
-                if a.dtype.kind in "biuf":
-                    flat[i::m] = _format_cells(a) if a.dtype.kind == "f" else a.tolist()
-                else:
-                    flat[i::m] = _str_cells(path, name, a)
-            yield (("%s," * (m - 1) + "%s\n") * k) % tuple(flat)
+            cells = [
+                _digit_matrix(block) if block.dtype.kind in "iu" else _text_matrix(path, name, block)
+                for name, block in zip(columns, (a[start : start + _ROWS_PER_CHUNK] for a in arrays))
+            ]
+            rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+            at = 0
+            for c in cells:
+                rows[:, at : at + c.shape[1]] = c
+                at += c.shape[1]
+                rows[:, at] = ord(",")
+                at += 1
+            rows[:, -1] = ord("\n")
+            yield rows[rows != 0]  # the bytes of each row, in order, without the padding
 
-    _atomic_write(path, chunks())
+    return _atomic_write(path, chunks())
 
 
 def _line_at(raw: bytes, pos: int) -> int:
@@ -342,8 +408,8 @@ def json_text(obj) -> str:
     return json.dumps(_plain(obj), indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def write_json(path, obj):
-    _atomic_write(path, [json_text(obj)])
+def write_json(path, obj) -> str:
+    return _atomic_write(path, [json_text(obj).encode("utf-8")])
 
 
 def file_sha256(path) -> str:
@@ -382,13 +448,13 @@ def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
         raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {_id_text(ids[i])}") from None
 
 
-def write_snapshot_csv(path, snapshot: BalanceSnapshot):
-    write_csv(path, {"user_id": snapshot.user_ids, "balance": snapshot.balances})
+def write_snapshot_csv(path, snapshot: BalanceSnapshot) -> str:
+    return write_csv(path, {"user_id": snapshot.user_ids, "balance": snapshot.balances})
 
 
-def write_panel_csv(path, panel: TransitionPanel):
+def write_panel_csv(path, panel: TransitionPanel) -> str:
     columns = {"user_id": panel.user_ids, "s0": panel.s0, "s1": panel.s1, "ds": panel.ds, "group": panel.group}
-    write_csv(path, columns)
+    return write_csv(path, columns)
 
 
 def read_panel_csv(path) -> TransitionPanel:

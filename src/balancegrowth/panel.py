@@ -62,6 +62,26 @@ def _id_text(user_id: bytes) -> str:
     return repr(user_id.decode("utf-8", "backslashreplace"))
 
 
+def _encode_utf8(text: np.ndarray) -> np.ndarray:
+    """A `U` array as UTF-8 byte strings (`S`) of the same shape, one block of rows at a time.
+
+    An ASCII block is narrowed code by code, from `uint32` to `uint8`;
+    any other block is encoded str by str, which is faster than
+    `np.strings.encode`.
+    """
+    flat = np.ascontiguousarray(text).reshape(-1)
+    width = flat.dtype.itemsize // 4
+    codes = flat.view(np.uint32).reshape(flat.size, width)
+    parts = [np.empty(0, dtype="S1")]
+    for start in range(0, flat.size, _ROWS_PER_BLOCK):
+        block = slice(start, start + _ROWS_PER_BLOCK)
+        if codes[block].max() < 0x80:
+            parts.append(codes[block].astype(np.uint8).view(f"S{width}").ravel())
+        else:
+            parts.append(np.array([u.encode("utf-8") for u in flat[block].tolist()], dtype=bytes))
+    return (parts[-1] if len(parts) == 2 else np.concatenate(parts)).reshape(text.shape)
+
+
 def _utf8_ids(ids) -> np.ndarray:
     """User ids as a 1-d array of UTF-8 byte strings (`S`), the one form ids take.
 
@@ -72,7 +92,7 @@ def _utf8_ids(ids) -> np.ndarray:
     becomes an array, an array on its bytes, one block of rows at a time.
     """
     if isinstance(ids, np.ndarray) and ids.dtype.kind == "U":
-        ids = ids.tolist()  # encoding str by str is faster than `np.strings.encode`
+        ids = _encode_utf8(ids)
     if not isinstance(ids, np.ndarray):
         ids = [u.encode("utf-8") if isinstance(u, str) else u for u in ids]
         if not all(isinstance(u, bytes) for u in ids):

@@ -20,6 +20,7 @@ from balancegrowth.cli import build_parser, main
 from balancegrowth.io import (
     _format_cells,
     _read_csv,
+    file_sha256,
     json_text,
     parse_sim_config,
     read_panel_csv,
@@ -32,6 +33,7 @@ from balancegrowth.io import (
 from balancegrowth.sim import SCHEME_EXACT, Schedule
 
 from conftest import D0, panel_from_rows, snapshot
+from test_golden import _run_pipeline
 
 
 def write(path, text):
@@ -324,8 +326,13 @@ FLOAT = st.one_of(
 )
 
 
+# the edges of the 10**8 digit groups the writer splits a magnitude into, and the int64 extremes
+GROUP_EDGES = [10**8 - 1, 10**8, 10**16, 10**16 + 1, -(10**16), 10**18, 0, -(2**63), 2**63 - 1, -1, 9, 10]
+UINT64_EDGES = [2**63, 2**64 - 1, 10**19, 10**19 - 1, 2**63 + 1, 0, 10**8, 1, 10**16, 99, 2**63 - 1, 10**18]
+
+
 class TestWriterMatchesJoin:
-    """The chunked `%`-format writer against a per-cell `str` and `",".join` reference."""
+    """The chunked byte-assembly writer against a per-cell `str` and `",".join` reference."""
 
     @staticmethod
     def _reference(columns):
@@ -358,6 +365,76 @@ class TestWriterMatchesJoin:
         with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_chunk):
             write_csv(path, columns)
         assert path.read_bytes() == self._reference(columns).encode("utf-8")
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 5, 1 << 16])
+    def test_integer_edges(self, tmp_path, rows_per_chunk):
+        columns = {
+            "i": np.array(GROUP_EDGES, dtype=np.int64),
+            "u": np.array(UINT64_EDGES, dtype=np.uint64),
+            "small": np.arange(-6, 6, dtype=np.int8),
+        }
+        path = tmp_path / "w.csv"
+        with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_chunk):
+            write_csv(path, columns)
+        assert path.read_bytes() == self._reference(columns).encode("utf-8")
+        (back,), _ = _read_csv(path, [("i", "int")], locate=lambda names: [0])
+        assert back.tolist() == GROUP_EDGES
+
+    @pytest.mark.parametrize("kind", ["S", "U"])
+    def test_empty_and_non_ascii_text(self, tmp_path, kind):
+        text = {
+            "first": ["", "a", "", "漢字"],
+            "middle": ["", "", "é", "😀"],
+            "last": ["", "b", "", ""],
+        }
+        columns = {name: np.array(cells, dtype=str) for name, cells in text.items()}
+        given = columns if kind == "U" else {k: np.array([c.encode() for c in v]) for k, v in text.items()}
+        path = tmp_path / "w.csv"
+        write_csv(path, {**given, "n": np.arange(4)})
+        assert path.read_bytes() == self._reference({**columns, "n": np.arange(4)}).encode("utf-8")
+        assert path.read_bytes().startswith(b"first,middle,last,n\n,,,0\na,,b,1\n")
+
+    def test_zero_rows(self, tmp_path):
+        columns = {
+            "i": np.array([], dtype=np.int64),
+            "u": np.array([], dtype=np.uint64),
+            "s": np.array([], dtype="S3"),
+            "t": np.array([], dtype=str),
+            "f": np.array([], dtype=np.float64),
+            "o": np.array([], dtype=object),
+        }
+        path = tmp_path / "w.csv"
+        assert write_csv(path, columns) == file_sha256(path)
+        assert path.read_bytes() == self._reference(columns).encode("utf-8") == b"i,u,s,t,f,o\n"
+
+    def test_chunks_of_different_widths(self, tmp_path):
+        # the only negative value is in the first chunk, the only 19-digit one in the second
+        n = bg_io._ROWS_PER_CHUNK + 1
+        values = np.arange(n, dtype=np.int64) % 1000
+        values[7] = -5
+        values[-1] = 10**18 + 3
+        columns = {
+            "id": np.array([f"u{i}".encode() for i in range(n)]),
+            "n": values,
+            "g": np.where(values % 2 == 0, "A", ""),
+        }
+        reference = dict(columns, id=np.array([f"u{i}" for i in range(n)]))
+        path = tmp_path / "w.csv"
+        assert write_csv(path, columns) == file_sha256(path)
+        assert path.read_bytes() == self._reference(reference).encode("utf-8")
+
+    @pytest.mark.parametrize("kind", ["S", "U", "O"])
+    def test_refusal_in_second_chunk(self, tmp_path, kind):
+        n = bg_io._ROWS_PER_CHUNK + 1
+        text = [f"u{i}" for i in range(n - 1)] + ["a,b"]
+        cells = {"S": np.array([t.encode() for t in text]), "U": np.array(text), "O": np.array(text, dtype=object)}
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(MalformedInputError) as refused:
+            write_csv(path, {"n": np.arange(n), "id": cells[kind]})
+        assert str(refused.value) == f"{path}: column id holds 'a,b'; a cell may not hold , \" CR LF or NUL"
+        assert path.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_nan_real_cell_is_empty(self, tmp_path):
         path = tmp_path / "w.csv"
@@ -680,6 +757,19 @@ class TestFailedRunWritesNoFile:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "v.csv"]
+
+
+def test_manifest_digests_match_outputs(tmp_path, monkeypatch):
+    """Outputs are hashed as they are written; each digest a manifest lists is that of the file."""
+    monkeypatch.chdir(tmp_path)
+    _run_pipeline(tmp_path)
+    listed = {}
+    for manifest in tmp_path.rglob("*.manifest.json"):
+        listed.update(json.loads(manifest.read_text())["outputs"])
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*") if ".manifest." not in p.name}
+    assert set(listed) == written - {"a.csv", "b.csv", "vals.csv", "gbm.cfg", "pow.cfg", "two.cfg"}
+    for name, digest in listed.items():
+        assert digest == file_sha256(name), name
 
 
 @pytest.fixture(scope="module")

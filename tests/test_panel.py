@@ -1,6 +1,7 @@
 import dataclasses
 import warnings
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from balancegrowth import (
     filter_active,
     taxonomy,
 )
-from balancegrowth.panel import GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE
+from balancegrowth import panel as bg_panel
+from balancegrowth.panel import GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE, _encode_utf8
 
 from conftest import D0, D28, panel_from_rows, snapshot
 
@@ -120,6 +122,18 @@ class TestBuildPanel:
         snap = BalanceSnapshot(D0, np.array(["zoë", "a"]), [1, 2])
         assert snap.user_ids.dtype == np.dtype("S4") and snap.user_ids.tolist() == [b"a", "zoë".encode()]
         assert snapshot(D0, [("zoë", 1), ("a", 2)]).user_ids.tolist() == snap.user_ids.tolist()
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 1 << 16])
+    @pytest.mark.parametrize(
+        "text",
+        [["a", "", "bc", "~"], ["zoë", "漢字", "", "😀"], ["a", "é", "xyz", "", "b"], []],
+        ids=["ascii", "non-ascii", "mixed", "empty"],
+    )
+    def test_text_encoded_block_by_block(self, text, rows_per_block):
+        with mock.patch.object(bg_panel, "_ROWS_PER_BLOCK", rows_per_block):
+            encoded = _encode_utf8(np.array(text, dtype=str))
+        assert encoded.dtype.kind == "S" and encoded.tolist() == [u.encode("utf-8") for u in text]
+        assert _encode_utf8(np.array([["é", "a"], ["b", ""]])).tolist() == [["é".encode(), b"a"], [b"b", b""]]
 
     @pytest.mark.parametrize(
         "ids",

@@ -20,7 +20,8 @@ from balancegrowth import (
     snapshot_series,
 )
 from balancegrowth.panel import GROUP_INACTIVE, build_panel
-from balancegrowth.sim import CHUNK_SIZE
+from balancegrowth._rng import substream
+from balancegrowth.sim import CHUNK_SIZE, CHUNKS_PER_TASK, _integrate, _run_chunked
 
 
 class TestGbmExact:
@@ -320,9 +321,14 @@ class TestSnapshots:
 
 
 class TestSchedule:
-    """Each user chunk draws from its own substream, so the worker count changes no bit."""
+    """Each user chunk draws from its own substream, so the worker count and the blocks change no bit."""
 
     CONFIGS = {
+        "partial_second_block": SimConfig(
+            n_users=(CHUNKS_PER_TASK + 1) * CHUNK_SIZE + 123, s0_law=InitialLaw.lognormal(math.log(1e8), 2.0),
+            horizon_days=6, poor=RegimeParams(0.9, 5e-3, 0.95, 0.01), wealthy=RegimeParams(1.1, -5e-4, 1.0, 0.005),
+            s_star=1e9, step_days=1, seed=23, regime_mode="initial",
+        ),
         "two_regime_partial_chunk": SimConfig(
             n_users=2 * CHUNK_SIZE + 123, s0_law=InitialLaw.lognormal(math.log(1e8), 2.0), horizon_days=6,
             poor=RegimeParams(0.9, 5e-3, 0.95, 0.01), wealthy=RegimeParams(1.1, -5e-4, 1.0, 0.005),
@@ -364,3 +370,19 @@ class TestSchedule:
             assert other_over == n_over
             assert all(np.array_equal(a, b) for a, b in zip(serial, arrays, strict=True))
 
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_blocks_integrate_as_their_chunks(self, name):
+        config = self.CONFIGS[name]
+        steps = (0, 2, config.n_steps)
+        over, caps = [], []
+        for chunk in range(-(-config.n_users // CHUNK_SIZE)):  # one chunk at a time, on its own substream
+            k = min(CHUNK_SIZE, config.n_users - chunk * CHUNK_SIZE)
+            rng = substream(config.seed, chunk)
+            chunk_over, chunk_caps = _integrate(config, config.s0_law.draw(rng, k), lambda j: rng.standard_normal(k), steps)
+            over.append(chunk_over)
+            caps.append(chunk_caps)
+        keep = ~np.concatenate(over)
+        ids, kept = _run_chunked(config, steps)
+        assert ids.size == np.count_nonzero(keep)
+        for i, values in enumerate(kept):
+            assert np.array_equal(values, np.concatenate([c[i] for c in caps])[keep])
