@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, growth, io, panel as panel_mod, sim
 from ._workers import map_on_cpus
-from .errors import BalanceGrowthError, MalformedInputError
+from .errors import BalanceGrowthError, InsufficientDataError, MalformedInputError
 
 log = logging.getLogger("balancegrowth")
 
@@ -111,9 +111,18 @@ def _check_seed(seed: int):
         raise MalformedInputError(f"--seed must be non-negative, got {seed}")
 
 
+def _check_estimator(args):
+    """Refuse the `estimator` parent parser's `--bins` or `--min-count` below 2: no data could satisfy them."""
+    for flag, value in (("--bins", args.bins), ("--min-count", args.min_count)):
+        if value < 2:
+            raise MalformedInputError(f"{flag} must be at least 2, got {value}")
+
+
 def cmd_panel(args) -> int:
     if not args.epsilon_v >= 0:  # NaN fails too
         raise MalformedInputError(f"--epsilon-v must be non-negative, got {args.epsilon_v}")
+    if args.hopkins_m < 0:
+        raise MalformedInputError(f"--hopkins-m must be non-negative (0 turns it off), got {args.hopkins_m}")
     _check_seed(args.seed)
     out = Path(args.out) / args.out_path
     run = _Run(args, out.parent / out.stem, [args.snap0, args.snap1], args.seed)
@@ -217,17 +226,14 @@ def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    _check_estimator(args)
     run = _Run(args, Path(args.out) / args.out_prefix, [args.panel], None)
-    loaded = io.read_panel_csv(args.panel)
-    active = panel_mod.filter_active(loaded)
-    if active.n_rows != loaded.n_rows:
-        log.info("dropped %d inactive rows", loaded.n_rows - active.n_rows)
-    if active.n_rows == 0:
-        raise MalformedInputError(f"{args.panel}: no active rows to estimate from")
-    s_min = args.s_min if args.s_min is not None else float(np.min(active.s0))
-    s_max = args.s_max if args.s_max is not None else float(np.max(active.s0))
-    edges = growth.make_bins(s_min, s_max, args.bins)
-    bins = growth.bin_moments(active, edges, min_count=args.min_count, target=args.target)
+    try:
+        bins = growth.bin_panel(
+            io.read_panel_csv(args.panel), args.bins, args.min_count, args.target, args.s_min, args.s_max
+        )
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{args.panel}: {exc}") from None
     outputs = {
         "bins.csv": {
             "bin_lo": bins.bin_lo,
@@ -258,8 +264,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_estimator(args)
     t0 = _flag_value("--t0", args.t0, dt.date.fromisoformat)
     dts = _flag_value("--dts", args.dts, lambda text: [int(part) for part in text.split(",")])
+    if min(dts) <= 0:
+        raise MalformedInputError(f"--dts {args.dts!r}: every horizon must be a positive number of days")
     try:
         used = {t0, *(t0 + dt.timedelta(days=d) for d in dts)}
     except OverflowError:

@@ -9,6 +9,7 @@ accumulating ("poor") and divesting ("wealthy") regimes.
 """
 
 import datetime as dt
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,6 +22,8 @@ from .errors import (
     RegimeMixError,
 )
 from .panel import TransitionPanel, build_panel, filter_active
+
+log = logging.getLogger(__name__)
 
 TARGET_ABSOLUTE = "absolute"
 TARGET_RATIO = "ratio"
@@ -251,6 +254,32 @@ def bin_moments(
             "std_normalization": "population",
         },
     )
+
+
+def bin_panel(
+    panel: TransitionPanel,
+    n_bins: int,
+    min_count: int,
+    target: str = TARGET_RATIO,
+    s_min: float | None = None,
+    s_max: float | None = None,
+) -> BinSeries:
+    """The estimate stage of `estimate` and of each `horizon_sweep` horizon: active rows, binned.
+
+    Keeps the active rows (`filter_active`), logs how many were dropped,
+    and takes `bin_moments` over `n_bins` geometric bins on
+    [s_min, s_max], which default to the range of the active s0. Raises
+    InsufficientDataError when no row is active.
+    """
+    active = filter_active(panel)
+    del panel  # a panel passed without another reference is freed here, before binning
+    if active.meta["removed_total"]:
+        log.info("dropped %d inactive rows", active.meta["removed_total"])
+    if active.n_rows == 0:
+        raise InsufficientDataError("no active rows")
+    s_min = float(np.min(active.s0)) if s_min is None else s_min
+    s_max = float(np.max(active.s0)) if s_max is None else s_max
+    return bin_moments(active, make_bins(s_min, s_max, n_bins), min_count=min_count, target=target)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
@@ -548,11 +577,18 @@ def horizon_sweep(
 ) -> HorizonSweep:
     """Estimate the two-regime growth parameters at each horizon in `dts`.
 
-    Each horizon joins the snapshot at t0 with the one at t0+dt, keeps
-    active rows, bins the relative change, and splits regimes. Horizons
-    whose snapshot is missing (or whose estimation degenerates) are
-    skipped with a warning record. Derived mu and sigma are per day.
+    Each horizon joins the snapshot at t0 with the one at t0+dt, bins its
+    active rows by `bin_panel`, and splits regimes. A horizon is skipped
+    with a warning record only for a reason in the data: its snapshot is
+    missing, no row is active, every active row starts at one balance,
+    or too few bins are retained. Settings that no data could satisfy
+    raise before any horizon runs. Derived mu and sigma are per day.
     """
+    horizons = sorted({int(d) for d in dts})
+    if horizons and horizons[0] <= 0:
+        raise MalformedInputError(f"horizons must be positive, got {horizons[0]}")
+    if n_bins < 2 or min_count < 2:
+        raise MalformedInputError(f"n_bins and min_count must be at least 2, got {n_bins} and {min_count}")
     by_date = {}
     for snap in snapshots:
         if snap.date in by_date:
@@ -562,19 +598,13 @@ def horizon_sweep(
         raise MalformedInputError(f"no snapshot at t0 = {t0}")
     entries = []
     skipped = []
-    for dt_days in sorted({int(d) for d in dts}):
+    for dt_days in horizons:
         date1 = t0 + dt.timedelta(days=dt_days)
         if date1 not in by_date:
             skipped.append({"dt_days": dt_days, "reason": f"no snapshot at {date1}"})
             continue
-        active = filter_active(build_panel(by_date[t0], by_date[date1]))
-        if active.n_rows == 0:
-            skipped.append({"dt_days": dt_days, "reason": "no active rows"})
-            continue
-        s0 = active.s0
         try:
-            edges = make_bins(float(s0.min()), float(s0.max()), n_bins)
-            bins = bin_moments(active, edges, min_count=min_count, target=TARGET_RATIO)
+            bins = bin_panel(build_panel(by_date[t0], by_date[date1]), n_bins, min_count)
             split = split_regimes(bins, star_log_scale=star_log_scale)
         except (NoRetainedBinsError, InsufficientDataError, MalformedInputError) as exc:
             skipped.append({"dt_days": dt_days, "reason": str(exc)})

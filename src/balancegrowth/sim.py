@@ -258,9 +258,10 @@ def euler_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate supplied paths: z has shape (n_steps, n_users).
 
-    This is the deterministic integrator core; the simulate_* entry
-    points wrap it with substream-drawn noise. The arguments pass the
-    checks of `SimConfig`. Returns (final balances, overflow mask).
+    This runs `_integrate` on supplied noise. The simulate_* entry
+    points run the same `_integrate` through `_run_chunked`, which draws
+    each user chunk's noise from its own substream. The arguments pass
+    the checks of `SimConfig`. Returns (final balances, overflow mask).
     """
     z = np.asarray(z, dtype=np.float64)
     s0 = np.asarray(s0, dtype=np.float64)

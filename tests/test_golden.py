@@ -9,6 +9,7 @@ CHANGES.md.
 """
 
 import hashlib
+import json
 import re
 from pathlib import Path
 
@@ -150,3 +151,15 @@ def test_golden_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _run_pipeline(tmp_path)
     assert _digests(tmp_path) == GOLDEN
+
+
+def test_estimate_split_equals_sweep_horizon(tmp_path, monkeypatch):
+    """`estimate` on the t0 -> t0+28 panel and `sweep` at dt 28 share one stage: their splits agree key by key."""
+    monkeypatch.chdir(tmp_path)
+    _run_pipeline(tmp_path)
+    estimate = json.loads(Path("est.regimes.json").read_text())
+    (split,) = [e["split"] for e in json.loads(Path("sw.horizon.json").read_text())["entries"] if e["dt_days"] == 28]
+    shared = estimate.keys() & split.keys()
+    assert shared >= {"s_star", "poor", "wealthy", "sign_pattern", "settings"}
+    for key in shared:
+        assert estimate[key] == split[key], key

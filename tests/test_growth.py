@@ -1,3 +1,4 @@
+import datetime as dt
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balancegrowth import (
+    BalanceSnapshot,
     InsufficientDataError,
     MalformedInputError,
     NoRetainedBinsError,
@@ -467,6 +469,28 @@ class TestHorizonSweep:
         sweep = horizon_sweep(snaps, config.t0, [30, 45, 60], min_count=100)
         assert [e.dt_days for e in sweep.entries] == [30, 60]
         assert sweep.skipped[0]["dt_days"] == 45
+
+    @pytest.mark.parametrize(
+        "dts, kwargs",
+        [
+            ([30], {"min_count": 1}),
+            ([30], {"n_bins": 1}),
+            ([0, 30], {}),
+            ([30, -7], {}),
+        ],
+        ids=["min-count-1", "bins-1", "dt-0", "dt-negative"],
+    )
+    def test_settings_no_data_could_satisfy_raise(self, snapshots, dts, kwargs):
+        config, snaps = snapshots
+        with pytest.raises(MalformedInputError):
+            horizon_sweep(snaps, config.t0, dts, **kwargs)
+
+    def test_horizon_without_active_rows_skipped(self, snapshots):
+        config, snaps = snapshots
+        held = BalanceSnapshot(config.t0 + dt.timedelta(days=7), snaps[0].user_ids, snaps[0].balances)
+        sweep = horizon_sweep([snaps[0], held], config.t0, [7], min_count=100)
+        assert sweep.entries == []
+        assert sweep.skipped == [{"dt_days": 7, "reason": "no active rows"}]
 
     def test_decreasing_sigma_schedule_detected(self):
         config = SimConfig(

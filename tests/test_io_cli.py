@@ -694,6 +694,13 @@ class TestBadFlagValues:
             ("sweep", "--t0", "notadate"),
             ("sweep", "--dts", "28,x"),
             ("sweep", "--dts", "28,99999999"),
+            ("sweep", "--dts", "0"),
+            ("sweep", "--dts", "-7"),
+            ("sweep", "--dts", "28,-7"),
+            ("sweep", "--bins", "1"),
+            ("sweep", "--min-count", "1"),
+            ("estimate", "--bins", "1"),
+            ("estimate", "--min-count", "1"),
             ("fit", "--hist-bins", "0"),
             ("umpu", "--mc-reps", "0"),
         ],
@@ -703,6 +710,8 @@ class TestBadFlagValues:
         argv = {
             "panel": ["panel", str(p0), str(p1), "p.csv"],
             "sweep": ["sweep", str(tmp_path), "--t0", "2016-01-23", "--dts", "28"],
+            # a panel that does not exist: the flag is refused before the input is hashed or read
+            "estimate": ["estimate", str(tmp_path / "missing.csv"), "e"],
             "fit": ["fit", str(p1)],
             "umpu": ["fit", str(p1), "--umpu"],
         }[command]
@@ -722,6 +731,7 @@ class TestBadFlagValues:
             (["fit", "--xmin-candidates", "0"], "--xmin-candidates"),
             (["fit", "--umpu", "--seed", "-1"], "--seed"),
             (["panel", "--hopkins-m", "5", "--seed", "-1"], "--seed"),
+            (["panel", "--hopkins-m", "-1"], "--hopkins-m"),
         ],
     )
     def test_rejected_before_any_output(self, snap_pair, tmp_path, capsys, argv, flag):
@@ -757,6 +767,14 @@ class TestFailedRunWritesNoFile:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "v.csv"]
+
+
+def test_estimate_without_active_rows_names_the_panel(tmp_path, capsys):
+    write_panel_csv(tmp_path / "p.csv", panel_from_rows([("a", 10, 10), ("b", 0, 25)]))
+    rc = main(["estimate", str(tmp_path / "p.csv"), "e", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{tmp_path / 'p.csv'}: no active rows" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
 def test_manifest_digests_match_outputs(tmp_path, monkeypatch):
