@@ -14,6 +14,7 @@ import argparse
 import datetime as dt
 import hashlib
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -81,22 +82,10 @@ class _Run:
         return 0
 
 
-def _flag_value(flag: str, text: str, parse):
-    """`parse(text)`, with a ValueError reported as a bad value of `flag`."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise MalformedInputError(f"{flag} {text!r}: {exc}") from None
-
-
-def _snapshot_date(path: Path, override: str | None, flag: str) -> dt.date:
-    if override:
-        return _flag_value(flag, override, dt.date.fromisoformat)
-    date = io.date_from_filename(path)
+def _snapshot_date(path: Path, override: dt.date | None, flag: str) -> dt.date:
+    date = override or io.date_from_filename(path)
     if date is None:
-        raise MalformedInputError(
-            f"{path}: file name carries no ISO date; pass {flag} explicitly"
-        )
+        raise MalformedInputError(f"{path}: file name carries no ISO date; pass {flag} explicitly")
     return date
 
 
@@ -106,24 +95,7 @@ def _columns(records, names) -> dict:
     return {name: [row[name] for row in rows] for name in names}
 
 
-def _check_seed(seed: int):
-    if seed < 0:
-        raise MalformedInputError(f"--seed must be non-negative, got {seed}")
-
-
-def _check_estimator(args):
-    """Refuse the `estimator` parent parser's `--bins` or `--min-count` below 2: no data could satisfy them."""
-    for flag, value in (("--bins", args.bins), ("--min-count", args.min_count)):
-        if value < 2:
-            raise MalformedInputError(f"{flag} must be at least 2, got {value}")
-
-
 def cmd_panel(args) -> int:
-    if not args.epsilon_v >= 0:  # NaN fails too
-        raise MalformedInputError(f"--epsilon-v must be non-negative, got {args.epsilon_v}")
-    if args.hopkins_m < 0:
-        raise MalformedInputError(f"--hopkins-m must be non-negative (0 turns it off), got {args.hopkins_m}")
-    _check_seed(args.seed)
     out = Path(args.out) / args.out_path
     run = _Run(args, out.parent / out.stem, [args.snap0, args.snap1], args.seed)
     snap0, snap1 = map_on_cpus(
@@ -154,17 +126,6 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    if args.hist_bins < 1:
-        raise MalformedInputError(f"--hist-bins must be at least 1, got {args.hist_bins}")
-    if args.umpu and args.umpu_method == "monte_carlo" and args.mc_reps < 1:
-        raise MalformedInputError(f"--mc-reps must be at least 1, got {args.mc_reps}")
-    if args.xmin_candidates is not None and args.xmin_candidates < 1:
-        raise MalformedInputError(f"--xmin-candidates must be at least 1, got {args.xmin_candidates}")
-    if args.sweep_step is not None:
-        for flag, value in (("--sweep-start", args.sweep_start), ("--sweep-step", args.sweep_step)):
-            if not 0 < value < np.inf:  # NaN fails too
-                raise MalformedInputError(f"{flag} must be positive and finite, got {value}")
-    _check_seed(args.seed)
     from . import tails  # imported here: only `fit` needs its scipy.special, ~0.3 s of start-up
 
     run = _Run(args, Path(args.out) / (args.prefix or Path(args.data).stem), [args.data], args.seed)
@@ -226,7 +187,8 @@ def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    _check_estimator(args)
+    if args.s_min is not None and args.s_max is not None and not args.s_min < args.s_max:
+        raise MalformedInputError(f"--s-min {args.s_min} must be below --s-max {args.s_max}")
     run = _Run(args, Path(args.out) / args.out_prefix, [args.panel], None)
     try:
         bins = growth.bin_panel(
@@ -264,13 +226,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_estimator(args)
-    t0 = _flag_value("--t0", args.t0, dt.date.fromisoformat)
-    dts = _flag_value("--dts", args.dts, lambda text: [int(part) for part in text.split(",")])
-    if min(dts) <= 0:
-        raise MalformedInputError(f"--dts {args.dts!r}: every horizon must be a positive number of days")
+    dts = _days(args.dts)
     try:
-        used = {t0, *(t0 + dt.timedelta(days=d) for d in dts)}
+        used = {args.t0, *(args.t0 + dt.timedelta(days=d) for d in dts)}
     except OverflowError:
         raise MalformedInputError(f"--dts {args.dts!r}: a horizon ends outside the calendar") from None
     snap_dir = Path(args.snapshot_dir)
@@ -284,12 +242,14 @@ def cmd_sweep(args) -> int:
         if d in by_date:
             raise MalformedInputError(f"duplicate snapshot date {d}: {by_date[d]} and {f}")
         by_date[d] = f
+    if args.t0 not in by_date:
+        raise MalformedInputError(f"--t0 {args.t0}: no snapshot of that date in {snap_dir}")
     run = _Run(args, Path(args.out) / args.prefix, [f for _, f in dated], None)
     # every dated file is an input of the run, but only those at t0 and t0 + dt are read
     snapshots = map_on_cpus(lambda d: io.read_snapshot_csv(by_date[d], d), sorted(used & by_date.keys()))
     sweep = growth.horizon_sweep(
         snapshots,
-        t0,
+        args.t0,
         dts,
         n_bins=args.bins,
         min_count=args.min_count,
@@ -325,6 +285,37 @@ def cmd_simulate(args) -> int:
     return run.finish(outputs, n_overflow=parsed.sim.n_users - snaps[0].n_users)
 
 
+def _flag_type(parse, valid, expected: str):
+    """An argparse `type=`: `parse(text)`, refused as not `expected` unless it and `valid(value)` succeed."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+            ok = valid(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return check
+
+
+def _int_at_least(least: int):
+    return _flag_type(int, lambda v: v >= least, f"an integer of at least {least}")
+
+
+def _days(text: str) -> list:
+    return [int(part) for part in text.split(",")]
+
+
+_POSITIVE = _flag_type(float, lambda v: 0 < v < math.inf, "a positive finite number")  # NaN fails too
+_NON_NEGATIVE = _flag_type(float, lambda v: v >= 0, "a non-negative number")  # NaN fails too
+_ISO_DATE = _flag_type(dt.date.fromisoformat, lambda date: True, "an ISO date")
+# --dts stays the text given, which the run id echoes; `cmd_sweep` checks its horizons against --t0
+_HORIZONS = _flag_type(str, lambda text: min(_days(text)) > 0, "comma-separated positive days")
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=".", help="output directory (default current)")
     parser.add_argument("--quiet", action="store_true", help="suppress informational logging")
@@ -338,23 +329,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     estimator = argparse.ArgumentParser(add_help=False)
-    estimator.add_argument("--bins", type=int, default=growth.DEFAULT_N_BINS, help="geometric bins (default %(default)s)")
     estimator.add_argument(
-        "--min-count", type=int, default=growth.DEFAULT_MIN_COUNT, help="minimum rows per bin (default %(default)s)"
+        "--bins", type=_int_at_least(2), default=growth.DEFAULT_N_BINS, help="geometric bins (default %(default)s)"
+    )
+    estimator.add_argument(
+        "--min-count",
+        type=_int_at_least(2),
+        default=growth.DEFAULT_MIN_COUNT,
+        help="minimum rows per bin (default %(default)s)",
     )
     estimator.add_argument("--star-log-scale", action="store_true", help="average the regime boundary geometrically")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=101, help="RNG seed (default %(default)s)")
+    seeded.add_argument("--seed", type=_int_at_least(0), default=101, help="RNG seed (default %(default)s)")
 
     p = sub.add_parser("panel", parents=[seeded], help="join two snapshots into a transition panel")
     p.add_argument("snap0")
     p.add_argument("snap1")
     p.add_argument("out_path", help="panel CSV output (taxonomy/manifest written alongside)")
-    p.add_argument("--date0", help="ISO date of the first snapshot (default: from file name)")
-    p.add_argument("--date1", help="ISO date of the second snapshot (default: from file name)")
+    p.add_argument("--date0", type=_ISO_DATE, help="ISO date of the first snapshot (default: from file name)")
+    p.add_argument("--date1", type=_ISO_DATE, help="ISO date of the second snapshot (default: from file name)")
     p.add_argument("--filter-active", action="store_true", help="keep only group-A rows")
-    p.add_argument("--epsilon-v", type=float, default=0.0, help="vertical-line tolerance in satoshi")
-    p.add_argument("--hopkins-m", type=int, default=0, help="sample size for the clustering diagnostic")
+    p.add_argument("--epsilon-v", type=_NON_NEGATIVE, default=0.0, help="vertical-line tolerance in satoshi")
+    p.add_argument("--hopkins-m", type=_int_at_least(0), default=0, help="sample size for the clustering diagnostic")
     p.add_argument("--hopkins-log", action="store_true", help="signed-log scale for the diagnostic")
     _add_common(p)
     p.set_defaults(func=cmd_panel)
@@ -362,19 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[seeded], help="fit and compare tail models on balance data")
     p.add_argument("data", help="snapshot CSV or any CSV with a `balance` column")
     p.add_argument("--prefix", help="output prefix (default: data file stem)")
-    p.add_argument("--xmin", type=float, help="tail cutoff in satoshi (default: KS scan)")
-    p.add_argument("--xmin-candidates", type=int, help="cap on scanned xmin candidates")
-    p.add_argument("--sweep-step", type=float, help="threshold sweep step in satoshi")
-    p.add_argument("--sweep-start", type=float, default=1.0, help="threshold sweep start (default 1 satoshi)")
+    p.add_argument("--xmin", type=_POSITIVE, help="tail cutoff in satoshi (default: KS scan)")
+    p.add_argument("--xmin-candidates", type=_int_at_least(1), help="cap on scanned xmin candidates")
+    p.add_argument("--sweep-step", type=_POSITIVE, help="threshold sweep step in satoshi")
+    p.add_argument("--sweep-start", type=_POSITIVE, default=1.0, help="threshold sweep start (default 1 satoshi)")
     p.add_argument("--umpu", action="store_true", help="run the rank sweep of the tail test")
-    p.add_argument("--mc-reps", type=int, default=1000, help="bootstrap replicates (default %(default)s)")
+    p.add_argument("--mc-reps", type=_int_at_least(1), default=1000, help="bootstrap replicates (default %(default)s)")
     p.add_argument(
         "--umpu-method",
         choices=["monte_carlo", "asymptotic"],
         default="monte_carlo",
         help="p-value method for the tail test",
     )
-    p.add_argument("--hist-bins", type=int, default=100, help="log-histogram bins (default %(default)s)")
+    p.add_argument("--hist-bins", type=_int_at_least(1), default=100, help="log-histogram bins (default %(default)s)")
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -382,15 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("panel", help="panel CSV")
     p.add_argument("out_prefix", help="output prefix")
     p.add_argument("--target", choices=[growth.TARGET_RATIO, growth.TARGET_ABSOLUTE], default=growth.TARGET_RATIO)
-    p.add_argument("--s-min", type=float, help="lower bin edge (default: data minimum)")
-    p.add_argument("--s-max", type=float, help="upper bin edge (default: data maximum)")
+    p.add_argument("--s-min", type=_POSITIVE, help="lower bin edge (default: data minimum)")
+    p.add_argument("--s-max", type=_POSITIVE, help="upper bin edge (default: data maximum)")
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", parents=[estimator], help="estimate across horizons and test parameter trends")
     p.add_argument("snapshot_dir", help="directory of dated snapshot CSVs")
-    p.add_argument("--t0", required=True, help="ISO date of the base snapshot")
-    p.add_argument("--dts", required=True, help="comma-separated horizons in days")
+    p.add_argument("--t0", type=_ISO_DATE, required=True, help="ISO date of the base snapshot")
+    p.add_argument("--dts", type=_HORIZONS, required=True, help="comma-separated horizons in days")
     p.add_argument("--prefix", default="sweep", help="output prefix (default %(default)s)")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -404,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the refusal
+        return exc.code
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.WARNING if args.quiet else logging.INFO,

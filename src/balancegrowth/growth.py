@@ -269,7 +269,9 @@ def bin_panel(
     Keeps the active rows (`filter_active`), logs how many were dropped,
     and takes `bin_moments` over `n_bins` geometric bins on
     [s_min, s_max], which default to the range of the active s0. Raises
-    InsufficientDataError when no row is active.
+    InsufficientDataError when no row is active, or when a range taken
+    from the data is empty: every active row starts at one balance, or
+    the one bound given lies past every active s0.
     """
     active = filter_active(panel)
     del panel  # a panel passed without another reference is freed here, before binning
@@ -277,9 +279,16 @@ def bin_panel(
         log.info("dropped %d inactive rows", active.meta["removed_total"])
     if active.n_rows == 0:
         raise InsufficientDataError("no active rows")
-    s_min = float(np.min(active.s0)) if s_min is None else s_min
-    s_max = float(np.max(active.s0)) if s_max is None else s_max
-    return bin_moments(active, make_bins(s_min, s_max, n_bins), min_count=min_count, target=target)
+    lo = float(np.min(active.s0)) if s_min is None else s_min
+    hi = float(np.max(active.s0)) if s_max is None else s_max
+    if not lo < hi:  # two given bounds out of order are a setting, which `make_bins` refuses
+        if s_min is None and s_max is None:
+            raise InsufficientDataError(f"every active row starts at one balance, {lo:.15g} satoshi")
+        if s_max is None:
+            raise InsufficientDataError(f"s_min = {lo:.15g} is not below the largest active s0, {hi:.15g}")
+        if s_min is None:
+            raise InsufficientDataError(f"s_max = {hi:.15g} is not above the smallest active s0, {lo:.15g}")
+    return bin_moments(active, make_bins(lo, hi, n_bins), min_count=min_count, target=target)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:

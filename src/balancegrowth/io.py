@@ -426,6 +426,22 @@ def date_from_filename(path) -> dt.date | None:
     return dt.date.fromisoformat(match.group(1)) if match else None
 
 
+def _refuse_repeated_ids(path, ids: np.ndarray, line):
+    """Raise, naming `file:line` of the first row whose user id an earlier row holds, if one does.
+
+    Ids in strictly increasing order, as every written file holds them,
+    cost one comparison pass; any others are sorted once.
+    """
+    if np.all(ids[1:] > ids[:-1]):
+        return
+    order = _id_order(ids)
+    sorted_ids = ids[order]
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]  # the sort is stable: each run's first id is left out
+    if repeats.size:
+        i = int(repeats.min())
+        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {_id_text(ids[i])}")
+
+
 def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
     """Load a snapshot CSV; the date comes from the argument or the file name."""
     if date is None:
@@ -441,11 +457,9 @@ def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
         raise MalformedInputError(f"{path}:{line(i)}: negative balance {balances[i]}")
     try:
         return BalanceSnapshot(date=date, user_ids=ids, balances=balances)
-    except MalformedInputError:  # a repeated user id: name the line of its first repeat
-        order = _id_order(ids)
-        sorted_ids = ids[order]
-        i = int(order[1:][sorted_ids[1:] == sorted_ids[:-1]].min())
-        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {_id_text(ids[i])}") from None
+    except MalformedInputError:  # a repeated user id is named with the line of its first repeat
+        _refuse_repeated_ids(path, ids, line)
+        raise
 
 
 def write_snapshot_csv(path, snapshot: BalanceSnapshot) -> str:
@@ -458,13 +472,14 @@ def write_panel_csv(path, panel: TransitionPanel) -> str:
 
 
 def read_panel_csv(path) -> TransitionPanel:
-    """Load a panel CSV. Its ds and group cells are checked against s0 and s1.
+    """Load a panel CSV. Its user ids must differ; its ds and group cells are checked against s0 and s1.
 
     Balances are int64 when every s0 and s1 cell is an int64, so
     integer panels round-trip exactly; otherwise float64, and back to
     int64 when every balance is integral and below 2**63.
     """
     (ids, s0, s1, ds, groups), line = _read_csv(path, PANEL_SCHEMA)
+    _refuse_repeated_ids(path, ids, line)
     if s0.dtype != s1.dtype:
         s0, s1 = s0.astype(np.float64), s1.astype(np.float64)
     negative = np.flatnonzero((s0 < 0) | (s1 < 0))

@@ -1,9 +1,10 @@
-"""Every flag a subcommand declares is read by that subcommand.
+"""Every flag a subcommand declares is read by that subcommand, and every numeric flag checks its range.
 
 A stdlib stand-in for a dead-option lint: for each subparser of
 `build_parser()`, every declared dest must appear as `args.<dest>` in
 the body of `cmd_<name>` in `cli.py`. `command`, `func` and `quiet` are
-exempt, because `main` reads them.
+exempt, because `main` reads them. No flag is declared with a bare
+`int` or `float` type, which would take any value argparse can parse.
 """
 
 import argparse
@@ -51,3 +52,9 @@ def test_checker_flags_an_unread_flag():
     parser.add_argument("--quiet", action="store_true")
     source = "def cmd_x(args):\n    return open(args.data)\n"
     assert unread_flags(parser, args_read(source, "cmd_x")) == ["seed"]
+
+
+@pytest.mark.parametrize("name", sorted(_subparsers()))
+def test_no_numeric_flag_takes_every_value(name):
+    bare = [a.dest for a in _subparsers()[name]._actions if a.type in (int, float)]
+    assert bare == []

@@ -27,7 +27,7 @@ from balancegrowth import (
     trend_test,
 )
 from balancegrowth.cli import main
-from balancegrowth.growth import DEFAULT_MIN_COUNT, DEFAULT_N_BINS, BinSeries
+from balancegrowth.growth import DEFAULT_MIN_COUNT, DEFAULT_N_BINS, BinSeries, bin_panel
 from balancegrowth.io import read_panel_csv
 from balancegrowth.panel import filter_active
 
@@ -492,6 +492,14 @@ class TestHorizonSweep:
         assert sweep.entries == []
         assert sweep.skipped == [{"dt_days": 7, "reason": "no active rows"}]
 
+    def test_horizon_with_one_starting_balance_skipped(self):
+        t0 = dt.date(2016, 1, 1)
+        snap0 = BalanceSnapshot(t0, ["a", "b", "c"], [5, 5, 5])
+        snap1 = BalanceSnapshot(t0 + dt.timedelta(days=7), ["a", "b", "c"], [6, 4, 9])
+        sweep = horizon_sweep([snap0, snap1], t0, [7], n_bins=2, min_count=2)
+        assert sweep.entries == []
+        assert sweep.skipped == [{"dt_days": 7, "reason": "every active row starts at one balance, 5 satoshi"}]
+
     def test_decreasing_sigma_schedule_detected(self):
         config = SimConfig(
             n_users=40_000,
@@ -512,3 +520,30 @@ class TestHorizonSweep:
         trend = sweep.trends["poor"]["sigma"]
         assert trend.direction == "decreasing"
         assert trend.p_value < 0.05
+
+
+class TestBinPanelRange:
+    """An empty bin range taken from the data is too little data; two bounds out of order are a bad setting."""
+
+    PANEL = panel_from_rows([("a", 10, 12), ("b", 20, 25), ("c", 40, 44), ("z", 0, 9)])
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"s_min": 40}, "s_min = 40 is not below the largest active s0, 40"),
+            ({"s_min": 100}, "s_min = 100 is not below the largest active s0, 40"),
+            ({"s_max": 3}, "s_max = 3 is not above the smallest active s0, 10"),
+        ],
+    )
+    def test_one_bound_past_every_active_row(self, bounds, message):
+        with pytest.raises(InsufficientDataError, match=f"^{message}$"):
+            bin_panel(self.PANEL, 2, 2, **bounds)
+
+    def test_every_active_row_at_one_balance(self):
+        panel = panel_from_rows([("a", 5, 7), ("b", 5, 3), ("c", 0, 4)])
+        with pytest.raises(InsufficientDataError, match="^every active row starts at one balance, 5 satoshi$"):
+            bin_panel(panel, 2, 2)
+
+    def test_given_bounds_out_of_order_are_a_setting(self):
+        with pytest.raises(MalformedInputError, match="need 0 < s_min < s_max"):
+            bin_panel(self.PANEL, 2, 2, s_min=30, s_max=15)

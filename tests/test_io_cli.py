@@ -175,6 +175,15 @@ class TestPanelCsv:
         with pytest.raises(MalformedInputError, match=r"p\.csv:3: negative balance -3"):
             read_panel_csv(path)
 
+    def test_duplicate_user_names_line(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        write(path, "user_id,s0,s1,ds,group\na,5,7,2,A\nb,3,3,0,B\na,6,6,0,B\nb,1,2,1,A\n")
+        with pytest.raises(MalformedInputError, match=r"p\.csv:4: duplicate user_id 'a'$"):
+            read_panel_csv(path)
+        assert main(["estimate", str(path), "est", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "p.csv:4: duplicate user_id 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_estimate_names_line_of_negative_balance(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         write(path, "user_id,s0,s1,ds,group\na,5,7,2,A\nb,-3,4,7,\n")
@@ -744,6 +753,32 @@ class TestBadFlagValues:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "{tmp}/missing.csv", "--xmin", "-5"], "--xmin"),
+            (["fit", "{tmp}/missing.csv", "--xmin", "nan"], "--xmin"),
+            (["estimate", "{tmp}/missing.csv", "e", "--s-min", "0"], "--s-min"),
+            (["estimate", "{tmp}/missing.csv", "e", "--s-max", "inf"], "--s-max"),
+            (["estimate", "{tmp}/missing.csv", "e", "--s-min", "10", "--s-max", "3"], "--s-max"),
+            (["panel", "{tmp}/a_2016-01-23.csv", "{tmp}/b_2016-02-20.csv", "p.csv", "--date1", "2016-13-01"], "--date1"),
+            (["sweep", "{tmp}", "--t0", "2016-01-24", "--dts", "27"], "--t0"),
+        ],
+    )
+    def test_refused_before_any_input_is_hashed_or_read(self, snap_pair, tmp_path, monkeypatch, capsys, argv, flag):
+        """The inputs are missing, or for `sweep` may not be hashed or read, so a check made later fails the row."""
+
+        def untouchable(path, *rest):
+            raise AssertionError(f"{path} was hashed or read")
+
+        for name in ("file_sha256", "read_snapshot_csv", "read_panel_csv", "read_values_csv"):
+            monkeypatch.setattr(bg_io, name, untouchable)
+        rc = main([*(arg.format(tmp=tmp_path) for arg in argv), "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFailedRunWritesNoFile:
     """Every output is computed before the first write, so a run that fails leaves only its inputs."""
@@ -753,7 +788,7 @@ class TestFailedRunWritesNoFile:
         [
             (["fit", "v.csv", "--umpu"], "need at least 10 positive values"),
             (["estimate", "p.csv", "e", "--bins", "2", "--min-count", "2"], "need at least 3 retained bins"),
-            (["estimate", "p.csv", "e", "--s-max", "inf", "--bins", "2", "--min-count", "2"], "< inf"),
+            (["estimate", "p.csv", "e", "--s-max", "inf", "--bins", "2", "--min-count", "2"], "--s-max"),
         ],
         ids=["fit-umpu-5-values", "estimate-split-fails", "estimate-s-max-inf"],
     )
@@ -774,6 +809,14 @@ def test_estimate_without_active_rows_names_the_panel(tmp_path, capsys):
     rc = main(["estimate", str(tmp_path / "p.csv"), "e", "--out", str(tmp_path)])
     assert rc == 2
     assert f"{tmp_path / 'p.csv'}: no active rows" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
+def test_estimate_on_one_starting_balance_names_the_panel(tmp_path, capsys):
+    write_panel_csv(tmp_path / "p.csv", panel_from_rows([("a", 5, 7), ("b", 5, 3), ("c", 0, 4)]))
+    rc = main(["estimate", str(tmp_path / "p.csv"), "e", "--bins", "2", "--min-count", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{tmp_path / 'p.csv'}: every active row starts at one balance, 5 satoshi" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
@@ -1111,9 +1154,7 @@ wealthy_sigma = 0.001
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_seed_flag_only_where_randomness_is_drawn(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(tmp_path / "in"), "x", "--seed", "1", "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
+        assert main([command, str(tmp_path / "in"), "x", "--seed", "1", "--out", str(tmp_path / "out")]) == 2
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
