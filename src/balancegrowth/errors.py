@@ -6,7 +6,11 @@ class BalanceGrowthError(Exception):
 
 
 class MalformedInputError(BalanceGrowthError):
-    """Input data violates a structural contract (bad CSV row, duplicate user, ...)."""
+    """Input data violates a structural contract (bad CSV row, duplicate user, ...); `row` is the input row at fault."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class HorizonError(BalanceGrowthError):

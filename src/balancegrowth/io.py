@@ -32,7 +32,6 @@ from .panel import (
     BalanceSnapshot,
     TransitionPanel,
     _encode_utf8,
-    _id_order,
     _id_text,
 )
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
@@ -421,45 +420,31 @@ def file_sha256(path) -> str:
 
 
 def date_from_filename(path) -> dt.date | None:
-    """Extract an ISO date embedded in the file name, if any."""
+    """Extract an ISO date embedded in the file name, if any; one that names no calendar day is refused."""
     match = _DATE_RE.search(Path(path).stem)
-    return dt.date.fromisoformat(match.group(1)) if match else None
+    try:
+        return dt.date.fromisoformat(match.group(1)) if match else None
+    except ValueError:
+        raise MalformedInputError(f"{path}: file name holds {match.group(1)!r}, which is not a date") from None
 
 
-def _refuse_repeated_ids(path, ids: np.ndarray, line):
-    """Raise, naming `file:line` of the first row whose user id an earlier row holds, if one does.
-
-    Ids in strictly increasing order, as every written file holds them,
-    cost one comparison pass; any others are sorted once.
-    """
-    if np.all(ids[1:] > ids[:-1]):
-        return
-    order = _id_order(ids)
-    sorted_ids = ids[order]
-    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]  # the sort is stable: each run's first id is left out
-    if repeats.size:
-        i = int(repeats.min())
-        raise MalformedInputError(f"{path}:{line(i)}: duplicate user_id {_id_text(ids[i])}")
+def _built(path, line, make, **fields):
+    """`make(**fields)`; an error about one input row is raised again with that row's `file:line`."""
+    try:
+        return make(**fields)
+    except MalformedInputError as exc:
+        if exc.row is None:
+            raise
+        raise MalformedInputError(f"{path}:{line(exc.row)}: {exc}") from None
 
 
 def read_snapshot_csv(path, date: dt.date | None = None) -> BalanceSnapshot:
     """Load a snapshot CSV; the date comes from the argument or the file name."""
+    date = date or date_from_filename(path)
     if date is None:
-        date = date_from_filename(path)
-        if date is None:
-            raise MalformedInputError(
-                f"{path}: no snapshot date given and none found in the file name"
-            )
+        raise MalformedInputError(f"{path}: no snapshot date given and none found in the file name")
     (ids, balances), line = _read_csv(path, SNAPSHOT_SCHEMA)
-    negative = np.flatnonzero(balances < 0)
-    if negative.size:
-        i = int(negative[0])
-        raise MalformedInputError(f"{path}:{line(i)}: negative balance {balances[i]}")
-    try:
-        return BalanceSnapshot(date=date, user_ids=ids, balances=balances)
-    except MalformedInputError:  # a repeated user id is named with the line of its first repeat
-        _refuse_repeated_ids(path, ids, line)
-        raise
+    return _built(path, line, BalanceSnapshot, date=date, user_ids=ids, balances=balances)
 
 
 def write_snapshot_csv(path, snapshot: BalanceSnapshot) -> str:
@@ -476,19 +461,14 @@ def read_panel_csv(path) -> TransitionPanel:
 
     Balances are int64 when every s0 and s1 cell is an int64, so
     integer panels round-trip exactly; otherwise float64, and back to
-    int64 when every balance is integral and below 2**63.
+    int64 when every balance is integral and below 2**63 in magnitude.
     """
     (ids, s0, s1, ds, groups), line = _read_csv(path, PANEL_SCHEMA)
-    _refuse_repeated_ids(path, ids, line)
     if s0.dtype != s1.dtype:
         s0, s1 = s0.astype(np.float64), s1.astype(np.float64)
-    negative = np.flatnonzero((s0 < 0) | (s1 < 0))
-    if negative.size:
-        i = int(negative[0])
-        raise MalformedInputError(f"{path}:{line(i)}: negative balance {min(s0[i], s1[i])}")
-    if s0.dtype == np.float64 and all(np.all((c == np.floor(c)) & (c < 2**63)) for c in (s0, s1)):
+    if s0.dtype == np.float64 and all(np.all((c == np.floor(c)) & (np.abs(c) < 2**63)) for c in (s0, s1)):
         s0, s1 = s0.astype(np.int64), s1.astype(np.int64)
-    panel = TransitionPanel(t0=None, dt_days=None, user_ids=ids, s0=s0, s1=s1)
+    panel = _built(path, line, TransitionPanel, t0=None, dt_days=None, user_ids=ids, s0=s0, s1=s1)
     # beside a float ds cell, an exact int64 difference is compared rounded to float64
     bad = np.flatnonzero(ds != panel.ds)
     if bad.size:
@@ -629,8 +609,11 @@ def _regime_params(kv: dict, prefix: str) -> RegimeParams:
 def parse_sim_config(path) -> ParsedSimConfig:
     """Parse the flat key = value config file for the simulate command."""
     kv = {}
-    with open(path, encoding="utf-8") as fh:
+    # each byte that is not UTF-8 text is read as one of U+DC80..U+DCFF, which UTF-8 text never decodes to
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if any("\udc80" <= char <= "\udcff" for char in line):
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text")
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue

@@ -62,6 +62,27 @@ def _id_text(user_id: bytes) -> str:
     return repr(user_id.decode("utf-8", "backslashreplace"))
 
 
+def _check_rows(ids: np.ndarray, *balances: np.ndarray) -> np.ndarray | None:
+    """Refuse misaligned columns, then the first row with a negative balance, then the first whose
+    id an earlier row holds (as `row`). Returns `_id_order(ids)`, or None when the ids are strictly
+    increasing, as in every written file."""
+    if any(b.shape != ids.shape for b in balances):
+        raise MalformedInputError("user_ids and balances must be 1-d and aligned")
+    negative = np.flatnonzero(np.logical_or.reduce([b < 0 for b in balances]))
+    if negative.size:
+        i = int(negative[0])
+        raise MalformedInputError(f"negative balance {min(b[i] for b in balances if b[i] < 0)}", row=i)
+    if np.all(ids[1:] > ids[:-1]):
+        return None
+    order = _id_order(ids)
+    sorted_ids = ids[order]
+    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]  # the sort is stable: each run's first id is left out
+    if repeats.size:
+        i = int(repeats.min())
+        raise MalformedInputError(f"duplicate user_id {_id_text(ids[i])}", row=i)
+    return order
+
+
 def _encode_utf8(text: np.ndarray) -> np.ndarray:
     """A `U` array as UTF-8 byte strings (`S`) of the same shape, one block of rows at a time.
 
@@ -159,22 +180,14 @@ class BalanceSnapshot:
         if len(bad):
             raise MalformedInputError(f"balance {bad[0]} is not a finite whole number of satoshi")
         bal = bal.astype(np.int64, copy=False)
-        if ids.shape != bal.shape:
-            raise MalformedInputError("user_ids and balances must be 1-d and aligned")
-        if np.all(ids[1:] > ids[:-1]):  # already sorted and unique, as every written file is
+        order = _check_rows(ids, bal)
+        if order is None:
             # never alias an array the caller can write through; a read-only array that owns its memory is shared
             if ids is given and (ids.flags.writeable or ids.base is not None):
                 ids = ids.copy()
             bal = bal.copy()
         else:
-            order = _id_order(ids)
-            ids = ids[order]
-            bal = bal[order]
-            if np.any(ids[1:] == ids[:-1]):
-                dup = ids[1:][ids[1:] == ids[:-1]][0]
-                raise MalformedInputError(f"duplicate user_id in snapshot: {_id_text(dup)}")
-        if np.any(bal < 0):
-            raise MalformedInputError("negative balance in snapshot")
+            ids, bal = ids[order], bal[order]
         object.__setattr__(self, "user_ids", ids)
         object.__setattr__(self, "balances", bal)
 
@@ -194,8 +207,9 @@ class TransitionPanel:
     """Joined snapshot pair: one row per user with (s0, s1) over the horizon.
 
     User ids are UTF-8 byte strings (`S`), as in `BalanceSnapshot`; text
-    ids are encoded once. `ds = s1 - s0` and the activity `group` are
-    derived from s0 and s1 on first use, so they always agree with them.
+    ids are encoded once. Ids are unique and balances non-negative, as in a
+    snapshot, but rows keep their order. `ds = s1 - s0` and the activity
+    `group` are derived from s0 and s1 on first use, so they always agree.
     Group labels: 'A' for s0 > 0 and ds != 0 (traded), 'B' for s0 > 0
     and ds == 0 (held), '' for rows entering at s0 = 0. `dt_days` is None
     for panels loaded from CSV, where the horizon is not part of the format.
@@ -212,12 +226,7 @@ class TransitionPanel:
         if self.dt_days is not None and self.dt_days <= 0:
             raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
         object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
-        n = self.user_ids.size
-        for name in ("s0", "s1"):
-            if getattr(self, name).shape != (n,):
-                raise MalformedInputError(f"panel column {name} misaligned")
-        if n and (np.any(self.s0 < 0) or np.any(self.s1 < 0)):
-            raise MalformedInputError("panel balances must be non-negative")
+        _check_rows(self.user_ids, self.s0, self.s1)
 
     @cached_property
     def ds(self) -> np.ndarray:

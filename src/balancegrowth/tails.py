@@ -44,6 +44,7 @@ _MAXITER = 200
 _KS_PROBES = 32
 _KS_BLOCK = 4096
 _KS_SLACK = 1e-12
+_MAX_THRESHOLDS = 10**6  # the most thresholds `threshold_sweep` builds
 # UMPU Monte Carlo: exponential draws per block of replicates
 _REP_BLOCK = 1 << 16
 
@@ -602,7 +603,8 @@ def threshold_sweep(
     """Repeat the tail comparison on the arithmetic threshold grid start, start+step, ...
 
     Stops at the first threshold whose tail retains fewer than
-    `min_tail` points. Each row equals `compare_tails` at its threshold
+    `min_tail` points; a grid of more than `_MAX_THRESHOLDS` is refused
+    before it is built. Each row equals `compare_tails` at its threshold
     up to rounding, without refitting: after one sort every tail is
     located by binary search, and both fits and the normalized LR come
     from suffix power sums of ln x (degree 1 to 4), so a threshold costs
@@ -623,7 +625,9 @@ def threshold_sweep(
         k_last -= 1
     while start + (k_last + 1) * step <= last:
         k_last += 1
-    thr = start + np.arange(k_last + 1 + (min_tail < 1)) * float(step)
+    if (size := k_last + 1 + (min_tail < 1)) > _MAX_THRESHOLDS:  # refused before the grid is allocated
+        raise MalformedInputError(f"the grid holds {size:,} thresholds, more than {_MAX_THRESHOLDS:,}; use a larger step")
+    thr = start + np.arange(size) * float(step)
     if thr.size == 0:
         return []
     cut = np.searchsorted(x, thr, side="left")

@@ -85,6 +85,13 @@ class TestSnapshotCsv:
         write(path, "user_id,balance\na,5\n")
         assert read_snapshot_csv(path).date == dt.date(2019, 1, 19)
 
+    def test_file_name_date_that_names_no_day_refused(self, tmp_path):
+        path = tmp_path / "backup_2016-13-45.csv"
+        write(path, "user_id,balance\na,5\n")
+        with pytest.raises(MalformedInputError, match=r"backup_2016-13-45\.csv: file name holds '2016-13-45', which is not a date$"):
+            read_snapshot_csv(path)
+        assert read_snapshot_csv(path, D0).date == D0
+
     @pytest.mark.parametrize(
         "bad_id, kind",
         [
@@ -594,6 +601,16 @@ class TestSimConfigFile:
         assert parsed.sim.step_days == 30
         assert parsed.sim.poor.mu == 0.01
 
+    def test_byte_that_is_not_utf8_named_with_line(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"model = gbm\n# caf\xe9\nn_users = 10\nhorizon_days = 1\ns0_law = point\ns0_value = 1\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:2: not UTF-8 text$"):
+            parse_sim_config(path)
+        assert main(["simulate", str(path), "x", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "c.cfg:2: not UTF-8 text" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_schedule_values(self, tmp_path):
         path = tmp_path / "c.cfg"
         write(
@@ -645,6 +662,16 @@ class TestCmdPanel:
         tax = json.loads((tmp_path / "p.taxonomy.json").read_text())
         assert tax["horizontal"] == 2
         assert tax["dt_days"] == 28
+
+    def test_file_name_date_that_names_no_day_exits_2(self, snap_pair, tmp_path, capsys):
+        p0, _ = snap_pair
+        p1 = tmp_path / "snap_2016-02-30.csv"
+        write(p1, "user_id,balance\nalice,5\n")
+        assert main(["panel", str(p0), str(p1), "j.csv", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "snap_2016-02-30.csv: file name holds '2016-02-30', which is not a date" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert main(["panel", str(p0), str(p1), "j.csv", "--date1", "2016-02-20", "--out", str(tmp_path), "--quiet"]) == 0
 
     def test_taxonomy_echoes_28_day_horizon(self, snap_pair, tmp_path):
         p0, p1 = snap_pair
@@ -879,6 +906,15 @@ class TestCmdFit:
         assert rows[0] == ["xmin", "normalized_lr", "p_value", "preferred"]
         assert rows[1] == ["1", "", "1", "inconclusive"]
 
+    def test_sweep_grid_too_large_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "v.csv"
+        write(data, "balance\n" + "2\n" * 50 + "2000000\n" * 200)
+        rc = main(["fit", str(data), "--xmin", "1", "--sweep-step", "1", "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "holds 2,000,000 thresholds, more than 1,000,000; use a larger step" in err
+        assert not (tmp_path / "out").exists()
+
     def test_umpu_sweep_rejects_beyond_head(self, tmp_path):
         rng = np.random.default_rng(9)
         x = rng.lognormal(16.0, 1.2, size=10_000).astype(np.int64)
@@ -999,6 +1035,16 @@ class TestCmdSweepInputs:
         write(snapdir / "b_2016-02-06.csv", "user_id,balance\na,6\n")
         assert self._sweep(snapdir, tmp_path) == 2
         assert "duplicate snapshot date 2016-02-06" in capsys.readouterr().err
+
+    def test_file_name_date_that_names_no_day_exits_2(self, tmp_path, rng, capsys):
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        self._snapshots(snapdir, rng)
+        write(snapdir / "backup_2016-13-45.csv", "user_id,balance\na,5\n")
+        assert self._sweep(snapdir, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "backup_2016-13-45.csv: file name holds '2016-13-45', which is not a date" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 class TestCmdSimulateAndSweep:

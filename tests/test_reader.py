@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from balancegrowth import BalanceSnapshot, MalformedInputError, build_panel
+from balancegrowth import BalanceSnapshot, MalformedInputError, TransitionPanel, build_panel
 from balancegrowth import io as bg_io
 from balancegrowth import panel as bg_panel
 from balancegrowth._workers import map_on_cpus
@@ -179,7 +179,7 @@ class TestIdSort:
         assert snap.user_ids.dtype.kind == "S"
         assert snap.user_ids.tolist() == [b"a", "zoë".encode(), "\U0001f600".encode()]
         assert snap.balances.tolist() == [2, 1, 3]
-        with pytest.raises(MalformedInputError, match="duplicate user_id in snapshot: 'ë'$"):
+        with pytest.raises(MalformedInputError, match="duplicate user_id 'ë'$"):
             BalanceSnapshot(D0, np.array(["ë".encode(), b"b", "ë".encode()]), [1, 2, 3])
         with pytest.raises(MalformedInputError, match="user ids are not UTF-8 text"):
             BalanceSnapshot(D0, np.array([b"\xff", b"a"]), [1, 2])
@@ -211,6 +211,101 @@ class TestByteIdRoundTrip:
             for first, second in files.values():
                 assert first.read_bytes() == second.read_bytes()
         assert back.user_ids.tolist() == want and joined.user_ids.tolist() == want
+
+
+def _first_bad_row(ids, *balances):
+    """The first row a snapshot or panel refuses, and its message: a negative row, else a repeated id."""
+    for i, row in enumerate(zip(*balances)):
+        if min(row) < 0:
+            return i, f"negative balance {min(row)}"
+    seen = set()
+    for i, user_id in enumerate(ids):
+        if user_id in seen:
+            return i, f"duplicate user_id {user_id!r}"
+        seen.add(user_id)
+    return None
+
+
+def _file_with_blanks(path, header, rows, blanks):
+    """Write `header` and `rows` with `blanks[k]` blank lines before row k; returns each row's line."""
+    lines, line_of = [header], []
+    for text, blank in zip(rows, blanks):
+        lines += [""] * blank + [text]
+        line_of.append(len(lines))
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    return line_of
+
+
+BALANCE = st.one_of(st.integers(-3, 40), st.integers(0, 2**63 - 1))
+
+
+class TestTypesOwnTheRowChecks:
+    """A snapshot or panel refuses its first negative row, then its first repeated id, in input order;
+    a file read names that row's line, and whatever a constructor accepts reads back equal."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(ID_TEXT, BALANCE), max_size=10),
+        blanks=st.lists(st.integers(0, 2), min_size=10, max_size=10),
+    )
+    @example(rows=[("b", 5), ("a", 7), ("b", 2)], blanks=[1, 0, 2] + [0] * 7)
+    @example(rows=[("b", 5), ("b", 7), ("a", -1)], blanks=[0, 2, 1] + [0] * 7)  # the negative row is named first
+    def test_snapshot(self, rows, blanks):
+        ids = [u for u, _ in rows]
+        balances = [b for _, b in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "s.csv", Path(tmp) / "again.csv"
+            line_of = _file_with_blanks(path, "user_id,balance", [f"{u},{b}" for u, b in rows], blanks)
+            bad = _first_bad_row(ids, balances)
+            if bad is None:
+                snap = BalanceSnapshot(D0, ids, np.array(balances, dtype=np.int64))
+                write_snapshot_csv(again, snap)
+                for read in (read_snapshot_csv(path, D0), read_snapshot_csv(again, D0)):
+                    assert read.user_ids.tolist() == snap.user_ids.tolist()
+                    assert read.balances.tolist() == snap.balances.tolist()
+                return
+            i, message = bad
+            with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$") as refused:
+                BalanceSnapshot(D0, ids, np.array(balances, dtype=np.int64))
+            assert refused.value.row == i
+            with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:{line_of[i]}: {re.escape(message)}$"):
+                read_snapshot_csv(path, D0)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(ID_TEXT, BALANCE, BALANCE), max_size=10),
+        blanks=st.lists(st.integers(0, 2), min_size=10, max_size=10),
+    )
+    @example(rows=[("b", 5, 7), ("a", 3, 3), ("b", 0, 2)], blanks=[0, 1, 0] + [0] * 7)
+    @example(rows=[("b", 5, 7), ("b", 3, 3), ("a", 4, -3)], blanks=[2, 0, 1] + [0] * 7)
+    def test_panel(self, rows, blanks):
+        ids = [u for u, _, _ in rows]
+        s0 = [a for _, a, _ in rows]
+        s1 = [b for _, _, b in rows]
+        cells = [
+            f"{u},{a},{b},{b - a},{('A' if b != a else 'B') if a > 0 else ''}" for u, a, b in rows
+        ]
+
+        def build():
+            return TransitionPanel(None, None, ids, np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "p.csv", Path(tmp) / "again.csv"
+            line_of = _file_with_blanks(path, "user_id,s0,s1,ds,group", cells, blanks)
+            bad = _first_bad_row(ids, s0, s1)
+            if bad is None:
+                panel = build()
+                write_panel_csv(again, panel)
+                for read in (read_panel_csv(path), read_panel_csv(again)):
+                    assert read.user_ids.tolist() == [u.encode("utf-8") for u in ids]
+                    assert read.s0.tolist() == s0 and read.s1.tolist() == s1
+                return
+            i, message = bad
+            with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$") as refused:
+                build()
+            assert refused.value.row == i
+            with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:{line_of[i]}: {re.escape(message)}$"):
+                read_panel_csv(path)
 
 
 def _affinities():

@@ -283,6 +283,13 @@ class TestThresholdSweep:
         with pytest.raises(Exception):
             threshold_sweep(data, start=0.0, step=1.0)
 
+    def test_refuses_a_grid_of_more_than_a_million_thresholds(self):
+        data = np.full(200, 2e6)  # with start 1 and step 1, tails keep 100 points up to 2e6
+        with pytest.raises(MalformedInputError, match=r"holds 2,000,000 thresholds, more than 1,000,000; use a larger step$"):
+            threshold_sweep(data, start=1.0, step=1.0)
+        with pytest.raises(MalformedInputError, match="holds 1,000,001 thresholds"):
+            threshold_sweep(data, start=1.0, step=1.999999)
+
     @pytest.mark.parametrize("start, step", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
     def test_rejects_non_finite_grid(self, rng, start, step):
         data = rng.lognormal(5.0, 1.0, size=500)
