@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": """BalanceGrowthError ConfigError DegenerateTailError FitConvergenceError HorizonError
-        InsufficientDataError MalformedInputError NoRetainedBinsError RegimeMixError""",
-    "growth": """AbsDriftFit AbsVolFit BinSeries GrowthFit HorizonEntry HorizonSweep RegimeSplit TrendResult
-        bin_moments fit_drift_abs fit_ratio fit_vol_abs horizon_sweep make_bins split_regimes trend_test""",
+        InsufficientDataError MalformedInputError NoRetainedBinsError""",
+    "growth": """BinSeries GrowthFit HorizonEntry HorizonSweep RegimeSplit TrendResult
+        bin_moments fit_growth horizon_sweep make_bins split_regimes trend_test""",
     "panel": """BalanceSnapshot HopkinsResult ScatterTaxonomy TransitionPanel build_panel filter_active
         hopkins hopkins_test taxonomy""",
     "sim": """InitialLaw RegimeParams Schedule SimConfig euler_paths simulate_gbm_exact simulate_power_sde

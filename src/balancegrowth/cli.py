@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, growth, io, panel as panel_mod, sim
 from ._workers import map_on_cpus
-from .errors import BalanceGrowthError, InsufficientDataError, MalformedInputError
+from .errors import BalanceGrowthError, InsufficientDataError, MalformedInputError, NoRetainedBinsError
 
 log = logging.getLogger("balancegrowth")
 
@@ -194,8 +194,12 @@ def cmd_estimate(args) -> int:
         bins = growth.bin_panel(
             io.read_panel_csv(args.panel), args.bins, args.min_count, args.target, args.s_min, args.s_max
         )
-    except InsufficientDataError as exc:
-        raise InsufficientDataError(f"{args.panel}: {exc}") from None
+        if args.target == growth.TARGET_RATIO:
+            fit = growth.split_regimes(bins, star_log_scale=args.star_log_scale)
+        else:
+            fit = growth.fit_growth(bins)
+    except (InsufficientDataError, NoRetainedBinsError) as exc:
+        raise type(exc)(f"{args.panel}: {exc}") from None
     outputs = {
         "bins.csv": {
             "bin_lo": bins.bin_lo,
@@ -213,15 +217,10 @@ def cmd_estimate(args) -> int:
         "units": {"balance": "satoshi", "mu": "per-day", "sigma": "per-sqrt-day"},
     }
     if args.target == growth.TARGET_RATIO:
-        split = growth.split_regimes(bins, star_log_scale=args.star_log_scale)
-        outputs["regimes.json"] = {**split.to_dict(), "estimator_settings": settings}
-        outputs["fitlines.csv"] = _fitlines(split, bins)
+        outputs["regimes.json"] = {**fit.to_dict(), "estimator_settings": settings}
+        outputs["fitlines.csv"] = _fitlines(fit, bins)
     else:
-        outputs["absfits.json"] = {
-            "drift": growth.fit_drift_abs(bins),
-            "vol": growth.fit_vol_abs(bins),
-            "estimator_settings": settings,
-        }
+        outputs["absfits.json"] = {"fit": fit, "estimator_settings": settings}
     return run.finish(outputs)
 
 

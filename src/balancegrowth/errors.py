@@ -29,10 +29,6 @@ class FitConvergenceError(BalanceGrowthError):
     """A numerical solve in a fit did not bracket its root or did not converge."""
 
 
-class RegimeMixError(BalanceGrowthError):
-    """Bin means carry mixed signs; split into regimes before fitting."""
-
-
 class NoRetainedBinsError(BalanceGrowthError):
     """Every bin fell below the minimum count."""
 

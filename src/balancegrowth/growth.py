@@ -1,9 +1,10 @@
 """Proportional-growth estimation from transition panels.
 
 The pipeline bins panel rows geometrically by starting balance, takes
-per-bin moments of the balance change (absolute or relative), and
-regresses the moments against balance to recover the scaling exponents,
-the aggregate drift mu*dt, and the aggregate volatility sigma*sqrt(dt).
+per-bin moments of the balance change (absolute or relative), and fits
+weighted power laws in balance to the moments (`fit_growth`) to recover
+the scaling exponents, the aggregate drift mu*dt, and the aggregate
+volatility sigma*sqrt(dt).
 A sign change in the per-bin mean of ds/s splits the population into the
 accumulating ("poor") and divesting ("wealthy") regimes.
 """
@@ -19,7 +20,6 @@ from .errors import (
     InsufficientDataError,
     MalformedInputError,
     NoRetainedBinsError,
-    RegimeMixError,
 )
 from .panel import TransitionPanel, build_panel, filter_active
 
@@ -30,7 +30,7 @@ TARGET_RATIO = "ratio"
 
 DEFAULT_N_BINS = 300
 DEFAULT_MIN_COUNT = 50
-# fit_drift_abs scans the drift exponent on this grid before bisecting
+# fit_growth scans the exponent of the fitted mean on this grid before bisecting
 DRIFT_ALPHA_GRID = np.linspace(-10.0, 10.0, 2001)
 
 REGIME_POOR = "poor"
@@ -69,68 +69,34 @@ class BinSeries:
 
 
 @dataclass(frozen=True)
-class OlsFit:
-    slope: float
-    intercept: float
-    slope_se: float
-    intercept_se: float
-    r_squared: float
-    n: int
-
-
-@dataclass(frozen=True)
-class AbsDriftFit:
-    """Least-squares fit of mean(ds) = mu_dt * s^alpha on the linear scale.
-
-    mu_dt carries the drift sign. `alpha_se` is the Gauss-Newton
-    standard error of alpha. `mu_dt_alpha1` and `sse_alpha1` are the fit
-    with alpha fixed at 1.
-    """
-
-    alpha: float
-    mu_dt: float
-    alpha_se: float
-    r_squared: float
-    sse: float
-    mu_dt_alpha1: float
-    sse_alpha1: float
-
-
-@dataclass(frozen=True)
-class AbsVolFit:
-    """Log-log regression of std(ds) on balance."""
-
-    alpha: float
-    sigma_sqrtdt: float
-    alpha_se: float
-    intercept_se: float
-    r_squared: float
-    n_bins_used: int
-
-
-@dataclass(frozen=True)
 class GrowthFit:
-    """Regressed growth-process parameters for one regime.
+    """Weighted power-law fits of one regime's bin means and stds.
 
-    mu_dt carries the regime sign (positive: accumulation). Standard
-    errors refer to the log-space regressions: the alpha errors apply to
-    the exponents directly, the intercept errors to ln|mu_dt| and
-    ln(sigma_sqrtdt).
+    With k = 1 for the ratio target (ds/s0) and k = 0 for the absolute
+    target (ds), the drift is mean = mu_dt * s^(alpha_drift - k), fitted
+    on the linear scale with weights n/std^2, and the volatility is
+    std = sigma_sqrtdt * s^(alpha_vol - k), a line of ln std on ln s with
+    weights 2n. mu_dt carries the drift sign (positive: accumulation);
+    `mu_dt_alpha1` is the drift with alpha_drift fixed at 1. Both fits
+    use the `n_bins` bins with positive std. Standard errors are scaled by
+    each fit's chi^2/dof: the alpha errors apply to the exponents, the
+    intercept errors to ln|mu_dt| and ln(sigma_sqrtdt). A chi^2/dof far
+    above 1 says the power law in s does not fit the bins.
     """
 
     regime: str
     alpha_drift: float
     mu_dt: float
+    mu_dt_alpha1: float
     alpha_vol: float
     sigma_sqrtdt: float
     drift_alpha_se: float
     drift_intercept_se: float
-    drift_r_squared: float
+    drift_chi2_dof: float
     vol_alpha_se: float
     vol_intercept_se: float
-    vol_r_squared: float
-    n_bins_drift: int
-    n_bins_vol: int
+    vol_chi2_dof: float
+    n_bins: int
 
 
 @dataclass(frozen=True)
@@ -291,79 +257,42 @@ def bin_panel(
     return bin_moments(active, make_bins(lo, hi, n_bins), min_count=min_count, target=target)
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    n = x.size
-    xm = float(x.mean())
-    ym = float(y.mean())
-    sxx = float(np.sum((x - xm) ** 2))
-    if sxx <= 0.0:
-        raise InsufficientDataError("regression design is singular (all abscissae equal)")
-    slope = float(np.sum((x - xm) * (y - ym))) / sxx
-    intercept = ym - slope * xm
-    resid = y - (slope * x + intercept)
-    sse = float(np.sum(resid**2))
-    sst = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    dof = n - 2
-    s2 = sse / dof if dof > 0 else math.nan
-    return OlsFit(
-        slope=slope,
-        intercept=intercept,
-        slope_se=math.sqrt(s2 / sxx) if dof > 0 else math.nan,
-        intercept_se=math.sqrt(s2 * (1.0 / n + xm * xm / sxx)) if dof > 0 else math.nan,
-        r_squared=r2,
-        n=n,
-    )
-
-
-def _drift_profile(alpha, lns: np.ndarray, y: np.ndarray):
-    """u = s^alpha / max s^alpha, the best amplitude c of y ~ c u, and the residual.
+def _drift_profile(alpha, lns: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """u = s^alpha / max s^alpha, the best amplitude c of y ~ c u under weights w, and the residual.
 
     `alpha` is a scalar or a 1-d grid. Scaling by the largest s^alpha
     keeps u^2 finite for balances up to 2^62 at every alpha scanned.
     """
     a = np.multiply.outer(alpha, lns)
     u = np.exp(a - a.max(axis=-1, keepdims=True))
-    c = (u * y).sum(axis=-1) / (u * u).sum(axis=-1)
+    wu = w * u
+    c = (wu * y).sum(axis=-1) / (wu * u).sum(axis=-1)
     return u, c, y - c[..., None] * u
 
 
-def _drift_slope(alpha: float, lns: np.ndarray, y: np.ndarray) -> float:
-    """c * sum(r u ln s): minus half the slope of the profile residual at `alpha`.
+def _drift_slope(alpha: float, lns: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """c * sum(w r u ln s): minus half the slope of the profile chi^2 at `alpha`.
 
-    ln s is centred at its u^2-weighted mean. That leaves the value
-    unchanged, since sum(r u) = 0 at the best c, and it cancels the
+    ln s is centred at its w u^2-weighted mean. That leaves the value
+    unchanged, since sum(w r u) = 0 at the best c, and it cancels the
     rounding error of c to first order.
     """
-    u, c, r = _drift_profile(alpha, lns, y)
-    w = u * u
-    return float(c * np.sum(r * u * (lns - np.sum(w * lns) / np.sum(w))))
+    u, c, r = _drift_profile(alpha, lns, y, w)
+    wu = w * u
+    return float(c * np.sum(wu * r * (lns - np.sum(wu * u * lns) / np.sum(wu * u))))
 
 
-def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
-    """Fit mean(ds) = mu_dt * s^alpha on the linear scale by a profile in alpha.
+def _fit_drift(lns: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """The exponent a of y ~ c s^a under weights w, by a profile in a; returns a and `_drift_profile` at a.
 
-    For a fixed alpha the least-squares mu_dt is linear and carries its
-    own sign. The profile residual is scanned on `DRIFT_ALPHA_GRID`, and
-    the stationarity condition is bisected down to adjacent floats
-    between the grid neighbours of the best point. The constrained
-    alpha=1 proportional fit is returned alongside for comparison. Runs
-    on the linear scale because bin means can carry either sign.
+    For a fixed a the best c is linear and carries its own sign. The
+    profile chi^2 is scanned on `DRIFT_ALPHA_GRID`, and the stationarity
+    condition is bisected down to adjacent floats between the grid
+    neighbours of the best point.
     """
-    if bins.target != TARGET_ABSOLUTE:
-        raise MalformedInputError("fit_drift_abs expects an absolute-target bin series")
-    if bins.n_bins < 3:
-        raise InsufficientDataError("need at least 3 retained bins")
-    s = bins.centers
-    y = bins.means
-    if np.unique(s).size < 2:
-        raise InsufficientDataError("all bin centers equal; design is singular")
-    if not np.any(y):
-        raise InsufficientDataError("all bin means are zero; drift undefined")
-    lns = np.log(s)
-    # blocks of about 100 alphas keep the scan's memory small at any bin count
+    # blocks of about 100 exponents keep the scan's memory small at any bin count
     blocks = np.array_split(DRIFT_ALPHA_GRID, 20)
-    k = int(np.argmin(np.concatenate([np.sum(_drift_profile(b, lns, y)[2] ** 2, axis=-1) for b in blocks])))
+    k = int(np.argmin(np.concatenate([np.sum(w * _drift_profile(b, lns, y, w)[2] ** 2, axis=-1) for b in blocks])))
     if k in (0, DRIFT_ALPHA_GRID.size - 1):
         raise InsufficientDataError(
             f"the drift exponent's best fit lies at the edge of the scanned range "
@@ -371,104 +300,79 @@ def fit_drift_abs(bins: BinSeries) -> AbsDriftFit:
         )
     lo, hi = float(DRIFT_ALPHA_GRID[k - 1]), float(DRIFT_ALPHA_GRID[k + 1])
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _drift_slope(mid, lns, y) > 0.0:
+        if _drift_slope(mid, lns, y, w) > 0.0:
             lo = mid
         else:
             hi = mid
-    alpha = min((lo, hi), key=lambda a: abs(_drift_slope(a, lns, y)))
-    u, c, r = _drift_profile(alpha, lns, y)
-    mu_dt = float(c) * math.exp(-float(np.max(alpha * lns)))
-    sse = float(np.sum(r * r))
-    # Gauss-Newton: the alpha entry of (J^T J)^-1 is 1 / (c^2 sum w (ln s - mean)^2), w = u^2
-    w = u * u
-    spread = float(c * c * np.sum(w * (lns - np.sum(w * lns) / np.sum(w)) ** 2))
-    alpha_se = math.sqrt(sse / (bins.n_bins - 2) / spread) if spread > 0.0 else math.nan
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    mu1 = float(np.sum(y * s) / np.sum(s * s))
-    sse1 = float(np.sum((y - mu1 * s) ** 2))
-    return AbsDriftFit(
-        alpha=alpha,
-        mu_dt=mu_dt,
-        alpha_se=alpha_se,
-        r_squared=r2,
-        sse=sse,
-        mu_dt_alpha1=mu1,
-        sse_alpha1=sse1,
-    )
+    a = min((lo, hi), key=lambda v: abs(_drift_slope(v, lns, y, w)))
+    return a, *_drift_profile(a, lns, y, w)
 
 
-def _fit_log_std(bins: BinSeries) -> OlsFit:
-    """OLS of ln std on ln s over the bins with positive std; at least three must remain."""
+def _line_ses(x: np.ndarray, w: np.ndarray, chi2_dof: float) -> tuple[float, float]:
+    """Standard errors of the slope and the intercept (at x = 0) of a line fitted under weights w, scaled by chi^2/dof."""
+    sw = float(np.sum(w))
+    xm = float(np.sum(w * x)) / sw
+    sxx = float(np.sum(w * (x - xm) ** 2))
+    if sxx <= 0.0:
+        return math.nan, math.nan
+    return math.sqrt(chi2_dof / sxx), math.sqrt(chi2_dof * (1.0 / sw + xm * xm / sxx))
+
+
+def fit_growth(bins: BinSeries, regime: str = REGIME_ALL) -> GrowthFit:
+    """Fit the drift and volatility power laws of either target's bins, as `GrowthFit` describes.
+
+    Only bins with positive std are fitted; at least three must remain,
+    at two or more centres, and not every mean may be zero. The drift's
+    standard errors are Gauss-Newton's: those of a line in ln s under
+    the weights w * fit^2.
+    """
     pos = bins.stds > 0
-    if np.count_nonzero(pos) < 3:
+    n = int(np.count_nonzero(pos))
+    if n < 3:
         raise InsufficientDataError("need at least 3 retained bins with positive std")
-    return _ols(np.log(bins.centers[pos]), np.log(bins.stds[pos]))
+    lns = np.log(bins.centers[pos])
+    y = bins.means[pos]
+    std = bins.stds[pos]
+    counts = bins.counts[pos].astype(np.float64)
+    if np.ptp(lns) == 0.0:
+        raise InsufficientDataError("all bin centers equal; design is singular")
+    if not np.any(y):
+        raise InsufficientDataError("all bin means are zero; drift undefined")
+    k = 1.0 if bins.target == TARGET_RATIO else 0.0
 
+    w = counts / std**2
+    a, u, c, r = _fit_drift(lns, y, w)
+    drift_chi2_dof = float(np.sum(w * r * r)) / (n - 2)
+    drift_alpha_se, drift_intercept_se = _line_ses(lns, w * (c * u) ** 2, drift_chi2_dof)
+    _, c1, _ = _drift_profile(1.0 - k, lns, y, w)
 
-def fit_vol_abs(bins: BinSeries) -> AbsVolFit:
-    """Log-log regression ln std(ds) = alpha ln s + ln(sigma sqrt(dt)).
-
-    Bins with zero standard deviation are excluded; at least three must
-    remain.
-    """
-    if bins.target != TARGET_ABSOLUTE:
-        raise MalformedInputError("fit_vol_abs expects an absolute-target bin series")
-    fit = _fit_log_std(bins)
-    return AbsVolFit(
-        alpha=fit.slope,
-        sigma_sqrtdt=math.exp(fit.intercept),
-        alpha_se=fit.slope_se,
-        intercept_se=fit.intercept_se,
-        r_squared=fit.r_squared,
-        n_bins_used=fit.n,
-    )
-
-
-def fit_ratio(bins: BinSeries, regime: str = REGIME_ALL) -> GrowthFit:
-    """Recover (alpha, mu*dt, sigma*sqrt(dt)) from ratio-target bin moments.
-
-    Drift: ln|mean(ds/s)| = (alpha_drift - 1) ln s + ln|mu_dt|, with
-    negative means reflected before the log; mu_dt carries the common
-    sign. Volatility: ln std(ds/s) = (alpha_vol - 1) ln s +
-    ln(sigma_sqrtdt). All retained bin means must share one sign.
-    """
-    if bins.target != TARGET_RATIO:
-        raise MalformedInputError("fit_ratio expects a ratio-target bin series")
-    if bins.n_bins < 3:
-        raise InsufficientDataError("need at least 3 retained bins")
-    means = bins.means
-    has_pos = bool(np.any(means > 0))
-    has_neg = bool(np.any(means < 0))
-    if (has_pos and has_neg) or np.any(means == 0):
-        raise RegimeMixError(
-            "bin means carry mixed signs; split into regimes before fitting"
-        )
-    sign = 1.0 if has_pos else -1.0
-    drift = _ols(np.log(bins.centers), np.log(sign * means))
-    vol = _fit_log_std(bins)
+    wv = 2.0 * counts
+    v = np.log(std)
+    xm = float(np.sum(wv * lns)) / float(np.sum(wv))
+    slope = float(np.sum(wv * (lns - xm) * v)) / float(np.sum(wv * (lns - xm) ** 2))
+    intercept = float(np.sum(wv * v)) / float(np.sum(wv)) - slope * xm
+    vol_chi2_dof = float(np.sum(wv * (v - slope * lns - intercept) ** 2)) / (n - 2)
+    vol_alpha_se, vol_intercept_se = _line_ses(lns, wv, vol_chi2_dof)
     return GrowthFit(
         regime=regime,
-        alpha_drift=drift.slope + 1.0,
-        mu_dt=sign * math.exp(drift.intercept),
-        alpha_vol=vol.slope + 1.0,
-        sigma_sqrtdt=math.exp(vol.intercept),
-        drift_alpha_se=drift.slope_se,
-        drift_intercept_se=drift.intercept_se,
-        drift_r_squared=drift.r_squared,
-        vol_alpha_se=vol.slope_se,
-        vol_intercept_se=vol.intercept_se,
-        vol_r_squared=vol.r_squared,
-        n_bins_drift=drift.n,
-        n_bins_vol=vol.n,
+        alpha_drift=a + k,
+        mu_dt=float(c) * math.exp(-float(np.max(a * lns))),
+        mu_dt_alpha1=float(c1) * math.exp(-float(np.max((1.0 - k) * lns))),
+        alpha_vol=slope + k,
+        sigma_sqrtdt=math.exp(intercept),
+        drift_alpha_se=drift_alpha_se,
+        drift_intercept_se=drift_intercept_se,
+        drift_chi2_dof=drift_chi2_dof,
+        vol_alpha_se=vol_alpha_se,
+        vol_intercept_se=vol_intercept_se,
+        vol_chi2_dof=vol_chi2_dof,
+        n_bins=n,
     )
 
 
 def _fit_side(bins: BinSeries, mask: np.ndarray, regime: str) -> GrowthFit | None:
-    if np.count_nonzero(mask) < 3:
-        return None
     try:
-        return fit_ratio(bins.take(mask), regime=regime)
+        return fit_growth(bins.take(mask), regime=regime)
     except InsufficientDataError:
         return None
 

@@ -63,15 +63,17 @@ def _id_text(user_id: bytes) -> str:
 
 
 def _check_rows(ids: np.ndarray, *balances: np.ndarray) -> np.ndarray | None:
-    """Refuse misaligned columns, then the first row with a negative balance, then the first whose
-    id an earlier row holds (as `row`). Returns `_id_order(ids)`, or None when the ids are strictly
-    increasing, as in every written file."""
+    """Refuse misaligned columns, then the first row with a negative or non-finite balance, then the
+    first whose id an earlier row holds (as `row`). Returns `_id_order(ids)`, or None when the ids
+    are strictly increasing, as in every written file."""
     if any(b.shape != ids.shape for b in balances):
         raise MalformedInputError("user_ids and balances must be 1-d and aligned")
-    negative = np.flatnonzero(np.logical_or.reduce([b < 0 for b in balances]))
-    if negative.size:
-        i = int(negative[0])
-        raise MalformedInputError(f"negative balance {min(b[i] for b in balances if b[i] < 0)}", row=i)
+    bad = np.flatnonzero(np.logical_or.reduce([~((b >= 0) & (b < np.inf)) for b in balances]))  # NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        row = [b[i] for b in balances]
+        odd = [v for v in row if not np.isfinite(v)]
+        raise MalformedInputError(f"balance {odd[0]} is not finite" if odd else f"negative balance {min(row)}", row=i)
     if np.all(ids[1:] > ids[:-1]):
         return None
     order = _id_order(ids)
@@ -207,9 +209,10 @@ class TransitionPanel:
     """Joined snapshot pair: one row per user with (s0, s1) over the horizon.
 
     User ids are UTF-8 byte strings (`S`), as in `BalanceSnapshot`; text
-    ids are encoded once. Ids are unique and balances non-negative, as in a
-    snapshot, but rows keep their order. `ds = s1 - s0` and the activity
-    `group` are derived from s0 and s1 on first use, so they always agree.
+    ids are encoded once. Ids are unique and balances finite and
+    non-negative, as in a snapshot, but rows keep their order.
+    `ds = s1 - s0` and the activity `group` are derived from s0 and s1 on
+    first use, so they always agree.
     Group labels: 'A' for s0 > 0 and ds != 0 (traded), 'B' for s0 > 0
     and ds == 0 (held), '' for rows entering at s0 = 0. `dt_days` is None
     for panels loaded from CSV, where the horizon is not part of the format.

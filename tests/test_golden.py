@@ -66,11 +66,11 @@ wealthy_sigma = 0.001
 }
 
 GOLDEN = {
-    "abs.absfits.json": "e5d9a40d23f6ee7f5b3df8bf64903e354bbe991315a6199320e9b258d79c1b38",
+    "abs.absfits.json": "5d60d19c9f68784f0ad7e2fc14e3e2c20849ab1507a05095a2a2a2ec441190a2",
     "abs.bins.csv": "39b7ba0d28a7e03769eabb46e264709d204812612e64c2de90b001a3483667f8",
     "est.bins.csv": "04fdd0f738a4c88932f434665449e64fb5a53a6d82bad491ff0d9494d3b012e4",
-    "est.fitlines.csv": "d5819e599c5f7a7e31519c312df8e600cdd7b28d8f567f240c36e3df7067daa8",
-    "est.regimes.json": "032ea83c5908a65a20c2d7e6f182cb06fa8ca91d93a29de370f09b563a27acbc",
+    "est.fitlines.csv": "067674d7f535175d70bba9e343c212e83063431a3969192fb975506424a91166",
+    "est.regimes.json": "bf60e3453997114eb8494977ff9235e067f2ceb0e161b635d19c4d28193c7b09",
     "joined.csv": "73f29fca8029970498239e1899f7e6a0ee35dd84426df0238a62d23cfac97283",
     "joined.taxonomy.json": "eb959b8132d67cc108eab5451894abc968d6dc8cde9d6af321a0edcebd1ef91d",
     "sim/gbm/gbm.panel.csv": "aa047926e1be2aeeb047c4176aa6f8b32ce8c3b8fe363617bdffb1c8349e4632",
@@ -88,9 +88,9 @@ GOLDEN = {
     "sim/two/two.snapshot_2000-01-29.csv": "9ec23d6bacfdf749cdf3625f0921495e8216db9337883d275b2f1cfa882414b8",
     "small.csv": "6db6eb7877efbad61844fc12bb1563841a33890adbf253f3ddcafbd6f5ef1c61",
     "small.taxonomy.json": "d76133a347a788272242528955366733cda66bc7883c27faf7cfbc8554901a3a",
-    "sw.horizon.json": "466c183efc4acd79f8b985cdbc83cfdfd2a5b0cd6d36ed4381287916a5cd98ec",
-    "sw.series.csv": "a02ce3577b387bd4a0cfb5b4ccfc2412d6432483b357e5c89ae6a3e6ceb52d27",
-    "sw.trends.csv": "4a167fee37a6e22f2b18732af891bb5fc4a79cb27e933121f96832ca5b33fcd7",
+    "sw.horizon.json": "733e8f9836fde6b70ea0716fe56b19d8161f137bdcf66f43c897f23fffc0d344",
+    "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
+    "sw.trends.csv": "6026207a8907155aa7b6ca695aeb1aa62363bca21a06c28144df374a3aee246f",
     "vals.comparison.json": "3cf0a68186e5d96fb5509e3b24bf203ce6b21c99de39efa8644bc2bd054f69a2",
     "vals.curves.csv": "94a8b1d1baeae61be4b2e3eda8f88876ab71b376ae6ee7def0b7b3cf714e9782",
     "vals.hist.csv": "0223f46c2dcaba70f8d919548beecb496b404f8df3930e62cd084ef21f240c1b",

@@ -12,16 +12,14 @@ from balancegrowth import (
     InsufficientDataError,
     MalformedInputError,
     NoRetainedBinsError,
-    RegimeMixError,
     InitialLaw,
     RegimeParams,
     SimConfig,
     bin_moments,
-    fit_drift_abs,
-    fit_ratio,
-    fit_vol_abs,
+    fit_growth,
     horizon_sweep,
     make_bins,
+    simulate_power_sde,
     snapshot_series,
     split_regimes,
     trend_test,
@@ -170,30 +168,30 @@ class TestBinMoments:
 class TestAbsoluteFits:
     def test_exact_proportional_drift(self):
         s = np.geomspace(10.0, 1e4, 12)
-        fit = fit_drift_abs(constant_bins(s, 2.0 * s, 0.1 * s, target="absolute"))
-        assert fit.alpha == pytest.approx(1.0, abs=1e-9)
+        fit = fit_growth(constant_bins(s, 2.0 * s, 0.1 * s, target="absolute"))
+        assert fit.alpha_drift == pytest.approx(1.0, abs=1e-9)
         assert fit.mu_dt == pytest.approx(2.0, rel=1e-9)
         assert fit.mu_dt_alpha1 == pytest.approx(2.0, rel=1e-9)
 
     def test_sublinear_drift_recovered(self):
         s = np.geomspace(10.0, 1e5, 20)
-        fit = fit_drift_abs(constant_bins(s, 3.0 * s**0.7, s, target="absolute"))
-        assert fit.alpha == pytest.approx(0.7, abs=0.02)
+        fit = fit_growth(constant_bins(s, 3.0 * s**0.7, s, target="absolute"))
+        assert fit.alpha_drift == pytest.approx(0.7, abs=0.02)
         assert fit.mu_dt == pytest.approx(3.0, rel=0.05)
 
     def test_negative_drift_sign_attempted(self):
         s = np.geomspace(10.0, 1e4, 10)
-        fit = fit_drift_abs(constant_bins(s, -0.5 * s**0.9, s, target="absolute"))
+        fit = fit_growth(constant_bins(s, -0.5 * s**0.9, s, target="absolute"))
         assert fit.mu_dt == pytest.approx(-0.5, rel=1e-6)
-        assert fit.alpha == pytest.approx(0.9, abs=1e-6)
+        assert fit.alpha_drift == pytest.approx(0.9, abs=1e-6)
 
     def test_refit_on_own_predictions_is_fixed_point(self):
         s = np.geomspace(5.0, 2e4, 15)
         noisy = 1.7 * s**0.85 * (1.0 + 0.05 * np.sin(np.arange(15)))
-        first = fit_drift_abs(constant_bins(s, noisy, s, target="absolute"))
-        predicted = first.mu_dt * s**first.alpha
-        second = fit_drift_abs(constant_bins(s, predicted, s, target="absolute"))
-        assert second.alpha == pytest.approx(first.alpha, abs=1e-9)
+        first = fit_growth(constant_bins(s, noisy, s, target="absolute"))
+        predicted = first.mu_dt * s**first.alpha_drift
+        second = fit_growth(constant_bins(s, predicted, s, target="absolute"))
+        assert second.alpha_drift == pytest.approx(first.alpha_drift, abs=1e-9)
         assert second.mu_dt == pytest.approx(first.mu_dt, rel=1e-9)
 
     def test_golden_bins_match_40_digit_optimum(self, tmp_path, monkeypatch):
@@ -203,54 +201,59 @@ class TestAbsoluteFits:
         active = filter_active(read_panel_csv("pow.panel.csv"))
         edges = make_bins(float(active.s0.min()), float(active.s0.max()), 40)
         bins = bin_moments(active, edges, min_count=30, target="absolute")
-        fit = fit_drift_abs(bins)
+        fit = fit_growth(bins)
+        assert fit.n_bins == bins.n_bins
 
         def slope(alpha):
+            # the weighted chi^2's stationarity in alpha, with c = sum(w y p) / sum(w p^2) and p = s^alpha
             p = [mpmath.exp(alpha * v) for v in lns]
-            c = mpmath.fsum(y * q for y, q in zip(ys, p)) / mpmath.fsum(q * q for q in p)
-            return mpmath.fsum((y - c * q) * q * v for y, q, v in zip(ys, p, lns)) / mpmath.fsum(y * y for y in ys)
+            c = mpmath.fsum(w * y * q for w, y, q in zip(ws, ys, p)) / mpmath.fsum(w * q * q for w, q in zip(ws, p))
+            return mpmath.fsum(w * (y - c * q) * q * v for w, y, q, v in zip(ws, ys, p, lns)) / mpmath.fsum(
+                w * y * y for w, y in zip(ws, ys)
+            )
 
         with mpmath.workdps(40):
             lns = [mpmath.log(float(v)) for v in bins.centers]
             ys = [mpmath.mpf(float(v)) for v in bins.means]
-            assert abs(fit.alpha - mpmath.findroot(slope, fit.alpha)) < 1e-14
+            ws = [mpmath.mpf(int(n)) / mpmath.mpf(float(sd)) ** 2 for n, sd in zip(bins.counts, bins.stds)]
+            assert abs(fit.alpha_drift - mpmath.findroot(slope, fit.alpha_drift)) < 1e-14
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lo, hi, mu", [(10.0, 1e4, -0.5), (1.0, 2.0**62, 0.5), (1.0, 2.0**62, -0.5)])
     def test_wide_centres_and_negative_drift_raise_no_warning(self, lo, hi, mu):
         s = np.geomspace(lo, hi, 40)
-        fit = fit_drift_abs(constant_bins(s, mu * s**0.9, s, target="absolute"))
-        assert fit.alpha == pytest.approx(0.9, abs=1e-9)
+        fit = fit_growth(constant_bins(s, mu * s**0.9, s, target="absolute"))
+        assert fit.alpha_drift == pytest.approx(0.9, abs=1e-9)
         assert fit.mu_dt == pytest.approx(mu, rel=1e-9)
 
     def test_optimum_on_grid_edge_rejected(self):
         s = np.geomspace(10.0, 1e4, 12)
         with pytest.raises(InsufficientDataError, match=r"\[-10, 10\]"):
-            fit_drift_abs(constant_bins(s, 3.0 * s**12, s, target="absolute"))
+            fit_growth(constant_bins(s, 3.0 * s**12, s, target="absolute"))
 
     def test_exact_proportional_vol(self):
         s = np.geomspace(10.0, 1e4, 12)
-        fit = fit_vol_abs(constant_bins(s, s, 5.0 * s, target="absolute"))
-        assert fit.alpha == pytest.approx(1.0, abs=1e-12)
+        fit = fit_growth(constant_bins(s, s, 5.0 * s, target="absolute"))
+        assert fit.alpha_vol == pytest.approx(1.0, abs=1e-12)
         assert fit.sigma_sqrtdt == pytest.approx(5.0, rel=1e-12)
 
     def test_sublinear_vol_exponent(self):
         s = np.geomspace(10.0, 1e6, 30)
-        fit = fit_vol_abs(constant_bins(s, s, s**0.739, target="absolute"))
-        assert fit.alpha == pytest.approx(0.739, abs=0.01)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
+        fit = fit_growth(constant_bins(s, s, s**0.739, target="absolute"))
+        assert fit.alpha_vol == pytest.approx(0.739, abs=0.01)
+        assert fit.vol_chi2_dof == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_std_bins_excluded(self):
         s = np.geomspace(10.0, 1e4, 6)
         stds = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
         with pytest.raises(InsufficientDataError):
-            fit_vol_abs(constant_bins(s, s, stds, target="absolute"))
+            fit_growth(constant_bins(s, s, stds, target="absolute"))
 
 
 class TestFitRatio:
     def test_gibrat_constants(self):
         s = np.geomspace(100.0, 1e8, 20)
-        fit = fit_ratio(constant_bins(s, [0.05] * 20, [0.2] * 20))
+        fit = fit_growth(constant_bins(s, [0.05] * 20, [0.2] * 20))
         assert fit.alpha_drift == pytest.approx(1.0, abs=1e-12)
         assert fit.mu_dt == pytest.approx(0.05, rel=1e-12)
         assert fit.alpha_vol == pytest.approx(1.0, abs=1e-12)
@@ -258,21 +261,79 @@ class TestFitRatio:
 
     def test_sublinear_ratio_slope(self):
         s = np.geomspace(100.0, 1e8, 25)
-        fit = fit_ratio(constant_bins(s, 0.3 * s**-0.25, 0.1 * s**-0.2))
+        fit = fit_growth(constant_bins(s, 0.3 * s**-0.25, 0.1 * s**-0.2))
         assert fit.alpha_drift == pytest.approx(0.75, abs=0.01)
         assert fit.alpha_vol == pytest.approx(0.8, abs=0.01)
 
     def test_wealthy_shape_negative_drift(self):
         s = np.geomspace(1e8, 1e12, 15)
-        fit = fit_ratio(constant_bins(s, -0.02 * s**0.05, 0.05 * s**-0.1))
+        fit = fit_growth(constant_bins(s, -0.02 * s**0.05, 0.05 * s**-0.1))
         assert fit.mu_dt < 0
         assert fit.alpha_drift == pytest.approx(1.05, abs=0.01)
 
-    def test_mixed_signs_rejected(self):
-        s = np.geomspace(10.0, 1e4, 6)
-        means = np.array([0.1, 0.2, 0.1, -0.1, -0.2, -0.1])
-        with pytest.raises(RegimeMixError):
-            fit_ratio(constant_bins(s, means, np.full(6, 0.5)))
+
+class TestOneFitter:
+    """`fit_growth` serves both targets: a ratio series is the absolute one divided by the bin centres."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        c=st.floats(1e-3, 1e3),
+        sign=st.sampled_from([-1.0, 1.0]),
+        lo=st.floats(1.0, 1e9),
+        span=st.floats(4.0, 1e6),
+        bins=st.lists(st.tuples(st.integers(2, 5000), st.floats(1e-6, 1e6)), min_size=3, max_size=40),
+    )
+    @example(a=-3.0, c=1e-3, sign=-1.0, lo=1e9, span=1e6, bins=[(2, 1e-6), (5000, 1e6), (2, 1.0)])
+    def test_noise_free_power_law_recovered(self, a, c, sign, lo, span, bins):
+        s = np.geomspace(lo, lo * span, len(bins))
+        counts, stds = zip(*bins)
+        mean = sign * c * s**a
+        fit = fit_growth(constant_bins(s, mean, stds, counts, target="absolute"))
+        assert fit.alpha_drift == pytest.approx(a, abs=1e-9)
+        assert fit.mu_dt == pytest.approx(sign * c, rel=1e-9)
+        ratio = fit_growth(constant_bins(s, mean / s, np.asarray(stds) / s, counts))
+        assert ratio.alpha_drift == pytest.approx(a, abs=1e-9)
+        assert ratio.mu_dt == pytest.approx(sign * c, rel=1e-9)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        a=st.floats(-3.0, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        cv=st.floats(1e-2, 1e2),
+        lo=st.floats(1.0, 1e9),
+        span=st.floats(4.0, 1e6),
+        wobble=st.floats(0.05, 0.3),
+        counts=st.lists(st.integers(2, 5000), min_size=3, max_size=40),
+    )
+    def test_ratio_series_gives_the_absolute_fit(self, a, sign, cv, lo, span, wobble, counts):
+        # Bins alternate above and below both power laws, so neither fit is exact and every SE is a real
+        # number. Each std is `cv` times its mean, so n/std^2 times mean^2 stays within the counts' range.
+        # With stds unrelated to the means the weights can span 1e23, chi^2 is then summed from residuals
+        # near float rounding of the heaviest means, and the two targets agree only to about 1e-8.
+        s = np.geomspace(lo, lo * span, len(counts))
+        off = 1.0 + wobble * (-1.0) ** np.arange(len(counts))
+        means = sign * s**a * off
+        stds = cv * np.abs(means)
+        absolute = fit_growth(constant_bins(s, means, stds, counts, target="absolute"))
+        ratio = fit_growth(constant_bins(s, means / s, stds / s, counts))
+        assert ratio.n_bins == absolute.n_bins == len(counts)
+        for name, value in vars(absolute).items():
+            if isinstance(value, float):
+                assert getattr(ratio, name) == pytest.approx(value, rel=1e-9), name
+
+    def test_intervals_cover_the_planted_exponents(self):
+        """The sub-linear acceptance config: each exponent's 95% interval covers 0.7 in at least 180 of 200 seeds."""
+        params = RegimeParams(alpha_drift=0.7, mu=3.0, alpha_vol=0.7, sigma=2.0)
+        covers = {"drift": 0, "vol": 0}
+        for seed in range(900, 1100):
+            panel = simulate_power_sde(100_000, InitialLaw.lognormal(math.log(1e8), 2.3), params, 1, 1, seed=seed)
+            active = filter_active(panel)
+            edges = make_bins(float(active.s0.min()), float(active.s0.max()), 300)
+            fit = split_regimes(bin_moments(active, edges, min_count=50)).poor
+            covers["drift"] += abs(fit.alpha_drift - 0.7) <= 1.96 * fit.drift_alpha_se
+            covers["vol"] += abs(fit.alpha_vol - 0.7) <= 1.96 * fit.vol_alpha_se
+        assert covers["drift"] >= 180 and covers["vol"] >= 180, covers
 
 
 class TestSplitRegimes:
@@ -342,7 +403,7 @@ class TestSplitRegimes:
         assert split.sign_pattern == pattern
         for fit, side in ((split.poor, poor), (split.wealthy, wealthy)):
             assert (fit is not None) == (len(side) >= 3)
-            assert fit is None or fit.n_bins_drift == len(side)
+            assert fit is None or fit.n_bins == len(side)
 
 
 def regime_cut_oracle(pattern, centers, star_log_scale):

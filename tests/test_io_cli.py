@@ -847,6 +847,23 @@ def test_estimate_on_one_starting_balance_names_the_panel(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--bins", "2", "--min-count", "2"], "need at least 3 retained bins"),
+        (["--bins", "2", "--min-count", "2", "--target", "absolute"], "need at least 3 retained bins"),
+        (["--min-count", "50"], "no bin reached min_count=50"),
+    ],
+    ids=["ratio-fit", "absolute-fit", "no-retained-bin"],
+)
+def test_estimate_whose_fit_fails_names_the_panel(tmp_path, capsys, flags, message):
+    rows = [("a", 10, 12), ("b", 20, 25), ("c", 40, 44), ("d", 80, 70), ("e", 160, 200)]
+    write_panel_csv(tmp_path / "p.csv", panel_from_rows(rows))
+    rc = main(["estimate", str(tmp_path / "p.csv"), "e", *flags, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{tmp_path / 'p.csv'}: {message}" in capsys.readouterr().err
+
+
 def test_manifest_digests_match_outputs(tmp_path, monkeypatch):
     """Outputs are hashed as they are written; each digest a manifest lists is that of the file."""
     monkeypatch.chdir(tmp_path)
@@ -986,10 +1003,11 @@ class TestCmdEstimate:
         ])
         assert rc == 0
         payload = json.loads((tmp_path / "abs.absfits.json").read_text())
-        assert payload["drift"]["alpha"] == pytest.approx(1.0, abs=0.03)
-        assert payload["drift"]["mu_dt"] == pytest.approx(2.0, rel=0.15)
-        assert payload["drift"]["mu_dt_alpha1"] == pytest.approx(2.0, rel=0.05)
-        assert payload["vol"]["alpha"] == pytest.approx(1.0, abs=0.05)
+        assert payload.keys() == {"fit", "estimator_settings", "run_id"}
+        assert payload["fit"]["alpha_drift"] == pytest.approx(1.0, abs=0.03)
+        assert payload["fit"]["mu_dt"] == pytest.approx(2.0, rel=0.15)
+        assert payload["fit"]["mu_dt_alpha1"] == pytest.approx(2.0, rel=0.05)
+        assert payload["fit"]["alpha_vol"] == pytest.approx(1.0, abs=0.05)
 
     def test_no_bins_error_advises(self, tmp_path):
         panel = panel_from_rows([("a", 10.0, 12.0), ("b", 20.0, 25.0), ("c", 40.0, 40.0)])

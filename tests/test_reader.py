@@ -214,8 +214,11 @@ class TestByteIdRoundTrip:
 
 
 def _first_bad_row(ids, *balances):
-    """The first row a snapshot or panel refuses, and its message: a negative row, else a repeated id."""
+    """The first row a snapshot or panel refuses, and its message: a NaN, infinite or negative row, else a repeated id."""
     for i, row in enumerate(zip(*balances)):
+        odd = [v for v in row if not math.isfinite(v)]
+        if odd:
+            return i, f"balance {odd[0]} is not finite"
         if min(row) < 0:
             return i, f"negative balance {min(row)}"
     seen = set()
@@ -278,6 +281,8 @@ class TestTypesOwnTheRowChecks:
     )
     @example(rows=[("b", 5, 7), ("a", 3, 3), ("b", 0, 2)], blanks=[0, 1, 0] + [0] * 7)
     @example(rows=[("b", 5, 7), ("b", 3, 3), ("a", 4, -3)], blanks=[2, 0, 1] + [0] * 7)
+    @example(rows=[("b", 5, 7), ("c", 3, math.inf), ("a", math.nan, 2)], blanks=[0, 1, 0] + [0] * 7)
+    @example(rows=[("b", 5, 7), ("c", math.nan, 3), ("a", 4, -3)], blanks=[1, 0, 2] + [0] * 7)
     def test_panel(self, rows, blanks):
         ids = [u for u, _, _ in rows]
         s0 = [a for _, a, _ in rows]
@@ -287,7 +292,9 @@ class TestTypesOwnTheRowChecks:
         ]
 
         def build():
-            return TransitionPanel(None, None, ids, np.array(s0, dtype=np.int64), np.array(s1, dtype=np.int64))
+            # a float balance, such as a planted NaN or inf, makes both columns float
+            dtype = np.float64 if any(isinstance(v, float) for v in s0 + s1) else np.int64
+            return TransitionPanel(None, None, ids, np.array(s0, dtype=dtype), np.array(s1, dtype=dtype))
 
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp) / "p.csv", Path(tmp) / "again.csv"

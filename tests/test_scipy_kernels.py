@@ -31,9 +31,6 @@ PUBLIC_NAMES = [
     "InsufficientDataError",
     "MalformedInputError",
     "NoRetainedBinsError",
-    "RegimeMixError",
-    "AbsDriftFit",
-    "AbsVolFit",
     "BinSeries",
     "GrowthFit",
     "HorizonEntry",
@@ -41,9 +38,7 @@ PUBLIC_NAMES = [
     "RegimeSplit",
     "TrendResult",
     "bin_moments",
-    "fit_drift_abs",
-    "fit_ratio",
-    "fit_vol_abs",
+    "fit_growth",
     "horizon_sweep",
     "make_bins",
     "split_regimes",
