@@ -34,4 +34,8 @@ class NoRetainedBinsError(BalanceGrowthError):
 
 
 class ConfigError(BalanceGrowthError):
-    """Simulation config file is invalid; message names the offending key."""
+    """Simulation config is invalid; `key` is the config key at fault, when there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key

@@ -34,7 +34,7 @@ from .panel import (
     _encode_utf8,
     _id_text,
 )
-from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig
+from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig, _emit_days
 
 SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
 PANEL_SCHEMA = [("user_id", "utf8"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "utf8")]
@@ -508,30 +508,39 @@ def read_values_csv(path) -> np.ndarray:
 # simulation config files
 
 
-_COMMON_KEYS = {
-    "model",
-    "n_users",
-    "seed",
-    "t0_date",
-    "step_days",
-    "horizon_days",
-    "emit_days",
-    "s0_law",
-    "s0_m",
-    "s0_v",
-    "s0_alpha",
-    "s0_xmin",
-    "s0_value",
+# each initial law, its constructor and the keys it takes
+_LAWS = {
+    "lognormal": (InitialLaw.lognormal, ("s0_m", "s0_v")),
+    "pareto": (InitialLaw.pareto, ("s0_alpha", "s0_xmin")),
+    "point": (InitialLaw.point, ("s0_value",)),
 }
+_COMMON_KEYS = {"model", "n_users", "seed", "t0_date", "step_days", "horizon_days", "emit_days", "s0_law"}
+_COMMON_KEYS.update(*(keys for _, keys in _LAWS.values()))
 _REGIME_KEYS = ("alpha_drift", "mu", "alpha_vol", "sigma")
 _MODEL_KEYS = {
     "gbm": {"mu", "sigma"},
     "power": set(_REGIME_KEYS),
-    "two_regime": {
-        "s_star",
-        "regime_mode",
-        *(f"{side}_{key}" for side in ("poor", "wealthy") for key in _REGIME_KEYS),
-    },
+    "two_regime": {"s_star", "regime_mode", *(f"{side}_{key}" for side in ("poor", "wealthy") for key in _REGIME_KEYS)},
+}
+
+
+def _coefficient(raw: str):
+    """A number, or a `day:value,day:value,...` schedule."""
+    if ":" not in raw:
+        return float(raw)
+    pairs = [part.split(":") for part in raw.split(",")]
+    return Schedule(days=tuple(float(day) for day, _ in pairs), values=tuple(float(value) for _, value in pairs))
+
+
+_NUMBER = (float, "a number")
+_COEFFICIENT = (_coefficient, "a number or a day:value,... schedule")
+# how each key's value is read, and what a refusal says it expected; any other key is a process coefficient
+_KINDS = {
+    "t0_date": (dt.date.fromisoformat, "an ISO date"),
+    "emit_days": (lambda raw: [int(day) for day in raw.split(",")], "a comma list of integer days"),
+    **dict.fromkeys(("model", "s0_law", "regime_mode"), (str, "text")),
+    **dict.fromkeys(("n_users", "seed", "step_days", "horizon_days"), (int, "an integer")),
+    **dict.fromkeys(("s_star", "s0_m", "s0_v", "s0_alpha", "s0_xmin", "s0_value"), _NUMBER),
 }
 
 
@@ -544,71 +553,53 @@ class ParsedSimConfig:
     sim: SimConfig
 
 
-def _parse_scalar(key: str, raw: str) -> float:
+def _read(key: str, raw: str, model: str):
+    """The value of one key, read as `_KINDS` says; a process coefficient of `gbm` is a number only."""
+    read, expected = _KINDS.get(key, _NUMBER if model == "gbm" else _COEFFICIENT)
     try:
-        return float(raw)
+        return read(raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"expected {expected}, got {raw!r}", key=key) from None
+    except ConfigError as exc:  # a schedule's own check
+        raise ConfigError(str(exc), key=key) from None
 
 
-def _parse_value(key: str, raw: str):
-    """Number, or `day:value,day:value,...` schedule."""
-    if ":" not in raw:
-        return _parse_scalar(key, raw)
-    days = []
-    values = []
-    for part in raw.split(","):
-        try:
-            day_s, value_s = part.split(":")
-            days.append(float(day_s))
-            values.append(float(value_s))
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: bad schedule entry {part!r}") from None
-    return Schedule(days=tuple(days), values=tuple(values))
-
-
-def _parse_int(key: str, raw: str) -> int:
+def _regime(values: dict, prefix: str) -> RegimeParams:
+    """The coefficients whose keys start with `prefix`; a refusal's key gets the prefix."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from None
+        return RegimeParams(**{name: values[prefix + name] for name in _REGIME_KEYS if prefix + name in values})
+    except ConfigError as exc:
+        raise ConfigError(str(exc), key=prefix + exc.key) from None
 
 
-def _initial_law(kv: dict) -> InitialLaw:
-    kind = kv.get("s0_law", "lognormal")
-    if kind == "lognormal":
-        if "s0_m" not in kv or "s0_v" not in kv:
-            raise ConfigError("config keys s0_m and s0_v are required for s0_law = lognormal")
-        return InitialLaw.lognormal(_parse_scalar("s0_m", kv["s0_m"]), _parse_scalar("s0_v", kv["s0_v"]))
-    if kind == "pareto":
-        if "s0_alpha" not in kv or "s0_xmin" not in kv:
-            raise ConfigError("config keys s0_alpha and s0_xmin are required for s0_law = pareto")
-        return InitialLaw.pareto(
-            _parse_scalar("s0_alpha", kv["s0_alpha"]), _parse_scalar("s0_xmin", kv["s0_xmin"])
-        )
-    if kind == "point":
-        if "s0_value" not in kv:
-            raise ConfigError("config key s0_value is required for s0_law = point")
-        return InitialLaw.point(_parse_scalar("s0_value", kv["s0_value"]))
-    raise ConfigError(f"config key 's0_law': unknown law {kind!r}")
-
-
-def _regime_params(kv: dict, prefix: str) -> RegimeParams:
-    def get(name, default):
-        key = f"{prefix}{name}"
-        return _parse_value(key, kv[key]) if key in kv else default
-
-    return RegimeParams(
-        alpha_drift=get("alpha_drift", 1.0),
-        mu=get("mu", 0.0),
-        alpha_vol=get("alpha_vol", 1.0),
-        sigma=get("sigma", 0.0),
-    )
+def _sim_config(model: str, values: dict) -> ParsedSimConfig:
+    """The config built from each key's read value; each refusal is a `ConfigError` that names its key."""
+    law = values.get("s0_law", "lognormal")
+    if law not in _LAWS:
+        raise ConfigError(f"unknown law {law!r}", key="s0_law")
+    make_law, law_keys = _LAWS[law]
+    for key in ("n_users", "horizon_days", *law_keys):
+        if key not in values:
+            raise ConfigError(f"required for s0_law = {law}" if key in law_keys else "required", key=key)
+    s0_law = make_law(*(values[key] for key in law_keys))
+    prefixes = ("poor_", "wealthy_") if model == "two_regime" else ("",)
+    regimes = {side: _regime(values, prefix) for side, prefix in zip(("poor", "wealthy"), prefixes)}
+    horizon = values["horizon_days"]
+    fields = {key: values[key] for key in ("step_days", "seed", "s_star", "regime_mode") if key in values}
+    if model == "gbm":  # exact steps compose, so one step over the horizon is the gbm default
+        fields = {"step_days": horizon, "scheme": SCHEME_EXACT, **fields}
+    t0 = values.get("t0_date", DEFAULT_T0)
+    sim = SimConfig(n_users=values["n_users"], s0_law=s0_law, horizon_days=horizon, t0=t0, **regimes, **fields)
+    return ParsedSimConfig(model=model, emit_days=_emit_days(sim, values.get("emit_days", [0, horizon])), sim=sim)
 
 
 def parse_sim_config(path) -> ParsedSimConfig:
-    """Parse the flat key = value config file for the simulate command."""
-    kv = {}
+    """Parse the flat key = value config file for the simulate command.
+
+    Each key is read as `_KINDS` says, and `SimConfig` checks the values. A refusal names the file,
+    and the key (regime prefix included) with its line, if there is one.
+    """
+    entries = {}  # key: (line, raw value)
     # each byte that is not UTF-8 text is read as one of U+DC80..U+DCFF, which UTF-8 text never decodes to
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -617,63 +608,24 @@ def parse_sim_config(path) -> ParsedSimConfig:
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = body.partition("=")
+            key, eq, raw = body.partition("=")
             key = key.strip()
-            raw = raw.strip()
-            if key in kv:
-                raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-            kv[key] = raw
+            if not eq:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            if key in entries:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r}: given twice", key=key)
+            entries[key] = (lineno, raw.strip())
 
-    model = kv.get("model", "two_regime")
-    if model not in _MODEL_KEYS:
-        raise ConfigError(f"config key 'model': unknown model {model!r}")
-    for key in kv:
-        if key not in _COMMON_KEYS | _MODEL_KEYS[model]:
-            raise ConfigError(f"unknown config key {key!r} for model {model!r}")
-    for key in ("n_users", "horizon_days"):
-        if key not in kv:
-            raise ConfigError(f"missing required config key {key!r}")
-
-    n_users = _parse_int("n_users", kv["n_users"])
-    horizon = _parse_int("horizon_days", kv["horizon_days"])
-    # exact steps compose, so one step over the horizon is the gbm default
-    step = _parse_int("step_days", kv.get("step_days", str(horizon) if model == "gbm" else "1"))
-    seed = _parse_int("seed", kv.get("seed", "0"))
-    t0 = DEFAULT_T0
-    if "t0_date" in kv:
-        try:
-            t0 = dt.date.fromisoformat(kv["t0_date"])
-        except ValueError:
-            raise ConfigError(f"config key 't0_date': expected ISO date, got {kv['t0_date']!r}") from None
-    if "emit_days" in kv:
-        emit_days = [_parse_int("emit_days", part) for part in kv["emit_days"].split(",")]
-    else:
-        emit_days = [0, horizon]
-
-    if model == "gbm":
-        mu = _parse_scalar("mu", kv.get("mu", "0"))
-        sigma = _parse_scalar("sigma", kv.get("sigma", "0"))
-        regimes = {"poor": RegimeParams(mu=mu, sigma=sigma), "scheme": SCHEME_EXACT}
-    elif model == "power":
-        regimes = {"poor": _regime_params(kv, "")}
-    else:
-        if "s_star" not in kv:
-            raise ConfigError("missing required config key 's_star' for model 'two_regime'")
-        regimes = {
-            "poor": _regime_params(kv, "poor_"),
-            "wealthy": _regime_params(kv, "wealthy_"),
-            "s_star": _parse_scalar("s_star", kv["s_star"]),
-            "regime_mode": kv.get("regime_mode", "current"),
-        }
-    sim = SimConfig(
-        n_users=n_users,
-        s0_law=_initial_law(kv),
-        horizon_days=horizon,
-        step_days=step,
-        seed=seed,
-        t0=t0,
-        **regimes,
-    )
-    return ParsedSimConfig(model=model, emit_days=emit_days, sim=sim)
+    try:
+        model = entries.get("model", (None, "two_regime"))[1]
+        if model not in _MODEL_KEYS:
+            raise ConfigError(f"unknown model {model!r}", key="model")
+        values = {}
+        for key, (_, raw) in entries.items():
+            if key not in _COMMON_KEYS | _MODEL_KEYS[model]:
+                raise ConfigError(f"unknown for model {model!r}", key=key)
+            values[key] = _read(key, raw, model)
+        return _sim_config(model, values)
+    except ConfigError as exc:
+        where = f"{path}:{entries[exc.key][0]}" if exc.key in entries else path
+        raise ConfigError(f"{where}: config key {exc.key!r}: {exc}", key=exc.key) from None

@@ -71,11 +71,11 @@ def _check_param(name: str, param, positive: bool = False, non_negative: bool = 
     values = param.values if isinstance(param, Schedule) else (param,)
     for v in values:
         if not math.isfinite(float(v)):
-            raise ConfigError(f"{name} must be finite")
+            raise ConfigError(f"{name} must be finite", key=name)
         if positive and float(v) <= 0:
-            raise ConfigError(f"{name} must be positive")
+            raise ConfigError(f"{name} must be positive", key=name)
         if non_negative and float(v) < 0:
-            raise ConfigError(f"{name} must be non-negative")
+            raise ConfigError(f"{name} must be non-negative", key=name)
 
 
 @dataclass(frozen=True)
@@ -118,19 +118,20 @@ class InitialLaw:
     @classmethod
     def lognormal(cls, m: float, v: float) -> "InitialLaw":
         if v <= 0:
-            raise ConfigError("s0_v must be positive")
+            raise ConfigError("s0_v must be positive", key="s0_v")
         return cls("lognormal", m, v)
 
     @classmethod
     def pareto(cls, alpha: float, xmin: float) -> "InitialLaw":
         if alpha <= 1 or xmin <= 0:
-            raise ConfigError("pareto law needs s0_alpha > 1 and s0_xmin > 0")
+            key = "s0_alpha" if alpha <= 1 else "s0_xmin"
+            raise ConfigError("pareto law needs s0_alpha > 1 and s0_xmin > 0", key=key)
         return cls("pareto", alpha, xmin)
 
     @classmethod
     def point(cls, value: float) -> "InitialLaw":
         if value < 0:
-            raise ConfigError("s0_value must be non-negative")
+            raise ConfigError("s0_value must be non-negative", key="s0_value")
         return cls("point", value)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -141,7 +142,7 @@ class InitialLaw:
             return self.b * (1.0 - u) ** (-1.0 / (self.a - 1.0))
         if self.kind == "point":
             return np.full(size, self.a, dtype=np.float64)
-        raise ConfigError(f"unknown initial-balance law {self.kind!r}")
+        raise ConfigError(f"unknown initial-balance law {self.kind!r}", key="s0_law")
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class SimConfig:
     s_star are wealthy. `scheme` is 'euler' (Euler-Maruyama) or 'exact'
     (the log-normal step of proportional growth, which needs one regime
     with alpha_drift = alpha_vol = 1). Parameters are evaluated at the
-    start of each step.
+    start of each step. A refusal names the field at fault as its `key`.
     """
 
     n_users: int
@@ -171,22 +172,25 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_users < 1:
-            raise ConfigError("n_users must be at least 1")
+            raise ConfigError("n_users must be at least 1", key="n_users")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (0 < self.step_days < math.inf and 0 < self.horizon_days < math.inf):
-            raise ConfigError("step_days and horizon_days must be positive and finite")
+            raise ConfigError(f"seed must be non-negative, got {self.seed}", key="seed")
+        for key in ("horizon_days", "step_days"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite", key=key)
         if self.n_steps * self.step_days != self.horizon_days:
-            raise ConfigError("step_days must divide horizon_days")
+            raise ConfigError("step_days must divide horizon_days", key="step_days")
         if self.wealthy is not None and self.s_star is None:
-            raise ConfigError("s_star is required when both regimes are configured")
+            raise ConfigError("s_star is required when both regimes are configured", key="s_star")
+        if self.s_star is not None and not 0 < self.s_star < math.inf:  # NaN fails too
+            raise ConfigError(f"s_star must be positive and finite, got {self.s_star}", key="s_star")
         if self.regime_mode not in (REGIME_MODE_CURRENT, REGIME_MODE_INITIAL):
-            raise ConfigError(f"unknown regime_mode {self.regime_mode!r}")
+            raise ConfigError(f"unknown regime_mode {self.regime_mode!r}", key="regime_mode")
         if self.scheme not in (SCHEME_EULER, SCHEME_EXACT):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}", key="scheme")
         proportional = (self.wealthy, self.poor.alpha_drift, self.poor.alpha_vol) == (None, 1, 1)
         if self.scheme == SCHEME_EXACT and not proportional:
-            raise ConfigError("the exact scheme needs one regime with alpha_drift = alpha_vol = 1")
+            raise ConfigError("the exact scheme needs one regime with alpha_drift = alpha_vol = 1", key="scheme")
 
     @property
     def n_steps(self) -> int:
@@ -404,6 +408,17 @@ def simulate_two_regime(config: SimConfig) -> TransitionPanel:
     )
 
 
+def _emit_days(config: SimConfig, emit_days) -> list[int]:
+    """The distinct emit days in order; each must be a multiple of step_days within the horizon."""
+    emits = sorted({int(e) for e in emit_days})
+    for e in emits:
+        if e < 0 or e > config.horizon_days:
+            raise ConfigError(f"emit day {e} outside the horizon [0, {config.horizon_days}]", key="emit_days")
+        if e % config.step_days != 0:
+            raise ConfigError(f"emit day {e} is not a multiple of step_days={config.step_days}", key="emit_days")
+    return emits
+
+
 def snapshot_series(config: SimConfig, emit_days) -> list[BalanceSnapshot]:
     """Materialize the simulated population at the requested day offsets.
 
@@ -412,12 +427,7 @@ def snapshot_series(config: SimConfig, emit_days) -> list[BalanceSnapshot]:
     overflowed anywhere along the path are excluded from every snapshot
     so the emitted population is consistent across dates.
     """
-    emits = sorted({int(e) for e in emit_days})
-    for e in emits:
-        if e < 0 or e > config.horizon_days:
-            raise ConfigError(f"emit day {e} outside the horizon [0, {config.horizon_days}]")
-        if e % config.step_days != 0:
-            raise ConfigError(f"emit day {e} is not a multiple of step_days={config.step_days}")
+    emits = _emit_days(config, emit_days)
     ids, captured = _run_chunked(config, [e // config.step_days for e in emits])
     ids.flags.writeable = False  # so every snapshot shares this one array
     return [

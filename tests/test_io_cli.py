@@ -622,6 +622,103 @@ class TestSimConfigFile:
         assert isinstance(parsed.sim.poor.sigma, Schedule)
         assert parsed.sim.poor.sigma.at(5.0) == pytest.approx(0.0025)
 
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        write(tmp_path / "readme.cfg", example)
+        parsed = parse_sim_config(tmp_path / "readme.cfg")
+        assert (parsed.model, parsed.sim.s_star, parsed.sim.wealthy.alpha_drift) == ("two_regime", 1e10, 1.05)
+        # every key the parser takes is named in README, the regime keys without their prefix
+        keys = bg_io._COMMON_KEYS.union(*bg_io._MODEL_KEYS.values())
+        documented = set(re.findall(r"`(\w+)`", readme))
+        assert {key.removeprefix("poor_").removeprefix("wealthy_") for key in keys} <= documented
+
+
+def _cfg(base: dict, **edits) -> list:
+    """The lines of `base` with `edits`: a value replaces a key's or adds the key at the end; None drops it."""
+    return [f"{key} = {value}" for key, value in {**base, **edits}.items() if value is not None]
+
+
+TWO = dict(
+    model="two_regime", n_users="100", seed="1", horizon_days="2", step_days="1", s0_law="lognormal", s0_m="10",
+    s0_v="1", s_star="1e5", regime_mode="current", poor_mu="0.01", wealthy_alpha_drift="1.05", wealthy_sigma="0.001",
+)
+GBM = dict(model="gbm", n_users="10", horizon_days="2", s0_law="point", s0_value="1", mu="0.01")
+
+
+class TestSimConfigRefusals:
+    """Every refusal a config file can reach: `simulate` exits 2, writes nothing, and names the file,
+    the key with its regime prefix, and the key's line when the file holds the key."""
+
+    CASES = {
+        # read or checked in the parser
+        "bad_number": (_cfg(TWO, s0_m="ten"), "s0_m", "expected a number, got 'ten'"),
+        "bad_integer": (_cfg(TWO, n_users="1e3"), "n_users", "expected an integer, got '1e3'"),
+        "bad_date": (_cfg(TWO, t0_date="2016-13-01"), "t0_date", "expected an ISO date, got '2016-13-01'"),
+        "bad_emit_days": (
+            _cfg(TWO, emit_days="0,two"), "emit_days", "expected a comma list of integer days, got '0,two'"
+        ),
+        "bad_schedule_entry": (
+            _cfg(TWO, poor_mu="0:0.01,5"), "poor_mu", "expected a number or a day:value,... schedule, got '0:0.01,5'"
+        ),
+        "gbm_schedule": (_cfg(GBM, mu="0:0.01,2:0.02"), "mu", "expected a number, got '0:0.01,2:0.02'"),
+        "lognormal_without_s0_v": (_cfg(TWO, s0_v=None), "s0_v", "required for s0_law = lognormal"),
+        "pareto_without_s0_xmin": (_cfg(TWO, s0_law="pareto", s0_alpha="2"), "s0_xmin", "required for s0_law = pareto"),
+        "point_without_s0_value": (_cfg(TWO, s0_law="point"), "s0_value", "required for s0_law = point"),
+        "unknown_law": (_cfg(TWO, s0_law="cauchy"), "s0_law", "unknown law 'cauchy'"),
+        "unknown_model": (_cfg(TWO, model="heston"), "model", "unknown model 'heston'"),
+        "key_of_another_model": (_cfg(TWO, mu="0.01"), "mu", "unknown for model 'two_regime'"),
+        "missing_n_users": (_cfg(TWO, n_users=None), "n_users", "required"),
+        "no_equals_sign": ([*_cfg(TWO), "seed 2"], None, "expected key = value"),
+        "duplicate_key": ([*_cfg(TWO), "seed = 2"], "seed", "given twice"),
+        # checked by `SimConfig` and the records it holds
+        "missing_s_star": (_cfg(TWO, s_star=None), "s_star", "s_star is required when both regimes are configured"),
+        "s_star_nan": (_cfg(TWO, s_star="nan"), "s_star", "s_star must be positive and finite, got nan"),
+        "s_star_zero": (_cfg(TWO, s_star="0"), "s_star", "s_star must be positive and finite, got 0.0"),
+        "schedule_days_out_of_order": (
+            _cfg(TWO, wealthy_sigma="5:0.001,1:0.002"), "wealthy_sigma", "schedule days must be strictly increasing"
+        ),
+        "non_finite_coefficient": (_cfg(TWO, poor_mu="nan"), "poor_mu", "mu must be finite"),
+        "non_positive_exponent": (
+            _cfg(TWO, wealthy_alpha_drift="-1"), "wealthy_alpha_drift", "alpha_drift must be positive"
+        ),
+        "negative_sigma": (_cfg(GBM, model="power", sigma="-0.1"), "sigma", "sigma must be non-negative"),
+        "lognormal_s0_v": (_cfg(TWO, s0_v="0"), "s0_v", "s0_v must be positive"),
+        "pareto_s0_alpha": (
+            _cfg(TWO, s0_law="pareto", s0_alpha="1", s0_xmin="5"),
+            "s0_alpha",
+            "pareto law needs s0_alpha > 1 and s0_xmin > 0",
+        ),
+        "point_s0_value": (_cfg(GBM, s0_value="-1"), "s0_value", "s0_value must be non-negative"),
+        "no_users": (_cfg(TWO, n_users="0"), "n_users", "n_users must be at least 1"),
+        "negative_seed": (_cfg(TWO, seed="-1"), "seed", "seed must be non-negative, got -1"),
+        "zero_horizon": (_cfg(GBM, horizon_days="0"), "horizon_days", "horizon_days must be positive and finite"),
+        "step_not_dividing_horizon": (_cfg(TWO, step_days="3"), "step_days", "step_days must divide horizon_days"),
+        "unknown_regime_mode": (_cfg(TWO, regime_mode="frozen"), "regime_mode", "unknown regime_mode 'frozen'"),
+        "emit_day_outside_horizon": (_cfg(TWO, emit_days="0,5"), "emit_days", "emit day 5 outside the horizon [0, 2]"),
+        "emit_day_between_steps": (
+            _cfg(TWO, horizon_days="4", step_days="2", emit_days="0,3"), "emit_days",
+            "emit day 3 is not a multiple of step_days=2",
+        ),
+    }
+
+    @pytest.mark.parametrize("lines, key, message", CASES.values(), ids=CASES.keys())
+    def test_refused_with_file_line_and_key(self, tmp_path, capsys, lines, key, message):
+        path = tmp_path / "c.cfg"
+        write(path, "".join(f"{line}\n" for line in lines))
+        if key is None:  # a line that holds no key
+            expected = f"{path}:{len(lines)}: {message}"
+        else:
+            given = [n for n, line in enumerate(lines, start=1) if line.partition("=")[0].strip() == key]
+            expected = f"{path}{f':{given[-1]}' if given else ''}: config key {key!r}: {message}"
+        with pytest.raises(ConfigError) as caught:
+            parse_sim_config(path)
+        assert (str(caught.value), caught.value.key) == (expected, key)
+        assert main(["simulate", str(path), "x", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR {expected}\n" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestJson:
     def test_nan_inside_record_is_null(self):
@@ -1027,9 +1124,9 @@ class TestCmdSweepInputs:
             write(snapdir / f"snap_{date.isoformat()}.csv", "user_id,balance\n" + body)
             s = s * rng.lognormal(0.0, 0.05, size=s.size)
 
-    def _sweep(self, snapdir, tmp_path):
+    def _sweep(self, snapdir, tmp_path, dts="28"):
         return main([
-            "sweep", str(snapdir), "--t0", D0.isoformat(), "--dts", "28", "--prefix", "sw",
+            "sweep", str(snapdir), "--t0", D0.isoformat(), "--dts", dts, "--prefix", "sw",
             "--bins", "20", "--min-count", "20", "--out", str(tmp_path / "out"), "--quiet",
         ])
 
@@ -1044,6 +1141,17 @@ class TestCmdSweepInputs:
         assert len(manifest["inputs"]) == 3
         rows = (tmp_path / "out" / "sw.series.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["28"] * (len(rows) - 1) and len(rows) > 1
+
+    def test_horizon_without_snapshot_skipped_with_warning(self, tmp_path, rng, capsys):
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        self._snapshots(snapdir, rng)
+        assert self._sweep(snapdir, tmp_path, dts="14,28") == 0
+        reason = f"no snapshot at {D0 + dt.timedelta(days=14)}"
+        assert f"WARNING skipped dt=14: {reason}\n" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "sw.horizon.json").read_text())
+        assert payload["skipped"] == [{"dt_days": 14, "reason": reason}]
+        assert [entry["dt_days"] for entry in payload["entries"]] == [28]
 
     def test_duplicate_date_at_unused_date_rejected(self, tmp_path, rng, capsys):
         snapdir = tmp_path / "snaps"

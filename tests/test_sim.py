@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from balancegrowth import (
     ConfigError,
@@ -68,6 +68,11 @@ class TestGbmExact:
         with pytest.raises(ConfigError):
             SimConfig(poor=RegimeParams(), wealthy=RegimeParams(), s_star=1.0, **base)
 
+    def test_unknown_scheme_names_its_field(self):
+        with pytest.raises(ConfigError, match="unknown scheme 'midpoint'") as caught:
+            SimConfig(n_users=10, s0_law=InitialLaw.point(1.0), horizon_days=2, poor=RegimeParams(), scheme="midpoint")
+        assert caught.value.key == "scheme"
+
 
 class TestEuler:
     def test_matches_exact_deterministic_case_up_to_discretization(self):
@@ -116,6 +121,31 @@ class TestEuler:
         panel = simulate_two_regime(config)
         assert panel.meta["n_overflow"] == 300
         assert panel.n_rows == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Euler step holds S^a fixed over the step and clamps at 0, so it absorbs too often at a 1-day step",
+    )
+    def test_absorption_matches_squared_bessel_hitting_time(self):
+        """With mu = 0 and a < 1, X = S^(2(1-a)) / ((1-a)^2 sigma^2) is a squared Bessel process that
+        reaches 0 by day t with probability Q(nu, x0 / (2t)), nu = 1/(2(1-a)), Q the regularized upper
+        incomplete gamma; the share at 0 must be within 3 binomial SE of it at each horizon."""
+        a, sigma, s0 = 0.7, 3.45, 1e4
+        config = SimConfig(
+            n_users=100_000,
+            s0_law=InitialLaw.point(s0),
+            horizon_days=84,
+            poor=RegimeParams(alpha_drift=a, mu=0.0, alpha_vol=a, sigma=sigma),
+            seed=5,
+        )
+        days = (14, 42, 84)
+        ids, balances = _run_chunked(config, days)
+        nu = 1 / (2 * (1 - a))
+        x0 = s0 ** (2 * (1 - a)) / ((1 - a) ** 2 * sigma**2)
+        expected = special.gammaincc(nu, x0 / (2 * np.array(days)))
+        share = np.array([np.count_nonzero(s == 0) for s in balances]) / ids.size
+        se = np.sqrt(expected * (1 - expected) / ids.size)
+        assert np.all(np.abs(share - expected) <= 3 * se), (share, expected)
 
     def test_strong_convergence_order_half(self):
         # coupled-path error against the closed-form solution, halving steps
@@ -226,6 +256,15 @@ class TestTwoRegime:
                 step_days=1,
             )
 
+    @pytest.mark.parametrize("s_star", [math.nan, 0.0, -1.0, math.inf])
+    def test_s_star_must_be_positive_and_finite(self, s_star):
+        with pytest.raises(ConfigError, match="s_star must be positive and finite") as caught:
+            SimConfig(
+                n_users=10, s0_law=InitialLaw.point(1.0), horizon_days=2,
+                poor=RegimeParams(), wealthy=RegimeParams(), s_star=s_star,
+            )
+        assert caught.value.key == "s_star"
+
     def test_step_must_divide_horizon(self):
         with pytest.raises(ConfigError):
             SimConfig(
@@ -267,6 +306,11 @@ class TestSchedules:
 
 
 class TestSnapshots:
+    def test_unknown_law_refused_at_draw(self):
+        with pytest.raises(ConfigError, match="unknown initial-balance law 'cauchy'") as caught:
+            InitialLaw("cauchy").draw(np.random.default_rng(0), 3)
+        assert caught.value.key == "s0_law"
+
     def test_time_zero_snapshot_equals_initial_draw(self):
         config = SimConfig(
             n_users=2000, s0_law=InitialLaw.lognormal(12.0, 1.0), horizon_days=5,
