@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, growth, io, panel as panel_mod, sim
+from . import __version__, growth, io, panel as panel_mod, sim, tails
 from ._workers import map_on_cpus
 from .errors import BalanceGrowthError, InsufficientDataError, MalformedInputError, NoRetainedBinsError
 
@@ -126,8 +126,6 @@ def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
-    from . import tails  # imported here: only `fit` needs its scipy.special, ~0.3 s of start-up
-
     run = _Run(args, Path(args.out) / (args.prefix or Path(args.data).stem), [args.data], args.seed)
     raw = io.read_values_csv(args.data)
     data = raw[raw > 0]

@@ -275,11 +275,16 @@ def _drift_slope(alpha: float, lns: np.ndarray, y: np.ndarray, w: np.ndarray) ->
 
     ln s is centred at its w u^2-weighted mean. That leaves the value
     unchanged, since sum(w r u) = 0 at the best c, and it cancels the
-    rounding error of c to first order.
+    rounding error of c to first order. A second pass centres away the
+    rounding of the first mean: when one bin outweighs the rest by 1e30,
+    its rounding residual times that error would swamp their signal.
     """
     u, c, r = _drift_profile(alpha, lns, y, w)
     wu = w * u
-    return float(c * np.sum(wu * r * (lns - np.sum(wu * u * lns) / np.sum(wu * u))))
+    wu2 = wu * u
+    x = lns - np.sum(wu2 * lns) / np.sum(wu2)
+    x -= np.sum(wu2 * x) / np.sum(wu2)
+    return float(c * np.sum(wu * r * x))
 
 
 def _fit_drift(lns: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -117,12 +117,14 @@ class InitialLaw:
 
     @classmethod
     def lognormal(cls, m: float, v: float) -> "InitialLaw":
-        if v <= 0:
-            raise ConfigError("s0_v must be positive", key="s0_v")
+        _check_param("s0_m", m)
+        _check_param("s0_v", v, positive=True)
         return cls("lognormal", m, v)
 
     @classmethod
     def pareto(cls, alpha: float, xmin: float) -> "InitialLaw":
+        _check_param("s0_alpha", alpha)
+        _check_param("s0_xmin", xmin)
         if alpha <= 1 or xmin <= 0:
             key = "s0_alpha" if alpha <= 1 else "s0_xmin"
             raise ConfigError("pareto law needs s0_alpha > 1 and s0_xmin > 0", key=key)
@@ -130,8 +132,7 @@ class InitialLaw:
 
     @classmethod
     def point(cls, value: float) -> "InitialLaw":
-        if value < 0:
-            raise ConfigError("s0_value must be non-negative", key="s0_value")
+        _check_param("s0_value", value, non_negative=True)
         return cls("point", value)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -409,7 +410,11 @@ def simulate_two_regime(config: SimConfig) -> TransitionPanel:
 
 
 def _emit_days(config: SimConfig, emit_days) -> list[int]:
-    """The distinct emit days in order; each must be a multiple of step_days within the horizon."""
+    """The distinct emit days in order; each must be a whole day, a multiple of step_days, within the horizon."""
+    emit_days = list(emit_days)
+    for e in emit_days:
+        if not float(e).is_integer():  # NaN and inf fail too
+            raise ConfigError(f"emit day {e} is not a whole number of days", key="emit_days")
     emits = sorted({int(e) for e in emit_days})
     for e in emits:
         if e < 0 or e > config.horizon_days:

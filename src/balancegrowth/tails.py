@@ -3,14 +3,15 @@
 Two candidate families for the upper tail: a continuous power law and a
 truncated log-normal. Fits use x >= xmin membership; the Wilks-type
 exponentiality test uses x > threshold so the log-transformed tail is
-strictly positive.
+strictly positive. The normal CDF, its logarithm and erfc are numpy
+kernels of this module, so fitting loads no scipy.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._rng import substream
 from .errors import (
@@ -47,6 +48,8 @@ _KS_SLACK = 1e-12
 _MAX_THRESHOLDS = 10**6  # the most thresholds `threshold_sweep` builds
 # UMPU Monte Carlo: exponential draws per block of replicates
 _REP_BLOCK = 1 << 16
+# normal-distribution kernels: values per block, so the temporaries stay in cache
+_NORMAL_BLOCK = 1 << 15
 
 _EMPTY_DATA = "data must be a non-empty array of positive finite values"
 _FEW_TAIL = "need at least 2 tail values >= xmin, got {}"
@@ -138,6 +141,127 @@ def _positive_array(data) -> np.ndarray:
     return x
 
 
+# Cody (1969) rational approximations, with the coefficients of his CALERF:
+# erf(a) = a P(a^2)/Q(a^2) for a <= 0.46875, erfcx(a) = P(a)/Q(a) up to 4 and,
+# beyond, erfcx(a) = (1/sqrt(pi) - z P(z)/Q(z))/a with z = 1/a^2. Highest
+# degree first; every Q is monic.
+_ERF_P = (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03)
+_ERF_Q = (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03)
+_MID_P = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+          2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03,
+          1.23033935479799725e03)
+_MID_Q = (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+          3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03)
+_FAR_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+          1.60837851487422766e-2, 6.58749161529837803e-4)
+_FAR_Q = (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+          2.33520497626869185e-3)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_ROUND = 1.5 * 2.0**52  # adding and subtracting it rounds a float below 2^51 to an integer
+
+
+def _by_block(kernel):
+    """`kernel`, a function of a 1-d float array, applied elementwise to any array or scalar,
+    `_NORMAL_BLOCK` values at a time."""
+
+    @functools.wraps(kernel)
+    def apply(x):
+        x = np.asarray(x, dtype=np.float64)
+        flat = x.ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, _NORMAL_BLOCK):
+            out[lo : lo + _NORMAL_BLOCK] = kernel(flat[lo : lo + _NORMAL_BLOCK])
+        return out.reshape(x.shape)
+
+    return apply
+
+
+def _rational(p, q, x):
+    """p(x)/q(x) by Horner's rule, in place; `q` is monic."""
+    num = p[0] * x
+    num += p[1]
+    for c in p[2:]:
+        num *= x
+        num += c
+    den = x + q[1]
+    for c in q[2:]:
+        den *= x
+        den += c
+    num /= den
+    return num
+
+
+@_by_block
+def _erfcx(a):
+    """exp(a^2) erfc(a) for a >= 0, within about 1e-15 relative."""
+    out = np.empty_like(a)
+    near = a <= 0.46875
+    far = a > 4.0
+    mid = ~(near | far)  # NaN falls here
+    # each form only where it has values: its Horner pass is tens of numpy calls even on none
+    if near.any():
+        x = a[near]
+        y = x * x
+        out[near] = np.exp(y) * (1.0 - x * _rational(_ERF_P, _ERF_Q, y))
+    if mid.any():
+        out[mid] = _rational(_MID_P, _MID_Q, a[mid])
+    if far.any():
+        x = a[far]
+        z = 1.0 / x
+        z *= z
+        out[far] = (_INV_SQRT_PI - z * _rational(_FAR_P, _FAR_Q, z)) / x
+    return out
+
+
+def _gauss(a, s: float) -> np.ndarray:
+    """exp(-s a^2) for a >= 0 and s in {1/2, 1}.
+
+    a^2 is split as h^2 + (a - h)(a + h) with h = a rounded to a multiple
+    of 1/16: h^2 is exact and the second term is small, so the rounding
+    of a^2 (about 7e-14 relative at a = 26) never reaches the exponent.
+    Past a = 40 the result underflows to 0 anyway.
+    """
+    a = np.minimum(a, 40.0)
+    h = (16.0 * a + _ROUND) - _ROUND
+    h *= 0.0625
+    small = h - a
+    small *= s * (a + h)
+    out = np.exp(-s * h * h)
+    out *= np.exp(small)
+    return out
+
+
+@_by_block
+def _erfc(x):
+    """The complementary error function, within about 1e-15 relative of the exact value at x."""
+    a = np.abs(x)
+    e = _erfcx(a) * _gauss(a, 1.0)
+    return np.where(x < 0.0, 2.0 - e, e)
+
+
+@_by_block
+def _ndtr(d):
+    """The standard normal CDF; the Gaussian factor is taken from d itself, so the rounding of
+    d/sqrt(2) costs no digits far out in the tail."""
+    a = np.abs(d)
+    tail = 0.5 * _erfcx(a / math.sqrt(2.0)) * _gauss(a, 0.5)
+    return np.where(d > 0.0, 1.0 - tail, tail)
+
+
+@_by_block
+def _log_ndtr(d):
+    """ln Phi(d): ln(erfcx(-d/sqrt(2))/2) - d^2/2 for d < 0, which neither underflows nor
+    subtracts, and ln(1 - Phi(-d)) for d >= 0."""
+    a = np.abs(d)
+    r = 0.5 * _erfcx(a / math.sqrt(2.0))
+    with np.errstate(divide="ignore", over="ignore"):  # -inf where Phi(d) is 0 or d^2 overflows
+        out = np.log(r) - 0.5 * a * a
+    right = d >= 0.0
+    out[right] = np.log1p(-r[right] * _gauss(a[right], 0.5))
+    return out
+
+
 def powerlaw_logpdf(x, alpha: float, xmin: float) -> np.ndarray:
     """Log-density of the tail-normalized continuous power law."""
     x = np.asarray(x, dtype=np.float64)
@@ -166,7 +290,7 @@ def _tn_logpdf(z, delta: float, v: float) -> np.ndarray:
     if delta < 0.0:
         lam = float(_tn_moments(np.array([delta]))[0][0])
         return math.log(lam / v) - w * (0.5 * w - delta)
-    return -0.5 * (w - delta) ** 2 - math.log(v) - _LOG_SQRT_2PI - float(special.log_ndtr(delta))
+    return -0.5 * (w - delta) ** 2 - math.log(v) - _LOG_SQRT_2PI - float(_log_ndtr(delta))
 
 
 def _ks_distance(sorted_tail: np.ndarray, cdf: np.ndarray) -> float:
@@ -185,9 +309,9 @@ def _lognormal_ks(sorted_tail: np.ndarray, m: float, v: float, xmin: float) -> f
     if xmin > 0:
         # survival form, stable when the tail mass above xmin underflows
         z0 = (math.log(xmin) - m) / v
-        cdf = -np.expm1(special.log_ndtr(-z) - special.log_ndtr(-z0))
+        cdf = -np.expm1(_log_ndtr(-z) - _log_ndtr(-z0))
     else:
-        cdf = special.ndtr(z)
+        cdf = _ndtr(z)
     return _ks_distance(sorted_tail, cdf)
 
 
@@ -312,8 +436,9 @@ def _tn_moments(d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     with x = -d and t = 2/(x + 3/(x + 4/(x + ...))) from the continued
     fraction of the Mills ratio, E[Z] = 1/(x + t), E[Z^2] = t/(x + t) and
     the ratio is t (x + t): nothing is subtracted. Above the switch,
-    lambda = sqrt(2/pi)/erfcx(-d/sqrt(2)); for d > 0 the exponent of
-    phi(d) is taken exactly, so lambda keeps its digits far out.
+    lambda = sqrt(2/pi)/erfcx(-d/sqrt(2)), and for d > 0
+    lambda = phi(d)/(1 - Phi(-d)) with the exponent of phi(d) split
+    exactly by `_gauss`, so lambda keeps its digits far out.
     Against 40-digit references every output is within about 1e-14
     relative over d in [-4000, 40].
     """
@@ -322,8 +447,9 @@ def _tn_moments(d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     deep = d <= -_CF_SWITCH
     x = -d[deep]
     t = np.zeros_like(x)
-    for k in range(_CF_DEPTH + 1, 1, -1):
-        t = k / (x + t)
+    if x.size:  # the fraction's steps cost about 0.2 ms even on no values
+        for k in range(_CF_DEPTH + 1, 1, -1):
+            t = k / (x + t)
     s = x + t
     e1[deep] = 1.0 / s
     e2[deep] = t / s
@@ -332,15 +458,10 @@ def _tn_moments(d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     near = ~deep
     dn = d[near]
     up = dn > 0.0
-    ln = _SQRT_2_OVER_PI / special.erfcx(-dn / math.sqrt(2.0))
-    du = dn[up]
-    sq = du * du
-    # Veltkamp split: sq + err == du * du exactly
-    c = 134217729.0 * du
-    hi = c - (c - du)
-    lo = du - hi
-    err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-    ln[up] = np.exp(-0.5 * sq) * (1.0 - 0.5 * err) / (_SQRT_2PI * special.ndtr(du))
+    r = _erfcx(np.abs(dn) / math.sqrt(2.0))
+    ln = _SQRT_2_OVER_PI / r
+    g = _gauss(dn[up], 0.5)
+    ln[up] = g / (_SQRT_2PI * (1.0 - 0.5 * r[up] * g))
     m1 = dn + ln
     lam[near] = ln
     e1[near] = m1
@@ -420,13 +541,12 @@ def _tn_mle(zbar, m2) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     boundary = np.isnan(delta)
     delta[boundary] = _DELTA_BOUNDARY
     lam, e1, e2, q = _tn_moments(delta)
-    # the branch not taken may see Var Z >= 1 from rounding
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = np.where(
-            delta > 0.0,
-            0.5 + 0.5 * delta * lam - _LOG_SQRT_2PI - special.log_ndtr(delta) + np.log(e1),
-            0.5 * e2 + np.log1p(-q * e1 * e1),
-        )
+    gain = 0.5 * e2
+    pos = delta > 0.0
+    neg = ~pos
+    gain[neg] += np.log1p(-q[neg] * e1[neg] * e1[neg])
+    dp = delta[pos]
+    gain[pos] = 0.5 + 0.5 * dp * lam[pos] - _LOG_SQRT_2PI - _log_ndtr(dp) + np.log(e1[pos])
     return delta, zbar / e1, np.where(boundary, 0.0, gain), boundary
 
 
@@ -445,7 +565,7 @@ def fit_lognormal(data, xmin: float) -> TailFitResult:
     x = _positive_array(data)
     tail = x[x >= xmin] if xmin > 0 else x
     n = tail.size
-    if n < 2 or np.unique(tail).size < 2:
+    if n < 2 or tail.min() == tail.max():
         raise InsufficientDataError(_FEW_DISTINCT)
     y = np.log(tail)
     boundary = None
@@ -485,7 +605,7 @@ def normalized_loglik_ratio(pointwise_diff: np.ndarray) -> tuple[float, float]:
     if not math.isfinite(sd) or sd <= 1e-9 * scale or sd == 0.0:
         return math.nan, 1.0
     nlr = float(d.sum()) / (math.sqrt(n) * sd)
-    return nlr, float(special.erfc(abs(nlr) / math.sqrt(2.0)))
+    return nlr, float(_erfc(abs(nlr) / math.sqrt(2.0)))
 
 
 def _preference(nlr: float, p: float, significance: float) -> str:
@@ -593,7 +713,7 @@ def _sweep_lr(n, p, y_lo, y_hi) -> tuple[np.ndarray, np.ndarray]:
     scale = np.max([np.abs(slope * u + q * (u * u - mu2) - gain) for u in (u_lo, u_hi, vertex)], axis=0)
     flat = boundary | ~np.isfinite(sd) | (sd <= 1e-9 * scale) | (sd == 0.0)
     nlr = np.where(flat, np.nan, -np.sqrt(n) * gain / np.where(flat, 1.0, sd))
-    p_value = np.where(flat, 1.0, special.erfc(np.abs(nlr) / math.sqrt(2.0)))
+    p_value = np.where(flat, 1.0, _erfc(np.abs(nlr) / math.sqrt(2.0)))
     return nlr, p_value
 
 
@@ -637,8 +757,8 @@ def threshold_sweep(
     k = int(np.argmax(bad)) if bad.any() else thr.size
     n_t = n - cut[:k]
     if k:
-        tails_at = np.unique(cut[:k])
-        sums = _tail_power_sums(x, tails_at)[np.searchsorted(tails_at, cut[:k])]
+        tails_at, at = np.unique(cut[:k], return_inverse=True)
+        sums = _tail_power_sums(x, tails_at)[at]
         y_lo, y_hi = np.log(x[cut[:k]] / thr[:k]), np.log(x[-1] / thr[:k])
         nlr, p_value = _sweep_lr(n_t, (sums / n_t[:, None]).T, y_lo, y_hi)
     if k < thr.size:
@@ -716,7 +836,9 @@ def _umpu_results(thresholds, ranks, sizes, ratios, wilks, mc_reps: int, seed, m
         counts = _null_exceedances(seed, mc_reps, np.asarray(sizes), np.asarray(ratios))
         p = (1.0 + counts) / (mc_reps + 1.0)
     else:
-        p = np.where(wilks <= 0.0, 1.0, 0.5 * special.chdtrc(1, wilks))
+        from scipy.special import chdtrc  # loaded on first use: the default method needs no scipy
+
+        p = np.where(wilks <= 0.0, 1.0, 0.5 * chdtrc(1, wilks))
     return [
         UmpuResult(threshold=thr, rank=rank, n_tail=size, wilks_w=w, p_value=pv, method=method)
         for thr, rank, size, w, pv in zip(
@@ -783,8 +905,8 @@ def umpu_sweep(
     sizes = n - cut
     ratio = wilks = np.empty(0)
     if sizes.size:
-        starts = np.unique(cut)
-        s1, s2 = _tail_power_sums(x, starts)[np.searchsorted(starts, cut), :2].T / sizes
+        starts, at = np.unique(cut, return_inverse=True)
+        s1, s2 = _tail_power_sums(x, starts)[at, :2].T / sizes
         # shift from the tail's first value down to the threshold
         a = np.log(x[cut] / thr)
         ratio, wilks = _umpu_statistic(sizes, a + s1, s2 + a * (2.0 * s1 + a))

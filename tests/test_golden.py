@@ -91,13 +91,13 @@ GOLDEN = {
     "sw.horizon.json": "733e8f9836fde6b70ea0716fe56b19d8161f137bdcf66f43c897f23fffc0d344",
     "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
     "sw.trends.csv": "6026207a8907155aa7b6ca695aeb1aa62363bca21a06c28144df374a3aee246f",
-    "vals.comparison.json": "3cf0a68186e5d96fb5509e3b24bf203ce6b21c99de39efa8644bc2bd054f69a2",
-    "vals.curves.csv": "94a8b1d1baeae61be4b2e3eda8f88876ab71b376ae6ee7def0b7b3cf714e9782",
+    "vals.comparison.json": "3b5156db961d333ea7600bcf50409585eb9eeb847093dfaf5ba411dbec1d0842",
+    "vals.curves.csv": "f5c8e40f283e6f8b5491cca513607db5c807c6033b90e70a1c54a5261b26820b",
     "vals.hist.csv": "0223f46c2dcaba70f8d919548beecb496b404f8df3930e62cd084ef21f240c1b",
-    "vals.log_normal.json": "499abf7b31d2939e4abb7f8de271e514c1ab361e85c05c5ba7fb7b12a27a92c6",
+    "vals.log_normal.json": "6d26cf0e4e52db80692d87a0292af0a380c9d25fcae6da5ed07c438bdfcb256c",
     "vals.power_law.json": "d68e0a91547da3bb088b7a8d09e46542bb296eeb77ae0c4f049280a2c3ff9985",
-    "vals.threshold_sweep.csv": "4a89d865b03c20cee2189e85579b540afb1371f4917f61bd3e1d97db9636452b",
-    "vals.umpu_sweep.csv": "c86c83d8abddca9f78e665fde214a2e2617a7aae05a3e9816b29037defc9cdcd",
+    "vals.threshold_sweep.csv": "5721aa2d630c4c0cef2555a9fd02d3cfdc4dc832ec6d5c899317465a6825f0ff",
+    "vals.umpu_sweep.csv": "c0db52225bf427bd760c641fe7eda2c367c9912a0d37a17064012249f363950e",
 }
 
 SNAP0 = "user_id,balance\nalice,500000000\nbob,120000\ncarol,0\ndave,30000000\n"

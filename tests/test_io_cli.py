@@ -690,6 +690,13 @@ class TestSimConfigRefusals:
             "pareto law needs s0_alpha > 1 and s0_xmin > 0",
         ),
         "point_s0_value": (_cfg(GBM, s0_value="-1"), "s0_value", "s0_value must be non-negative"),
+        # NaN slipped past the range checks: s0_value = nan wrote an empty panel
+        "point_s0_value_nan": (_cfg(GBM, s0_value="nan"), "s0_value", "s0_value must be finite"),
+        "lognormal_s0_v_inf": (_cfg(TWO, s0_v="inf"), "s0_v", "s0_v must be finite"),
+        "lognormal_s0_m_nan": (_cfg(TWO, s0_m="nan"), "s0_m", "s0_m must be finite"),
+        "pareto_s0_xmin_inf": (
+            _cfg(TWO, s0_law="pareto", s0_alpha="2", s0_xmin="inf"), "s0_xmin", "s0_xmin must be finite"
+        ),
         "no_users": (_cfg(TWO, n_users="0"), "n_users", "n_users must be at least 1"),
         "negative_seed": (_cfg(TWO, seed="-1"), "seed", "seed must be non-negative, got -1"),
         "zero_horizon": (_cfg(GBM, horizon_days="0"), "horizon_days", "horizon_days must be positive and finite"),

@@ -131,15 +131,14 @@ def test_public_names_resolve_on_demand():
 def test_fit_leaves_scipy_optimize_unloaded(tmp_path):
     values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
     (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
-    code = (
-        "import sys\n"
-        "from balancegrowth.cli import main\n"
-        "for extra in ([], ['--sweep-start', '1000000', '--sweep-step', '1000000'], ['--umpu', '--mc-reps', '20']):\n"
-        "    assert main(['fit', 'v.csv', '--quiet', *extra]) == 0\n"
-        "heavy = ('scipy.stats', 'scipy.optimize', 'scipy.spatial')\n"
-        "print(' '.join(m for m in heavy if m in sys.modules))\n"
-    )
-    assert _fresh_python(code, cwd=tmp_path) == ""
+    run = "import sys\nfrom balancegrowth.cli import main\nfor extra in {}:\n    assert main(['fit', 'v.csv', '--quiet', *extra]) == 0\n"
+    # the scan, the threshold sweep and the Monte Carlo rank sweep load no scipy at all
+    default = "([], ['--sweep-start', '1000000', '--sweep-step', '1000000'], ['--umpu', '--mc-reps', '20'])"
+    assert _fresh_python(run.format(default) + LOADED_SCIPY, cwd=tmp_path) == ""
+    # the asymptotic p-value is scipy.special's chdtrc, and only that
+    heavy = "print(' '.join(m for m in ('scipy.special', 'scipy.stats', 'scipy.optimize', 'scipy.spatial') if m in sys.modules))\n"
+    asymptotic = "(['--umpu', '--umpu-method', 'asymptotic'],)"
+    assert _fresh_python(run.format(asymptotic) + heavy, cwd=tmp_path) == "scipy.special"
     # the log-normal fit was interior, so the shape solve ran
     assert '"exponential_boundary": false' in (tmp_path / "v.log_normal.json").read_text()
     assert (tmp_path / "v.threshold_sweep.csv").exists() and (tmp_path / "v.umpu_sweep.csv").exists()

@@ -354,6 +354,38 @@ class TestSnapshots:
         with pytest.raises(ConfigError):
             snapshot_series(config, [3])
 
+    @pytest.mark.parametrize("day", [2.9, 2.5, math.nan, math.inf, -math.inf])
+    def test_fractional_emit_day_refused(self, day):
+        # int() would have truncated 2.9 to the emittable day 2
+        config = SimConfig(
+            n_users=10, s0_law=InitialLaw.point(100.0), horizon_days=10,
+            poor=RegimeParams(), step_days=2, seed=0,
+        )
+        with pytest.raises(ConfigError, match=f"emit day {day} is not a whole number of days") as caught:
+            snapshot_series(config, [0, day])
+        assert caught.value.key == "emit_days"
+        assert [s.date for s in snapshot_series(config, [0, 2.0, np.int64(4)])] == [
+            config.t0 + dt.timedelta(days=d) for d in (0, 2, 4)
+        ]
+
+    @pytest.mark.parametrize(
+        "law, args, key",
+        [
+            (InitialLaw.lognormal, (math.nan, 1.0), "s0_m"),
+            (InitialLaw.lognormal, (10.0, math.inf), "s0_v"),
+            (InitialLaw.lognormal, (10.0, math.nan), "s0_v"),
+            (InitialLaw.pareto, (math.nan, 1e6), "s0_alpha"),
+            (InitialLaw.pareto, (math.inf, 1e6), "s0_alpha"),
+            (InitialLaw.pareto, (2.5, math.inf), "s0_xmin"),
+            (InitialLaw.point, (math.nan,), "s0_value"),
+            (InitialLaw.point, (math.inf,), "s0_value"),
+        ],
+    )
+    def test_non_finite_law_parameter_refused(self, law, args, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite$") as caught:
+            law(*args)
+        assert caught.value.key == key
+
     def test_snapshot_dates(self):
         config = SimConfig(
             n_users=10, s0_law=InitialLaw.point(100.0), horizon_days=10,

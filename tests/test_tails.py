@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -473,6 +474,63 @@ class TestThresholdConventionsAtTies:
         assert rows and rows[0].xmin == t
         for row in rows:
             assert row.n_tail == compare_tails(x, row.xmin).n_tail == np.count_nonzero(x >= row.xmin)
+
+
+class TestNormalKernels:
+    """The tail layer's own erfc, normal CDF and log-CDF against 50- and 60-digit references."""
+
+    def test_erfc_matches_mpmath(self):
+        # both region edges of the rational forms, and the grid down to where erfc nears underflow
+        x = np.concatenate([np.linspace(-6.0, 26.5, 3251), [0.46875, 4.0], np.nextafter([0.46875, 4.0], 5.0), [1e-300]])
+        got = tails._erfc(x)
+        with mpmath.workdps(50):
+            for xi, g in zip(x, got):
+                want = mpmath.erfc(mpmath.mpf(float(xi)))
+                assert abs(float((g - want) / want)) <= 1e-14, (xi, g, want)
+
+    def test_log_ndtr_matches_mpmath(self):
+        d = np.concatenate([-np.geomspace(4000.0, 1e-3, 600), [0.0], np.geomspace(1e-3, 40.0, 600), [-2.0, 16.52]])
+        got = tails._log_ndtr(d)
+        checked = 0
+        with mpmath.workdps(60):
+            for di, g in zip(d, got):
+                x = mpmath.mpf(float(di))
+                # log(ncdf(d)) reads 0 from about d = 20: for d > 0 take log1p of the upper tail
+                want = mpmath.log1p(-mpmath.ncdf(-x)) if x > 0 else mpmath.log(mpmath.ncdf(x))
+                if abs(want) < sys.float_info.min:  # no normal float to compare with
+                    continue
+                assert abs(float((g - want) / want)) <= 1e-14, (di, g, want)
+                checked += 1
+        assert checked > 1100
+        assert tails._log_ndtr(np.array([-np.inf, np.inf])).tolist() == [-np.inf, 0.0]
+
+    def test_ndtr_matches_mpmath(self):
+        d = np.linspace(-37.0, 9.0, 921)  # Phi(-37) is about 6e-300, still a normal float
+        got = tails._ndtr(d)
+        with mpmath.workdps(50):
+            for di, g in zip(d, got):
+                want = mpmath.ncdf(mpmath.mpf(float(di)))
+                assert abs(float((g - want) / want)) <= 1e-14, (di, g, want)
+
+    def test_kernels_keep_shape_and_nan(self):
+        for kernel in (tails._erfc, tails._ndtr, tails._log_ndtr):
+            assert kernel(0.5).shape == ()
+            assert kernel(np.zeros((2, 3))).shape == (2, 3)
+            assert np.isnan(kernel(np.array([np.nan]))).all()
+        # more values than one block
+        x = np.linspace(-5.0, 5.0, 2 * tails._NORMAL_BLOCK + 3)
+        assert np.array_equal(tails._erfc(x), np.concatenate([tails._erfc(x[:7]), tails._erfc(x[7:])]))
+
+    @ORACLE
+    @given(st.lists(st.floats(-27.0, 27.0), min_size=2, max_size=50))
+    def test_erfc_is_non_increasing_and_symmetric(self, xs):
+        # Non-increasing between drawn points. At the ulp scale, where erfc moves by less than
+        # an ulp per float step (|x| below about 1.5), neighbouring floats can come out one ulp
+        # out of order: the kernel is within about 3 ulp, not correctly rounded.
+        x = np.sort(xs)
+        e = tails._erfc(x)
+        assert np.all(np.diff(e) <= 0.0)
+        assert np.all(np.abs(e + tails._erfc(-x) - 2.0) <= 2 * np.spacing(2.0))
 
 
 def mp_truncated_moments(d):
