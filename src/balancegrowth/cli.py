@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, growth, io, panel as panel_mod, sim, tails
 from ._workers import map_on_cpus
-from .errors import BalanceGrowthError, InsufficientDataError, MalformedInputError, NoRetainedBinsError
+from .errors import BalanceGrowthError, DegenerateTailError, FitConvergenceError, InsufficientDataError
+from .errors import MalformedInputError, NoRetainedBinsError
 
 log = logging.getLogger("balancegrowth")
 
@@ -134,16 +135,20 @@ def cmd_fit(args) -> int:
     if data.size < raw.size:
         log.warning("dropped %d of %d values that are not positive", raw.size - data.size, raw.size)
 
-    if args.xmin is not None:
-        pl = tails.fit_power_law(data, xmin=args.xmin)
-    else:
-        pl = tails.fit_power_law(data, max_candidates=args.xmin_candidates)
-    xmin_used = pl.xmin
-    ln = tails.fit_lognormal(data, xmin_used)
+    try:
+        pl = tails.fit_power_law(data, xmin=args.xmin, max_candidates=args.xmin_candidates)
+        ln = tails.fit_lognormal(data, pl.xmin)
+        comparison = tails._compare_fits(data, pl, ln)
+        if args.sweep_step is not None:
+            thresholds = tails.threshold_sweep(data, start=args.sweep_start, step=args.sweep_step)
+        if args.umpu:
+            ranks = tails.umpu_sweep(data, mc_reps=args.mc_reps, seed=args.seed, method=args.umpu_method)
+    except (InsufficientDataError, DegenerateTailError, FitConvergenceError) as exc:
+        raise type(exc)(f"{args.data}: {exc}") from None
     outputs = {
         "power_law.json": pl.to_dict(),
         "log_normal.json": ln.to_dict(),
-        "comparison.json": tails._compare_fits(data, pl, ln).to_dict(),
+        "comparison.json": comparison.to_dict(),
     }
     edges = _log_grid(float(data.min()), float(data.max()), args.hist_bins + 1)
     counts, _ = np.histogram(data, bins=edges)
@@ -154,18 +159,16 @@ def cmd_fit(args) -> int:
         "count": counts,
         "density": counts / (np.diff(edges) * data.size),
     }
-    grid = _log_grid(xmin_used, float(data.max()), 200)
+    grid = _log_grid(pl.xmin, float(data.max()), 200)
     outputs["curves.csv"] = {
         "x": grid,
-        "power_law_pdf": np.exp(tails.powerlaw_logpdf(grid, pl.alpha, xmin_used)),
-        "log_normal_pdf": np.exp(tails.lognormal_logpdf(grid, ln.m, ln.v, xmin_used)),
+        "power_law_pdf": np.exp(tails.powerlaw_logpdf(grid, pl.alpha, pl.xmin)),
+        "log_normal_pdf": np.exp(tails.lognormal_logpdf(grid, ln.m, ln.v, pl.xmin)),
     }
     if args.sweep_step is not None:
-        sweep = tails.threshold_sweep(data, start=args.sweep_start, step=args.sweep_step)
-        outputs["threshold_sweep.csv"] = _columns(sweep, ["xmin", "normalized_lr", "p_value", "preferred"])
+        outputs["threshold_sweep.csv"] = _columns(thresholds, ["xmin", "normalized_lr", "p_value", "preferred"])
     if args.umpu:
-        sweep = tails.umpu_sweep(data, mc_reps=args.mc_reps, seed=args.seed, method=args.umpu_method)
-        outputs["umpu_sweep.csv"] = _columns(sweep, ["rank", "threshold", "n_tail", "wilks_w", "p_value", "method"])
+        outputs["umpu_sweep.csv"] = _columns(ranks, ["rank", "threshold", "n_tail", "wilks_w", "p_value", "method"])
     return run.finish(outputs)
 
 
@@ -409,10 +412,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except BalanceGrowthError as exc:
-        log.error("%s", exc)
-        return 2
-    except OSError as exc:
+    except (BalanceGrowthError, OSError) as exc:
         log.error("%s", exc)
         return 2
 

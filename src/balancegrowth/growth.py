@@ -22,6 +22,7 @@ from .errors import (
     NoRetainedBinsError,
 )
 from .panel import TransitionPanel, build_panel, filter_active
+from .tails import _ndtr
 
 log = logging.getLogger(__name__)
 
@@ -439,6 +440,9 @@ def trend_test(series) -> TrendResult:
     direction is assigned only below p = 0.05.
     """
     pts = sorted((float(a), float(b)) for a, b in series)
+    for a, b in pts:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise MalformedInputError(f"trend point (dt {a}, value {b}) is not finite")
     v = np.array([b for _, b in pts], dtype=np.float64)
     n = v.size
     if n < 4:
@@ -453,15 +457,8 @@ def trend_test(series) -> TrendResult:
     tau = s / n_pairs
     if var_s <= 0:
         return TrendResult(direction="none", tau=tau, p_value=1.0, s=s, var_s=var_s, n=n)
-    if s > 0:
-        z = (s - 1) / math.sqrt(var_s)
-    elif s < 0:
-        z = (s + 1) / math.sqrt(var_s)
-    else:
-        z = 0.0
-    from scipy.special import ndtr  # loaded on first use: of the commands, only `sweep` needs it
-
-    p = 2.0 * float(ndtr(-abs(z)))
+    z = max(abs(s) - 1, 0) / math.sqrt(var_s)  # |z|, continuity-corrected
+    p = 2.0 * float(_ndtr(-z))
     if p < 0.05 and s != 0:
         direction = "increasing" if s > 0 else "decreasing"
     else:

@@ -141,6 +141,11 @@ def _positive_array(data) -> np.ndarray:
     return x
 
 
+def _check_cut(value: float, name: str = "xmin") -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise MalformedInputError(f"{name} must be positive and finite, got {value}")
+
+
 # Cody (1969) rational approximations, with the coefficients of his CALERF:
 # erf(a) = a P(a^2)/Q(a^2) for a <= 0.46875, erfcx(a) = P(a)/Q(a) up to 4 and,
 # beyond, erfcx(a) = (1/sqrt(pi) - z P(z)/Q(z))/a with z = 1/a^2. Highest
@@ -366,8 +371,7 @@ def fit_power_law(data, xmin: float | None = None, max_candidates: int | None = 
     """
     x = np.sort(_positive_array(data))
     if xmin is not None:
-        if xmin <= 0:
-            raise MalformedInputError("xmin must be positive")
+        _check_cut(xmin)
         tail = x[x >= xmin]
         if tail.size < 2:
             raise InsufficientDataError(_FEW_TAIL.format(tail.size))
@@ -390,15 +394,14 @@ def fit_power_law(data, xmin: float | None = None, max_candidates: int | None = 
     suffix = np.cumsum(logx[::-1])[::-1]
     first_idx = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     cand = first_idx[n - first_idx >= 2]
-    if cand.size == 0:
-        raise DegenerateTailError("all values equal; power-law exponent undefined")
     if max_candidates is not None and cand.size > max_candidates:
         pick = np.unique(np.linspace(0, cand.size - 1, max_candidates).round().astype(int))
         cand = cand[pick]
     n_cand = cand.size
     n_t = n - cand
     s = suffix[cand] - n_t * logx[cand]
-    keep = s > 0.0
+    # a tail of one distinct value leaves only rounding in s, which may be positive
+    keep = (s > 0.0) & (x[cand] != x[-1])
     cand, n_t, s = cand[keep], n_t[keep], s[keep]
     if cand.size == 0:
         raise DegenerateTailError("no candidate xmin leaves a non-degenerate tail")
@@ -563,6 +566,8 @@ def fit_lognormal(data, xmin: float) -> TailFitResult:
     distinct tail values.
     """
     x = _positive_array(data)
+    if not math.isfinite(xmin):
+        raise MalformedInputError(f"xmin must be finite, got {xmin}")
     tail = x[x >= xmin] if xmin > 0 else x
     n = tail.size
     if n < 2 or tail.min() == tail.max():
@@ -647,6 +652,7 @@ def compare_tails(data, xmin: float, significance: float = 0.05) -> ComparisonRe
     'inconclusive' whenever the p-value exceeds `significance`.
     """
     x = _positive_array(data)
+    _check_cut(xmin)
     tail = x[x >= xmin]
     return _compare_fits(tail, fit_power_law(tail, xmin=xmin), fit_lognormal(tail, xmin), significance)
 
@@ -731,8 +737,8 @@ def threshold_sweep(
     O(1), and the log-normal shape of every threshold comes from one
     batched solve. Per-tail KS distances are not computed.
     """
-    if not (0 < start < math.inf and 0 < step < math.inf):  # NaN fails too
-        raise MalformedInputError("start and step must be positive and finite")
+    _check_cut(start, "start")
+    _check_cut(step, "step")
     x = np.sort(_positive_array(data))
     n = x.size
     if min_tail > n:
@@ -836,9 +842,8 @@ def _umpu_results(thresholds, ranks, sizes, ratios, wilks, mc_reps: int, seed, m
         counts = _null_exceedances(seed, mc_reps, np.asarray(sizes), np.asarray(ratios))
         p = (1.0 + counts) / (mc_reps + 1.0)
     else:
-        from scipy.special import chdtrc  # loaded on first use: the default method needs no scipy
-
-        p = np.where(wilks <= 0.0, 1.0, 0.5 * chdtrc(1, wilks))
+        # half the chi-squared(1) survival function, erfc(sqrt(w/2))/2, its Gaussian factor taken from w itself
+        p = np.where(wilks <= 0.0, 1.0, 0.5 * _erfcx(np.sqrt(0.5 * wilks)) * np.exp(-0.5 * wilks))
     return [
         UmpuResult(threshold=thr, rank=rank, n_tail=size, wilks_w=w, p_value=pv, method=method)
         for thr, rank, size, w, pv in zip(
@@ -867,6 +872,7 @@ def umpu_wilks(
     half chi-squared with one degree of freedom).
     """
     x = _positive_array(data)
+    _check_cut(threshold, "threshold")
     tail = x[x > threshold]
     if tail.size < 10:
         raise InsufficientDataError(

@@ -88,9 +88,9 @@ GOLDEN = {
     "sim/two/two.snapshot_2000-01-29.csv": "9ec23d6bacfdf749cdf3625f0921495e8216db9337883d275b2f1cfa882414b8",
     "small.csv": "6db6eb7877efbad61844fc12bb1563841a33890adbf253f3ddcafbd6f5ef1c61",
     "small.taxonomy.json": "d76133a347a788272242528955366733cda66bc7883c27faf7cfbc8554901a3a",
-    "sw.horizon.json": "733e8f9836fde6b70ea0716fe56b19d8161f137bdcf66f43c897f23fffc0d344",
+    "sw.horizon.json": "7c612217871188d22a4af702c6678962ee0300705915d1f149bd7bfbf004f4b8",
     "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
-    "sw.trends.csv": "6026207a8907155aa7b6ca695aeb1aa62363bca21a06c28144df374a3aee246f",
+    "sw.trends.csv": "69726994359818e42e26b4cc5d94c47fdf45d724f2b4e17dc5d278f5c4c13ef1",
     "vals.comparison.json": "3b5156db961d333ea7600bcf50409585eb9eeb847093dfaf5ba411dbec1d0842",
     "vals.curves.csv": "f5c8e40f283e6f8b5491cca513607db5c807c6033b90e70a1c54a5261b26820b",
     "vals.hist.csv": "0223f46c2dcaba70f8d919548beecb496b404f8df3930e62cd084ef21f240c1b",

@@ -487,6 +487,13 @@ class TestTrend:
         with pytest.raises(InsufficientDataError):
             trend_test([(0, 1.0), (1, 2.0), (2, 3.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        with pytest.raises(MalformedInputError, match=rf"^trend point \(dt 14.0, value {bad}\) is not finite$"):
+            trend_test([(7, 1.0), (14, bad), (21, 2.0), (28, 3.0)])
+        with pytest.raises(MalformedInputError, match=rf"^trend point \(dt {bad}, value 2.0\) is not finite$"):
+            trend_test([(7, 1.0), (14, 1.5), (bad, 2.0), (28, 3.0)])
+
 
 @pytest.fixture(scope="module")
 def snapshots():

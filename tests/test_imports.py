@@ -1,14 +1,19 @@
-"""No module of the package imports a name it never reads, or imports `ctypes`.
+"""No module of the package imports a name it never reads, or imports `ctypes`;
+only `panel` imports scipy.
 
 A stdlib stand-in for a linter's unused-import rule: every name an
 `import` binds anywhere in a module must be loaded somewhere in that
 module, as a bare name or as the base of an attribute chain (both are
-`ast.Name` loads).
+`ast.Name` loads), or be re-exported by name in its module-level
+`__all__`.
 
 Through `ctypes` a module can change the whole process from foreign
 code, as a C allocator setting does, with nothing in Python to show it.
 numpy itself loads `ctypes`, so the check reads the source, not
 `sys.modules`.
+
+scipy's import costs a CLI start-up more than the work of most commands,
+so only the Hopkins diagnostic, which needs its KD-tree, imports it.
 """
 
 import ast
@@ -28,6 +33,10 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # a name listed in a module-level `__all__` is read by `from module import *`
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant) and isinstance(e.value, str))
     return [f"{line}: {name}" for name, line in bound.items() if name not in read]
 
 
@@ -52,6 +61,11 @@ def test_no_module_imports_ctypes(path):
     assert "ctypes" not in imported_modules(path.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_panel_imports_scipy(path):
+    assert ("scipy" in imported_modules(path.read_text(encoding="utf-8"))) == (path.name == "panel.py")
+
+
 @pytest.mark.parametrize(
     "source, found",
     [
@@ -74,6 +88,8 @@ def test_ctypes_check_finds_every_import_form(source, found):
         ("import os.path\nos.path.join('a')\n", []),
         ("import numpy as np\ndef f():\n    from math import pi\n    return np.e\n", ["3: pi"]),
         ("import json\njson = None\n", ["1: json"]),
+        ("from os import path, sep\n__all__ = ['path']\n", ["1: sep"]),
+        ("from os import path\ndef f():\n    __all__ = ['path']\n", ["1: path"]),
     ],
 )
 def test_checker_flags_unread_imports(source, unused):

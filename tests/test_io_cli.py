@@ -1060,6 +1060,22 @@ class TestCmdFit:
             assert args.func(args) == 0
         assert "dropped 2 of 42 values that are not positive" in [r.getMessage() for r in caplog.records]
 
+    @pytest.mark.parametrize(
+        "values, flags, message",
+        [
+            (range(1, 41), ["--xmin", "1e30"], "need at least 2 tail values >= xmin, got 0"),
+            ([7] * 40, [], "no candidate xmin leaves a non-degenerate tail"),
+            (range(1, 6), ["--xmin", "1", "--umpu"], "need at least 10 positive values, got 5"),
+        ],
+        ids=["empty-tail", "tied-values", "few-for-umpu"],
+    )
+    def test_fit_failure_names_the_data(self, tmp_path, capsys, values, flags, message):
+        data = tmp_path / "v.csv"
+        write(data, "balance\n" + "".join(f"{v}\n" for v in values))
+        assert main(["fit", str(data), *flags, "--out", str(tmp_path), "--quiet"]) == 2
+        assert f"{data}: {message}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
     def test_xmin_scan_when_omitted(self, balances_csv, tmp_path):
         rc = main(["fit", str(balances_csv), "--xmin-candidates", "64", "--out", str(tmp_path), "--quiet"])
         assert rc == 0

@@ -1,7 +1,9 @@
-"""The p-values call scipy.special kernels directly; scipy.stats is their oracle.
+"""Only the Hopkins diagnostic loads scipy, and the p-values have exact oracles.
 
-Each kernel is the one the matching scipy.stats survival function calls,
-so the two must agree bit for bit, edges included.
+The Hopkins p-value calls `scipy.special.betaincc`, the kernel that
+`scipy.stats.beta.sf` calls, so the two agree bit for bit. The trend and
+asymptotic UMPU p-values come from the normal kernels of `tails`; they
+are checked against 50-digit mpmath at the exact float statistic.
 """
 
 import math
@@ -10,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,7 +23,7 @@ from balancegrowth.panel import hopkins_pvalue
 
 N_RANDOM = 20_000
 
-# `balancegrowth.__all__` as it was when every submodule was imported eagerly
+# `balancegrowth.__all__`, pinned: every public name, in order
 PUBLIC_NAMES = [
     "__version__",
     "BalanceGrowthError",
@@ -91,27 +94,45 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert _fresh_python("import sys, balancegrowth.cli, balancegrowth.sim\nprint('concurrent.futures' in sys.modules)") == "False"
 
 
-def test_simulate_and_estimate_load_no_scipy(tmp_path):
+def test_only_hopkins_loads_scipy(tmp_path):
     (tmp_path / "sim.cfg").write_text(
-        "model = two_regime\nn_users = 4000\nseed = 5\nhorizon_days = 14\ns0_law = lognormal\n"
-        "s0_m = 23.03\ns0_v = 2.3\ns_star = 1e10\npoor_mu = 0.003\nwealthy_mu = -0.002\n"
+        "model = two_regime\nn_users = 4000\nseed = 5\nhorizon_days = 28\nemit_days = 0,7,14,21,28\n"
+        "s0_law = lognormal\ns0_m = 23.03\ns0_v = 2.3\ns_star = 1e10\npoor_mu = 0.003\nwealthy_mu = -0.002\n"
         "poor_sigma = 0.001\nwealthy_sigma = 0.001\n"
     )
+    values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
+    (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
+    commands = [
+        ["simulate", "sim.cfg", "sim"],
+        ["estimate", "sim.panel.csv", "est", "--bins", "20"],
+        ["estimate", "sim.panel.csv", "abs", "--bins", "20", "--target", "absolute"],
+        # four horizons, so each regime's parameters get a trend test
+        ["sweep", ".", "--t0", "2000-01-01", "--dts", "7,14,21,28", "--bins", "20"],
+        ["fit", "v.csv"],
+        ["fit", "v.csv", "--sweep-start", "1000000", "--sweep-step", "1000000"],
+        ["fit", "v.csv", "--umpu", "--mc-reps", "20"],
+        ["fit", "v.csv", "--umpu", "--umpu-method", "asymptotic", "--prefix", "asym"],
+    ]
+    hopkins = ["panel", "sim.snapshot_2000-01-01.csv", "sim.snapshot_2000-01-29.csv", "p.csv", "--hopkins-m", "50"]
     code = (
         "import sys\n"
         "from balancegrowth.cli import main\n"
-        "assert main(['simulate', 'sim.cfg', 'sim', '--quiet']) == 0\n"
-        "assert main(['estimate', 'sim.panel.csv', 'est', '--bins', '20', '--quiet']) == 0\n"
-        "assert main(['estimate', 'sim.panel.csv', 'abs', '--bins', '20', '--target', 'absolute', '--quiet']) == 0\n"
-        + LOADED_SCIPY
+        f"for argv in {commands!r}:\n"
+        "    assert main([*argv, '--quiet']) == 0, argv\n"
+        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"assert main([*{hopkins!r}, '--quiet']) == 0\n"
+        "print(before, 'scipy.spatial' in sys.modules)\n"
     )
-    assert _fresh_python(code, cwd=tmp_path) == ""
-    assert (tmp_path / "est.regimes.json").exists()
-    assert (tmp_path / "abs.absfits.json").exists()
+    assert _fresh_python(code, cwd=tmp_path) == "[] True"
+    assert (tmp_path / "est.regimes.json").exists() and (tmp_path / "abs.absfits.json").exists()
+    assert len((tmp_path / "sweep.trends.csv").read_text().splitlines()) > 1
+    # the log-normal fit was interior, so the shape solve ran
+    assert '"exponential_boundary": false' in (tmp_path / "v.log_normal.json").read_text()
+    assert (tmp_path / "v.threshold_sweep.csv").exists() and (tmp_path / "v.umpu_sweep.csv").exists()
+    assert "asymptotic" in (tmp_path / "asym.umpu_sweep.csv").read_text()
 
 
-def test_public_names_resolve_on_demand():
-    # a fresh interpreter, so every name goes through the on-demand lookup
+def test_public_names_are_exported():
     code = (
         "import balancegrowth\n"
         "print(balancegrowth.tails.__name__)\n"
@@ -128,28 +149,24 @@ def test_public_names_resolve_on_demand():
         balancegrowth.no_such_name
 
 
-def test_fit_leaves_scipy_optimize_unloaded(tmp_path):
-    values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
-    (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
-    run = "import sys\nfrom balancegrowth.cli import main\nfor extra in {}:\n    assert main(['fit', 'v.csv', '--quiet', *extra]) == 0\n"
-    # the scan, the threshold sweep and the Monte Carlo rank sweep load no scipy at all
-    default = "([], ['--sweep-start', '1000000', '--sweep-step', '1000000'], ['--umpu', '--mc-reps', '20'])"
-    assert _fresh_python(run.format(default) + LOADED_SCIPY, cwd=tmp_path) == ""
-    # the asymptotic p-value is scipy.special's chdtrc, and only that
-    heavy = "print(' '.join(m for m in ('scipy.special', 'scipy.stats', 'scipy.optimize', 'scipy.spatial') if m in sys.modules))\n"
-    asymptotic = "(['--umpu', '--umpu-method', 'asymptotic'],)"
-    assert _fresh_python(run.format(asymptotic) + heavy, cwd=tmp_path) == "scipy.special"
-    # the log-normal fit was interior, so the shape solve ran
-    assert '"exponential_boundary": false' in (tmp_path / "v.log_normal.json").read_text()
-    assert (tmp_path / "v.threshold_sweep.csv").exists() and (tmp_path / "v.umpu_sweep.csv").exists()
-
-
 def test_hopkins_pvalue_equals_beta_sf():
     rng = np.random.default_rng(11)
     h = np.concatenate([rng.uniform(0.0, 1.0, N_RANDOM), [0.0, 1.0, 0.0, 1.0, 0.5]])
     m = np.concatenate([rng.integers(1, 1000, N_RANDOM), [1, 1, 500, 500, 100]])
     got = np.array([hopkins_pvalue(float(a), int(b)) for a, b in zip(h, m)])
     assert np.array_equal(got, stats.beta.sf(h, m, m))
+
+
+def _within(got, exact, rel=1e-14) -> bool:
+    """Every value of `got` within `rel` relative of the mpmath value beside it; 0 where that underflows."""
+    exact = np.array([float(e) for e in exact])
+    return bool(np.all(np.abs(np.asarray(got) - exact) <= rel * exact))
+
+
+def _half_chi2_sf(w) -> list:
+    """Half the chi-squared(1) survival function at each float w, erfc(sqrt(w/2))/2, at 50 digits."""
+    with mpmath.workdps(50):
+        return [mpmath.erfc(mpmath.sqrt(mpmath.mpf(float(v)) / 2)) / 2 for v in w]
 
 
 def test_trend_pvalue_equals_twice_norm_sf():
@@ -161,21 +178,26 @@ def test_trend_pvalue_equals_twice_norm_sf():
         results.append(trend_test(zip(range(n), values)))
     # S = 0 with spread: z is exactly 0 and the p-value is 1.
     results.append(trend_test([(1, 1.0), (2, 2.0), (3, 2.0), (4, 1.0)]))
-    assert results[-1].s == 0
+    assert results[-1].s == 0 and results[-1].p_value == 1.0
     results = [r for r in results if r.var_s > 0]
-    # the continuity-corrected Mann-Kendall z
-    z = np.array([(r.s - np.sign(r.s)) / math.sqrt(r.var_s) for r in results])
-    assert np.array_equal([r.p_value for r in results], 2.0 * stats.norm.sf(np.abs(z)))
+    # the continuity-corrected Mann-Kendall z, and 2 Phi(-|z|) = erfc(|z|/sqrt(2)) at 50 digits
+    z = [abs(r.s - np.sign(r.s)) / math.sqrt(r.var_s) for r in results]
+    with mpmath.workdps(50):
+        exact = [mpmath.erfc(mpmath.mpf(v) / mpmath.sqrt(2)) for v in z]
+    assert _within([r.p_value for r in results], exact)
 
 
 def test_asymptotic_umpu_pvalue_equals_half_chi2_sf():
     rng = np.random.default_rng(13)
-    w = np.concatenate([rng.exponential(4.0, N_RANDOM), [1e-300, 1e-8, 1.0, 50.0, 1e4]])
+    w = np.concatenate([rng.exponential(4.0, N_RANDOM), np.geomspace(1e-300, 1400.0, 301), [1e-8, 1.0, 50.0, 1e4]])
     tests = [(1.0, 10, 10, 1.5, float(v)) for v in w]
     got = [r.p_value for r in tails._umpu_results(*zip(*tests), 0, 0, "asymptotic")]
-    assert np.array_equal(got, 0.5 * stats.chi2.sf(w, df=1))
+    assert _within(got, _half_chi2_sf(w))
+    runs = []
     for seed in range(20):
         local = np.random.default_rng(seed)
         data = 50.0 * np.exp(local.lognormal(-1.0, 0.5 + seed / 20, 400))
-        r = umpu_wilks(data, 50.0, seed=seed, method="asymptotic")
-        assert r.p_value == (1.0 if r.wilks_w <= 0.0 else 0.5 * stats.chi2.sf(r.wilks_w, df=1))
+        runs.append(umpu_wilks(data, 50.0, seed=seed, method="asymptotic"))
+    assert all(r.p_value == 1.0 for r in runs if r.wilks_w <= 0.0)
+    inner = [r for r in runs if r.wilks_w > 0.0]
+    assert _within([r.p_value for r in inner], _half_chi2_sf([r.wilks_w for r in inner]))

@@ -87,6 +87,13 @@ class TestFitPowerLaw:
         with pytest.raises(DegenerateTailError):
             fit_power_law([5.0, 5.0, 5.0], xmin=5.0)
 
+    def test_scan_refuses_all_equal_values(self):
+        # such a tail's log sum is a rounding residual, which may be positive
+        for value in (5.0, 3e8, 0.7):
+            for n in range(2, 1001):
+                with pytest.raises(DegenerateTailError):
+                    fit_power_law([value] * n)
+
     def test_too_few_tail_points_rejected(self):
         with pytest.raises(InsufficientDataError):
             fit_power_law([1.0, 2.0, 3.0], xmin=2.5)
@@ -158,6 +165,10 @@ class TestFitLognormal:
         xmin = float(np.median(data))
         assert fit_lognormal(data, xmin).exponential_boundary is False
         assert not math.isnan(compare_tails(data, xmin).normalized_lr)
+
+    def test_negative_xmin_is_untruncated(self, rng):
+        data = rng.lognormal(3.0, 1.0, 500)
+        assert fit_lognormal(data, -1.0).log_likelihood == fit_lognormal(data, 0.0).log_likelihood
 
     def test_untruncated_closed_form(self):
         fit = fit_lognormal([1.0, math.exp(2.0)], xmin=0.0)
@@ -259,6 +270,30 @@ class TestCompareTails:
             assert result.preferred in ("power_law", "log_normal")
 
 
+@pytest.mark.parametrize(
+    "call, cut",
+    [
+        (umpu_wilks, 0.0),
+        (umpu_wilks, -2.0),
+        (umpu_wilks, math.nan),
+        (umpu_wilks, math.inf),
+        (compare_tails, 0.0),
+        (compare_tails, math.nan),
+        (compare_tails, math.inf),
+        (fit_power_law, 0.0),
+        (fit_power_law, math.nan),
+        (fit_power_law, math.inf),
+        (fit_lognormal, math.nan),
+        (fit_lognormal, math.inf),
+        (fit_lognormal, -math.inf),
+    ],
+)
+def test_bad_cutoff_refused(call, cut):
+    data = np.random.default_rng(4).lognormal(3.0, 1.0, 500)
+    with pytest.raises(MalformedInputError, match=rf"must be (positive and )?finite, got {cut}$"):
+        call(data, cut)
+
+
 class TestThresholdSweep:
     def test_arithmetic_grid(self, rng):
         data = rng.lognormal(19.0, 1.0, size=2000)
@@ -326,7 +361,7 @@ def scan_bruteforce(data, max_candidates=None):
     for i in cand:
         n_t = n - i
         s = suffix[i] - n_t * logx[i]
-        if s <= 0.0:
+        if s <= 0.0 or x[i] == x[-1]:  # no spread: s is only rounding
             continue
         alpha = 1.0 + n_t / s
         cdf = 1.0 - (x[i] / x[i:]) ** (alpha - 1.0)
