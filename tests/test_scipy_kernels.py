@@ -94,42 +94,60 @@ def test_cli_import_leaves_thread_pool_unloaded():
     assert _fresh_python("import sys, balancegrowth.cli, balancegrowth.sim\nprint('concurrent.futures' in sys.modules)") == "False"
 
 
-def test_only_hopkins_loads_scipy(tmp_path):
-    (tmp_path / "sim.cfg").write_text(
-        "model = two_regime\nn_users = 4000\nseed = 5\nhorizon_days = 28\nemit_days = 0,7,14,21,28\n"
-        "s0_law = lognormal\ns0_m = 23.03\ns0_v = 2.3\ns_star = 1e10\npoor_mu = 0.003\nwealthy_mu = -0.002\n"
-        "poor_sigma = 0.001\nwealthy_sigma = 0.001\n"
+SIM_CFG = (
+    "model = two_regime\nn_users = 4000\nseed = 5\nhorizon_days = 28\nemit_days = 0,7,14,21,28\n"
+    "s0_law = lognormal\ns0_m = 23.03\ns0_v = 2.3\ns_star = 1e10\npoor_mu = 0.003\nwealthy_mu = -0.002\n"
+    "poor_sigma = 0.001\nwealthy_sigma = 0.001\n"
+)
+
+
+def _scipy_after(commands, cwd) -> list:
+    """The scipy modules loaded after `main` runs each of `commands` in one new interpreter."""
+    code = (
+        "import sys\n"
+        "from balancegrowth.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main([*argv, '--quiet']) == 0, argv\n"
+        + LOADED_SCIPY
     )
-    values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
-    (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
+    return _fresh_python(code, cwd=cwd).split()
+
+
+def test_simulate_and_estimate_load_no_scipy(tmp_path):
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
     commands = [
         ["simulate", "sim.cfg", "sim"],
         ["estimate", "sim.panel.csv", "est", "--bins", "20"],
         ["estimate", "sim.panel.csv", "abs", "--bins", "20", "--target", "absolute"],
         # four horizons, so each regime's parameters get a trend test
         ["sweep", ".", "--t0", "2000-01-01", "--dts", "7,14,21,28", "--bins", "20"],
+    ]
+    assert _scipy_after(commands, tmp_path) == []
+    assert (tmp_path / "est.regimes.json").exists() and (tmp_path / "abs.absfits.json").exists()
+    assert len((tmp_path / "sweep.trends.csv").read_text().splitlines()) > 1
+
+
+def test_fit_leaves_scipy_optimize_unloaded(tmp_path):
+    values = np.random.default_rng(3).lognormal(16.0, 1.5, 400).astype(np.int64)
+    (tmp_path / "v.csv").write_text("user_id,balance\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
+    commands = [
         ["fit", "v.csv"],
         ["fit", "v.csv", "--sweep-start", "1000000", "--sweep-step", "1000000"],
         ["fit", "v.csv", "--umpu", "--mc-reps", "20"],
         ["fit", "v.csv", "--umpu", "--umpu-method", "asymptotic", "--prefix", "asym"],
     ]
-    hopkins = ["panel", "sim.snapshot_2000-01-01.csv", "sim.snapshot_2000-01-29.csv", "p.csv", "--hopkins-m", "50"]
-    code = (
-        "import sys\n"
-        "from balancegrowth.cli import main\n"
-        f"for argv in {commands!r}:\n"
-        "    assert main([*argv, '--quiet']) == 0, argv\n"
-        "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        f"assert main([*{hopkins!r}, '--quiet']) == 0\n"
-        "print(before, 'scipy.spatial' in sys.modules)\n"
-    )
-    assert _fresh_python(code, cwd=tmp_path) == "[] True"
-    assert (tmp_path / "est.regimes.json").exists() and (tmp_path / "abs.absfits.json").exists()
-    assert len((tmp_path / "sweep.trends.csv").read_text().splitlines()) > 1
+    assert _scipy_after(commands, tmp_path) == []
     # the log-normal fit was interior, so the shape solve ran
     assert '"exponential_boundary": false' in (tmp_path / "v.log_normal.json").read_text()
     assert (tmp_path / "v.threshold_sweep.csv").exists() and (tmp_path / "v.umpu_sweep.csv").exists()
     assert "asymptotic" in (tmp_path / "asym.umpu_sweep.csv").read_text()
+
+
+def test_only_hopkins_loads_scipy(tmp_path):
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    hopkins = ["panel", "sim.snapshot_2000-01-01.csv", "sim.snapshot_2000-01-29.csv", "p.csv", "--hopkins-m", "50"]
+    assert _scipy_after([["simulate", "sim.cfg", "sim"]], tmp_path) == []
+    assert "scipy.spatial" in _scipy_after([hopkins], tmp_path)
 
 
 def test_public_names_are_exported():
