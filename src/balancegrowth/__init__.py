@@ -17,8 +17,8 @@ from .growth import (
     horizon_sweep, make_bins, split_regimes, trend_test,
 )
 from .panel import (
-    BalanceSnapshot, HopkinsResult, ScatterTaxonomy, TransitionPanel, build_panel, filter_active, hopkins,
-    hopkins_test, taxonomy,
+    BalanceSnapshot, HopkinsResult, ScatterTaxonomy, TransitionPanel, build_panel, filter_active, hopkins_test,
+    taxonomy,
 )
 from .sim import (
     InitialLaw, RegimeParams, Schedule, SimConfig, euler_paths, simulate_gbm_exact, simulate_power_sde,
@@ -36,7 +36,7 @@ __all__ = [
     "HorizonError", "InsufficientDataError", "MalformedInputError", "NoRetainedBinsError", "BinSeries", "GrowthFit",
     "HorizonEntry", "HorizonSweep", "RegimeSplit", "TrendResult", "bin_moments", "fit_growth", "horizon_sweep",
     "make_bins", "split_regimes", "trend_test", "BalanceSnapshot", "HopkinsResult", "ScatterTaxonomy",
-    "TransitionPanel", "build_panel", "filter_active", "hopkins", "hopkins_test", "taxonomy", "InitialLaw",
+    "TransitionPanel", "build_panel", "filter_active", "hopkins_test", "taxonomy", "InitialLaw",
     "RegimeParams", "Schedule", "SimConfig", "euler_paths", "simulate_gbm_exact", "simulate_power_sde",
     "simulate_two_regime", "snapshot_series", "ComparisonResult", "TailFitResult", "UmpuResult", "compare_tails",
     "fit_lognormal", "fit_power_law", "threshold_sweep", "umpu_sweep", "umpu_wilks",

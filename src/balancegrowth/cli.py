@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, growth, io, panel as panel_mod, sim, tails
 from ._workers import map_on_cpus
 from .errors import BalanceGrowthError, DegenerateTailError, FitConvergenceError, InsufficientDataError
-from .errors import MalformedInputError, NoRetainedBinsError
+from .errors import HorizonError, MalformedInputError, NoRetainedBinsError
 
 log = logging.getLogger("balancegrowth")
 
@@ -105,7 +105,10 @@ def cmd_panel(args) -> int:
         [args.date0, args.date1],
         ["--date0", "--date1"],
     )
-    joined = panel_mod.build_panel(snap0, snap1)
+    try:
+        joined = panel_mod.build_panel(snap0, snap1)
+    except HorizonError as exc:
+        raise HorizonError(f"{args.snap0}, {args.snap1}: {exc}") from None
     tax = panel_mod.taxonomy(joined, epsilon_v=args.epsilon_v)
     emitted = joined
     payload = tax.to_dict()
@@ -115,7 +118,10 @@ def cmd_panel(args) -> int:
         payload["filter_active"] = emitted.meta
     if args.hopkins_m:
         points = np.column_stack([emitted.s0, emitted.ds])
-        result = panel_mod.hopkins_test(points, args.hopkins_m, args.seed, log_scale=args.hopkins_log)
+        try:
+            result = panel_mod.hopkins_test(points, args.hopkins_m, args.seed, log_scale=args.hopkins_log)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"--hopkins-m {args.hopkins_m}: {exc}") from None
         payload["hopkins"] = {**vars(result), "log_scale": args.hopkins_log}
     return run.finish({out: emitted, "taxonomy.json": payload})
 
@@ -196,7 +202,7 @@ def cmd_estimate(args) -> int:
             io.read_panel_csv(args.panel), args.bins, args.min_count, args.target, args.s_min, args.s_max
         )
         if args.target == growth.TARGET_RATIO:
-            fit = growth.split_regimes(bins, star_log_scale=args.star_log_scale)
+            fit = growth.split_regimes(bins)
         else:
             fit = growth.fit_growth(bins)
     except (InsufficientDataError, NoRetainedBinsError) as exc:
@@ -211,17 +217,11 @@ def cmd_estimate(args) -> int:
             "std": bins.stds,
         }
     }
-    settings = {
-        "bins": args.bins,
-        "min_count": args.min_count,
-        "target": args.target,
-        "units": {"balance": "satoshi", "mu": "per-day", "sigma": "per-sqrt-day"},
-    }
     if args.target == growth.TARGET_RATIO:
-        outputs["regimes.json"] = {**fit.to_dict(), "estimator_settings": settings}
+        outputs["regimes.json"] = fit.to_dict()
         outputs["fitlines.csv"] = _fitlines(fit, bins)
     else:
-        outputs["absfits.json"] = {"fit": fit, "estimator_settings": settings}
+        outputs["absfits.json"] = {"fit": fit, "settings": bins.settings, "unit": "satoshi"}
     return run.finish(outputs)
 
 
@@ -247,14 +247,7 @@ def cmd_sweep(args) -> int:
     run = _Run(args, Path(args.out) / args.prefix, [f for _, f in dated], None)
     # every dated file is an input of the run, but only those at t0 and t0 + dt are read
     snapshots = map_on_cpus(lambda d: io.read_snapshot_csv(by_date[d], d), sorted(used & by_date.keys()))
-    sweep = growth.horizon_sweep(
-        snapshots,
-        args.t0,
-        dts,
-        n_bins=args.bins,
-        min_count=args.min_count,
-        star_log_scale=args.star_log_scale,
-    )
+    sweep = growth.horizon_sweep(snapshots, args.t0, dts, n_bins=args.bins, min_count=args.min_count)
     for record in sweep.skipped:
         log.warning("skipped dt=%s: %s", record["dt_days"], record["reason"])
     series = [
@@ -338,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=growth.DEFAULT_MIN_COUNT,
         help="minimum rows per bin (default %(default)s)",
     )
-    estimator.add_argument("--star-log-scale", action="store_true", help="average the regime boundary geometrically")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_int_at_least(0), default=101, help="RNG seed (default %(default)s)")
 

@@ -116,7 +116,6 @@ class RegimeSplit:
     sign_pattern: list[int]
     n_bins_poor: int
     n_bins_wealthy: int
-    star_averaging: str
     settings: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
@@ -383,15 +382,14 @@ def _fit_side(bins: BinSeries, mask: np.ndarray, regime: str) -> GrowthFit | Non
         return None
 
 
-def split_regimes(bins: BinSeries, star_log_scale: bool = False) -> RegimeSplit:
+def split_regimes(bins: BinSeries) -> RegimeSplit:
     """Split a ratio-target bin series at the sign change of the bin means.
 
     Positive-mean bins form the accumulating (poor) side, negative-mean
     bins the divesting (wealthy) side. The cut maximizing the number of
     positive bins below it plus negative bins above it is chosen (ties
-    toward the larger poor side), and the regime boundary s_star
-    averages the adjacent fit-set centers, linearly by default or
-    geometrically with `star_log_scale`. When either side of the cut
+    toward the larger poor side), and the regime boundary s_star is the
+    midpoint of the adjacent fit-set centers. When either side of the cut
     holds no sign-consistent bin, s_star is None and each side is fitted
     on all bins of its sign.
     """
@@ -412,7 +410,7 @@ def split_regimes(bins: BinSeries, star_log_scale: bool = False) -> RegimeSplit:
     if np.any(poor_mask) and np.any(wealthy_mask):
         lo = float(bins.centers[poor_mask].max())
         hi = float(bins.centers[wealthy_mask].min())
-        s_star = math.sqrt(lo * hi) if star_log_scale else 0.5 * (lo + hi)
+        s_star = 0.5 * (lo + hi)
     else:
         # one sign only, or a sign structure that does not match the
         # accumulate-low / divest-high model (stray bins or inverted
@@ -427,7 +425,6 @@ def split_regimes(bins: BinSeries, star_log_scale: bool = False) -> RegimeSplit:
         sign_pattern=[int(v) for v in np.sign(means)],
         n_bins_poor=int(np.count_nonzero(poor_mask)),
         n_bins_wealthy=int(np.count_nonzero(wealthy_mask)),
-        star_averaging="geometric" if star_log_scale else "linear",
         settings=dict(bins.settings),
     )
 
@@ -437,7 +434,9 @@ def trend_test(series) -> TrendResult:
 
     tau is S over the number of pairs; the two-sided p-value uses the
     tie-corrected normal approximation with continuity correction. A
-    direction is assigned only below p = 0.05.
+    direction is assigned only below p = 0.05. With 4 points that is out
+    of reach: the smallest p-value is 0.089 (|S| = 6); 5 points are the
+    fewest that can go below 0.05 (|S| = 10, p = 0.027).
     """
     pts = sorted((float(a), float(b)) for a, b in series)
     for a, b in pts:
@@ -488,7 +487,6 @@ def horizon_sweep(
     dts,
     n_bins: int = DEFAULT_N_BINS,
     min_count: int = DEFAULT_MIN_COUNT,
-    star_log_scale: bool = False,
 ) -> HorizonSweep:
     """Estimate the two-regime growth parameters at each horizon in `dts`.
 
@@ -497,7 +495,9 @@ def horizon_sweep(
     with a warning record only for a reason in the data: its snapshot is
     missing, no row is active, every active row starts at one balance,
     or too few bins are retained. Settings that no data could satisfy
-    raise before any horizon runs. Derived mu and sigma are per day.
+    raise before any horizon runs. Derived mu and sigma are per day. A
+    regime trend-tested on exactly 4 horizons logs a warning, since
+    `trend_test` cannot report a direction from 4 points.
     """
     horizons = sorted({int(d) for d in dts})
     if horizons and horizons[0] <= 0:
@@ -520,7 +520,7 @@ def horizon_sweep(
             continue
         try:
             bins = bin_panel(build_panel(by_date[t0], by_date[date1]), n_bins, min_count)
-            split = split_regimes(bins, star_log_scale=star_log_scale)
+            split = split_regimes(bins)
         except (NoRetainedBinsError, InsufficientDataError, MalformedInputError) as exc:
             skipped.append({"dt_days": dt_days, "reason": str(exc)})
             continue
@@ -532,6 +532,8 @@ def horizon_sweep(
     for regime in (REGIME_POOR, REGIME_WEALTHY):
         # every parameter of a regime shares the regime's horizons
         series = [(entry.dt_days, entry.derived[regime]) for entry in entries if regime in entry.derived]
+        if len(series) == 4:
+            log.warning("%s: a trend test on 4 horizons cannot reach p < 0.05; 5 is the fewest that can", regime)
         if len(series) >= 4:
             trends[regime] = {param: trend_test([(d, v[param]) for d, v in series]) for param in SWEEP_PARAMS}
     return HorizonSweep(entries=entries, skipped=skipped, trends=trends)

@@ -39,7 +39,8 @@ from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, S
 SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
 PANEL_SCHEMA = [("user_id", "utf8"), ("s0", "real"), ("s1", "real"), ("ds", "real"), ("group", "utf8")]
 
-_KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number"}
+# what a cell that does not parse must be; a 'finite' cell that parses to inf or NaN must be "a finite number"
+_KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number", "finite": "a number"}
 _ROWS_PER_CHUNK = 1 << 16
 _INT_DIGITS = 19  # the most digits an int64 has
 _POW10 = 10 ** np.arange(_INT_DIGITS - 1, -1, -1, dtype=np.uint64)
@@ -306,11 +307,13 @@ def _read_csv(path, schema, locate=None):
     that owns its memory and is read-only, so a snapshot can share it;
     'int' reads int64 from cells of the form `-?[0-9]+`; 'real' reads
     int64 when every cell is such an int64 (so integers stay exact), else
-    float64 as `float` parses text. The header must name exactly the
-    schema's columns, unless `locate(names)` maps the stripped header
-    (None if the file is empty) to a field index per column; rows may then
-    carry extra fields. Lines end in LF or CRLF; blank lines are skipped; a
-    quote, a NUL or a lone CR is an error, as no cell is ever quoted.
+    float64 as `float` parses text; 'finite' reads as 'real' and refuses
+    a cell that parses to an infinite or NaN float. The header must name
+    exactly the schema's columns, unless `locate(names)` maps the stripped
+    header (None if the file is empty) to a field index per column; rows
+    may then carry extra fields. Lines end in LF or CRLF; blank lines are
+    skipped; a quote, a NUL or a lone CR is an error, as no cell is ever
+    quoted.
     Returns the arrays and a row-to-line function.
 
     The file is never decoded as a whole: line ends, field counts and
@@ -367,12 +370,15 @@ def _read_csv(path, schema, locate=None):
             arrays.append(cells)
             continue
         values, bad = _int_cells(buf, starts, stops)
-        if bad.any() and kind == "real":
+        what = _KIND_TEXT[kind]
+        if bad.any() and kind != "int":
             values, bad = _float_cells(buf, starts, stops)
+            if kind == "finite" and not bad.any():  # an int64 column is finite
+                what, bad = "a finite number", ~np.isfinite(values)
         if bad.any():
             i = int(np.argmax(bad))
             cell = buf[starts[i] : stops[i]].tobytes().decode("utf-8")
-            raise MalformedInputError(f"{path}:{line(i)}: {name} must be {_KIND_TEXT[kind]}, got {cell!r}")
+            raise MalformedInputError(f"{path}:{line(i)}: {name} must be {what}, got {cell!r}")
         arrays.append(values)
     return arrays, line
 
@@ -485,7 +491,7 @@ def read_panel_csv(path) -> TransitionPanel:
 
 
 def read_values_csv(path) -> np.ndarray:
-    """Load positive values for tail fitting: a snapshot CSV or any CSV with a `balance` column."""
+    """Load finite values for tail fitting: a snapshot CSV or any CSV with a `balance` column."""
 
     def locate(names):
         if names is None:
@@ -500,7 +506,7 @@ def read_values_csv(path) -> np.ndarray:
             return [0]
         raise MalformedInputError(f"{path}:1: expected a header line")
 
-    (values,), _ = _read_csv(path, [("balance", "real")], locate)
+    (values,), _ = _read_csv(path, [("balance", "finite")], locate)
     return values.astype(np.float64)
 
 

@@ -356,17 +356,15 @@ def taxonomy(panel: TransitionPanel, epsilon_v: float = 0) -> ScatterTaxonomy:
     )
 
 
-def _prepare_points(points, log_scale: bool) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] < 1:
-        raise MalformedInputError("points must be a 2-d array of coordinates")
-    if log_scale:
-        pts = np.sign(pts) * np.log1p(np.abs(pts))
-    return pts
+def hopkins_pvalue(h: float, m: int) -> float:
+    """One-sided p-value of a Hopkins statistic toward clustering (large H)."""
+    from scipy.special import betaincc  # loaded on first use: of the commands, only `panel --hopkins-m` needs it
+
+    return float(betaincc(m, m, h))
 
 
-def hopkins(points, m: int, seed: int, log_scale: bool = False) -> float:
-    """Hopkins clustering-tendency statistic in [0, 1].
+def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:
+    """Hopkins clustering-tendency statistic in [0, 1], plus its p-value under the uniform-data null.
 
     m data points are sampled without replacement and m uniform probes
     are drawn in the axis-aligned bounding box of the data. Distances
@@ -377,14 +375,15 @@ def hopkins(points, m: int, seed: int, log_scale: bool = False) -> float:
     `log_scale` applies sign(x)*log1p(|x|) per coordinate first, useful
     when raw satoshi scales span many decades.
     """
-    return _hopkins(_prepare_points(points, log_scale), m, seed)
-
-
-def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
     # Imported here, not at module level: only `panel --hopkins-m` needs
     # scipy.spatial, and loading it would slow every CLI start-up.
     from scipy.spatial import cKDTree
 
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise MalformedInputError("points must be a 2-d array of coordinates")
+    if log_scale:
+        pts = np.sign(pts) * np.log1p(np.abs(pts))
     n, d = pts.shape
     if m < 1:
         raise InsufficientDataError("m must be at least 1")
@@ -403,20 +402,5 @@ def _hopkins(pts: np.ndarray, m: int, seed: int) -> float:
     u_sum = float(np.sum(u_dist**d))
     w_sum = float(np.sum(w_dist**d))
     denom = u_sum + w_sum
-    if denom == 0.0:
-        return 1.0
-    return u_sum / denom
-
-
-def hopkins_pvalue(h: float, m: int) -> float:
-    """One-sided p-value of a Hopkins statistic toward clustering (large H)."""
-    from scipy.special import betaincc  # loaded on first use: of the commands, only `panel --hopkins-m` needs it
-
-    return float(betaincc(m, m, h))
-
-
-def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:
-    """Hopkins statistic plus its p-value under the uniform-data null."""
-    pts = _prepare_points(points, log_scale)
-    h = _hopkins(pts, m, seed)
-    return HopkinsResult(statistic=h, p_value=hopkins_pvalue(h, m), m=m, n_points=pts.shape[0])
+    h = 1.0 if denom == 0.0 else u_sum / denom
+    return HopkinsResult(statistic=h, p_value=hopkins_pvalue(h, m), m=m, n_points=n)

@@ -66,11 +66,11 @@ wealthy_sigma = 0.001
 }
 
 GOLDEN = {
-    "abs.absfits.json": "5d60d19c9f68784f0ad7e2fc14e3e2c20849ab1507a05095a2a2a2ec441190a2",
+    "abs.absfits.json": "643b2bae716fad788f1777d594d43cf4d64b34e470ae385799136678a5826599",
     "abs.bins.csv": "39b7ba0d28a7e03769eabb46e264709d204812612e64c2de90b001a3483667f8",
     "est.bins.csv": "04fdd0f738a4c88932f434665449e64fb5a53a6d82bad491ff0d9494d3b012e4",
     "est.fitlines.csv": "067674d7f535175d70bba9e343c212e83063431a3969192fb975506424a91166",
-    "est.regimes.json": "bf60e3453997114eb8494977ff9235e067f2ceb0e161b635d19c4d28193c7b09",
+    "est.regimes.json": "f0f1dd328783253ed82c14b01c17c2db4aa8a6bf7191aec6924d39c996fbf4bd",
     "joined.csv": "73f29fca8029970498239e1899f7e6a0ee35dd84426df0238a62d23cfac97283",
     "joined.taxonomy.json": "eb959b8132d67cc108eab5451894abc968d6dc8cde9d6af321a0edcebd1ef91d",
     "sim/gbm/gbm.panel.csv": "aa047926e1be2aeeb047c4176aa6f8b32ce8c3b8fe363617bdffb1c8349e4632",
@@ -88,7 +88,7 @@ GOLDEN = {
     "sim/two/two.snapshot_2000-01-29.csv": "9ec23d6bacfdf749cdf3625f0921495e8216db9337883d275b2f1cfa882414b8",
     "small.csv": "6db6eb7877efbad61844fc12bb1563841a33890adbf253f3ddcafbd6f5ef1c61",
     "small.taxonomy.json": "d76133a347a788272242528955366733cda66bc7883c27faf7cfbc8554901a3a",
-    "sw.horizon.json": "7c612217871188d22a4af702c6678962ee0300705915d1f149bd7bfbf004f4b8",
+    "sw.horizon.json": "5143a22310c50bd180fc0ce21b3988241c491c9dc5b9ffef3134c4f7cfcaebff",
     "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
     "sw.trends.csv": "69726994359818e42e26b4cc5d94c47fdf45d724f2b4e17dc5d278f5c4c13ef1",
     "vals.comparison.json": "3b5156db961d333ea7600bcf50409585eb9eeb847093dfaf5ba411dbec1d0842",

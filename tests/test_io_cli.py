@@ -481,6 +481,13 @@ class TestValuesCsvContract:
         with pytest.raises(MalformedInputError, match=r":4: balance must be a number, got 'abc'$"):
             read_values_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_value_named(self, tmp_path, cell):
+        path = tmp_path / "v.csv"
+        write(path, f"balance\n5\n{cell}\n7.5\n")
+        with pytest.raises(MalformedInputError, match=rf":3: balance must be a finite number, got '{cell}'$"):
+            read_values_csv(path)
+
     def test_named_single_column(self, tmp_path):
         path = tmp_path / "v.csv"
         write(path, "value\r\n5\r\n7.5")
@@ -797,6 +804,22 @@ class TestCmdPanel:
         assert 0.0 <= tax["hopkins"]["statistic"] <= 1.0
         assert 0.0 <= tax["hopkins"]["p_value"] <= 1.0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--hopkins-m", "3"], "--hopkins-m 3: need at least 2*m = 6 points, got 5"),
+            (["--date1", "2016-01-23"], "{p0}, {p1}: snapshots share the date 2016-01-23; horizon is zero"),
+        ],
+        ids=["hopkins-m", "zero-horizon"],
+    )
+    def test_data_error_names_its_inputs(self, snap_pair, tmp_path, capsys, flags, message):
+        p0, p1 = snap_pair
+        rc = main(["panel", str(p0), str(p1), "p.csv", *flags, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"ERROR {message.format(p0=p0, p1=p1)}\n" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_id_covers_snapshot_dates(self, tmp_path):
         p0 = tmp_path / "a.csv"
         p1 = tmp_path / "b.csv"
@@ -909,6 +932,13 @@ class TestBadFlagValues:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["estimate", "p.csv", "e"], ["sweep", ".", "--t0", "2016-01-23", "--dts", "28"]])
+def test_star_log_scale_is_not_an_option(tmp_path, capsys, argv):
+    assert main([*argv, "--star-log-scale", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "unrecognized arguments: --star-log-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestFailedRunWritesNoFile:
@@ -1076,6 +1106,13 @@ class TestCmdFit:
         assert f"{data}: {message}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
 
+    def test_non_finite_value_refused_before_any_output(self, tmp_path, capsys):
+        data = tmp_path / "v.csv"
+        write(data, "balance\n" + "".join(f"{v}\n" for v in range(1, 41)) + "inf\n")
+        assert main(["fit", str(data), "--xmin", "1", "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert f"{data}:42: balance must be a finite number, got 'inf'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_xmin_scan_when_omitted(self, balances_csv, tmp_path):
         rc = main(["fit", str(balances_csv), "--xmin-candidates", "64", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
@@ -1093,9 +1130,12 @@ class TestCmdEstimate:
         rc = main(["estimate", str(tmp_path / "p.csv"), "est", "--out", str(tmp_path), "--quiet"])
         assert rc == 0
         payload = json.loads((tmp_path / "est.regimes.json").read_text())
-        assert payload["estimator_settings"]["bins"] == 300
-        assert payload["estimator_settings"]["min_count"] == 50
-        assert payload["estimator_settings"]["target"] == "ratio"
+        assert payload.keys() == {
+            "s_star", "poor", "wealthy", "sign_pattern", "n_bins_poor", "n_bins_wealthy", "settings", "unit", "run_id",
+        }
+        assert payload["settings"]["n_bins"] == 300
+        assert payload["settings"]["min_count"] == 50
+        assert payload["settings"]["target"] == "ratio"
 
     def test_constant_ratio_panel_gives_unit_alpha(self, tmp_path, rng):
         ks = rng.integers(30, 46, size=20_000)
@@ -1123,11 +1163,27 @@ class TestCmdEstimate:
         ])
         assert rc == 0
         payload = json.loads((tmp_path / "abs.absfits.json").read_text())
-        assert payload.keys() == {"fit", "estimator_settings", "run_id"}
+        assert payload.keys() == {"fit", "settings", "unit", "run_id"}
         assert payload["fit"]["alpha_drift"] == pytest.approx(1.0, abs=0.03)
         assert payload["fit"]["mu_dt"] == pytest.approx(2.0, rel=0.15)
         assert payload["fit"]["mu_dt_alpha1"] == pytest.approx(2.0, rel=0.05)
         assert payload["fit"]["alpha_vol"] == pytest.approx(1.0, abs=0.05)
+
+    def test_both_targets_report_one_settings_block(self, tmp_path, rng):
+        s0 = rng.lognormal(12.0, 1.0, size=20_000)
+        s1 = s0 * rng.lognormal(0.02, 0.1, size=20_000)
+        write_panel_csv(tmp_path / "p.csv", panel_from_rows([(f"u{i:06d}", s0[i], s1[i]) for i in range(20_000)]))
+        flags = ["--bins", "40", "--min-count", "30", "--out", str(tmp_path / "out"), "--quiet"]
+        assert main(["estimate", str(tmp_path / "p.csv"), "est", *flags]) == 0
+        assert main(["estimate", str(tmp_path / "p.csv"), "abs", "--target", "absolute", *flags]) == 0
+        regimes = json.loads((tmp_path / "out" / "est.regimes.json").read_text())
+        absfits = json.loads((tmp_path / "out" / "abs.absfits.json").read_text())
+        assert regimes["unit"] == absfits["unit"] == "satoshi"
+        assert absfits["settings"]["target"] == "absolute"
+        assert {**absfits["settings"], "target": "ratio"} == regimes["settings"]
+        for path in (tmp_path / "out").iterdir():
+            text = path.read_text()
+            assert "estimator_settings" not in text and "per-day" not in text, path.name
 
     def test_no_bins_error_advises(self, tmp_path):
         panel = panel_from_rows([("a", 10.0, 12.0), ("b", 20.0, 25.0), ("c", 40.0, 40.0)])

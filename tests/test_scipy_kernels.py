@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "TransitionPanel",
     "build_panel",
     "filter_active",
-    "hopkins",
     "hopkins_test",
     "taxonomy",
     "InitialLaw",
