@@ -7,7 +7,8 @@ estimator consumes.
 """
 
 import datetime as dt
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +21,9 @@ GROUP_INACTIVE = "B"
 GROUP_NONE = ""
 # ids checked at once, so the scratch memory of a check stays bounded
 _ROWS_PER_BLOCK = 1 << 16
+# rows per block of the Hopkins nearest-neighbour search, and queries whose block bounds are held at once
+_NN_BLOCK = 512
+_NN_QUERIES = 256
 
 
 def _whole_satoshi(b) -> bool:
@@ -231,6 +235,15 @@ class TransitionPanel:
         object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
         _check_rows(self.user_ids, self.s0, self.s1)
 
+    @classmethod
+    def _checked(cls, t0, dt_days, user_ids, s0, s1, meta=None) -> "TransitionPanel":
+        """A panel from columns that already pass `__post_init__`'s checks, which are not run again:
+        ids from a checked snapshot or panel, and balances taken from them."""
+        panel = object.__new__(cls)
+        for f, value in zip(fields(cls), (t0, dt_days, user_ids, s0, s1, meta or {})):
+            object.__setattr__(panel, f.name, value)
+        return panel
+
     @cached_property
     def ds(self) -> np.ndarray:
         return self.s1 - self.s0
@@ -245,7 +258,7 @@ class TransitionPanel:
 
     def take(self, mask: np.ndarray, meta: dict | None = None) -> "TransitionPanel":
         """Row subset with the same horizon metadata."""
-        return TransitionPanel(
+        return TransitionPanel._checked(
             self.t0, self.dt_days, self.user_ids[mask], self.s0[mask], self.s1[mask], dict(meta or {})
         )
 
@@ -315,7 +328,7 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
     s1 = np.zeros(ids.size, dtype=np.int64)
     s0[code[: snap0.n_users]] = snap0.balances
     s1[code[snap0.n_users :]] = snap1.balances
-    return TransitionPanel(t0=snap0.date, dt_days=(snap1.date - snap0.date).days, user_ids=ids, s0=s0, s1=s1)
+    return TransitionPanel._checked(snap0.date, (snap1.date - snap0.date).days, ids, s0, s1)
 
 
 def filter_active(panel: TransitionPanel) -> TransitionPanel:
@@ -356,11 +369,141 @@ def taxonomy(panel: TransitionPanel, epsilon_v: float = 0) -> ScatterTaxonomy:
     )
 
 
-def hopkins_pvalue(h: float, m: int) -> float:
-    """One-sided p-value of a Hopkins statistic toward clustering (large H)."""
-    from scipy.special import betaincc  # loaded on first use: of the commands, only `panel --hopkins-m` needs it
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula, within 1e-14 for an integer n >= 1."""
+    if n <= 15:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    nn = n * n  # the Stirling series to its fifth term: within 2e-16 from n = 16 on
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
 
-    return float(betaincc(m, m, h))
+
+def _bd0(x: int, mean: float, dev: float) -> float:
+    """x log(x / mean) + mean - x, the deviance term of a binomial count x about its mean, where dev = x - mean.
+
+    Near the mean it is a series in v = dev / (x + mean), built from dev itself, so the
+    rounding of `mean` does not enter."""
+    if abs(dev) < 0.1 * (x + mean):
+        v = dev / (x + mean)
+        s = dev * v
+        term = 2 * x * v
+        v *= v
+        j = 3
+        while True:
+            term *= v
+            nxt = s + term / j
+            if nxt == s:
+                return s
+            s, j = nxt, j + 2
+    return x * math.log(x / mean) - dev
+
+
+def _binom_pmf(k: int, n: int, num: int, den: int) -> float:
+    """P(Binomial(n, p) = k) for p = num / den strictly between 0 and 1, by Loader's saddle-point form."""
+    if k == 0:
+        return math.exp(n * math.log1p(-num / den))
+    # n p, n (1 - p) and k - n p, each rounded once from the exact fraction
+    mean, dev = n * num / den, (k * den - n * num) / den
+    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, mean, dev) - _bd0(n - k, n * (den - num) / den, -dev)
+    return math.exp(lc - 0.5 * (math.log(2 * math.pi) + math.log(k) + math.log1p(-k / n)))
+
+
+def hopkins_pvalue(h: float, m: int) -> float:
+    """One-sided p-value of a Hopkins statistic toward clustering (large H): P(Beta(m, m) > h).
+
+    That is P(Binomial(2m - 1, h) <= m - 1). The term at the mode of that
+    range comes from Loader's (2000) saddle-point form, as in R's `dbinom`;
+    the others follow by the ratio of neighbouring terms, outward until they
+    no longer count. Within 1e-12 relative of the exact value."""
+    if h <= 0.0:
+        return 1.0
+    if h >= 1.0:
+        return 0.0
+    m = int(m)  # the sums below need Python's exact integers, not int64
+    n = 2 * m - 1
+    num, den = float(h).as_integer_ratio()
+    odds = num / (den - num)  # h / (1 - h), rounded once
+    top = min(int(2 * m * h), m - 1)
+    terms = [_binom_pmf(top, n, num, den)]
+    term = terms[0]
+    for k in range(top, 0, -1):  # P(k - 1) = P(k) k / ((n - k + 1) odds)
+        term *= k / ((n - k + 1) * odds)
+        if term <= terms[0] * 2.0**-64:
+            break
+        terms.append(term)
+    term = terms[0]
+    for k in range(top, m - 1):  # P(k + 1) = P(k) (n - k) odds / (k + 1)
+        term *= (n - k) * odds / (k + 1)
+        if term <= terms[0] * 2.0**-64:
+            break
+        terms.append(term)
+    return math.fsum(terms)
+
+
+class _BlockIndex:
+    """Exact nearest-neighbour search over points packed into blocks of `_NN_BLOCK` rows.
+
+    The packing is sort-tile-recursive (Leutenegger, Lopez & Edgington,
+    1997): about sqrt(n / _NN_BLOCK) strips by the first coordinate, each
+    sorted by the second and cut into blocks, and each block keeps its
+    bounding box. A query scans whole blocks in order of the lower bound
+    its box gives, and stops at the first bound not below its best.
+    Squared distances are summed in coordinate order, as cKDTree sums them
+    for up to 3 coordinates; a bound is summed in the same order, so
+    rounding never lifts it above a distance in its block.
+    """
+
+    def __init__(self, pts: np.ndarray):
+        n, d = pts.shape
+        n_blocks = -(-n // _NN_BLOCK)
+        strip_rows = _NN_BLOCK * -(-n_blocks // max(1, round(math.sqrt(n_blocks))))
+        n_strips = -(-n // strip_rows)
+        by_first = np.argsort(pts[:, 0])
+        # every strip sorted at once as one row of a matrix; the last is padded with inf, which sorts last
+        second = np.full(n_strips * strip_rows, np.inf)
+        second[:n] = pts[by_first, min(1, d - 1)]
+        within = np.argsort(second.reshape(n_strips, strip_rows), axis=1)
+        order = by_first[(within + strip_rows * np.arange(n_strips)[:, None]).ravel()[:n]]
+        packed = pts[order]
+        starts = np.arange(0, n, _NN_BLOCK)
+        self.lo = np.minimum.reduceat(packed, starts, axis=0)
+        self.hi = np.maximum.reduceat(packed, starts, axis=0)
+        # coordinate k of row r of block b at [k, b, r]; the last block is padded with inf, which is never nearest
+        blocks = np.full((d, n_blocks * _NN_BLOCK), np.inf)
+        blocks[:, :n] = packed.T
+        self.blocks = blocks.reshape(d, n_blocks, _NN_BLOCK)
+        self.position = np.empty(n, dtype=np.intp)
+        self.position[order] = np.arange(n)
+
+    def nearest_sq(self, queries: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+        """Squared distance from each query to its nearest point; query i passes over point `skip[i]`."""
+        d, n_blocks, _ = self.blocks.shape
+        best = np.full(len(queries), np.inf)
+        for start in range(0, len(queries), _NN_QUERIES):
+            q = queries[start : start + _NN_QUERIES]
+            bound = 0.0
+            for k in range(d):
+                qk = q[:, k, None]
+                gap = np.maximum(np.maximum(self.lo[:, k] - qk, qk - self.hi[:, k]), 0.0)
+                bound = bound + gap * gap
+            visit = np.argsort(bound, axis=1)
+            bound = np.take_along_axis(bound, visit, axis=1)
+            own = None if skip is None else self.position[skip[start : start + len(q)]]
+            near = best[start : start + len(q)]
+            rows = np.arange(len(q))
+            for step in range(n_blocks):
+                rows = rows[bound[rows, step] < near[rows]]
+                if not rows.size:
+                    break
+                block = visit[rows, step]
+                dist = 0.0
+                for k in range(d):
+                    diff = self.blocks[k, block] - q[rows, k, None]
+                    dist = dist + diff * diff
+                if own is not None:
+                    hit = np.flatnonzero(own[rows] // _NN_BLOCK == block)
+                    dist[hit, own[rows[hit]] % _NN_BLOCK] = np.inf
+                near[rows] = np.minimum(near[rows], dist.min(axis=1))
+        return best
 
 
 def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:
@@ -371,17 +514,17 @@ def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsR
     enter through their d-th power (d = dimension), so the statistic is
     exactly Beta(m, m)-distributed under the uniform null. Values near
     0.5 indicate spatial randomness, values near 1 indicate clustering.
+    A sampled point's own row is passed over; a duplicate of it is at
+    distance 0.
 
     `log_scale` applies sign(x)*log1p(|x|) per coordinate first, useful
     when raw satoshi scales span many decades.
     """
-    # Imported here, not at module level: only `panel --hopkins-m` needs
-    # scipy.spatial, and loading it would slow every CLI start-up.
-    from scipy.spatial import cKDTree
-
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise MalformedInputError("points must be a 2-d array of coordinates")
+    if not np.all(np.isfinite(pts)):
+        raise MalformedInputError("points must be finite")
     if log_scale:
         pts = np.sign(pts) * np.log1p(np.abs(pts))
     n, d = pts.shape
@@ -394,11 +537,9 @@ def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsR
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     probes = rng.uniform(lo, hi, size=(m, d))
-    tree = cKDTree(pts)
-    u_dist, _ = tree.query(probes, k=1)
-    # k=2: the sampled point matches itself at distance 0, keep the other.
-    w_dist, _ = tree.query(pts[sample_idx], k=2)
-    w_dist = w_dist[:, 1]
+    index = _BlockIndex(pts)
+    u_dist = np.sqrt(index.nearest_sq(probes))
+    w_dist = np.sqrt(index.nearest_sq(pts[sample_idx], skip=sample_idx))
     u_sum = float(np.sum(u_dist**d))
     w_sum = float(np.sum(w_dist**d))
     denom = u_sum + w_sum

@@ -271,6 +271,33 @@ class TestTransitionPanel:
         assert (tax.vertical, tax.horizontal, tax.interior) == (1, 1, 1)
 
 
+    @pytest.mark.parametrize(
+        "ids, s0, message",
+        [
+            (["a", "b\0"], [1, 2], "holds NUL"),
+            (["a", "b", "a"], [1, 2, 3], "^duplicate user_id 'a'$"),
+            (["a", "b"], [1, -2], "^negative balance -2$"),
+        ],
+    )
+    def test_public_constructor_keeps_every_check(self, ids, s0, message):
+        with pytest.raises(MalformedInputError, match=message):
+            TransitionPanel(D0, 28, ids, np.array(s0), np.array(s0))
+
+    def test_build_panel_and_take_equal_the_checked_constructor(self, rng):
+        users = [f"u{i:04d}" for i in range(600)]
+        snap0 = snapshot(D0, [(u, int(b)) for u, b in zip(users[:400], rng.integers(0, 50, 400))])
+        snap1 = snapshot(D28, [(u, int(b)) for u, b in zip(users[200:], rng.integers(0, 50, 400))])
+        joined = build_panel(snap0, snap1)
+        active = filter_active(joined)
+        for panel in (joined, active):
+            public = TransitionPanel(panel.t0, panel.dt_days, panel.user_ids.copy(), panel.s0, panel.s1, panel.meta)
+            assert (panel.t0, panel.dt_days, panel.meta) == (public.t0, public.dt_days, public.meta)
+            for name in ("user_ids", "s0", "s1", "ds", "group"):
+                got, want = getattr(panel, name), getattr(public, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert active.meta["removed_total"] == joined.n_rows - active.n_rows > 0
+
+
 class TestFilterActive:
     def test_all_horizontal_gives_empty_panel(self):
         panel = panel_from_rows([("a", 5, 5), ("b", 9, 9)])

@@ -1,11 +1,14 @@
-"""Only the Hopkins diagnostic loads scipy, and the p-values have exact oracles.
+"""No command loads scipy, and the p-values have exact oracles.
 
-The Hopkins p-value calls `scipy.special.betaincc`, the kernel that
-`scipy.stats.beta.sf` calls, so the two agree bit for bit. The trend and
-asymptotic UMPU p-values come from the normal kernels of `tails`; they
-are checked against 50-digit mpmath at the exact float statistic.
+Each command runs in a fresh interpreter, which must hold no scipy
+module afterwards. The Hopkins p-value, a binomial sum in `panel`, is
+checked against 50-digit mpmath and against `scipy.stats.beta.sf`. The
+trend and asymptotic UMPU p-values come from the normal kernels of
+`tails`; they are checked against 50-digit mpmath at the exact float
+statistic.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -143,10 +146,14 @@ def test_fit_leaves_scipy_optimize_unloaded(tmp_path):
 
 
 def test_only_hopkins_loads_scipy(tmp_path):
+    # named when the Hopkins diagnostic still loaded scipy.spatial; now it loads no scipy either
     (tmp_path / "sim.cfg").write_text(SIM_CFG)
-    hopkins = ["panel", "sim.snapshot_2000-01-01.csv", "sim.snapshot_2000-01-29.csv", "p.csv", "--hopkins-m", "50"]
+    snaps = ["sim.snapshot_2000-01-01.csv", "sim.snapshot_2000-01-29.csv"]
     assert _scipy_after([["simulate", "sim.cfg", "sim"]], tmp_path) == []
-    assert "scipy.spatial" in _scipy_after([hopkins], tmp_path)
+    assert _scipy_after([["panel", *snaps, "p.csv", "--hopkins-m", "50"]], tmp_path) == []
+    assert _scipy_after([["panel", *snaps, "lp.csv", "--hopkins-m", "50", "--hopkins-log"]], tmp_path) == []
+    for prefix, log_scale in (("p", False), ("lp", True)):
+        assert json.loads((tmp_path / f"{prefix}.taxonomy.json").read_text())["hopkins"]["log_scale"] is log_scale
 
 
 def test_public_names_are_exported():
@@ -166,12 +173,44 @@ def test_public_names_are_exported():
         balancegrowth.no_such_name
 
 
+def _beta_sf(h: float, m: int):
+    """P(Beta(m, m) > h) at 50 digits, from I_x(m, m) = x^m (1 - x)^m 2F1(2m, 1; m + 1; x) / (m B(m, m)).
+
+    The series has positive terms and is summed at x = min(h, 1 - h) <= 1/2, so
+    it runs fast where mpmath's `betainc` (a polynomial of alternating terms for
+    integer m) needs many more digits: ~0.4 ms a point against ~5 ms."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(h)
+        x = min(h, 1 - h)
+        lower = x**m * (1 - x) ** m / (m * mpmath.beta(m, m)) * mpmath.hyp2f1(2 * m, 1, m + 1, x)
+        return lower if x < h else 1 - lower
+
+
+def test_beta_sf_reference_equals_mpmath_betainc():
+    rng = np.random.default_rng(10)
+    h = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.5, 1e-300, 1.0 - 2.0**-53]])
+    m = np.concatenate([rng.integers(1, 300, 300), [7, 3, 3]])
+    with mpmath.workdps(50):
+        for a, b in zip(h.tolist(), m.tolist()):
+            exact = mpmath.betainc(b, b, 0, 1 - mpmath.mpf(a), regularized=True)
+            assert abs(_beta_sf(a, b) - exact) <= mpmath.mpf(10) ** -40 * exact
+
+
 def test_hopkins_pvalue_equals_beta_sf():
+    # within 1e-12 relative of 50-digit mpmath, as scipy is (the binomial sum is not scipy's kernel, so not bit for bit)
     rng = np.random.default_rng(11)
-    h = np.concatenate([rng.uniform(0.0, 1.0, N_RANDOM), [0.0, 1.0, 0.0, 1.0, 0.5]])
-    m = np.concatenate([rng.integers(1, 1000, N_RANDOM), [1, 1, 500, 500, 100]])
-    got = np.array([hopkins_pvalue(float(a), int(b)) for a, b in zip(h, m)])
-    assert np.array_equal(got, stats.beta.sf(h, m, m))
+    z = np.array([-4.0, -1.0, 0.0, 0.5, 2.0, 6.0, 20.0, 35.0])  # standard deviations above 1/2, to p near 1e-270
+    large = np.repeat([2_000, 10_000, 100_000], z.size)
+    near_half = 0.5 + np.tile(z, 3) / np.sqrt(8 * large)
+    h = np.concatenate([rng.uniform(0.0, 1.0, N_RANDOM), [0.0, 1.0, 0.0, 1.0, 0.5], near_half])
+    m = np.concatenate([rng.integers(1, 1000, N_RANDOM), [1, 1, 500, 500, 100], large])
+    exact = np.array([float(_beta_sf(a, b)) for a, b in zip(h.tolist(), m.tolist())])
+    got = np.array([hopkins_pvalue(a, b) for a, b in zip(h.tolist(), m.tolist())])
+    for value in (got, stats.beta.sf(h, m, m)):
+        err = np.abs(value - exact)
+        assert np.all(np.where(exact >= 1e-300, err <= 1e-12 * exact, err <= 1e-300))
+    for b in (1, 2, 500, 100_000):
+        assert hopkins_pvalue(0.0, b) == 1.0 and hopkins_pvalue(1.0, b) == 0.0
 
 
 def _within(got, exact, rel=1e-14) -> bool:
