@@ -22,7 +22,7 @@ from .errors import (
     NoRetainedBinsError,
 )
 from .panel import TransitionPanel, build_panel, filter_active
-from .tails import _ndtr
+from . import tails
 
 log = logging.getLogger(__name__)
 
@@ -38,6 +38,8 @@ REGIME_POOR = "poor"
 REGIME_WEALTHY = "wealthy"
 REGIME_ALL = "all"
 
+# the fewest points trend_test takes; at 0.05 a trend test on this many cannot report a direction
+_MIN_TREND_POINTS = 4
 # parameters tracked across horizons, in emission order
 SWEEP_PARAMS = ("alpha_drift", "alpha_vol", "mu_dt", "sigma_sqrtdt", "mu", "sigma")
 
@@ -434,9 +436,10 @@ def trend_test(series) -> TrendResult:
 
     tau is S over the number of pairs; the two-sided p-value uses the
     tie-corrected normal approximation with continuity correction. A
-    direction is assigned only below p = 0.05. With 4 points that is out
-    of reach: the smallest p-value is 0.089 (|S| = 6); 5 points are the
-    fewest that can go below 0.05 (|S| = 10, p = 0.027).
+    direction is assigned only below p = `tails.SIGNIFICANCE`. At 0.05
+    the fewest points, 4, cannot reach it: their smallest p-value is
+    0.089 (|S| = 6); 5 points are the fewest that can (|S| = 10,
+    p = 0.027).
     """
     pts = sorted((float(a), float(b)) for a, b in series)
     for a, b in pts:
@@ -444,8 +447,8 @@ def trend_test(series) -> TrendResult:
             raise MalformedInputError(f"trend point (dt {a}, value {b}) is not finite")
     v = np.array([b for _, b in pts], dtype=np.float64)
     n = v.size
-    if n < 4:
-        raise InsufficientDataError("need at least 4 points for a trend test")
+    if n < _MIN_TREND_POINTS:
+        raise InsufficientDataError(f"need at least {_MIN_TREND_POINTS} points for a trend test")
     sign_matrix = np.sign(v[None, :] - v[:, None])
     s = int(np.sum(np.triu(sign_matrix, k=1)))
     _, tie_counts = np.unique(v, return_counts=True)
@@ -457,8 +460,8 @@ def trend_test(series) -> TrendResult:
     if var_s <= 0:
         return TrendResult(direction="none", tau=tau, p_value=1.0, s=s, var_s=var_s, n=n)
     z = max(abs(s) - 1, 0) / math.sqrt(var_s)  # |z|, continuity-corrected
-    p = 2.0 * float(_ndtr(-z))
-    if p < 0.05 and s != 0:
+    p = 2.0 * float(tails._ndtr(-z))
+    if p < tails.SIGNIFICANCE and s != 0:
         direction = "increasing" if s > 0 else "decreasing"
     else:
         direction = "none"
@@ -496,8 +499,8 @@ def horizon_sweep(
     missing, no row is active, every active row starts at one balance,
     or too few bins are retained. Settings that no data could satisfy
     raise before any horizon runs. Derived mu and sigma are per day. A
-    regime trend-tested on exactly 4 horizons logs a warning, since
-    `trend_test` cannot report a direction from 4 points.
+    regime trend-tested on exactly `_MIN_TREND_POINTS` horizons logs a
+    warning, since `trend_test` cannot report a direction from so few.
     """
     horizons = sorted({int(d) for d in dts})
     if horizons and horizons[0] <= 0:
@@ -532,8 +535,9 @@ def horizon_sweep(
     for regime in (REGIME_POOR, REGIME_WEALTHY):
         # every parameter of a regime shares the regime's horizons
         series = [(entry.dt_days, entry.derived[regime]) for entry in entries if regime in entry.derived]
-        if len(series) == 4:
-            log.warning("%s: a trend test on 4 horizons cannot reach p < 0.05; 5 is the fewest that can", regime)
-        if len(series) >= 4:
+        if len(series) == _MIN_TREND_POINTS:
+            log.warning("%s: a trend test on %d horizons cannot reach p < %g; %d is the fewest that can",
+                        regime, _MIN_TREND_POINTS, tails.SIGNIFICANCE, _MIN_TREND_POINTS + 1)
+        if len(series) >= _MIN_TREND_POINTS:
             trends[regime] = {param: trend_test([(d, v[param]) for d, v in series]) for param in SWEEP_PARAMS}
     return HorizonSweep(entries=entries, skipped=skipped, trends=trends)

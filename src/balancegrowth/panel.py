@@ -150,8 +150,21 @@ def _utf8_ids(ids) -> np.ndarray:
     return ids
 
 
+class _Checked:
+    """A frozen dataclass's private constructor for columns the library has already checked."""
+
+    @classmethod
+    def _checked(cls, *values):
+        """An instance from field values that already pass `__post_init__`'s checks, which are not run
+        again: ids from a checked snapshot or panel or made by the simulator, and balances taken with them."""
+        obj = object.__new__(cls)
+        for f, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(obj, f.name, value)
+        return obj
+
+
 @dataclass(frozen=True)
-class BalanceSnapshot:
+class BalanceSnapshot(_Checked):
     """Per-user balances at one date, sorted by user id.
 
     Balances are non-negative integer satoshi; a balance held as a float
@@ -199,9 +212,10 @@ class BalanceSnapshot:
 
     @classmethod
     def from_records(cls, date: dt.date, records) -> "BalanceSnapshot":
-        """Build from an iterable of (user_id, balance) pairs."""
+        """Build from an iterable of (user_id, balance) pairs; str and bytes ids are kept as given, other ids
+        become `str(id)`."""
         pairs = list(records)
-        return cls(date, [str(u) for u, _ in pairs], [b for _, b in pairs])
+        return cls(date, [u if isinstance(u, (str, bytes)) else str(u) for u, _ in pairs], [b for _, b in pairs])
 
     @property
     def n_users(self) -> int:
@@ -209,7 +223,7 @@ class BalanceSnapshot:
 
 
 @dataclass(frozen=True)
-class TransitionPanel:
+class TransitionPanel(_Checked):
     """Joined snapshot pair: one row per user with (s0, s1) over the horizon.
 
     User ids are UTF-8 byte strings (`S`), as in `BalanceSnapshot`; text
@@ -234,15 +248,6 @@ class TransitionPanel:
             raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
         object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
         _check_rows(self.user_ids, self.s0, self.s1)
-
-    @classmethod
-    def _checked(cls, t0, dt_days, user_ids, s0, s1, meta=None) -> "TransitionPanel":
-        """A panel from columns that already pass `__post_init__`'s checks, which are not run again:
-        ids from a checked snapshot or panel, and balances taken from them."""
-        panel = object.__new__(cls)
-        for f, value in zip(fields(cls), (t0, dt_days, user_ids, s0, s1, meta or {})):
-            object.__setattr__(panel, f.name, value)
-        return panel
 
     @cached_property
     def ds(self) -> np.ndarray:
@@ -328,7 +333,7 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
     s1 = np.zeros(ids.size, dtype=np.int64)
     s0[code[: snap0.n_users]] = snap0.balances
     s1[code[snap0.n_users :]] = snap1.balances
-    return TransitionPanel._checked(snap0.date, (snap1.date - snap0.date).days, ids, s0, s1)
+    return TransitionPanel._checked(snap0.date, (snap1.date - snap0.date).days, ids, s0, s1, {})
 
 
 def filter_active(panel: TransitionPanel) -> TransitionPanel:
@@ -351,8 +356,8 @@ def filter_active(panel: TransitionPanel) -> TransitionPanel:
 
 def taxonomy(panel: TransitionPanel, epsilon_v: float = 0) -> ScatterTaxonomy:
     """Partition panel rows into the scatter-line classes."""
-    if epsilon_v < 0:
-        raise ValueError("epsilon_v must be non-negative")
+    if not epsilon_v >= 0:  # NaN fails too
+        raise MalformedInputError(f"epsilon_v must be non-negative, got {epsilon_v}")
     s0, s1, ds = panel.s0, panel.s1, panel.ds
     vertical = (ds > 0) & (s0 <= epsilon_v)
     horizontal = ds == 0

@@ -252,16 +252,8 @@ def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):
     return over, [captures[j] for j in steps]
 
 
-def euler_paths(
-    s0,
-    z: np.ndarray,
-    step_days: float,
-    params: RegimeParams,
-    wealthy: RegimeParams | None = None,
-    s_star: float | None = None,
-    regime_mode: str = REGIME_MODE_CURRENT,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate supplied paths: z has shape (n_steps, n_users).
+def euler_paths(s0, z: np.ndarray, step_days: float, params: RegimeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate supplied one-regime paths: z has shape (n_steps, n_users).
 
     This runs `_integrate` on supplied noise. The simulate_* entry
     points run the same `_integrate` through `_run_chunked`, which draws
@@ -277,10 +269,7 @@ def euler_paths(
         s0_law=InitialLaw.point(0.0),
         horizon_days=z.shape[0] * step_days,
         poor=params,
-        wealthy=wealthy,
-        s_star=s_star,
         step_days=step_days,
-        regime_mode=regime_mode,
     )
     over, (final,) = _integrate(config, s0, lambda j: z[j], (config.n_steps,))
     return final, over
@@ -393,20 +382,15 @@ def simulate_two_regime(config: SimConfig) -> TransitionPanel:
         model = "gbm_exact"
     else:
         model = "two_regime" if config.wealthy is not None else "power_sde"
-    return TransitionPanel(
-        t0=config.t0,
-        dt_days=math.ceil(config.horizon_days),
-        user_ids=ids,
-        s0=s0,
-        s1=s1,
-        meta={
-            "model": model,
-            "n_overflow": config.n_users - ids.size,
-            "step_days": config.step_days,
-            "regime_mode": config.regime_mode,
-            "seed": config.seed,
-        },
-    )
+    meta = {
+        "model": model,
+        "n_overflow": config.n_users - ids.size,
+        "step_days": config.step_days,
+        "regime_mode": config.regime_mode,
+        "seed": config.seed,
+    }
+    # the simulator's ids are sorted and unique, and the kept balances finite and non-negative
+    return TransitionPanel._checked(config.t0, math.ceil(config.horizon_days), ids, s0, s1, meta)
 
 
 def _emit_days(config: SimConfig, emit_days) -> list[int]:
@@ -436,8 +420,6 @@ def snapshot_series(config: SimConfig, emit_days) -> list[BalanceSnapshot]:
     ids, captured = _run_chunked(config, [e // config.step_days for e in emits])
     ids.flags.writeable = False  # so every snapshot shares this one array
     return [
-        BalanceSnapshot(
-            date=config.t0 + dt.timedelta(days=e), user_ids=ids, balances=np.floor(values + 0.5).astype(np.int64)
-        )
+        BalanceSnapshot._checked(config.t0 + dt.timedelta(days=e), ids, np.floor(values + 0.5).astype(np.int64))
         for e, values in zip(emits, captured)
     ]

@@ -24,6 +24,8 @@ from .errors import (
 POWER_LAW = "power_law"
 LOG_NORMAL = "log_normal"
 INCONCLUSIVE = "inconclusive"
+# the level of every verdict: a tail preference needs p <= SIGNIFICANCE, a trend direction p < SIGNIFICANCE
+SIGNIFICANCE = 0.05
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # delta = m/v below this is treated as the exponential boundary of the
@@ -46,13 +48,13 @@ _KS_PROBES = 32
 _KS_BLOCK = 4096
 _KS_SLACK = 1e-12
 _MAX_THRESHOLDS = 10**6  # the most thresholds `threshold_sweep` builds
+_MIN_TAIL = 100  # `threshold_sweep` stops at the first tail with fewer points
+_MIN_TEST_TAIL = 10  # the fewest tail points the exponentiality test takes
 # UMPU Monte Carlo: exponential draws per block of replicates
 _REP_BLOCK = 1 << 16
 # normal-distribution kernels: values per block, so the temporaries stay in cache
 _NORMAL_BLOCK = 1 << 15
 
-_EMPTY_DATA = "data must be a non-empty array of positive finite values"
-_FEW_TAIL = "need at least 2 tail values >= xmin, got {}"
 _FLAT_TAIL = "all tail values equal xmin; power-law exponent undefined"
 _FEW_DISTINCT = "need at least 2 distinct tail values for a log-normal fit"
 
@@ -96,7 +98,7 @@ class ComparisonResult:
 
     Positive `normalized_lr` favors the power law. `preferred` is
     'inconclusive' exactly when the two-sided p-value exceeds the
-    significance level.
+    significance level, `SIGNIFICANCE`.
     """
 
     xmin: float
@@ -137,7 +139,7 @@ def _positive_array(data) -> np.ndarray:
     if x.ndim != 1:
         x = x.ravel()
     if x.size == 0 or np.any(~np.isfinite(x)) or np.any(x <= 0):
-        raise MalformedInputError(_EMPTY_DATA)
+        raise MalformedInputError("data must be a non-empty array of positive finite values")
     return x
 
 
@@ -374,7 +376,7 @@ def fit_power_law(data, xmin: float | None = None, max_candidates: int | None = 
         _check_cut(xmin)
         tail = x[x >= xmin]
         if tail.size < 2:
-            raise InsufficientDataError(_FEW_TAIL.format(tail.size))
+            raise InsufficientDataError(f"need at least 2 tail values >= xmin, got {tail.size}")
         alpha, loglik = _powerlaw_mle(tail, xmin)
         return TailFitResult(
             family=POWER_LAW,
@@ -613,15 +615,13 @@ def normalized_loglik_ratio(pointwise_diff: np.ndarray) -> tuple[float, float]:
     return nlr, float(_erfc(abs(nlr) / math.sqrt(2.0)))
 
 
-def _preference(nlr: float, p: float, significance: float) -> str:
-    if p > significance or math.isnan(nlr):
+def _preference(nlr: float, p: float) -> str:
+    if p > SIGNIFICANCE or math.isnan(nlr):
         return INCONCLUSIVE
     return POWER_LAW if nlr > 0 else LOG_NORMAL
 
 
-def _compare_fits(
-    data: np.ndarray, pl: TailFitResult, ln: TailFitResult, significance: float = 0.05
-) -> ComparisonResult:
+def _compare_fits(data: np.ndarray, pl: TailFitResult, ln: TailFitResult) -> ComparisonResult:
     """Normalized LR comparison of a power-law and a log-normal fit made at the same xmin."""
     xmin = pl.xmin
     tail = data[data >= xmin]
@@ -639,22 +639,22 @@ def _compare_fits(
         xmin=xmin,
         normalized_lr=nlr,
         p_value=p,
-        preferred=_preference(nlr, p, significance),
+        preferred=_preference(nlr, p),
         n_tail=int(tail.size),
-        significance=significance,
+        significance=SIGNIFICANCE,
     )
 
 
-def compare_tails(data, xmin: float, significance: float = 0.05) -> ComparisonResult:
+def compare_tails(data, xmin: float) -> ComparisonResult:
     """Fit both tail families above `xmin` and compare them by normalized LR.
 
     Positive statistic favors the power law. The preference is
-    'inconclusive' whenever the p-value exceeds `significance`.
+    'inconclusive' whenever the p-value exceeds `SIGNIFICANCE`.
     """
     x = _positive_array(data)
     _check_cut(xmin)
     tail = x[x >= xmin]
-    return _compare_fits(tail, fit_power_law(tail, xmin=xmin), fit_lognormal(tail, xmin), significance)
+    return _compare_fits(tail, fit_power_law(tail, xmin=xmin), fit_lognormal(tail, xmin))
 
 
 def _tail_power_sums(x: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -723,13 +723,11 @@ def _sweep_lr(n, p, y_lo, y_hi) -> tuple[np.ndarray, np.ndarray]:
     return nlr, p_value
 
 
-def threshold_sweep(
-    data, start: float, step: float, min_tail: int = 100, significance: float = 0.05
-) -> list[ComparisonResult]:
+def threshold_sweep(data, start: float, step: float) -> list[ComparisonResult]:
     """Repeat the tail comparison on the arithmetic threshold grid start, start+step, ...
 
     Stops at the first threshold whose tail retains fewer than
-    `min_tail` points; a grid of more than `_MAX_THRESHOLDS` is refused
+    `_MIN_TAIL` points; a grid of more than `_MAX_THRESHOLDS` is refused
     before it is built. Each row equals `compare_tails` at its threshold
     up to rounding, without refitting: after one sort every tail is
     located by binary search, and both fits and the normalized LR come
@@ -741,25 +739,22 @@ def threshold_sweep(
     _check_cut(step, "step")
     x = np.sort(_positive_array(data))
     n = x.size
-    if min_tail > n:
+    if n < _MIN_TAIL or start > x[n - _MIN_TAIL]:
         return []
-    # the grid runs while tails keep min_tail points; with min_tail < 1
-    # it runs into the first empty tail, which raises below
-    last = x[n - max(min_tail, 1)]
+    last = x[n - _MIN_TAIL]  # the grid runs while tails keep _MIN_TAIL points
     k_last = math.floor((last - start) / step)
-    while k_last >= 0 and start + k_last * step > last:
+    while start + k_last * step > last:
         k_last -= 1
     while start + (k_last + 1) * step <= last:
         k_last += 1
-    if (size := k_last + 1 + (min_tail < 1)) > _MAX_THRESHOLDS:  # refused before the grid is allocated
+    if (size := k_last + 1) > _MAX_THRESHOLDS:  # refused before the grid is allocated
         raise MalformedInputError(f"the grid holds {size:,} thresholds, more than {_MAX_THRESHOLDS:,}; use a larger step")
     thr = start + np.arange(size) * float(step)
-    if thr.size == 0:
-        return []
     cut = np.searchsorted(x, thr, side="left")
-    # tails only shrink along the grid, so the ones compare_tails rejects come
-    # last; the rows before the first of them are solved (and may raise) first
-    bad = (cut >= n - 1) | (x[-1] == thr) | (x[np.minimum(cut, n - 1)] == x[-1])
+    # every tail keeps _MIN_TAIL points, so compare_tails rejects only a tail of one
+    # value, tied at the maximum; tails only shrink along the grid, so those come
+    # last, and the rows before the first of them are solved (and may raise) first
+    bad = x[cut] == x[-1]
     k = int(np.argmax(bad)) if bad.any() else thr.size
     n_t = n - cut[:k]
     if k:
@@ -768,10 +763,6 @@ def threshold_sweep(
         y_lo, y_hi = np.log(x[cut[:k]] / thr[:k]), np.log(x[-1] / thr[:k])
         nlr, p_value = _sweep_lr(n_t, (sums / n_t[:, None]).T, y_lo, y_hi)
     if k < thr.size:
-        if cut[k] >= n:
-            raise MalformedInputError(_EMPTY_DATA)
-        if cut[k] == n - 1:
-            raise InsufficientDataError(_FEW_TAIL.format(1))
         if x[-1] == thr[k]:
             raise DegenerateTailError(_FLAT_TAIL)
         raise InsufficientDataError(_FEW_DISTINCT)
@@ -780,9 +771,9 @@ def threshold_sweep(
             xmin=t,
             normalized_lr=float(r),
             p_value=float(pv),
-            preferred=_preference(float(r), float(pv), significance),
+            preferred=_preference(float(r), float(pv)),
             n_tail=int(size),
-            significance=significance,
+            significance=SIGNIFICANCE,
         )
         for t, r, pv, size in zip(thr.tolist(), nlr, p_value, n_t.tolist())
     ]
@@ -828,9 +819,9 @@ def _null_exceedances(seed, mc_reps: int, sizes: np.ndarray, ratios: np.ndarray)
 def _umpu_results(thresholds, ranks, sizes, ratios, wilks, mc_reps: int, seed, method: str) -> list[UmpuResult]:
     """One result per tail test, given column-wise; all tests share the replicates."""
     if method not in ("monte_carlo", "asymptotic"):
-        raise ValueError(f"unknown p-value method: {method!r}")
+        raise MalformedInputError(f"unknown p-value method: {method!r}")
     if method == "monte_carlo" and mc_reps < 1:
-        raise ValueError(f"mc_reps must be at least 1, got {mc_reps}")
+        raise MalformedInputError(f"mc_reps must be at least 1, got {mc_reps}")
     if len(sizes) == 0:
         return []
     wilks = np.asarray(wilks, dtype=np.float64)
@@ -874,19 +865,17 @@ def umpu_wilks(
     x = _positive_array(data)
     _check_cut(threshold, "threshold")
     tail = x[x > threshold]
-    if tail.size < 10:
+    if tail.size < _MIN_TEST_TAIL:
         raise InsufficientDataError(
-            f"need at least 10 tail points strictly above the threshold, got {tail.size}"
+            f"need at least {_MIN_TEST_TAIL} tail points strictly above the threshold, got {tail.size}"
         )
     y = np.log(tail / threshold)
     ratio, wilks = _umpu_statistic(tail.size, y.mean(), np.mean(y * y))
     return _umpu_results([threshold], [tail.size], [tail.size], ratio, wilks, mc_reps, seed, method)[0]
 
 
-def umpu_sweep(
-    data, mc_reps: int = 1000, seed=0, method: str = "monte_carlo", min_rank: int = 10
-) -> list[UmpuResult]:
-    """Run the tail test at every rank from `min_rank` largest points to all of them.
+def umpu_sweep(data, mc_reps: int = 1000, seed=0, method: str = "monte_carlo") -> list[UmpuResult]:
+    """Run the tail test at every rank from `_MIN_TEST_TAIL` largest points to all of them.
 
     For rank r the threshold is the next data value below the r-th
     largest, so the strict tail holds exactly the r largest points
@@ -897,16 +886,14 @@ def umpu_sweep(
     numbers): the p-value at rank r is the one `umpu_wilks` gives at that
     rank's threshold with the same seed.
     """
-    if min_rank < 1:
-        raise ValueError(f"min_rank must be at least 1, got {min_rank}")
     x = np.sort(_positive_array(data))
     n = x.size
-    if n < min_rank:
-        raise InsufficientDataError(f"need at least {min_rank} positive values, got {n}")
-    ranks = np.arange(min_rank, n + 1)
+    if n < _MIN_TEST_TAIL:
+        raise InsufficientDataError(f"need at least {_MIN_TEST_TAIL} positive values, got {n}")
+    ranks = np.arange(_MIN_TEST_TAIL, n + 1)
     thr = np.append(x[n - ranks[:-1] - 1], np.nextafter(x[0], 0.0))
     cut = np.searchsorted(x, thr, side="right")
-    keep = n - cut >= 10
+    keep = n - cut >= _MIN_TEST_TAIL
     ranks, thr, cut = ranks[keep], thr[keep], cut[keep]
     sizes = n - cut
     ratio = wilks = np.empty(0)

@@ -1,5 +1,5 @@
 """No module of the package imports a name it never reads, or imports `ctypes`
-or scipy.
+or scipy, and the declared numpy floor covers the numpy the modules use.
 
 A stdlib stand-in for a linter's unused-import rule: every name an
 `import` binds anywhere in a module must be loaded somewhere in that
@@ -14,14 +14,19 @@ numpy itself loads `ctypes`, so the check reads the source, not
 
 scipy's import costs a CLI start-up more than the work of most commands,
 so the program imports none of it; the tests keep it as an oracle.
+
+`np.strings` first shipped in numpy 2.0, so a module that reads it needs
+`pyproject.toml` to declare at least that numpy.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "balancegrowth"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "balancegrowth"
 
 
 def unused_imports(source: str) -> list:
@@ -95,3 +100,45 @@ def test_ctypes_check_finds_every_import_form(source, found):
 )
 def test_checker_flags_unread_imports(source, unused):
     assert unused_imports(source) == unused
+
+
+def uses_np_strings(source: str) -> bool:
+    """True when `source` reads the `strings` namespace of numpy, as `np.strings` or `numpy.strings`."""
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "strings"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def numpy_floor(pyproject: str) -> tuple:
+    """The (major, minor) of the `numpy>=` requirement in the text of a pyproject.toml."""
+    version = re.search(r'"numpy\s*>=\s*([0-9][0-9.]*)', pyproject).group(1)
+    return (*map(int, version.split(".")), 0)[:2]
+
+
+def test_numpy_floor_covers_np_strings():
+    users = [p.name for p in sorted(SRC.glob("*.py")) if uses_np_strings(p.read_text(encoding="utf-8"))]
+    if users:
+        assert numpy_floor((ROOT / "pyproject.toml").read_text(encoding="utf-8")) >= (2, 0), users
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import numpy as np\nn = np.strings.str_len(a)\n", True),
+        ("import numpy\nf = numpy.strings.encode\n", True),
+        ("import numpy as np\nn = np.char.str_len(a)\n", False),
+        ('"""np.strings.encode is slower"""\n', False),
+    ],
+)
+def test_np_strings_check_finds_reads(source, found):
+    assert uses_np_strings(source) == found
+
+
+@pytest.mark.parametrize(
+    "text, floor",
+    [('dependencies = ["numpy>=1.23"]', (1, 23)), ('dependencies = [\n    "numpy >= 2",\n]', (2, 0))],
+)
+def test_numpy_floor_is_read(text, floor):
+    assert numpy_floor(text) == floor

@@ -155,6 +155,12 @@ class TestBuildPanel:
         with pytest.raises(MalformedInputError, match="^user ids must be a 1-d array of text$"):
             BalanceSnapshot(D0, ids, [1, 2])
 
+    def test_record_ids_kept_as_given(self):
+        # bytes stay the bytes they are, not their repr; other objects become their str
+        snap = BalanceSnapshot.from_records(D0, [(b"a", 1), ("zo\u00eb", 2), (7, 3), (b"\xc3\xa9", 4)])
+        assert snap.user_ids.tolist() == [b"7", b"a", "zo\u00eb".encode(), "\u00e9".encode()]
+        assert snap.balances.tolist() == [3, 1, 2, 4]
+
     @pytest.mark.parametrize("bad_id", ["n\0ul", "a\0"])
     def test_nul_in_record_id_refused(self, bad_id):
         with pytest.raises(MalformedInputError, match="holds NUL"):
@@ -377,5 +383,10 @@ class TestTaxonomy:
         assert taxonomy(panel, epsilon_v=5).vertical == 1
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError, match="^epsilon_v must be non-negative, got -1$"):
             taxonomy(panel_from_rows([("a", 1, 2)]), epsilon_v=-1)
+
+    def test_nan_epsilon_rejected(self):
+        # NaN would count no vertical row and move every entrant into the interior
+        with pytest.raises(MalformedInputError, match="^epsilon_v must be non-negative, got nan$"):
+            taxonomy(panel_from_rows([("a", 0, 2)]), epsilon_v=float("nan"))

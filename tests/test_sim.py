@@ -19,7 +19,7 @@ from balancegrowth import (
     simulate_two_regime,
     snapshot_series,
 )
-from balancegrowth.panel import GROUP_INACTIVE, build_panel
+from balancegrowth.panel import GROUP_INACTIVE, BalanceSnapshot, TransitionPanel, build_panel
 from balancegrowth._rng import substream
 from balancegrowth.sim import CHUNK_SIZE, CHUNKS_PER_TASK, _integrate, _run_chunked
 
@@ -168,11 +168,7 @@ class TestEuler:
         assert 1.2 <= errors[4.0] / errors[2.0] <= 1.7
         assert 1.2 <= errors[2.0] / errors[1.0] <= 1.7
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"wealthy": RegimeParams()}, {"regime_mode": "frozen"}, {"step_days": 0.0}],
-        ids=["wealthy_without_s_star", "unknown_regime_mode", "zero_step"],
-    )
+    @pytest.mark.parametrize("kwargs", [{"step_days": 0.0}], ids=["zero_step"])
     def test_euler_paths_checks_its_config(self, kwargs):
         args = {"s0": np.full(3, 100.0), "z": np.zeros((4, 3)), "step_days": 1.0, "params": RegimeParams(mu=0.1)}
         with pytest.raises(ConfigError):
@@ -343,6 +339,25 @@ class TestSnapshots:
         assert not any(snap.user_ids.flags.writeable for snap in snaps)
         with pytest.raises(ValueError):
             snaps[1].user_ids[0] = "x"
+
+    def test_series_and_panel_equal_the_public_constructors(self):
+        # both skip the id and balance checks their columns already pass
+        config = SimConfig(
+            n_users=700, s0_law=InitialLaw.lognormal(12.0, 1.0), horizon_days=6, poor=RegimeParams(0.9, 0.01, 1.0, 0.05),
+            wealthy=RegimeParams(1.1, -0.01, 1.0, 0.02), s_star=2e5, step_days=2, seed=5,
+        )
+        for snap in snapshot_series(config, [0, 2, 6]):
+            public = BalanceSnapshot(snap.date, snap.user_ids, snap.balances)
+            assert public.date == snap.date
+            for name in ("user_ids", "balances"):
+                got, want = getattr(snap, name), getattr(public, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        panel = simulate_two_regime(config)
+        public = TransitionPanel(panel.t0, panel.dt_days, panel.user_ids, panel.s0, panel.s1, panel.meta)
+        assert (panel.t0, panel.dt_days, panel.meta) == (public.t0, public.dt_days, public.meta)
+        for name in ("user_ids", "s0", "s1", "ds", "group"):
+            got, want = getattr(panel, name), getattr(public, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_emit_times_validated(self):
         config = SimConfig(

@@ -17,6 +17,7 @@ from balancegrowth import (
     fit_lognormal,
     fit_power_law,
     threshold_sweep,
+    trend_test,
     umpu_wilks,
 )
 from balancegrowth import tails
@@ -294,17 +295,36 @@ def test_bad_cutoff_refused(call, cut):
         call(data, cut)
 
 
+def test_one_significance_level_for_every_verdict(monkeypatch):
+    """The tail preference and the trend direction both read `tails.SIGNIFICANCE`: a tail
+    comparison names a family at p <= level, a trend test a direction at p < level."""
+    data = np.random.default_rng(5).lognormal(10.0, 2.0, size=600)
+    xmin = float(np.quantile(data, 0.5))
+    compares = (lambda: compare_tails(data, xmin), lambda: threshold_sweep(data, xmin, 1.0)[0])
+    for compare, p_tail in [(compare, compare().p_value) for compare in compares]:
+        assert 0.0 < p_tail < 0.05
+        for level, family in ((p_tail, True), (np.nextafter(p_tail, 0.0), False)):
+            monkeypatch.setattr(tails, "SIGNIFICANCE", float(level))
+            row = compare()
+            assert (row.preferred != "inconclusive") == family and row.significance == level
+    rising = [(dt, float(dt)) for dt in (7, 14, 21, 28)]
+    p_trend = trend_test(rising).p_value  # 0.089, the smallest p-value of 4 points
+    for level, direction in ((p_trend, "none"), (np.nextafter(p_trend, 1.0), "increasing")):
+        monkeypatch.setattr(tails, "SIGNIFICANCE", float(level))
+        assert trend_test(rising).direction == direction
+
+
 class TestThresholdSweep:
     def test_arithmetic_grid(self, rng):
         data = rng.lognormal(19.0, 1.0, size=2000)
-        results = threshold_sweep(data, start=1.0, step=float(BTC), min_tail=100)
+        results = threshold_sweep(data, start=1.0, step=float(BTC))
         expected = [1.0 + k * BTC for k in range(len(results))]
         assert [r.xmin for r in results] == expected
         assert len(results) >= 2
 
     def test_stops_when_tail_thins(self, rng):
         data = rng.lognormal(5.0, 1.0, size=150)
-        results = threshold_sweep(data, start=1.0, step=1e9, min_tail=100)
+        results = threshold_sweep(data, start=1.0, step=1e9)
         assert len(results) == 1
 
     def test_lognormal_preferred_at_most_thresholds(self):
@@ -425,41 +445,43 @@ class TestScanOracle:
         assert "diagnostics" not in fit_power_law(data, xmin=1.0).to_dict()
 
 
-def sweep_reference(data, start, step, min_tail, significance):
-    """The threshold sweep as independent `compare_tails` calls."""
+def sweep_reference(data, start, step):
+    """The threshold sweep as independent `compare_tails` calls, while 100 values reach the threshold."""
     x = np.asarray(data, dtype=np.float64)
     rows = []
     k = 0
-    while np.count_nonzero(x >= start + k * step) >= min_tail:
-        rows.append(compare_tails(x, start + k * step, significance=significance))
+    while np.count_nonzero(x >= start + k * step) >= 100:
+        rows.append(compare_tails(x, start + k * step))
         k += 1
     return rows
 
 
 @st.composite
 def sweep_cases(draw):
-    data = draw(tail_samples(max_size=300))
+    """100 to 400 values from `tail_samples`, in one case of three with the largest 100 to 130 tied,
+    and a grid from a data value to about where the tail thins to 100 points."""
+    data = draw(tail_samples(max_size=400).filter(lambda d: d.size >= 100))
+    if draw(st.integers(0, 2)) == 0:
+        # a tail of one value: thresholds near the top reach the tied-maximum refusals
+        data = np.minimum(data, np.sort(data)[-draw(st.integers(100, 130))])
     values = np.unique(data)
     start = float(values[draw(st.integers(0, values.size // 2))])
-    min_tail = draw(st.integers(0, min(20, data.size)))
-    # about k thresholds before the tail thins to min_tail points
-    last = float(np.sort(data)[-max(min_tail, 1)])
+    last = float(np.sort(data)[-100])
     step = max(last - start, 1e-6 * start) / draw(st.integers(1, 60))
     if draw(st.booleans()):
         # with integer data, integral steps put thresholds exactly on data values
         step = float(math.ceil(step))
-    significance = draw(st.sampled_from([0.05, 0.01, 0.5]))
-    return data, start, step, min_tail, significance
+    return data, start, step
 
 
-def assert_rows_match(got, want, significance):
+def assert_rows_match(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.xmin, g.n_tail, g.significance) == (w.xmin, w.n_tail, w.significance)
         assert math.isnan(g.normalized_lr) == math.isnan(w.normalized_lr)
         if not math.isnan(w.normalized_lr):
             assert abs(g.normalized_lr - w.normalized_lr) <= 1e-10 * max(1.0, abs(w.normalized_lr))
-        if abs(w.p_value - significance) > 1e-5:
+        if abs(w.p_value - tails.SIGNIFICANCE) > 1e-5:
             assert g.preferred == w.preferred
 
 
@@ -467,12 +489,27 @@ class TestSweepOracle:
     @ORACLE
     @given(case=sweep_cases())
     def test_sweep_matches_compare_tails(self, case):
-        data, start, step, min_tail, significance = case
-        got, got_err = _outcome(threshold_sweep, data, start, step, min_tail=min_tail, significance=significance)
-        want, want_err = _outcome(sweep_reference, data, start, step, min_tail, significance)
+        got, got_err = _outcome(threshold_sweep, *case)
+        want, want_err = _outcome(sweep_reference, *case)
         assert got_err == want_err
         if want_err is None:
-            assert_rows_match(got, want, significance)
+            assert_rows_match(got, want)
+
+    @pytest.mark.parametrize(
+        "step, error",
+        [(1.0, DegenerateTailError), (1.4, InsufficientDataError)],
+        ids=["threshold_on_the_tied_maximum", "threshold_below_the_tied_maximum"],
+    )
+    def test_tied_maximum_refusals(self, step, error):
+        # 120 values tie at the maximum 10: the grid 7, 7 + step, ... reaches a tail of that one value
+        data = np.concatenate([np.arange(1.0, 10.0).repeat(20), np.full(120, 10.0)])
+        with pytest.raises(error):
+            threshold_sweep(data, 7.0, step)
+        with pytest.raises(error):
+            sweep_reference(data, 7.0, step)
+
+    def test_fewer_values_than_the_floor(self):
+        assert threshold_sweep(np.arange(1.0, 100.0), 1.0, 1.0) == sweep_reference(np.arange(1.0, 100.0), 1.0, 1.0) == []
 
     def test_large_integer_sample_matches(self):
         rng = np.random.default_rng(11)
@@ -481,18 +518,19 @@ class TestSweepOracle:
         step = (np.sort(data)[-100] - 1e8) / 150
         got = threshold_sweep(data, 1e8, step)
         assert len(got) == 151
-        assert_rows_match(got, sweep_reference(data, 1e8, step, 100, 0.05), 0.05)
+        assert_rows_match(got, sweep_reference(data, 1e8, step))
 
 
 @st.composite
 def tied_cases(draw):
-    """Integer data in which the threshold `t` occurs at least twice; at least 10
+    """Integer data in which the threshold `t` occurs at least twice; at least 100
     values lie above it, many of them tied, and the largest value occurs once."""
     t = draw(st.integers(1, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     below = draw(st.lists(st.integers(1, t), max_size=30))
-    above = draw(st.lists(st.integers(t + 1, t + 12), min_size=10, max_size=60))
+    above = rng.integers(t + 1, t + 13, size=draw(st.integers(100, 160))).tolist()
     x = np.array(below + [t] * draw(st.integers(2, 5)) + above + [t + 13], dtype=np.float64)
-    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(x), float(t)
+    return rng.permutation(x), float(t)
 
 
 class TestThresholdConventionsAtTies:
@@ -505,7 +543,7 @@ class TestThresholdConventionsAtTies:
         x, t = case
         assert fit_power_law(x, xmin=t).n_tail == np.count_nonzero(x >= t)
         assert umpu_wilks(x, t, method="asymptotic").n_tail == np.count_nonzero(x > t)
-        rows = threshold_sweep(x, t, float(step), min_tail=2)
+        rows = threshold_sweep(x, t, float(step))
         assert rows and rows[0].xmin == t
         for row in rows:
             assert row.n_tail == compare_tails(x, row.xmin).n_tail == np.count_nonzero(x >= row.xmin)

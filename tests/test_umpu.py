@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from balancegrowth import InsufficientDataError, tails, umpu_sweep, umpu_wilks
+from balancegrowth import InsufficientDataError, MalformedInputError, tails, umpu_sweep, umpu_wilks
 from balancegrowth._rng import substream
 
 
@@ -98,18 +98,20 @@ def test_too_small_tail_rejected(rng):
 @pytest.mark.parametrize("mc_reps", [0, -1])
 def test_monte_carlo_needs_a_replicate(rng, mc_reps):
     data = exp_tail_data(rng, 40)
-    with pytest.raises(ValueError, match="mc_reps"):
+    with pytest.raises(MalformedInputError, match="mc_reps"):
         umpu_wilks(data, 50.0, mc_reps=mc_reps)
-    with pytest.raises(ValueError, match="mc_reps"):
+    with pytest.raises(MalformedInputError, match="mc_reps"):
         umpu_sweep(data, mc_reps=mc_reps)
     # the asymptotic path draws no replicates, so mc_reps does not matter there
     assert umpu_wilks(data, 50.0, mc_reps=mc_reps, method="asymptotic").method == "asymptotic"
 
 
-@pytest.mark.parametrize("min_rank", [-1, 0])
-def test_sweep_needs_a_positive_min_rank(rng, min_rank):
-    with pytest.raises(ValueError, match="min_rank"):
-        umpu_sweep(exp_tail_data(rng, 50), mc_reps=10, min_rank=min_rank)
+def test_unknown_method_refused(rng):
+    data = exp_tail_data(rng, 40)
+    with pytest.raises(MalformedInputError, match="unknown p-value method: 'exact'"):
+        umpu_wilks(data, 50.0, method="exact")
+    with pytest.raises(MalformedInputError, match="unknown p-value method: 'exact'"):
+        umpu_sweep(data, method="exact")
 
 
 class TestSweep:
