@@ -318,6 +318,12 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
         if snap1.date == snap0.date:
             raise HorizonError(f"snapshots share the date {snap0.date}; horizon is zero")
         raise HorizonError(f"second snapshot ({snap1.date}) predates the first ({snap0.date})")
+    dt_days = (snap1.date - snap0.date).days
+    if snap0.user_ids is snap1.user_ids:
+        # the same users on both dates: no merge. Snapshots share only a read-only id array (see
+        # `BalanceSnapshot`), so the panel shares it too; the writeable balances are copied.
+        s0, s1 = snap0.balances.copy(), snap1.balances.copy()
+        return TransitionPanel._checked(snap0.date, dt_days, snap0.user_ids, s0, s1, {})
     # Both id arrays are sorted, so a stable sort of the two runs is one
     # merge; each input row then gets the integer code of its id. Sorting
     # in place rather than gathering by `order` keeps one copy of the ids.
@@ -333,7 +339,7 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
     s1 = np.zeros(ids.size, dtype=np.int64)
     s0[code[: snap0.n_users]] = snap0.balances
     s1[code[snap0.n_users :]] = snap1.balances
-    return TransitionPanel._checked(snap0.date, (snap1.date - snap0.date).days, ids, s0, s1, {})
+    return TransitionPanel._checked(snap0.date, dt_days, ids, s0, s1, {})
 
 
 def filter_active(panel: TransitionPanel) -> TransitionPanel:
@@ -343,13 +349,15 @@ def filter_active(panel: TransitionPanel) -> TransitionPanel:
     for held balances (group B) and 'removed_zero_start' for rows that
     entered at s0 = 0.
     """
-    keep = panel.group == GROUP_ACTIVE
     zero_start = panel.s0 <= 0
-    horizontal = (~zero_start) & (panel.ds == 0)
+    keep = panel.ds != 0
+    keep &= ~zero_start  # group A: s0 > 0 and ds != 0
+    removed_total = panel.n_rows - int(np.count_nonzero(keep))
+    removed_zero_start = int(np.count_nonzero(zero_start))
     meta = {
-        "removed_horizontal": int(np.count_nonzero(horizontal)),
-        "removed_zero_start": int(np.count_nonzero(zero_start)),
-        "removed_total": int(np.count_nonzero(~keep)),
+        "removed_horizontal": removed_total - removed_zero_start,
+        "removed_zero_start": removed_zero_start,
+        "removed_total": removed_total,
     }
     return panel.take(keep, meta=meta)
 

@@ -216,6 +216,14 @@ def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):
     `z_at(j)` supplies the standard-normal draws of step j. Returns the
     overflow mask and a list of the balances after each step in `steps`
     (step 0 is s0), where overflowed entries read +inf.
+
+    The Euler step raises every balance to the poor exponents, then
+    overwrites the wealthy users' entries with the wealthy exponents
+    raised on `S[w]` alone: each step raises two exponents per user plus
+    two per wealthy user, not four per user. Each user's bits are still
+    those of stepping it alone: `S[w] ** a` has the bits of
+    `(S ** a)[w]` (a test pins this), and every element goes through
+    `(S + drift) + vol * z`, then the maximum with 0, in this fixed order.
     """
     S = np.asarray(s0, dtype=np.float64).copy()
     over = ~np.isfinite(S) | (S > OVERFLOW_LIMIT)
@@ -225,7 +233,7 @@ def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):
     h = float(config.step_days)
     sqrt_h = math.sqrt(h)
     if wealthy is not None and config.regime_mode == REGIME_MODE_INITIAL:
-        fixed_wealthy = S >= s_star
+        w = np.flatnonzero(S >= s_star)
     for j in range(config.n_steps):
         t = j * h
         z = z_at(j)
@@ -234,17 +242,23 @@ def _integrate(config: SimConfig, s0: np.ndarray, z_at, steps):
             if config.scheme == SCHEME_EXACT:
                 s_new = S * np.exp((mu - 0.5 * sg * sg) * h + sg * sqrt_h * z)
             else:
-                drift = S**a_d * (mu * h)
-                vol = S**a_v * (sg * sqrt_h)
+                drift = S**a_d
+                drift *= mu * h
+                vol = S**a_v
+                vol *= sg * sqrt_h
                 if wealthy is not None:
-                    is_wealthy = fixed_wealthy if config.regime_mode == REGIME_MODE_INITIAL else S >= s_star
+                    if config.regime_mode == REGIME_MODE_CURRENT:
+                        w = np.flatnonzero(S >= s_star)
+                    S_w = S[w]
                     a_d, mu, a_v, sg = wealthy.at(t)
-                    drift = np.where(is_wealthy, S**a_d * (mu * h), drift)
-                    vol = np.where(is_wealthy, S**a_v * (sg * sqrt_h), vol)
-                s_new = S + drift + vol * z
-            s_new = np.maximum(s_new, 0.0)
-        bad = ~np.isfinite(s_new) | (s_new > OVERFLOW_LIMIT)
-        over |= bad
+                    drift[w] = S_w**a_d * (mu * h)
+                    vol[w] = S_w**a_v * (sg * sqrt_h)
+                s_new = drift
+                s_new += S  # S + drift: addition commutes bit for bit
+                vol *= z
+                s_new += vol
+            np.maximum(s_new, 0.0, out=s_new)
+        over |= ~(s_new <= OVERFLOW_LIMIT)  # after the maximum, the non-finite or too large; NaN fails too
         s_new[over] = np.inf
         S = s_new
         if j + 1 in steps:
@@ -314,8 +328,9 @@ def _run_chunked(config: SimConfig, steps):
 
     map_on_cpus(run, range(0, n_chunks, CHUNKS_PER_TASK))
     n_over = int(np.count_nonzero(over_all))
-    if n_over:
-        log.warning("excluded %d of %d users whose balance overflowed 2^62 satoshi", n_over, n)
+    if not n_over:
+        return _user_ids(n), captured
+    log.warning("excluded %d of %d users whose balance overflowed 2^62 satoshi", n_over, n)
     keep = ~over_all
     # each full-size array is dropped as soon as its kept copy is made
     kept = [captured.pop(0)[keep] for _ in steps]

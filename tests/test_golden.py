@@ -63,6 +63,26 @@ wealthy_mu = -0.002
 wealthy_alpha_vol = 0.9
 wealthy_sigma = 0.001
 """,
+    # `current` mode: users cross s_star both ways, the poor volatility absorbs some at 0, and 47 overflow
+    "cur": """model = two_regime
+n_users = 4000
+seed = 14
+horizon_days = 12
+step_days = 1
+emit_days = 0,6,12
+s0_law = lognormal
+s0_m = 20.0
+s0_v = 3.0
+s_star = 5e8
+poor_alpha_drift = 0.9
+poor_mu = 0.004
+poor_alpha_vol = 0.6
+poor_sigma = 100
+wealthy_alpha_drift = 1.4
+wealthy_mu = 1e-5
+wealthy_alpha_vol = 0.95
+wealthy_sigma = 0.2
+""",
 }
 
 GOLDEN = {
@@ -73,6 +93,10 @@ GOLDEN = {
     "est.regimes.json": "f0f1dd328783253ed82c14b01c17c2db4aa8a6bf7191aec6924d39c996fbf4bd",
     "joined.csv": "73f29fca8029970498239e1899f7e6a0ee35dd84426df0238a62d23cfac97283",
     "joined.taxonomy.json": "eb959b8132d67cc108eab5451894abc968d6dc8cde9d6af321a0edcebd1ef91d",
+    "sim/cur/cur.panel.csv": "3fc82ac8ecf96fa2ba4128acecccf68751798c9253321db4d56ed84da19586c1",
+    "sim/cur/cur.snapshot_2000-01-01.csv": "90a1180356f8b3fc4b85d73216ce4bc255c6288a9518259da6c087ba1b52ede0",
+    "sim/cur/cur.snapshot_2000-01-07.csv": "e325c1200a9d6210db54a87cc8e56e55ef3495dddbb0ef72382b3b409249f846",
+    "sim/cur/cur.snapshot_2000-01-13.csv": "e5d28d8556fbad6f6ac1031177258e60fa97b7ea4396d6a3c060e1dd99b915e9",
     "sim/gbm/gbm.panel.csv": "aa047926e1be2aeeb047c4176aa6f8b32ce8c3b8fe363617bdffb1c8349e4632",
     "sim/gbm/gbm.snapshot_2016-01-23.csv": "1facfb2a33016ad7f2f051581fef8f066384f48b7016fd22464e5cda675d9f0a",
     "sim/gbm/gbm.snapshot_2016-02-22.csv": "33c34c866c04bd8919cc91061fcfa17e344ec0dad02c9c69061ed00e2122dc34",

@@ -33,7 +33,7 @@ from balancegrowth.io import (
 from balancegrowth.sim import SCHEME_EXACT, Schedule
 
 from conftest import D0, panel_from_rows, snapshot
-from test_golden import _run_pipeline
+from test_golden import CONFIGS, _run_pipeline
 
 
 def write(path, text):
@@ -1006,7 +1006,7 @@ def test_manifest_digests_match_outputs(tmp_path, monkeypatch):
     for manifest in tmp_path.rglob("*.manifest.json"):
         listed.update(json.loads(manifest.read_text())["outputs"])
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*") if ".manifest." not in p.name}
-    assert set(listed) == written - {"a.csv", "b.csv", "vals.csv", "gbm.cfg", "pow.cfg", "two.cfg"}
+    assert set(listed) == written - {"a.csv", "b.csv", "vals.csv", *(f"{name}.cfg" for name in CONFIGS)}
     for name, digest in listed.items():
         assert digest == file_sha256(name), name
 

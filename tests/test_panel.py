@@ -184,6 +184,26 @@ class TestBuildPanel:
             assert s1 == lookup1.get(u, 0)
             assert ds == s1 - s0
 
+    def test_shared_id_array_joins_as_its_copies(self, rng):
+        # snapshots of one user set may share one read-only id array, and their join skips the merge
+        ids = np.array([f"u{i:04d}".encode() for i in range(300)])
+        ids.flags.writeable = False
+        bal0 = rng.integers(0, 10**9, size=300)
+        bal0[:30] = 0
+        bal1 = np.where(rng.random(300) < 0.5, bal0, rng.integers(0, 10**9, size=300))
+        bal1[25:40] = 0
+        shared = BalanceSnapshot(D0, ids, bal0), BalanceSnapshot(D28, ids, bal1)
+        assert shared[0].user_ids is shared[1].user_ids
+        panel = build_panel(*shared)
+        copied = build_panel(BalanceSnapshot(D0, ids.copy(), bal0), BalanceSnapshot(D28, ids.copy(), bal1))
+        assert (panel.t0, panel.dt_days, panel.meta) == (copied.t0, copied.dt_days, copied.meta)
+        for name in ("user_ids", "s0", "s1", "ds", "group"):
+            got, want = getattr(panel, name), getattr(copied, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for snap in shared:
+            assert snap.balances.flags.writeable
+            assert not np.shares_memory(panel.s0, snap.balances) and not np.shares_memory(panel.s1, snap.balances)
+
 
 # user id -> (balance at D0, balance at D28); None where the user is absent
 USERS = st.dictionaries(
@@ -327,6 +347,8 @@ class TestFilterActive:
         active = filter_active(panel)
         expected = {u.encode() for u, s0, s1 in rows if s0 > 0 and s1 != s0}
         assert set(active.user_ids) == expected
+        assert active.meta["removed_zero_start"] == sum(s0 == 0 for _, s0, _ in rows)
+        assert active.meta["removed_horizontal"] == sum(s0 > 0 and s1 == s0 for _, s0, s1 in rows)
         # removed and retained partition the panel
         assert active.n_rows + active.meta["removed_total"] == panel.n_rows
 

@@ -192,6 +192,26 @@ class TestEuler:
         assert final[0] == expected
 
 
+class TestPowerOfASubset:
+    """The Euler step raises each regime's exponents only on that regime's users, `S[w] ** a`. Its bits are
+    those of stepping every user alone only while that equals `(S ** a)[w]` bit for bit, whatever the index
+    set, the offset of its first element and the length of its tail."""
+
+    @pytest.mark.parametrize("a", [0.5, 0.6, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.3, 1.6, 2.0])
+    def test_power_of_a_subset_is_the_subset_of_the_power(self, rng, a):
+        S = np.exp(rng.uniform(-5.0, 45.0, size=4099))
+        S[[0, 17, 1000, 4098]] = 0.0
+        S[[5, 2048, 4097]] = np.inf
+        full = (S**a).view(np.uint64)
+        subsets = [np.flatnonzero(rng.random(S.size) < p) for p in (0.002, 0.2, 0.5, 0.99)]
+        subsets += [np.flatnonzero(S >= 1e10), np.array([5, 0, 17]), np.arange(1, 8)]
+        for w in subsets:
+            assert np.array_equal((S[w] ** a).view(np.uint64), full[w]), w[:8]
+        for start in range(9):
+            for stop in (start + 1, start + 7, S.size - 5, S.size):
+                assert np.array_equal((S[start:stop] ** a).view(np.uint64), full[start:stop]), (start, stop)
+
+
 class TestTwoRegime:
     def test_drift_signs_with_zero_vol(self):
         config = SimConfig(
