@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, growth, io, panel as panel_mod, sim, tails
 from ._workers import map_on_cpus
 from .errors import BalanceGrowthError, DegenerateTailError, FitConvergenceError, InsufficientDataError
-from .errors import HorizonError, MalformedInputError, NoRetainedBinsError
+from .errors import HorizonError, MalformedInputError
 
 log = logging.getLogger("balancegrowth")
 
@@ -109,7 +109,7 @@ def cmd_panel(args) -> int:
         joined = panel_mod.build_panel(snap0, snap1)
     except HorizonError as exc:
         raise HorizonError(f"{args.snap0}, {args.snap1}: {exc}") from None
-    tax = panel_mod.taxonomy(joined, epsilon_v=args.epsilon_v)
+    tax = panel_mod.taxonomy(joined)
     emitted = joined
     payload = tax.to_dict()
     payload.update({"t0": joined.t0.isoformat(), "dt_days": joined.dt_days})
@@ -119,17 +119,11 @@ def cmd_panel(args) -> int:
     if args.hopkins_m:
         points = np.column_stack([emitted.s0, emitted.ds])
         try:
-            result = panel_mod.hopkins_test(points, args.hopkins_m, args.seed, log_scale=args.hopkins_log)
+            result = panel_mod.hopkins_test(points, args.hopkins_m, args.seed)
         except InsufficientDataError as exc:
             raise InsufficientDataError(f"--hopkins-m {args.hopkins_m}: {exc}") from None
-        payload["hopkins"] = {**vars(result), "log_scale": args.hopkins_log}
+        payload["hopkins"] = vars(result)
     return run.finish({out: emitted, "taxonomy.json": payload})
-
-
-def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    return np.geomspace(lo, hi, n)
 
 
 def cmd_fit(args) -> int:
@@ -156,7 +150,7 @@ def cmd_fit(args) -> int:
         "log_normal.json": ln.to_dict(),
         "comparison.json": comparison.to_dict(),
     }
-    edges = _log_grid(float(data.min()), float(data.max()), args.hist_bins + 1)
+    edges = np.geomspace(float(data.min()), float(data.max()), args.hist_bins + 1)
     counts, _ = np.histogram(data, bins=edges)
     outputs["hist.csv"] = {
         "bin_lo": edges[:-1],
@@ -165,7 +159,7 @@ def cmd_fit(args) -> int:
         "count": counts,
         "density": counts / (np.diff(edges) * data.size),
     }
-    grid = _log_grid(pl.xmin, float(data.max()), 200)
+    grid = np.geomspace(pl.xmin, float(data.max()), 200)
     outputs["curves.csv"] = {
         "x": grid,
         "power_law_pdf": np.exp(tails.powerlaw_logpdf(grid, pl.alpha, pl.xmin)),
@@ -183,7 +177,7 @@ def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
 
     Powers stay scalar: the vectorized power can differ in the last bit.
     """
-    grid = _log_grid(float(bins.centers.min()), float(bins.centers.max()), 100)
+    grid = np.geomspace(float(bins.centers.min()), float(bins.centers.max()), 100)
     fits = [(name, fit) for name, fit in (("poor", split.poor), ("wealthy", split.wealthy)) if fit is not None]
     return {
         "regime": [name for name, _ in fits for _ in grid],
@@ -194,18 +188,14 @@ def _fitlines(split: growth.RegimeSplit, bins: growth.BinSeries) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    if args.s_min is not None and args.s_max is not None and not args.s_min < args.s_max:
-        raise MalformedInputError(f"--s-min {args.s_min} must be below --s-max {args.s_max}")
     run = _Run(args, Path(args.out) / args.out_prefix, [args.panel], None)
     try:
-        bins = growth.bin_panel(
-            io.read_panel_csv(args.panel), args.bins, args.min_count, args.target, args.s_min, args.s_max
-        )
+        bins = growth.bin_panel(io.read_panel_csv(args.panel), args.bins, args.min_count, args.target)
         if args.target == growth.TARGET_RATIO:
             fit = growth.split_regimes(bins)
         else:
             fit = growth.fit_growth(bins)
-    except (InsufficientDataError, NoRetainedBinsError) as exc:
+    except InsufficientDataError as exc:
         raise type(exc)(f"{args.panel}: {exc}") from None
     outputs = {
         "bins.csv": {
@@ -303,7 +293,6 @@ def _days(text: str) -> list:
 
 
 _POSITIVE = _flag_type(float, lambda v: 0 < v < math.inf, "a positive finite number")  # NaN fails too
-_NON_NEGATIVE = _flag_type(float, lambda v: v >= 0, "a non-negative number")  # NaN fails too
 _ISO_DATE = _flag_type(dt.date.fromisoformat, lambda date: True, "an ISO date")
 # --dts stays the text given, which the run id echoes; `cmd_sweep` checks its horizons against --t0
 _HORIZONS = _flag_type(str, lambda text: min(_days(text)) > 0, "comma-separated positive days")
@@ -341,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date0", type=_ISO_DATE, help="ISO date of the first snapshot (default: from file name)")
     p.add_argument("--date1", type=_ISO_DATE, help="ISO date of the second snapshot (default: from file name)")
     p.add_argument("--filter-active", action="store_true", help="keep only group-A rows")
-    p.add_argument("--epsilon-v", type=_NON_NEGATIVE, default=0.0, help="vertical-line tolerance in satoshi")
     p.add_argument("--hopkins-m", type=_int_at_least(0), default=0, help="sample size for the clustering diagnostic")
-    p.add_argument("--hopkins-log", action="store_true", help="signed-log scale for the diagnostic")
     _add_common(p)
     p.set_defaults(func=cmd_panel)
 
@@ -370,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("panel", help="panel CSV")
     p.add_argument("out_prefix", help="output prefix")
     p.add_argument("--target", choices=[growth.TARGET_RATIO, growth.TARGET_ABSOLUTE], default=growth.TARGET_RATIO)
-    p.add_argument("--s-min", type=_POSITIVE, help="lower bin edge (default: data minimum)")
-    p.add_argument("--s-max", type=_POSITIVE, help="upper bin edge (default: data maximum)")
     _add_common(p)
     p.set_defaults(func=cmd_estimate)
 

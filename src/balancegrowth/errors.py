@@ -29,7 +29,7 @@ class FitConvergenceError(BalanceGrowthError):
     """A numerical solve in a fit did not bracket its root or did not converge."""
 
 
-class NoRetainedBinsError(BalanceGrowthError):
+class NoRetainedBinsError(InsufficientDataError):
     """Every bin fell below the minimum count."""
 
 

@@ -224,22 +224,14 @@ def bin_moments(
     )
 
 
-def bin_panel(
-    panel: TransitionPanel,
-    n_bins: int,
-    min_count: int,
-    target: str = TARGET_RATIO,
-    s_min: float | None = None,
-    s_max: float | None = None,
-) -> BinSeries:
+def bin_panel(panel: TransitionPanel, n_bins: int, min_count: int, target: str = TARGET_RATIO) -> BinSeries:
     """The estimate stage of `estimate` and of each `horizon_sweep` horizon: active rows, binned.
 
     Keeps the active rows (`filter_active`), logs how many were dropped,
-    and takes `bin_moments` over `n_bins` geometric bins on
-    [s_min, s_max], which default to the range of the active s0. Raises
-    InsufficientDataError when no row is active, or when a range taken
-    from the data is empty: every active row starts at one balance, or
-    the one bound given lies past every active s0.
+    and takes `bin_moments` over `n_bins` geometric bins on the range of
+    the active s0. Raises InsufficientDataError when no row is active, or
+    when every active row starts at one balance. Other edges go through
+    `make_bins` and `bin_moments` directly.
     """
     active = filter_active(panel)
     del panel  # a panel passed without another reference is freed here, before binning
@@ -247,15 +239,9 @@ def bin_panel(
         log.info("dropped %d inactive rows", active.meta["removed_total"])
     if active.n_rows == 0:
         raise InsufficientDataError("no active rows")
-    lo = float(np.min(active.s0)) if s_min is None else s_min
-    hi = float(np.max(active.s0)) if s_max is None else s_max
-    if not lo < hi:  # two given bounds out of order are a setting, which `make_bins` refuses
-        if s_min is None and s_max is None:
-            raise InsufficientDataError(f"every active row starts at one balance, {lo:.15g} satoshi")
-        if s_max is None:
-            raise InsufficientDataError(f"s_min = {lo:.15g} is not below the largest active s0, {hi:.15g}")
-        if s_min is None:
-            raise InsufficientDataError(f"s_max = {hi:.15g} is not above the smallest active s0, {lo:.15g}")
+    lo, hi = float(np.min(active.s0)), float(np.max(active.s0))
+    if not lo < hi:
+        raise InsufficientDataError(f"every active row starts at one balance, {lo:.15g} satoshi")
     return bin_moments(active, make_bins(lo, hi, n_bins), min_count=min_count, target=target)
 
 
@@ -507,6 +493,8 @@ def horizon_sweep(
         raise MalformedInputError(f"horizons must be positive, got {horizons[0]}")
     if n_bins < 2 or min_count < 2:
         raise MalformedInputError(f"n_bins and min_count must be at least 2, got {n_bins} and {min_count}")
+    if horizons and horizons[-1] > (dt.date.max - t0).days:
+        raise MalformedInputError(f"horizon {horizons[-1]} days from t0 = {t0} ends outside the calendar")
     by_date = {}
     for snap in snapshots:
         if snap.date in by_date:
@@ -524,7 +512,7 @@ def horizon_sweep(
         try:
             bins = bin_panel(build_panel(by_date[t0], by_date[date1]), n_bins, min_count)
             split = split_regimes(bins)
-        except (NoRetainedBinsError, InsufficientDataError, MalformedInputError) as exc:
+        except InsufficientDataError as exc:  # NoRetainedBinsError too
             skipped.append({"dt_days": dt_days, "reason": str(exc)})
             continue
         entries.append(

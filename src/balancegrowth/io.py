@@ -383,23 +383,16 @@ def _read_csv(path, schema, locate=None):
     return arrays, line
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dt.date):
-        return obj.isoformat()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 def _plain(obj):
     """JSON-ready copy: a record becomes its `to_dict()`, or else its fields; an array
-    becomes a list; a non-finite float becomes None."""
+    becomes a list, a numpy scalar its Python value and a date its ISO text; a non-finite
+    float becomes None."""
     if dataclasses.is_dataclass(obj):
         obj = obj.to_dict() if hasattr(obj, "to_dict") else vars(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
+    if isinstance(obj, dt.date):
+        return obj.isoformat()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, dict):
@@ -410,7 +403,7 @@ def _plain(obj):
 
 
 def json_text(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path, obj) -> str:

@@ -272,8 +272,8 @@ class TransitionPanel(_Checked):
 class ScatterTaxonomy:
     """Counts of the structural lines in the (s0, ds) scatter.
 
-    The four counts partition the panel: vertical (entered from at most
-    epsilon_v with ds > 0), horizontal (ds == 0), diagonal (full sell-out,
+    The four counts partition the panel: vertical (entered from 0,
+    s0 == 0 with ds > 0), horizontal (ds == 0), diagonal (full sell-out,
     s1 == 0 with ds < 0), interior (everything else).
     """
 
@@ -281,7 +281,6 @@ class ScatterTaxonomy:
     horizontal: int
     diagonal: int
     interior: int
-    epsilon_v: float
 
     @property
     def total(self) -> int:
@@ -311,8 +310,7 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
 
     One row per user appearing in either snapshot; absentees carry
     balance 0 on the side they are missing from. The join is a sorted
-    merge, so the result does not depend on how the user set might be
-    partitioned for parallel construction.
+    merge.
     """
     if snap1.date <= snap0.date:
         if snap1.date == snap0.date:
@@ -362,12 +360,10 @@ def filter_active(panel: TransitionPanel) -> TransitionPanel:
     return panel.take(keep, meta=meta)
 
 
-def taxonomy(panel: TransitionPanel, epsilon_v: float = 0) -> ScatterTaxonomy:
+def taxonomy(panel: TransitionPanel) -> ScatterTaxonomy:
     """Partition panel rows into the scatter-line classes."""
-    if not epsilon_v >= 0:  # NaN fails too
-        raise MalformedInputError(f"epsilon_v must be non-negative, got {epsilon_v}")
     s0, s1, ds = panel.s0, panel.s1, panel.ds
-    vertical = (ds > 0) & (s0 <= epsilon_v)
+    vertical = (ds > 0) & (s0 == 0)
     horizontal = ds == 0
     diagonal = (ds < 0) & (s1 == 0)
     n_vert = int(np.count_nonzero(vertical))
@@ -378,7 +374,6 @@ def taxonomy(panel: TransitionPanel, epsilon_v: float = 0) -> ScatterTaxonomy:
         horizontal=n_horiz,
         diagonal=n_diag,
         interior=panel.n_rows - n_vert - n_horiz - n_diag,
-        epsilon_v=float(epsilon_v),
     )
 
 
@@ -519,7 +514,7 @@ class _BlockIndex:
         return best
 
 
-def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsResult:
+def hopkins_test(points, m: int, seed: int) -> HopkinsResult:
     """Hopkins clustering-tendency statistic in [0, 1], plus its p-value under the uniform-data null.
 
     m data points are sampled without replacement and m uniform probes
@@ -528,18 +523,14 @@ def hopkins_test(points, m: int, seed: int, log_scale: bool = False) -> HopkinsR
     exactly Beta(m, m)-distributed under the uniform null. Values near
     0.5 indicate spatial randomness, values near 1 indicate clustering.
     A sampled point's own row is passed over; a duplicate of it is at
-    distance 0.
-
-    `log_scale` applies sign(x)*log1p(|x|) per coordinate first, useful
-    when raw satoshi scales span many decades.
+    distance 0. Points on another scale, such as log balances, are
+    transformed by the caller.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] < 1:
         raise MalformedInputError("points must be a 2-d array of coordinates")
     if not np.all(np.isfinite(pts)):
         raise MalformedInputError("points must be finite")
-    if log_scale:
-        pts = np.sign(pts) * np.log1p(np.abs(pts))
     n, d = pts.shape
     if m < 1:
         raise InsufficientDataError("m must be at least 1")

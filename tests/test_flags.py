@@ -1,10 +1,12 @@
-"""Every flag a subcommand declares is read by that subcommand, and every numeric flag checks its range.
+"""Every flag a subcommand declares is read by that subcommand, has a caller, and checks its range.
 
 A stdlib stand-in for a dead-option lint: for each subparser of
 `build_parser()`, every declared dest must appear as `args.<dest>` in
 the body of `cmd_<name>` in `cli.py`. `command`, `func` and `quiet` are
-exempt, because `main` reads them. No flag is declared with a bare
-`int` or `float` type, which would take any value argparse can parse.
+exempt, because `main` reads them. Every option string is set by a
+benchmark workload, the acceptance gate or the golden runs, or is listed
+in `UNCALLED` with its reason. No flag is declared with a bare `int` or
+`float` type, which would take any value argparse can parse.
 """
 
 import argparse
@@ -15,8 +17,18 @@ import pytest
 
 from balancegrowth.cli import build_parser
 
-CLI = Path(__file__).resolve().parent.parent / "src" / "balancegrowth" / "cli.py"
+ROOT = Path(__file__).resolve().parent.parent
+CLI = ROOT / "src" / "balancegrowth" / "cli.py"
 EXEMPT = {"command", "func", "quiet"}
+CALLERS = [ROOT / "perfbench" / "workloads.py", ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_golden.py"]
+# options that no caller sets, each with the reason it stays
+UNCALLED = {
+    "-h": "argparse's help",
+    "--help": "argparse's help",
+    "--version": "prints the program version",
+    "--xmin-candidates": "perfbench/traced.py binds fit_power_law(max_candidates=); it goes with that binding",
+    "--umpu-method": "perfbench/traced.py binds umpu_sweep(method=); it goes with that binding",
+}
 
 
 def _subparsers() -> dict:
@@ -58,3 +70,22 @@ def test_checker_flags_an_unread_flag():
 def test_no_numeric_flag_takes_every_value(name):
     bare = [a.dest for a in _subparsers()[name]._actions if a.type in (int, float)]
     assert bare == []
+
+
+def uncalled_options(parsers, texts) -> list:
+    """Option strings of `parsers` that appear quoted in none of `texts`."""
+    options = {opt for parser in parsers for action in parser._actions for opt in action.option_strings}
+    return sorted(opt for opt in options if not any(f'"{opt}"' in text for text in texts))
+
+
+def test_every_flag_has_a_caller():
+    texts = [path.read_text(encoding="utf-8") for path in CALLERS]
+    parsers = [build_parser(), *_subparsers().values()]
+    assert [opt for opt in uncalled_options(parsers, texts) if opt not in UNCALLED] == []
+
+
+def test_checker_flags_an_uncalled_option():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--bins")
+    parser.add_argument("--bins-max")
+    assert uncalled_options([parser], ['main(["estimate", "--bins", "60"])']) == ["--bins-max", "--help", "-h"]

@@ -92,7 +92,7 @@ GOLDEN = {
     "est.fitlines.csv": "067674d7f535175d70bba9e343c212e83063431a3969192fb975506424a91166",
     "est.regimes.json": "f0f1dd328783253ed82c14b01c17c2db4aa8a6bf7191aec6924d39c996fbf4bd",
     "joined.csv": "73f29fca8029970498239e1899f7e6a0ee35dd84426df0238a62d23cfac97283",
-    "joined.taxonomy.json": "eb959b8132d67cc108eab5451894abc968d6dc8cde9d6af321a0edcebd1ef91d",
+    "joined.taxonomy.json": "5a1f790208d95b1d0f27dce8698645f83c16eb6011b2a0666f462f29eaf52f36",
     "sim/cur/cur.panel.csv": "3fc82ac8ecf96fa2ba4128acecccf68751798c9253321db4d56ed84da19586c1",
     "sim/cur/cur.snapshot_2000-01-01.csv": "90a1180356f8b3fc4b85d73216ce4bc255c6288a9518259da6c087ba1b52ede0",
     "sim/cur/cur.snapshot_2000-01-07.csv": "e325c1200a9d6210db54a87cc8e56e55ef3495dddbb0ef72382b3b409249f846",
@@ -111,7 +111,7 @@ GOLDEN = {
     "sim/two/two.snapshot_2000-01-22.csv": "7c49577746bb998543da9217c7f944c551c01bbdb174e5a7cd94f05fa9a20e32",
     "sim/two/two.snapshot_2000-01-29.csv": "9ec23d6bacfdf749cdf3625f0921495e8216db9337883d275b2f1cfa882414b8",
     "small.csv": "6db6eb7877efbad61844fc12bb1563841a33890adbf253f3ddcafbd6f5ef1c61",
-    "small.taxonomy.json": "d76133a347a788272242528955366733cda66bc7883c27faf7cfbc8554901a3a",
+    "small.taxonomy.json": "724cfe90cd2b8ff352bbe2c6d2f7fecff6d32b73a2edcdc326f503c260d9dd69",
     "sw.horizon.json": "5143a22310c50bd180fc0ce21b3988241c491c9dc5b9ffef3134c4f7cfcaebff",
     "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
     "sw.trends.csv": "69726994359818e42e26b4cc5d94c47fdf45d724f2b4e17dc5d278f5c4c13ef1",

@@ -21,6 +21,7 @@ from balancegrowth import (
     horizon_sweep,
     make_bins,
     simulate_power_sde,
+    simulate_two_regime,
     snapshot_series,
     split_regimes,
     trend_test,
@@ -381,6 +382,33 @@ class TestSplitRegimes:
         assert a.poor.mu_dt == pytest.approx(-b.wealthy.mu_dt, rel=1e-12)
         assert b.sign_pattern == [-v for v in a.sign_pattern]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the bin that straddles s_star mixes both regimes and leads the wealthy volatility fit",
+    )
+    def test_straddling_bin_leaves_the_wealthy_volatility_fit(self):
+        """The acceptance gate's two-regime config at 1 day (one step, so no user crosses s_star): the
+        wealthy volatility exponent reads the planted 0.9 within 0.01, with a chi^2/dof below 3."""
+        from test_acceptance import ratio_pipeline  # test_acceptance imports this module
+
+        misses = []
+        for seed in (9000, 9001, 9002):
+            config = SimConfig(
+                n_users=200_000,
+                s0_law=InitialLaw.lognormal(math.log(1e10), 2.3),
+                horizon_days=1,
+                poor=RegimeParams(alpha_drift=0.8, mu=0.003, alpha_vol=0.8, sigma=2e-4),
+                wealthy=RegimeParams(alpha_drift=1.05, mu=-0.002, alpha_vol=0.9, sigma=1e-3),
+                s_star=1e10,
+                step_days=1,
+                seed=seed,
+                regime_mode="initial",
+            )
+            wealthy = ratio_pipeline(simulate_two_regime(config))[0].wealthy
+            if not (wealthy.vol_chi2_dof < 3 and abs(wealthy.alpha_vol - 0.9) < 0.01):
+                misses.append((seed, wealthy.alpha_vol, wealthy.vol_chi2_dof))
+        assert misses == []
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=30))
     @example([1] * 6)
@@ -551,6 +579,14 @@ class TestHorizonSweep:
         with pytest.raises(MalformedInputError):
             horizon_sweep(snaps, config.t0, dts, **kwargs)
 
+    def test_horizon_past_the_calendar_raises(self):
+        t0 = dt.date(9999, 12, 1)
+        snap = BalanceSnapshot(t0, ["a", "b", "c"], [5, 6, 7])
+        message = "^horizon 60 days from t0 = 9999-12-01 ends outside the calendar$"
+        with pytest.raises(MalformedInputError, match=message):
+            horizon_sweep([snap], t0, [30, 60])
+        assert horizon_sweep([snap], t0, [30]).skipped == [{"dt_days": 30, "reason": "no snapshot at 9999-12-31"}]
+
     def test_horizon_without_active_rows_skipped(self, snapshots):
         config, snaps = snapshots
         held = BalanceSnapshot(config.t0 + dt.timedelta(days=7), snaps[0].user_ids, snaps[0].balances)
@@ -598,27 +634,9 @@ class TestHorizonSweep:
 
 
 class TestBinPanelRange:
-    """An empty bin range taken from the data is too little data; two bounds out of order are a bad setting."""
-
-    PANEL = panel_from_rows([("a", 10, 12), ("b", 20, 25), ("c", 40, 44), ("z", 0, 9)])
-
-    @pytest.mark.parametrize(
-        "bounds, message",
-        [
-            ({"s_min": 40}, "s_min = 40 is not below the largest active s0, 40"),
-            ({"s_min": 100}, "s_min = 100 is not below the largest active s0, 40"),
-            ({"s_max": 3}, "s_max = 3 is not above the smallest active s0, 10"),
-        ],
-    )
-    def test_one_bound_past_every_active_row(self, bounds, message):
-        with pytest.raises(InsufficientDataError, match=f"^{message}$"):
-            bin_panel(self.PANEL, 2, 2, **bounds)
+    """The bin range is the range of the active s0; an empty one is too little data."""
 
     def test_every_active_row_at_one_balance(self):
         panel = panel_from_rows([("a", 5, 7), ("b", 5, 3), ("c", 0, 4)])
         with pytest.raises(InsufficientDataError, match="^every active row starts at one balance, 5 satoshi$"):
             bin_panel(panel, 2, 2)
-
-    def test_given_bounds_out_of_order_are_a_setting(self):
-        with pytest.raises(MalformedInputError, match="need 0 < s_min < s_max"):
-            bin_panel(self.PANEL, 2, 2, s_min=30, s_max=15)

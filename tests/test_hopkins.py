@@ -63,14 +63,6 @@ def test_range_and_preconditions(rng):
         hopkins_test(pts, 0, seed=0)
 
 
-def test_log_scale_variant_handles_negative_changes(rng):
-    s0 = rng.lognormal(18.0, 2.0, size=400)
-    ds = rng.normal(0.0, 1.0, size=400) * s0
-    pts = np.column_stack([s0, ds])
-    h = hopkins_test(pts, 50, seed=1, log_scale=True).statistic
-    assert 0.0 <= h <= 1.0
-
-
 def test_median_statistic_gives_half_pvalue():
     assert hopkins_pvalue(0.5, 100) == pytest.approx(0.5, abs=1e-12)
 
@@ -202,7 +194,6 @@ def test_statistic_on_the_benchmark_panel_is_unchanged(tmp_path):
     pts = _sweep_read_points(tmp_path)
     assert len(pts) == 165_057
     assert hopkins_test(pts, 100, seed=7).statistic == 0.999424566002396
-    assert hopkins_test(pts, 100, seed=7, log_scale=True).statistic == 0.999985527090888
 
 
 def test_non_finite_points_refused():

@@ -852,7 +852,6 @@ class TestBadFlagValues:
     @pytest.mark.parametrize(
         "command, flag, value",
         [
-            ("panel", "--epsilon-v", "-1"),
             ("panel", "--date0", "2016-13-01"),
             ("sweep", "--t0", "notadate"),
             ("sweep", "--dts", "28,x"),
@@ -912,9 +911,9 @@ class TestBadFlagValues:
         [
             (["fit", "{tmp}/missing.csv", "--xmin", "-5"], "--xmin"),
             (["fit", "{tmp}/missing.csv", "--xmin", "nan"], "--xmin"),
-            (["estimate", "{tmp}/missing.csv", "e", "--s-min", "0"], "--s-min"),
-            (["estimate", "{tmp}/missing.csv", "e", "--s-max", "inf"], "--s-max"),
-            (["estimate", "{tmp}/missing.csv", "e", "--s-min", "10", "--s-max", "3"], "--s-max"),
+            (["estimate", "{tmp}/missing.csv", "e", "--target", "share"], "--target"),
+            (["estimate", "{tmp}/missing.csv", "e", "--bins", "1"], "--bins"),
+            (["estimate", "{tmp}/missing.csv", "e", "--min-count", "1"], "--min-count"),
             (["panel", "{tmp}/a_2016-01-23.csv", "{tmp}/b_2016-02-20.csv", "p.csv", "--date1", "2016-13-01"], "--date1"),
             (["sweep", "{tmp}", "--t0", "2016-01-24", "--dts", "27"], "--t0"),
         ],
@@ -941,6 +940,23 @@ def test_star_log_scale_is_not_an_option(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["estimate", "p.csv", "e"], "--s-min"),
+        (["estimate", "p.csv", "e"], "--s-max"),
+        (["panel", "a.csv", "b.csv", "p.csv"], "--epsilon-v"),
+        (["panel", "a.csv", "b.csv", "p.csv", "--hopkins-m", "5"], "--hopkins-log"),
+    ],
+)
+def test_removed_flags_are_not_options(tmp_path, capsys, argv, flag):
+    """Bins span the active s0, vertical rows enter from 0, and Hopkins reads the points as given."""
+    value = [] if flag == "--hopkins-log" else ["1"]
+    assert main([*argv, flag, *value, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"unrecognized arguments: {' '.join([flag, *value])}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestFailedRunWritesNoFile:
     """Every output is computed before the first write, so a run that fails leaves only its inputs."""
 
@@ -949,9 +965,8 @@ class TestFailedRunWritesNoFile:
         [
             (["fit", "v.csv", "--umpu"], "need at least 10 positive values"),
             (["estimate", "p.csv", "e", "--bins", "2", "--min-count", "2"], "need at least 3 retained bins"),
-            (["estimate", "p.csv", "e", "--s-max", "inf", "--bins", "2", "--min-count", "2"], "--s-max"),
         ],
-        ids=["fit-umpu-5-values", "estimate-split-fails", "estimate-s-max-inf"],
+        ids=["fit-umpu-5-values", "estimate-split-fails"],
     )
     def test_only_inputs_remain(self, tmp_path, capsys, argv, message):
         write(tmp_path / "v.csv", "balance\n5\n17\n300\n2000\n90000\n")
@@ -1423,10 +1438,10 @@ wealthy_sigma = 0.001
         monkeypatch.chdir(tmp_path)
         write("a_2016-01-23.csv", "user_id,balance\nalice,500000000\nbob,120000\ncarol,0\ndave,30000000\n")
         write("b_2016-02-20.csv", "user_id,balance\nalice,500000000\nbob,0\ndave,45000000\nerin,7000000\n")
-        rc = main(["panel", "a_2016-01-23.csv", "b_2016-02-20.csv", "p.csv", "--epsilon-v", "0.5", "--quiet"])
+        rc = main(["panel", "a_2016-01-23.csv", "b_2016-02-20.csv", "p.csv", "--quiet"])
         assert rc == 0
         manifest = json.loads(Path("p.manifest.json").read_text())
         assert set(manifest) == {
             "command", "parameters", "inputs", "seed", "version", "run_id", "outputs", "diagnostics", "duration_s",
         }
-        assert manifest["run_id"] == "dd9903d1cb3bfe4e"
+        assert manifest["run_id"] == "51e4f5d1a95ec7a3"

@@ -367,13 +367,10 @@ class TestTaxonomy:
         assert tax.total == panel.n_rows
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40),
-        epsilon_v=st.sampled_from([0, 1, 2.5, 6]),
-    )
-    def test_each_row_in_exactly_one_class(self, rows, epsilon_v):
+    @given(rows=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40))
+    def test_each_row_in_exactly_one_class(self, rows):
         named = {
-            "vertical": lambda s0, s1: s1 > s0 and s0 <= epsilon_v,
+            "vertical": lambda s0, s1: s1 > s0 and s0 == 0,
             "horizontal": lambda s0, s1: s1 == s0,
             "diagonal": lambda s0, s1: s1 < s0 and s1 == 0,
         }
@@ -382,7 +379,7 @@ class TestTaxonomy:
             hits = [name for name, member in named.items() if member(s0, s1)]
             assert len(hits) <= 1
             counts[hits[0] if hits else "interior"] += 1
-        tax = taxonomy(panel_from_rows([(f"u{i}", s0, s1) for i, (s0, s1) in enumerate(rows)]), epsilon_v)
+        tax = taxonomy(panel_from_rows([(f"u{i}", s0, s1) for i, (s0, s1) in enumerate(rows)]))
         assert {name: getattr(tax, name) for name in counts} == counts
 
     def test_constructed_mixture_recovered_exactly(self):
@@ -398,17 +395,3 @@ class TestTaxonomy:
             rows.append((f"i{k}", 10 + k, 20 + k)); k += 1
         tax = taxonomy(panel_from_rows(rows))
         assert (tax.vertical, tax.horizontal, tax.diagonal, tax.interior) == (30, 30, 30, 10)
-
-    def test_epsilon_v_widens_vertical(self):
-        panel = panel_from_rows([("a", 3, 100), ("b", 30, 100)])
-        assert taxonomy(panel, epsilon_v=0).vertical == 0
-        assert taxonomy(panel, epsilon_v=5).vertical == 1
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(MalformedInputError, match="^epsilon_v must be non-negative, got -1$"):
-            taxonomy(panel_from_rows([("a", 1, 2)]), epsilon_v=-1)
-
-    def test_nan_epsilon_rejected(self):
-        # NaN would count no vertical row and move every entrant into the interior
-        with pytest.raises(MalformedInputError, match="^epsilon_v must be non-negative, got nan$"):
-            taxonomy(panel_from_rows([("a", 0, 2)]), epsilon_v=float("nan"))

@@ -151,9 +151,7 @@ def test_only_hopkins_loads_scipy(tmp_path):
     snaps = ["sim.snapshot_2000-01-01.csv", "sim.snapshot_2000-01-29.csv"]
     assert _scipy_after([["simulate", "sim.cfg", "sim"]], tmp_path) == []
     assert _scipy_after([["panel", *snaps, "p.csv", "--hopkins-m", "50"]], tmp_path) == []
-    assert _scipy_after([["panel", *snaps, "lp.csv", "--hopkins-m", "50", "--hopkins-log"]], tmp_path) == []
-    for prefix, log_scale in (("p", False), ("lp", True)):
-        assert json.loads((tmp_path / f"{prefix}.taxonomy.json").read_text())["hopkins"]["log_scale"] is log_scale
+    assert json.loads((tmp_path / "p.taxonomy.json").read_text())["hopkins"]["m"] == 50
 
 
 def test_public_names_are_exported():
