@@ -174,8 +174,9 @@ def bin_moments(
 ) -> BinSeries:
     """Per-bin mean and population std of ds (absolute) or ds/s0 (ratio).
 
-    Rows are assigned by s0; the last bin includes its upper edge. Rows
-    outside the edge range are ignored. Bins with fewer than `min_count`
+    Edges must rise strictly over positive finite values. Rows are
+    assigned by s0; the last bin includes its upper edge. Rows outside
+    the edge range are ignored. Bins with fewer than `min_count`
     rows are dropped. Accumulation is by fixed bin index, so row order
     does not affect the result beyond float rounding.
     """
@@ -188,6 +189,9 @@ def bin_moments(
     if np.any(s0 <= 0):
         raise MalformedInputError("panel contains rows with s0 <= 0; run filter_active first")
     edges = np.asarray(edges, dtype=np.float64)
+    rising = edges.ndim == 1 and edges.size >= 2 and bool(np.all(edges[1:] > edges[:-1]))  # NaN fails too
+    if not (rising and 0 < edges[0] and edges[-1] < np.inf):
+        raise MalformedInputError("bin edges must rise strictly over 2 or more positive finite values")
     n_bins = edges.size - 1
     w = ds if target == TARGET_ABSOLUTE else ds / s0
     idx = np.searchsorted(edges, s0, side="right") - 1
@@ -428,9 +432,11 @@ def trend_test(series) -> TrendResult:
     p = 0.027).
     """
     pts = sorted((float(a), float(b)) for a, b in series)
-    for a, b in pts:
+    for i, (a, b) in enumerate(pts):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise MalformedInputError(f"trend point (dt {a}, value {b}) is not finite")
+        if i and a == pts[i - 1][0]:  # points taken at one time have no order to test
+            raise MalformedInputError(f"more than one trend point at dt {a}")
     v = np.array([b for _, b in pts], dtype=np.float64)
     n = v.size
     if n < _MIN_TREND_POINTS:

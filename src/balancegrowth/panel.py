@@ -194,8 +194,8 @@ class BalanceSnapshot(_Checked):
             bad = bal[~((np.abs(bal) < 2.0**63) & (bal == np.floor(bal)))]
         elif bal.dtype.kind == "u":
             bad = bal[bal >= 2**63]
-        elif bal.dtype.kind in "US":  # text is parsed by the CSV reader, not here
-            bad = [repr(b) for b in bal.ravel()[:1].tolist()]  # every text balance is bad; name the first
+        elif bal.dtype.kind != "i":  # text (parsed by the CSV reader, not here), bool, complex, dates
+            bad = [repr(b) for b in bal.ravel()[:1].tolist()]  # every such balance is bad; name the first
         if len(bad):
             raise MalformedInputError(f"balance {bad[0]} is not a finite whole number of satoshi")
         bal = bal.astype(np.int64, copy=False)
@@ -247,6 +247,11 @@ class TransitionPanel(_Checked):
         if self.dt_days is not None and self.dt_days <= 0:
             raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
         object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
+        for name in ("s0", "s1"):
+            column = np.asarray(getattr(self, name))
+            if column.dtype.kind not in "if":  # unsigned ds would wrap below zero
+                raise MalformedInputError(f"{name} has dtype {column.dtype}; balances must be integers or floats")
+            object.__setattr__(self, name, column)
         _check_rows(self.user_ids, self.s0, self.s1)
 
     @cached_property
@@ -450,27 +455,19 @@ def hopkins_pvalue(h: float, m: int) -> float:
 class _BlockIndex:
     """Exact nearest-neighbour search over points packed into blocks of `_NN_BLOCK` rows.
 
-    The packing is sort-tile-recursive (Leutenegger, Lopez & Edgington,
-    1997): about sqrt(n / _NN_BLOCK) strips by the first coordinate, each
-    sorted by the second and cut into blocks, and each block keeps its
-    bounding box. A query scans whole blocks in order of the lower bound
-    its box gives, and stops at the first bound not below its best.
-    Squared distances are summed in coordinate order, as cKDTree sums them
-    for up to 3 coordinates; a bound is summed in the same order, so
-    rounding never lifts it above a distance in its block.
+    Points are sorted by the first coordinate and cut into blocks, and
+    each block keeps its bounding box. A query scans whole blocks in
+    order of the lower bound its box gives, and stops at the first bound
+    not below its best. Squared distances are summed in coordinate order,
+    as cKDTree sums them for up to 3 coordinates; a bound is summed in
+    the same order, so rounding never lifts it above a distance in its
+    block.
     """
 
     def __init__(self, pts: np.ndarray):
         n, d = pts.shape
         n_blocks = -(-n // _NN_BLOCK)
-        strip_rows = _NN_BLOCK * -(-n_blocks // max(1, round(math.sqrt(n_blocks))))
-        n_strips = -(-n // strip_rows)
-        by_first = np.argsort(pts[:, 0])
-        # every strip sorted at once as one row of a matrix; the last is padded with inf, which sorts last
-        second = np.full(n_strips * strip_rows, np.inf)
-        second[:n] = pts[by_first, min(1, d - 1)]
-        within = np.argsort(second.reshape(n_strips, strip_rows), axis=1)
-        order = by_first[(within + strip_rows * np.arange(n_strips)[:, None]).ravel()[:n]]
+        order = np.argsort(pts[:, 0])
         packed = pts[order]
         starts = np.arange(0, n, _NN_BLOCK)
         self.lo = np.minimum.reduceat(packed, starts, axis=0)

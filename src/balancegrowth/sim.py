@@ -344,7 +344,6 @@ def simulate_gbm_exact(
     sigma: float,
     horizon_days: float,
     seed: int = 0,
-    t0: dt.date = DEFAULT_T0,
 ) -> TransitionPanel:
     """Exact proportional-growth panel: one exact step over the horizon.
 
@@ -358,7 +357,6 @@ def simulate_gbm_exact(
         poor=RegimeParams(mu=mu, sigma=sigma),
         step_days=horizon_days,
         seed=seed,
-        t0=t0,
         scheme=SCHEME_EXACT,
     )
     return simulate_two_regime(config)
@@ -371,7 +369,6 @@ def simulate_power_sde(
     step_days: int,
     horizon_days: int,
     seed: int = 0,
-    t0: dt.date = DEFAULT_T0,
 ) -> TransitionPanel:
     """Euler-Maruyama panel for the single-regime power-scaled process."""
     config = SimConfig(
@@ -381,7 +378,6 @@ def simulate_power_sde(
         poor=params,
         step_days=step_days,
         seed=seed,
-        t0=t0,
     )
     return simulate_two_regime(config)
 

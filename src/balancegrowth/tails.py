@@ -7,7 +7,6 @@ strictly positive. The normal CDF, its logarithm and erfc are numpy
 kernels of this module, so fitting loads no scipy.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,8 +51,6 @@ _MIN_TAIL = 100  # `threshold_sweep` stops at the first tail with fewer points
 _MIN_TEST_TAIL = 10  # the fewest tail points the exponentiality test takes
 # UMPU Monte Carlo: exponential draws per block of replicates
 _REP_BLOCK = 1 << 16
-# normal-distribution kernels: values per block, so the temporaries stay in cache
-_NORMAL_BLOCK = 1 << 15
 
 _FLAT_TAIL = "all tail values equal xmin; power-law exponent undefined"
 _FEW_DISTINCT = "need at least 2 distinct tail values for a log-normal fit"
@@ -168,22 +165,6 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _ROUND = 1.5 * 2.0**52  # adding and subtracting it rounds a float below 2^51 to an integer
 
 
-def _by_block(kernel):
-    """`kernel`, a function of a 1-d float array, applied elementwise to any array or scalar,
-    `_NORMAL_BLOCK` values at a time."""
-
-    @functools.wraps(kernel)
-    def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        for lo in range(0, flat.size, _NORMAL_BLOCK):
-            out[lo : lo + _NORMAL_BLOCK] = kernel(flat[lo : lo + _NORMAL_BLOCK])
-        return out.reshape(x.shape)
-
-    return apply
-
-
 def _rational(p, q, x):
     """p(x)/q(x) by Horner's rule, in place; `q` is monic."""
     num = p[0] * x
@@ -199,9 +180,9 @@ def _rational(p, q, x):
     return num
 
 
-@_by_block
 def _erfcx(a):
     """exp(a^2) erfc(a) for a >= 0, within about 1e-15 relative."""
+    a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
     near = a <= 0.46875
     far = a > 4.0
@@ -239,34 +220,34 @@ def _gauss(a, s: float) -> np.ndarray:
     return out
 
 
-@_by_block
 def _erfc(x):
     """The complementary error function, within about 1e-15 relative of the exact value at x."""
+    x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
     e = _erfcx(a) * _gauss(a, 1.0)
     return np.where(x < 0.0, 2.0 - e, e)
 
 
-@_by_block
 def _ndtr(d):
     """The standard normal CDF; the Gaussian factor is taken from d itself, so the rounding of
     d/sqrt(2) costs no digits far out in the tail."""
+    d = np.asarray(d, dtype=np.float64)
     a = np.abs(d)
     tail = 0.5 * _erfcx(a / math.sqrt(2.0)) * _gauss(a, 0.5)
     return np.where(d > 0.0, 1.0 - tail, tail)
 
 
-@_by_block
 def _log_ndtr(d):
     """ln Phi(d): ln(erfcx(-d/sqrt(2))/2) - d^2/2 for d < 0, which neither underflows nor
     subtracts, and ln(1 - Phi(-d)) for d >= 0."""
-    a = np.abs(d)
+    d = np.asarray(d, dtype=np.float64)
+    a = np.abs(d).ravel()  # 1-d, so a scalar's result can be assigned by mask
     r = 0.5 * _erfcx(a / math.sqrt(2.0))
     with np.errstate(divide="ignore", over="ignore"):  # -inf where Phi(d) is 0 or d^2 overflows
         out = np.log(r) - 0.5 * a * a
-    right = d >= 0.0
+    right = d.ravel() >= 0.0
     out[right] = np.log1p(-r[right] * _gauss(a[right], 0.5))
-    return out
+    return out.reshape(d.shape)
 
 
 def powerlaw_logpdf(x, alpha: float, xmin: float) -> np.ndarray:

@@ -161,6 +161,17 @@ class TestBinMoments:
         with pytest.raises(NoRetainedBinsError):
             bin_moments(panel, make_bins(1.0, 100.0, 10), min_count=50)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[1.0, 100.0, 10.0, 3e4], [1.0, math.nan, 3e4], [-5.0, 10.0, 3e4], [10.0, 10.0, 3e4], [0.0, 10.0],
+         [1.0, math.inf], [10.0], [], [[1.0, 10.0], [100.0, 1e3]]],
+    )
+    def test_bad_edges_refused(self, edges):
+        s0 = np.exp(np.linspace(0.0, 10.0, 200))
+        panel = panel_from_rows([(f"u{i}", a, 1.1 * a) for i, a in enumerate(s0)])
+        with pytest.raises(MalformedInputError, match="^bin edges must rise strictly"):
+            bin_moments(panel, edges, min_count=2)
+
     def test_zero_start_rows_rejected(self):
         panel = panel_from_rows([("a", 0.0, 5.0), ("b", 3.0, 4.0)])
         with pytest.raises(MalformedInputError):
@@ -517,6 +528,13 @@ class TestTrend:
             trend_test([(7, 1.0), (14, bad), (21, 2.0), (28, 3.0)])
         with pytest.raises(MalformedInputError, match=rf"^trend point \(dt {bad}, value 2.0\) is not finite$"):
             trend_test([(7, 1.0), (14, 1.5), (bad, 2.0), (28, 3.0)])
+
+    def test_repeated_dt_refused(self):
+        # sorted by (dt, value), points taken at one time would read as a rising series
+        with pytest.raises(MalformedInputError, match=r"^more than one trend point at dt 1.0$"):
+            trend_test([(1, v) for v in (5.0, 1.0, 4.0, 2.0, 3.0)])
+        with pytest.raises(MalformedInputError, match=r"^more than one trend point at dt 14.0$"):
+            trend_test([(7, 1.0), (14, 2.0), (21, 3.0), (14, 2.0), (28, 4.0)])
 
 
 @pytest.fixture(scope="module")

@@ -149,7 +149,7 @@ def test_search_equals_brute_force_and_kdtree(case):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize(
     "n",
-    # 2 is n = 2m with m = 1; the last packs 8 strips of 8 blocks, the last block part full
+    # 2 is n = 2m with m = 1; the last packs 64 blocks, the last part full
     [2, 3, _NN_BLOCK - 1, _NN_BLOCK, _NN_BLOCK + 1, 5 * _NN_BLOCK + 123, 63 * _NN_BLOCK + 5],
 )
 def test_search_on_fixed_shapes(n, d):

@@ -83,6 +83,10 @@ class TestBuildPanel:
             ["1", "x"],
             ["1", "5"],
             np.array([b"1", b"5"]),
+            np.array([True, False]),
+            np.array([1 + 0j, 2 + 0j]),
+            np.array([1, 2], dtype="timedelta64[D]"),
+            np.array(["2016-01-01", "2016-01-02"], dtype="datetime64[D]"),  # not 16,801 satoshi
         ],
     )
     def test_non_whole_object_balance_rejected(self, balances):
@@ -308,6 +312,26 @@ class TestTransitionPanel:
     def test_public_constructor_keeps_every_check(self, ids, s0, message):
         with pytest.raises(MalformedInputError, match=message):
             TransitionPanel(D0, 28, ids, np.array(s0), np.array(s0))
+
+    def test_list_columns_accepted(self):
+        panel = TransitionPanel(D0, 28, ["a", "b"], [10, 20], [11, 19])
+        assert panel.s0.dtype == panel.s1.dtype == np.int64
+        assert panel.ds.tolist() == [1, -1] and panel.group.tolist() == [GROUP_ACTIVE, GROUP_ACTIVE]
+
+    @pytest.mark.parametrize(
+        "s0, s1, message",
+        [
+            # unsigned, 3 - 5 would wrap to 2^64 - 2 and read as a gain
+            (np.array([5], dtype=np.uint64), np.array([3], dtype=np.uint64), "^s0 has dtype uint64;"),
+            (np.array([5]), np.array([True]), "^s1 has dtype bool;"),
+            (np.array([5], dtype="timedelta64[D]"), np.array([3]), r"^s0 has dtype timedelta64\[D\];"),
+            (np.array([5]), np.array([3 + 0j]), "^s1 has dtype complex128;"),
+            ([5], [2**64], "^s1 has dtype object;"),
+        ],
+    )
+    def test_columns_that_are_not_integers_or_floats_refused(self, s0, s1, message):
+        with pytest.raises(MalformedInputError, match=message):
+            TransitionPanel(D0, 28, ["a"], s0, s1)
 
     def test_build_panel_and_take_equal_the_checked_constructor(self, rng):
         users = [f"u{i:04d}" for i in range(600)]

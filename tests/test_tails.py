@@ -590,9 +590,12 @@ class TestNormalKernels:
             assert kernel(0.5).shape == ()
             assert kernel(np.zeros((2, 3))).shape == (2, 3)
             assert np.isnan(kernel(np.array([np.nan]))).all()
-        # more values than one block
-        x = np.linspace(-5.0, 5.0, 2 * tails._NORMAL_BLOCK + 3)
-        assert np.array_equal(tails._erfc(x), np.concatenate([tails._erfc(x[:7]), tails._erfc(x[7:])]))
+        # a value does not depend on the array it is computed in
+        x = np.linspace(-40.0, 40.0, 70_003)
+        for kernel in (tails._erfc, tails._ndtr, tails._log_ndtr):
+            whole = kernel(x)
+            assert np.array_equal(whole, np.concatenate([kernel(x[:7]), kernel(x[7:40_000]), kernel(x[40_000:])]))
+            assert np.array_equal(whole[::997], [kernel(v) for v in x[::997]])
 
     @ORACLE
     @given(st.lists(st.floats(-27.0, 27.0), min_size=2, max_size=50))
