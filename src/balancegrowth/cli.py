@@ -259,13 +259,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    parsed = io.parse_sim_config(args.config)
-    run = _Run(args, Path(args.out) / args.out_prefix, [args.config], parsed.sim.seed)
-    snaps = sim.snapshot_series(parsed.sim, parsed.emit_days)
+    config, emit_days = io.parse_sim_config(args.config)
+    run = _Run(args, Path(args.out) / args.out_prefix, [args.config], config.seed)
+    snaps = sim.snapshot_series(config, emit_days)
     outputs = {f"snapshot_{snap.date.isoformat()}.csv": snap for snap in snaps}
     if len(snaps) >= 2:
         outputs["panel.csv"] = panel_mod.build_panel(snaps[0], snaps[-1])
-    return run.finish(outputs, n_overflow=parsed.sim.n_users - snaps[0].n_users)
+    return run.finish(outputs, n_overflow=config.n_users - snaps[0].n_users)
 
 
 def _flag_type(parse, valid, expected: str):

@@ -234,8 +234,8 @@ def bin_panel(panel: TransitionPanel, n_bins: int, min_count: int, target: str =
     Keeps the active rows (`filter_active`), logs how many were dropped,
     and takes `bin_moments` over `n_bins` geometric bins on the range of
     the active s0. Raises InsufficientDataError when no row is active, or
-    when every active row starts at one balance. Other edges go through
-    `make_bins` and `bin_moments` directly.
+    when the active s0 hold one balance or a range too narrow for n_bins
+    distinct edges. Other edges go through `make_bins` and `bin_moments`.
     """
     active = filter_active(panel)
     del panel  # a panel passed without another reference is freed here, before binning
@@ -246,7 +246,10 @@ def bin_panel(panel: TransitionPanel, n_bins: int, min_count: int, target: str =
     lo, hi = float(np.min(active.s0)), float(np.max(active.s0))
     if not lo < hi:
         raise InsufficientDataError(f"every active row starts at one balance, {lo:.15g} satoshi")
-    return bin_moments(active, make_bins(lo, hi, n_bins), min_count=min_count, target=target)
+    edges = make_bins(lo, hi, n_bins)
+    if not np.all(edges[1:] > edges[:-1]):
+        raise InsufficientDataError(f"active s0 range [{lo}, {hi}] is too narrow for {n_bins} distinct bin edges")
+    return bin_moments(active, edges, min_count=min_count, target=target)
 
 
 def _drift_profile(alpha, lns: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -452,7 +455,7 @@ def trend_test(series) -> TrendResult:
     if var_s <= 0:
         return TrendResult(direction="none", tau=tau, p_value=1.0, s=s, var_s=var_s, n=n)
     z = max(abs(s) - 1, 0) / math.sqrt(var_s)  # |z|, continuity-corrected
-    p = 2.0 * float(tails._ndtr(-z))
+    p = float(tails._two_sided_p(z))
     if p < tails.SIGNIFICANCE and s != 0:
         direction = "increasing" if s > 0 else "decreasing"
     else:
@@ -488,8 +491,8 @@ def horizon_sweep(
     Each horizon joins the snapshot at t0 with the one at t0+dt, bins its
     active rows by `bin_panel`, and splits regimes. A horizon is skipped
     with a warning record only for a reason in the data: its snapshot is
-    missing, no row is active, every active row starts at one balance,
-    or too few bins are retained. Settings that no data could satisfy
+    missing, no row is active, the active s0 span too narrow a range to
+    bin, or too few bins are retained. Settings that no data could satisfy
     raise before any horizon runs. Derived mu and sigma are per day. A
     regime trend-tested on exactly `_MIN_TREND_POINTS` horizons logs a
     warning, since `trend_test` cannot report a direction from so few.

@@ -25,15 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MalformedInputError
-from .panel import (
-    GROUP_ACTIVE,
-    GROUP_INACTIVE,
-    GROUP_NONE,
-    BalanceSnapshot,
-    TransitionPanel,
-    _encode_utf8,
-    _id_text,
-)
+from .panel import BalanceSnapshot, TransitionPanel, _encode_utf8, _id_text
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig, _emit_days
 
 SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
@@ -472,11 +464,7 @@ def read_panel_csv(path) -> TransitionPanel:
     bad = np.flatnonzero(ds != panel.ds)
     if bad.size:
         raise MalformedInputError(f"{path}:{line(int(bad[0]))}: ds does not equal s1 - s0")
-    # casting a whole column between `U` and `S` is slow; the labels are ASCII, so compare label by label
-    mismatch = np.zeros(panel.n_rows, dtype=bool)
-    for label in (GROUP_ACTIVE, GROUP_INACTIVE, GROUP_NONE):
-        mismatch |= (panel.group == label) & (groups != label.encode())
-    mismatch = np.flatnonzero(mismatch)
+    mismatch = np.flatnonzero(groups != panel.group)
     if mismatch.size:
         i = int(mismatch[0])
         raise MalformedInputError(f"{path}:{line(i)}: group label {_id_text(groups[i])} inconsistent with s0/ds")
@@ -543,15 +531,6 @@ _KINDS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class ParsedSimConfig:
-    """A validated simulate-command config: the model kind plus its inputs."""
-
-    model: str
-    emit_days: list
-    sim: SimConfig
-
-
 def _read(key: str, raw: str, model: str):
     """The value of one key, read as `_KINDS` says; a process coefficient of `gbm` is a number only."""
     read, expected = _KINDS.get(key, _NUMBER if model == "gbm" else _COEFFICIENT)
@@ -571,8 +550,8 @@ def _regime(values: dict, prefix: str) -> RegimeParams:
         raise ConfigError(str(exc), key=prefix + exc.key) from None
 
 
-def _sim_config(model: str, values: dict) -> ParsedSimConfig:
-    """The config built from each key's read value; each refusal is a `ConfigError` that names its key."""
+def _sim_config(model: str, values: dict) -> tuple[SimConfig, list[int]]:
+    """The config and its emit days from each key's read value; each refusal is a `ConfigError` naming its key."""
     law = values.get("s0_law", "lognormal")
     if law not in _LAWS:
         raise ConfigError(f"unknown law {law!r}", key="s0_law")
@@ -589,11 +568,11 @@ def _sim_config(model: str, values: dict) -> ParsedSimConfig:
         fields = {"step_days": horizon, "scheme": SCHEME_EXACT, **fields}
     t0 = values.get("t0_date", DEFAULT_T0)
     sim = SimConfig(n_users=values["n_users"], s0_law=s0_law, horizon_days=horizon, t0=t0, **regimes, **fields)
-    return ParsedSimConfig(model=model, emit_days=_emit_days(sim, values.get("emit_days", [0, horizon])), sim=sim)
+    return sim, _emit_days(sim, values.get("emit_days", [0, horizon]))
 
 
-def parse_sim_config(path) -> ParsedSimConfig:
-    """Parse the flat key = value config file for the simulate command.
+def parse_sim_config(path) -> tuple[SimConfig, list[int]]:
+    """Parse the flat key = value config file for the simulate command into its config and emit days.
 
     Each key is read as `_KINDS` says, and `SimConfig` checks the values. A refusal names the file,
     and the key (regime prefix included) with its line, if there is one.

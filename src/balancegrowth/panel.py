@@ -16,9 +16,9 @@ import numpy as np
 from ._rng import substream
 from .errors import HorizonError, InsufficientDataError, MalformedInputError
 
-GROUP_ACTIVE = "A"
-GROUP_INACTIVE = "B"
-GROUP_NONE = ""
+GROUP_ACTIVE = b"A"
+GROUP_INACTIVE = b"B"
+GROUP_NONE = b""
 # ids checked at once, so the scratch memory of a check stays bounded
 _ROWS_PER_BLOCK = 1 << 16
 # rows per block of the Hopkins nearest-neighbour search, and queries whose block bounds are held at once
@@ -27,12 +27,12 @@ _NN_QUERIES = 256
 
 
 def _whole_satoshi(b) -> bool:
-    """True when `b` equals an integer in the int64 range."""
+    """True when `b` equals an integer in the int64 range and is not a bool."""
     try:
         i = int(b)
     except (TypeError, ValueError, OverflowError):
         return False
-    return i == b and -(2**63) <= i < 2**63
+    return i == b and -(2**63) <= i < 2**63 and not isinstance(b, (bool, np.bool_))
 
 
 def _id_order(ids: np.ndarray) -> np.ndarray:
@@ -59,6 +59,14 @@ def _id_order(ids: np.ndarray) -> np.ndarray:
         members = np.sort(order[run])  # in input order, so the sort below is stable over the whole array
         order[run] = members[np.argsort(ids[members], kind="stable")]
     return order
+
+
+def _balance_column(values) -> np.ndarray:
+    """`values` as an array; a list or tuple holding a bool becomes an object array, which the constructors
+    refuse, where numpy would cast a bool among numbers to 0 or 1."""
+    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        return np.asarray(values, dtype=object)
+    return np.asarray(values)
 
 
 def _id_text(user_id: bytes) -> str:
@@ -184,7 +192,7 @@ class BalanceSnapshot(_Checked):
     def __post_init__(self):
         given = self.user_ids
         ids = _utf8_ids(given)
-        bal = np.asarray(self.balances)
+        bal = _balance_column(self.balances)
         bad = []
         if bal.dtype.kind == "O":
             bad = [b for b in bal.ravel().tolist() if not _whole_satoshi(b)]
@@ -231,9 +239,9 @@ class TransitionPanel(_Checked):
     non-negative, as in a snapshot, but rows keep their order.
     `ds = s1 - s0` and the activity `group` are derived from s0 and s1 on
     first use, so they always agree.
-    Group labels: 'A' for s0 > 0 and ds != 0 (traded), 'B' for s0 > 0
-    and ds == 0 (held), '' for rows entering at s0 = 0. `dt_days` is None
-    for panels loaded from CSV, where the horizon is not part of the format.
+    Group labels are `S1` bytes: b'A' for s0 > 0 and ds != 0 (traded), b'B' for
+    s0 > 0 and ds == 0 (held), b'' for rows entering at s0 = 0. `dt_days` is
+    None for panels loaded from CSV, where the horizon is not part of the format.
     """
 
     t0: dt.date | None
@@ -248,7 +256,7 @@ class TransitionPanel(_Checked):
             raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
         object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
         for name in ("s0", "s1"):
-            column = np.asarray(getattr(self, name))
+            column = _balance_column(getattr(self, name))
             if column.dtype.kind not in "if":  # unsigned ds would wrap below zero
                 raise MalformedInputError(f"{name} has dtype {column.dtype}; balances must be integers or floats")
             object.__setattr__(self, name, column)

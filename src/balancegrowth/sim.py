@@ -385,21 +385,10 @@ def simulate_power_sde(
 def simulate_two_regime(config: SimConfig) -> TransitionPanel:
     """Panel over the configured horizon, regime structure and step scheme.
 
-    Overflowed users are excluded; their count lands in panel meta as
-    'n_overflow'.
+    Overflowed users are excluded; `meta` holds only their count, 'n_overflow'.
     """
     ids, (s0, s1) = _run_chunked(config, (0, config.n_steps))
-    if config.scheme == SCHEME_EXACT:
-        model = "gbm_exact"
-    else:
-        model = "two_regime" if config.wealthy is not None else "power_sde"
-    meta = {
-        "model": model,
-        "n_overflow": config.n_users - ids.size,
-        "step_days": config.step_days,
-        "regime_mode": config.regime_mode,
-        "seed": config.seed,
-    }
+    meta = {"n_overflow": config.n_users - ids.size}
     # the simulator's ids are sorted and unique, and the kept balances finite and non-negative
     return TransitionPanel._checked(config.t0, math.ceil(config.horizon_days), ids, s0, s1, meta)
 

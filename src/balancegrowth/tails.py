@@ -3,8 +3,8 @@
 Two candidate families for the upper tail: a continuous power law and a
 truncated log-normal. Fits use x >= xmin membership; the Wilks-type
 exponentiality test uses x > threshold so the log-transformed tail is
-strictly positive. The normal CDF, its logarithm and erfc are numpy
-kernels of this module, so fitting loads no scipy.
+strictly positive. The normal CDF and its logarithm are numpy kernels of
+this module, so fitting loads no scipy.
 """
 
 import math
@@ -202,8 +202,8 @@ def _erfcx(a):
     return out
 
 
-def _gauss(a, s: float) -> np.ndarray:
-    """exp(-s a^2) for a >= 0 and s in {1/2, 1}.
+def _gauss(a) -> np.ndarray:
+    """exp(-a^2/2) for a >= 0.
 
     a^2 is split as h^2 + (a - h)(a + h) with h = a rounded to a multiple
     of 1/16: h^2 is exact and the second term is small, so the rounding
@@ -214,27 +214,23 @@ def _gauss(a, s: float) -> np.ndarray:
     h = (16.0 * a + _ROUND) - _ROUND
     h *= 0.0625
     small = h - a
-    small *= s * (a + h)
-    out = np.exp(-s * h * h)
+    small *= 0.5 * (a + h)
+    out = np.exp(-0.5 * h * h)
     out *= np.exp(small)
     return out
 
 
-def _erfc(x):
-    """The complementary error function, within about 1e-15 relative of the exact value at x."""
-    x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x)
-    e = _erfcx(a) * _gauss(a, 1.0)
-    return np.where(x < 0.0, 2.0 - e, e)
+def _two_sided_p(z):
+    """2 Phi(-|z|), the two-sided normal p-value of z; the Gaussian factor is taken from z itself, so
+    the rounding of z/sqrt(2) costs no digits far out in the tail."""
+    a = np.abs(np.asarray(z, dtype=np.float64))
+    return _erfcx(a / math.sqrt(2.0)) * _gauss(a)
 
 
 def _ndtr(d):
-    """The standard normal CDF; the Gaussian factor is taken from d itself, so the rounding of
-    d/sqrt(2) costs no digits far out in the tail."""
-    d = np.asarray(d, dtype=np.float64)
-    a = np.abs(d)
-    tail = 0.5 * _erfcx(a / math.sqrt(2.0)) * _gauss(a, 0.5)
-    return np.where(d > 0.0, 1.0 - tail, tail)
+    """The standard normal CDF."""
+    tail = 0.5 * _two_sided_p(d)
+    return np.where(np.asarray(d) > 0.0, 1.0 - tail, tail)
 
 
 def _log_ndtr(d):
@@ -246,7 +242,7 @@ def _log_ndtr(d):
     with np.errstate(divide="ignore", over="ignore"):  # -inf where Phi(d) is 0 or d^2 overflows
         out = np.log(r) - 0.5 * a * a
     right = d.ravel() >= 0.0
-    out[right] = np.log1p(-r[right] * _gauss(a[right], 0.5))
+    out[right] = np.log1p(-r[right] * _gauss(a[right]))
     return out.reshape(d.shape)
 
 
@@ -446,7 +442,7 @@ def _tn_moments(d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     up = dn > 0.0
     r = _erfcx(np.abs(dn) / math.sqrt(2.0))
     ln = _SQRT_2_OVER_PI / r
-    g = _gauss(dn[up], 0.5)
+    g = _gauss(dn[up])
     ln[up] = g / (_SQRT_2PI * (1.0 - 0.5 * r[up] * g))
     m1 = dn + ln
     lam[near] = ln
@@ -593,7 +589,7 @@ def normalized_loglik_ratio(pointwise_diff: np.ndarray) -> tuple[float, float]:
     if not math.isfinite(sd) or sd <= 1e-9 * scale or sd == 0.0:
         return math.nan, 1.0
     nlr = float(d.sum()) / (math.sqrt(n) * sd)
-    return nlr, float(_erfc(abs(nlr) / math.sqrt(2.0)))
+    return nlr, float(_two_sided_p(nlr))
 
 
 def _preference(nlr: float, p: float) -> str:
@@ -700,7 +696,7 @@ def _sweep_lr(n, p, y_lo, y_hi) -> tuple[np.ndarray, np.ndarray]:
     scale = np.max([np.abs(slope * u + q * (u * u - mu2) - gain) for u in (u_lo, u_hi, vertex)], axis=0)
     flat = boundary | ~np.isfinite(sd) | (sd <= 1e-9 * scale) | (sd == 0.0)
     nlr = np.where(flat, np.nan, -np.sqrt(n) * gain / np.where(flat, 1.0, sd))
-    p_value = np.where(flat, 1.0, _erfc(np.abs(nlr) / math.sqrt(2.0)))
+    p_value = np.where(flat, 1.0, _two_sided_p(nlr))
     return nlr, p_value
 
 

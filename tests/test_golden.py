@@ -115,12 +115,12 @@ GOLDEN = {
     "sw.horizon.json": "5143a22310c50bd180fc0ce21b3988241c491c9dc5b9ffef3134c4f7cfcaebff",
     "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
     "sw.trends.csv": "69726994359818e42e26b4cc5d94c47fdf45d724f2b4e17dc5d278f5c4c13ef1",
-    "vals.comparison.json": "3b5156db961d333ea7600bcf50409585eb9eeb847093dfaf5ba411dbec1d0842",
+    "vals.comparison.json": "dbef8587519f484fe52f7310793240309acc627dd48c7fa7f25988f52d6e263c",
     "vals.curves.csv": "f5c8e40f283e6f8b5491cca513607db5c807c6033b90e70a1c54a5261b26820b",
     "vals.hist.csv": "0223f46c2dcaba70f8d919548beecb496b404f8df3930e62cd084ef21f240c1b",
     "vals.log_normal.json": "6d26cf0e4e52db80692d87a0292af0a380c9d25fcae6da5ed07c438bdfcb256c",
     "vals.power_law.json": "d68e0a91547da3bb088b7a8d09e46542bb296eeb77ae0c4f049280a2c3ff9985",
-    "vals.threshold_sweep.csv": "5721aa2d630c4c0cef2555a9fd02d3cfdc4dc832ec6d5c899317465a6825f0ff",
+    "vals.threshold_sweep.csv": "f65fc151f63509cd7ef19f8f4f0a4f100c2b508453c316e175aa632af8358b37",
     "vals.umpu_sweep.csv": "c0db52225bf427bd760c641fe7eda2c367c9912a0d37a17064012249f363950e",
 }
 

@@ -620,6 +620,16 @@ class TestHorizonSweep:
         assert sweep.entries == []
         assert sweep.skipped == [{"dt_days": 7, "reason": "every active row starts at one balance, 5 satoshi"}]
 
+    def test_horizon_with_too_narrow_a_balance_range_skipped(self):
+        t0 = dt.date(2016, 1, 1)
+        ids = [f"u{i:03d}" for i in range(200)]
+        snap0 = BalanceSnapshot(t0, ids, [10**15 + i % 2 for i in range(200)])
+        snap1 = BalanceSnapshot(t0 + dt.timedelta(days=7), ids, [10**15 + 7] * 200)
+        sweep = horizon_sweep([snap0, snap1], t0, [7], n_bins=60, min_count=2)
+        assert sweep.entries == []
+        reason = "active s0 range [1000000000000000.0, 1000000000000001.0] is too narrow for 60 distinct bin edges"
+        assert sweep.skipped == [{"dt_days": 7, "reason": reason}]
+
     @pytest.mark.parametrize("dts, warnings", [([30, 60, 90, 120], 1), ([30, 60, 90, 120, 150], 0)])
     def test_four_horizon_trend_warns(self, snapshots, caplog, dts, warnings):
         config, snaps = snapshots
@@ -658,3 +668,10 @@ class TestBinPanelRange:
         panel = panel_from_rows([("a", 5, 7), ("b", 5, 3), ("c", 0, 4)])
         with pytest.raises(InsufficientDataError, match="^every active row starts at one balance, 5 satoshi$"):
             bin_panel(panel, 2, 2)
+
+    def test_range_too_narrow_for_distinct_edges(self):
+        # the logarithms of 10^15 and 10^15 + 1 are one float, so the inner geometric edges collapse
+        panel = panel_from_rows([(f"u{i:03d}", 10**15 + i % 2, 10**15 + 7) for i in range(200)])
+        message = r"^active s0 range \[1000000000000000\.0, 1000000000000001\.0\] is too narrow for 60 distinct bin edges$"
+        with pytest.raises(InsufficientDataError, match=message):
+            bin_panel(panel, 60, 2)

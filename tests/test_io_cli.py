@@ -167,7 +167,7 @@ class TestPanelCsv:
         write(path, f"user_id,s0,s1,ds,group\na,{cell},0,-{cell},A\n")
         loaded = read_panel_csv(path)
         assert loaded.s0.dtype == loaded.s1.dtype == dtype
-        assert loaded.s0.tolist() == [dtype(float(cell))] and loaded.group.tolist() == ["A"]
+        assert loaded.s0.tolist() == [dtype(float(cell))] and loaded.group.tolist() == [b"A"]
 
     def test_integer_balances_stay_exact_beside_a_float_ds(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -576,11 +576,10 @@ class TestSimConfigFile:
             seed = 5
             """.replace("            ", ""),
         )
-        parsed = parse_sim_config(path)
-        assert parsed.model == "two_regime"
-        assert parsed.sim.s_star == 1e10
-        assert parsed.sim.poor.mu == 0.003
-        assert parsed.emit_days == [0, 28]
+        config, emit_days = parse_sim_config(path)
+        assert config.wealthy is not None and config.s_star == 1e10
+        assert config.poor.mu == 0.003
+        assert emit_days == [0, 28]
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -603,10 +602,10 @@ class TestSimConfigFile:
     def test_gbm_is_one_exact_step_by_default(self, tmp_path):
         path = tmp_path / "c.cfg"
         write(path, "model = gbm\nn_users = 10\nhorizon_days = 30\ns0_law = point\ns0_value = 1\nmu = 0.01\n")
-        parsed = parse_sim_config(path)
-        assert parsed.sim.scheme == SCHEME_EXACT
-        assert parsed.sim.step_days == 30
-        assert parsed.sim.poor.mu == 0.01
+        config, _ = parse_sim_config(path)
+        assert config.scheme == SCHEME_EXACT and config.wealthy is None
+        assert config.step_days == 30
+        assert config.poor.mu == 0.01
 
     def test_byte_that_is_not_utf8_named_with_line(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
@@ -625,16 +624,17 @@ class TestSimConfigFile:
             "model = power\nn_users = 10\nhorizon_days = 10\ns0_law = point\ns0_value = 100\n"
             "sigma = 0:0.004,10:0.001\n",
         )
-        parsed = parse_sim_config(path)
-        assert isinstance(parsed.sim.poor.sigma, Schedule)
-        assert parsed.sim.poor.sigma.at(5.0) == pytest.approx(0.0025)
+        config, _ = parse_sim_config(path)
+        assert config.scheme != SCHEME_EXACT and config.wealthy is None
+        assert isinstance(config.poor.sigma, Schedule)
+        assert config.poor.sigma.at(5.0) == pytest.approx(0.0025)
 
     def test_readme_example_parses(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
         write(tmp_path / "readme.cfg", example)
-        parsed = parse_sim_config(tmp_path / "readme.cfg")
-        assert (parsed.model, parsed.sim.s_star, parsed.sim.wealthy.alpha_drift) == ("two_regime", 1e10, 1.05)
+        config, _ = parse_sim_config(tmp_path / "readme.cfg")
+        assert (config.s_star, config.wealthy.alpha_drift) == (1e10, 1.05)
         # every key the parser takes is named in README, the regime keys without their prefix
         keys = bg_io._COMMON_KEYS.union(*bg_io._MODEL_KEYS.values())
         documented = set(re.findall(r"`(\w+)`", readme))

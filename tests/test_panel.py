@@ -87,6 +87,9 @@ class TestBuildPanel:
             np.array([1 + 0j, 2 + 0j]),
             np.array([1, 2], dtype="timedelta64[D]"),
             np.array(["2016-01-01", "2016-01-02"], dtype="datetime64[D]"),  # not 16,801 satoshi
+            [True, 2],  # numpy alone would cast True to 1
+            (2.0, np.False_),
+            np.array([1, True], dtype=object),
         ],
     )
     def test_non_whole_object_balance_rejected(self, balances):
@@ -312,6 +315,13 @@ class TestTransitionPanel:
     def test_public_constructor_keeps_every_check(self, ids, s0, message):
         with pytest.raises(MalformedInputError, match=message):
             TransitionPanel(D0, 28, ids, np.array(s0), np.array(s0))
+
+    def test_bool_among_listed_balances_refused(self):
+        with pytest.raises(MalformedInputError, match="^balance True is not a finite whole number of satoshi$"):
+            BalanceSnapshot.from_records(D0, [("a", True), ("b", 2)])
+        for s0, s1, name in (([True, 2], [3, 4], "s0"), ([3, 4], (1.5, np.False_), "s1")):
+            with pytest.raises(MalformedInputError, match=f"^{name} has dtype object;"):
+                TransitionPanel(D0, 7, ["a", "b"], s0, s1)
 
     def test_list_columns_accepted(self):
         panel = TransitionPanel(D0, 28, ["a", "b"], [10, 20], [11, 19])
