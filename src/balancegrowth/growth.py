@@ -21,7 +21,7 @@ from .errors import (
     MalformedInputError,
     NoRetainedBinsError,
 )
-from .panel import TransitionPanel, build_panel, filter_active
+from .panel import TransitionPanel, _whole_int64, build_panel, filter_active
 from . import tails
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,7 @@ def bin_moments(
     w = ds if target == TARGET_ABSOLUTE else ds / s0
     idx = np.searchsorted(edges, s0, side="right") - 1
     idx[s0 == edges[-1]] = n_bins - 1
-    valid = (idx >= 0) & (idx < n_bins) & (s0 >= edges[0]) & (s0 <= edges[-1])
+    valid = (idx >= 0) & (idx < n_bins)
     idx_v = idx[valid]
     w_v = w[valid]
     counts = np.bincount(idx_v, minlength=n_bins)
@@ -497,6 +497,10 @@ def horizon_sweep(
     regime trend-tested on exactly `_MIN_TREND_POINTS` horizons logs a
     warning, since `trend_test` cannot report a direction from so few.
     """
+    dts = list(dts)
+    for d in dts:
+        if not _whole_int64(d):  # NaN, inf and bool fail too; int() would cut 7.9 to 7
+            raise MalformedInputError(f"horizon {d} is not a whole number of days")
     horizons = sorted({int(d) for d in dts})
     if horizons and horizons[0] <= 0:
         raise MalformedInputError(f"horizons must be positive, got {horizons[0]}")

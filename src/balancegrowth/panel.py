@@ -26,8 +26,8 @@ _NN_BLOCK = 512
 _NN_QUERIES = 256
 
 
-def _whole_satoshi(b) -> bool:
-    """True when `b` equals an integer in the int64 range and is not a bool."""
+def _whole_int64(b) -> bool:
+    """True when `b` equals an integer in the int64 range and is not a bool: a whole satoshi balance or day count."""
     try:
         i = int(b)
     except (TypeError, ValueError, OverflowError):
@@ -195,7 +195,7 @@ class BalanceSnapshot(_Checked):
         bal = _balance_column(self.balances)
         bad = []
         if bal.dtype.kind == "O":
-            bad = [b for b in bal.ravel().tolist() if not _whole_satoshi(b)]
+            bad = [b for b in bal.ravel().tolist() if not _whole_int64(b)]
             if not bad:
                 bal = np.array([int(b) for b in bal.ravel().tolist()], dtype=np.int64).reshape(bal.shape)
         elif bal.dtype.kind == "f":
@@ -252,8 +252,8 @@ class TransitionPanel(_Checked):
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.dt_days is not None and self.dt_days <= 0:
-            raise HorizonError(f"dt_days must be positive, got {self.dt_days}")
+        if self.dt_days is not None and not (_whole_int64(self.dt_days) and self.dt_days > 0):
+            raise HorizonError(f"dt_days must be a positive whole number of days, got {self.dt_days}")
         object.__setattr__(self, "user_ids", _utf8_ids(self.user_ids))
         for name in ("s0", "s1"):
             column = _balance_column(getattr(self, name))
@@ -322,8 +322,9 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
     """Join two snapshots into a transition panel.
 
     One row per user appearing in either snapshot; absentees carry
-    balance 0 on the side they are missing from. The join is a sorted
-    merge.
+    balance 0 on the side they are missing from. Both id arrays are
+    sorted, so the join places each later id among the earlier ids by
+    binary search.
     """
     if snap1.date <= snap0.date:
         if snap1.date == snap0.date:
@@ -335,21 +336,15 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
         # `BalanceSnapshot`), so the panel shares it too; the writeable balances are copied.
         s0, s1 = snap0.balances.copy(), snap1.balances.copy()
         return TransitionPanel._checked(snap0.date, dt_days, snap0.user_ids, s0, s1, {})
-    # Both id arrays are sorted, so a stable sort of the two runs is one
-    # merge; each input row then gets the integer code of its id. Sorting
-    # in place rather than gathering by `order` keeps one copy of the ids.
-    ids = np.concatenate([snap0.user_ids, snap1.user_ids])
-    order = np.argsort(ids, kind="stable")
-    ids.sort(kind="stable")
-    first = np.ones(ids.size, dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=first[1:])
-    code = np.empty(ids.size, dtype=np.intp)
-    code[order] = np.cumsum(first) - 1
-    ids = ids[first]
-    s0 = np.zeros(ids.size, dtype=np.int64)
+    # one width for both, since `np.insert` would cut a later id to the earlier array's width
+    width = max(snap0.user_ids.itemsize, snap1.user_ids.itemsize)
+    ids0, ids1 = (snap.user_ids.astype(f"S{width}", copy=False) for snap in (snap0, snap1))
+    at = np.searchsorted(ids0, ids1)
+    new = ids0[np.minimum(at, ids0.size - 1)] != ids1 if ids0.size else np.ones(ids1.size, dtype=bool)
+    ids = np.insert(ids0, at[new], ids1[new])
+    s0 = np.insert(snap0.balances, at[new], 0)
     s1 = np.zeros(ids.size, dtype=np.int64)
-    s0[code[: snap0.n_users]] = snap0.balances
-    s1[code[snap0.n_users :]] = snap1.balances
+    s1[at + np.cumsum(new) - new] = snap1.balances  # each later id moves up by the new ids before it
     return TransitionPanel._checked(snap0.date, dt_days, ids, s0, s1, {})
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from ._rng import substream
 from ._workers import map_on_cpus
 from .errors import ConfigError, MalformedInputError
-from .panel import BalanceSnapshot, TransitionPanel
+from .panel import BalanceSnapshot, TransitionPanel, _whole_int64
 
 # balances above this are not representable as int64 satoshi
 OVERFLOW_LIMIT = float(2**62)
@@ -397,7 +397,7 @@ def _emit_days(config: SimConfig, emit_days) -> list[int]:
     """The distinct emit days in order; each must be a whole day, a multiple of step_days, within the horizon."""
     emit_days = list(emit_days)
     for e in emit_days:
-        if not float(e).is_integer():  # NaN and inf fail too
+        if not _whole_int64(e):  # NaN, inf and bool fail too
             raise ConfigError(f"emit day {e} is not a whole number of days", key="emit_days")
     emits = sorted({int(e) for e in emit_days})
     for e in emits:

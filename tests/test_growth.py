@@ -589,8 +589,12 @@ class TestHorizonSweep:
             ([30], {"n_bins": 1}),
             ([0, 30], {}),
             ([30, -7], {}),
+            ([30, 7.9], {}),  # int() would run it as a 7-day horizon
+            ([math.nan], {}),
+            ([math.inf], {}),
+            ([True, 30], {}),  # not a 1-day horizon
         ],
-        ids=["min-count-1", "bins-1", "dt-0", "dt-negative"],
+        ids=["min-count-1", "bins-1", "dt-0", "dt-negative", "dt-fraction", "dt-nan", "dt-inf", "dt-bool"],
     )
     def test_settings_no_data_could_satisfy_raise(self, snapshots, dts, kwargs):
         config, snaps = snapshots

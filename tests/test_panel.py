@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from decimal import Decimal
 from unittest import mock
@@ -322,6 +323,12 @@ class TestTransitionPanel:
         for s0, s1, name in (([True, 2], [3, 4], "s0"), ([3, 4], (1.5, np.False_), "s1")):
             with pytest.raises(MalformedInputError, match=f"^{name} has dtype object;"):
                 TransitionPanel(D0, 7, ["a", "b"], s0, s1)
+
+    @pytest.mark.parametrize("dt_days", [0, -7, 7.5, math.nan, math.inf, True, np.True_])
+    def test_horizon_must_be_a_positive_whole_day_count(self, dt_days):
+        with pytest.raises(HorizonError, match=f"^dt_days must be a positive whole number of days, got {dt_days}$"):
+            TransitionPanel(D0, dt_days, ["a"], [1], [2])
+        assert TransitionPanel(D0, np.int64(7), ["a"], [1], [2]).dt_days == 7
 
     def test_list_columns_accepted(self):
         panel = TransitionPanel(D0, 28, ["a", "b"], [10, 20], [11, 19])

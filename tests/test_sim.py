@@ -389,9 +389,9 @@ class TestSnapshots:
         with pytest.raises(ConfigError):
             snapshot_series(config, [3])
 
-    @pytest.mark.parametrize("day", [2.9, 2.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("day", [2.9, 2.5, math.nan, math.inf, -math.inf, True, np.True_])
     def test_fractional_emit_day_refused(self, day):
-        # int() would have truncated 2.9 to the emittable day 2
+        # int() would have truncated 2.9 to the emittable day 2, and True is not day 1
         config = SimConfig(
             n_users=10, s0_law=InitialLaw.point(100.0), horizon_days=10,
             poor=RegimeParams(), step_days=2, seed=0,
