@@ -241,10 +241,9 @@ def cmd_sweep(args) -> int:
     for record in sweep.skipped:
         log.warning("skipped dt=%s: %s", record["dt_days"], record["reason"])
     series = [
-        {"dt_days": entry.dt_days, "regime": regime, **entry.derived[regime]}
+        {"dt_days": entry.dt_days, "regime": regime, **params}
         for entry in sweep.entries
-        for regime in (growth.REGIME_POOR, growth.REGIME_WEALTHY)
-        if entry.derived.get(regime) is not None
+        for regime, params in entry.derived.items()
     ]
     trends = [
         {"regime": regime, "parameter": param, **vars(trend)}

@@ -40,8 +40,8 @@ REGIME_ALL = "all"
 
 # the fewest points trend_test takes; at 0.05 a trend test on this many cannot report a direction
 _MIN_TREND_POINTS = 4
-# parameters tracked across horizons, in emission order
-SWEEP_PARAMS = ("alpha_drift", "alpha_vol", "mu_dt", "sigma_sqrtdt", "mu", "sigma")
+# the exponents and per-day rates tracked across horizons, in emission order; the totals stay in each split
+SWEEP_PARAMS = ("alpha_drift", "alpha_vol", "mu", "sigma")
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class TrendResult:
 
 @dataclass(frozen=True)
 class HorizonEntry:
-    """Regime split plus per-day derived parameters at one horizon."""
+    """Regime split plus, for each regime with a fit, its `SWEEP_PARAMS` with mu and sigma per day."""
 
     dt_days: int
     split: RegimeSplit
@@ -471,8 +471,6 @@ def _derived_params(split: RegimeSplit, dt_days: int) -> dict:
         out[regime] = {
             "alpha_drift": fit.alpha_drift,
             "alpha_vol": fit.alpha_vol,
-            "mu_dt": fit.mu_dt,
-            "sigma_sqrtdt": fit.sigma_sqrtdt,
             "mu": fit.mu_dt / dt_days,
             "sigma": fit.sigma_sqrtdt / math.sqrt(dt_days),
         }

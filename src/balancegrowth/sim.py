@@ -56,6 +56,8 @@ class Schedule:
     def __post_init__(self):
         if len(self.days) != len(self.values) or not self.days:
             raise ConfigError("schedule needs matching, non-empty days and values")
+        if not all(math.isfinite(day) for day in self.days):  # NaN passes the order check, and .at() reads NaN
+            raise ConfigError(f"schedule days must be finite, got {self.days}")
         if any(b <= a for a, b in zip(self.days, self.days[1:])):
             raise ConfigError("schedule days must be strictly increasing")
 
@@ -161,11 +163,11 @@ class SimConfig:
 
     n_users: int
     s0_law: InitialLaw
-    horizon_days: int
+    horizon_days: float
     poor: RegimeParams
     wealthy: RegimeParams | None = None
     s_star: float | None = None
-    step_days: int = 1
+    step_days: float = 1
     seed: int = 0
     regime_mode: str = REGIME_MODE_CURRENT
     t0: dt.date = DEFAULT_T0
@@ -366,8 +368,8 @@ def simulate_power_sde(
     n_users: int,
     s0_law: InitialLaw,
     params: RegimeParams,
-    step_days: int,
-    horizon_days: int,
+    step_days: float,
+    horizon_days: float,
     seed: int = 0,
 ) -> TransitionPanel:
     """Euler-Maruyama panel for the single-regime power-scaled process."""

@@ -112,9 +112,9 @@ GOLDEN = {
     "sim/two/two.snapshot_2000-01-29.csv": "9ec23d6bacfdf749cdf3625f0921495e8216db9337883d275b2f1cfa882414b8",
     "small.csv": "6db6eb7877efbad61844fc12bb1563841a33890adbf253f3ddcafbd6f5ef1c61",
     "small.taxonomy.json": "724cfe90cd2b8ff352bbe2c6d2f7fecff6d32b73a2edcdc326f503c260d9dd69",
-    "sw.horizon.json": "5143a22310c50bd180fc0ce21b3988241c491c9dc5b9ffef3134c4f7cfcaebff",
-    "sw.series.csv": "06102bdae1a1023ca82475767cc67bf6a3350d3bd54cd2236865c3be3eaaa03f",
-    "sw.trends.csv": "69726994359818e42e26b4cc5d94c47fdf45d724f2b4e17dc5d278f5c4c13ef1",
+    "sw.horizon.json": "2d226d24cfb1360eaf1944e0881f5bbb27768bb175bbc60dd2637ad7a54dcbfc",
+    "sw.series.csv": "6642090752fb6c19086cebc8ba78292814c16acf7ec910934d125630b219bdc6",
+    "sw.trends.csv": "1f482f4a83b09396f05811ceb857aed655bcce7363059cc0cc6c2fb0cdb4d764",
     "vals.comparison.json": "dbef8587519f484fe52f7310793240309acc627dd48c7fa7f25988f52d6e263c",
     "vals.curves.csv": "f5c8e40f283e6f8b5491cca513607db5c807c6033b90e70a1c54a5261b26820b",
     "vals.hist.csv": "0223f46c2dcaba70f8d919548beecb496b404f8df3930e62cd084ef21f240c1b",

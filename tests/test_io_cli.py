@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel, TrendResult
 from balancegrowth import io as bg_io
 from balancegrowth.cli import build_parser, main
+from balancegrowth.growth import SWEEP_PARAMS
 from balancegrowth.io import (
     _format_cells,
     _read_csv,
@@ -684,6 +685,13 @@ class TestSimConfigRefusals:
         "s_star_zero": (_cfg(TWO, s_star="0"), "s_star", "s_star must be positive and finite, got 0.0"),
         "schedule_days_out_of_order": (
             _cfg(TWO, wealthy_sigma="5:0.001,1:0.002"), "wealthy_sigma", "schedule days must be strictly increasing"
+        ),
+        # a NaN day passed the order check, and the run wrote empty snapshots
+        "schedule_day_nan": (
+            _cfg(TWO, poor_sigma="0:0.01,nan:0.005"), "poor_sigma", "schedule days must be finite, got (0.0, nan)"
+        ),
+        "schedule_day_inf": (
+            _cfg(TWO, poor_mu="0:0.01,inf:0.005"), "poor_mu", "schedule days must be finite, got (0.0, inf)"
         ),
         "non_finite_coefficient": (_cfg(TWO, poor_mu="nan"), "poor_mu", "mu must be finite"),
         "non_positive_exponent": (
@@ -1359,7 +1367,7 @@ wealthy_sigma = 0.001
         ])
         assert rc == 0
         rows = (tmp_path / "sw.series.csv").read_text().splitlines()
-        assert rows[0] == "dt_days,regime,alpha_drift,alpha_vol,mu_dt,sigma_sqrtdt,mu,sigma"
+        assert rows[0] == "dt_days,regime,alpha_drift,alpha_vol,mu,sigma"
         assert len(rows) == 3  # header + poor + wealthy
         assert {r.split(",")[1] for r in rows[1:]} == {"poor", "wealthy"}
 
@@ -1384,11 +1392,21 @@ wealthy_sigma = 0.001
             "--min-count", "100", "--out", str(tmp_path), "--quiet",
         ])
         assert rc == 0
-        rows = (tmp_path / "sw.series.csv").read_text().splitlines()[1:]
+        header, *rows = (tmp_path / "sw.series.csv").read_text().splitlines()
         assert len(rows) == 24
         trends = {(r.split(",")[0], r.split(",")[1]): r.split(",")[2] for r in
                   (tmp_path / "sw.trends.csv").read_text().splitlines()[1:]}
         assert trends[("poor", "sigma")] == "decreasing"
+        # one parameter list names the series columns, each horizon's derived values and the trend tests;
+        # the horizon totals stay in each split
+        assert SWEEP_PARAMS == ("alpha_drift", "alpha_vol", "mu", "sigma")
+        assert header == ",".join(["dt_days", "regime", *SWEEP_PARAMS])
+        assert list(trends) == [("poor", param) for param in SWEEP_PARAMS]
+        payload = json.loads((tmp_path / "sw.horizon.json").read_text())
+        assert {regime: list(params) for regime, params in payload["trends"].items()} == {"poor": list(SWEEP_PARAMS)}
+        for entry in payload["entries"]:
+            assert {regime: list(params) for regime, params in entry["derived"].items()} == {"poor": list(SWEEP_PARAMS)}
+            assert {"mu_dt", "sigma_sqrtdt"} <= entry["split"]["poor"].keys()
 
     def test_manifest_lists_outputs_and_run_id(self, tmp_path):
         cfg = tmp_path / "gbm.cfg"

@@ -312,6 +312,12 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             RegimeParams(sigma=Schedule(days=(0.0,), values=(-1.0,)))
 
+    @pytest.mark.parametrize("days", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 10.0)], ids=["nan", "inf", "-inf"])
+    def test_non_finite_day_refused(self, days):
+        # NaN passes the order check and reads NaN; an infinite day clamps the schedule to a constant
+        with pytest.raises(ConfigError, match="^schedule days must be finite"):
+            Schedule(days=days, values=(0.01, 0.005))
+
     def test_scheduled_drift_changes_outcome(self):
         base = dict(n_users=500, s0_law=InitialLaw.point(1e8), horizon_days=10, step_days=1, seed=0)
         rising = SimConfig(poor=RegimeParams(1.0, Schedule((0.0, 10.0), (0.0, 0.01)), 1.0, 0.0), **base)
