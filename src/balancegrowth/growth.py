@@ -21,6 +21,7 @@ from .errors import (
     MalformedInputError,
     NoRetainedBinsError,
 )
+from ._workers import map_on_cpus
 from .panel import TransitionPanel, _whole_int64, build_panel, filter_active
 from . import tails
 
@@ -239,8 +240,17 @@ def bin_panel(panel: TransitionPanel, n_bins: int, min_count: int, target: str =
     """
     active = filter_active(panel)
     del panel  # a panel passed without another reference is freed here, before binning
-    if active.meta["removed_total"]:
-        log.info("dropped %d inactive rows", active.meta["removed_total"])
+    _log_dropped(active.meta["removed_total"])
+    return _bin_active(active, n_bins, min_count, target)
+
+
+def _log_dropped(removed: int):
+    if removed:
+        log.info("dropped %d inactive rows", removed)
+
+
+def _bin_active(active: TransitionPanel, n_bins: int, min_count: int, target: str = TARGET_RATIO) -> BinSeries:
+    """`bin_panel` of a panel that `filter_active` made, without its log line."""
     if active.n_rows == 0:
         raise InsufficientDataError("no active rows")
     lo, hi = float(np.min(active.s0)), float(np.max(active.s0))
@@ -494,6 +504,8 @@ def horizon_sweep(
     raise before any horizon runs. Derived mu and sigma are per day. A
     regime trend-tested on exactly `_MIN_TREND_POINTS` horizons logs a
     warning, since `trend_test` cannot report a direction from so few.
+    Horizons run on a thread per usable CPU (`map_on_cpus`); their
+    entries, skips and log lines come out in horizon order.
     """
     dts = list(dts)
     for d in dts:
@@ -513,22 +525,26 @@ def horizon_sweep(
         by_date[snap.date] = snap
     if t0 not in by_date:
         raise MalformedInputError(f"no snapshot at t0 = {t0}")
-    entries = []
-    skipped = []
-    for dt_days in horizons:
+
+    def run(dt_days: int):
+        """One horizon as (inactive rows dropped, its entry or its skip record)."""
         date1 = t0 + dt.timedelta(days=dt_days)
         if date1 not in by_date:
-            skipped.append({"dt_days": dt_days, "reason": f"no snapshot at {date1}"})
-            continue
+            return 0, {"dt_days": dt_days, "reason": f"no snapshot at {date1}"}
+        active = filter_active(build_panel(by_date[t0], by_date[date1]))
+        removed = active.meta["removed_total"]
         try:
-            bins = bin_panel(build_panel(by_date[t0], by_date[date1]), n_bins, min_count)
-            split = split_regimes(bins)
+            split = split_regimes(_bin_active(active, n_bins, min_count))
         except InsufficientDataError as exc:  # NoRetainedBinsError too
-            skipped.append({"dt_days": dt_days, "reason": str(exc)})
-            continue
-        entries.append(
-            HorizonEntry(dt_days=dt_days, split=split, derived=_derived_params(split, dt_days))
-        )
+            return removed, {"dt_days": dt_days, "reason": str(exc)}
+        return removed, HorizonEntry(dt_days, split, _derived_params(split, dt_days))
+
+    entries = []
+    skipped = []
+    # the horizons run on threads; their log lines and results are taken here, in horizon order
+    for removed, result in map_on_cpus(run, horizons):
+        _log_dropped(removed)
+        (entries if isinstance(result, HorizonEntry) else skipped).append(result)
 
     trends: dict = {}
     for regime in (REGIME_POOR, REGIME_WEALTHY):

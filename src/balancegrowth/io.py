@@ -10,6 +10,11 @@ Text cells, user ids included, are read as UTF-8 bytes (`S`) and
 written from them as they are. Cells are never quoted: the writer
 refuses a cell holding a comma, a quote, CR, LF or NUL, and the reader
 refuses a quote or a NUL. Reads accept LF or CRLF line ends.
+
+The reader parses an integer cell eight digits at a time, from up to
+three 8-byte words that end at its last digit (`_int_cells`). It holds
+the file's bytes behind `_PAD` = 24 zero bytes, so the third word of
+the first cell never starts before the buffer.
 """
 
 import dataclasses
@@ -35,7 +40,20 @@ PANEL_SCHEMA = [("user_id", "utf8"), ("s0", "real"), ("s1", "real"), ("ds", "rea
 _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number", "finite": "a number"}
 _ROWS_PER_CHUNK = 1 << 16
 _INT_DIGITS = 19  # the most digits an int64 has
-_POW10 = 10 ** np.arange(_INT_DIGITS - 1, -1, -1, dtype=np.uint64)
+_PAD = 24  # zero bytes before the file's bytes: an integer cell's third word starts up to 24 bytes before its end
+_LANES = 0x0101010101010101  # one in each byte (lane) of a word
+# a word's top n lanes, for n = 0 ... 8; in a little-endian word the lanes below are left of them
+_KEEP = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+_FILL = ~_KEEP & np.uint64(ord("0") * _LANES)  # an ASCII 0 in each lane that `_KEEP` drops
+# (mask, multiplier, shift) of each step of `_eight_digits`
+_JOIN_STEPS = [
+    (np.uint64(mask), np.uint64(base << shift | 1), np.uint64(shift))
+    for mask, base, shift in (
+        (0x0F0F0F0F0F0F0F0F, 10, 8),
+        (0x00FF00FF00FF00FF, 100, 16),
+        (0x0000FFFF0000FFFF, 10000, 32),
+    )
+]
 _GROUP = 8  # digits per group when writing: 10**8 fits a uint32
 _GROUP_BASE = np.uint64(10**_GROUP)
 # a written digit is shown when the magnitude reaches its place (10**19 ... 10), the units digit always
@@ -239,25 +257,53 @@ def _text_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.nd
     return out
 
 
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The value of the eight ASCII digits in each little-endian `uint64` word, the first digit in
+    its lowest byte: adjacent digits, then pairs, then fours are joined by one mask, multiply and
+    shift each (Langdale & Lemire 2019)."""
+    for mask, scale, shift in _JOIN_STEPS:
+        words = ((words & mask) * scale) >> shift
+    return words
+
+
+def _all_digits(words: np.ndarray) -> np.ndarray:
+    """Whether every byte of each word is an ASCII digit: its high nibble is 3, and adding 6 leaves it 3.
+
+    A byte of 0xFA or more carries into the byte above when 6 is added,
+    but its own high nibble is F, so its word fails already.
+    """
+    high = np.uint64(0xF0 * _LANES)
+    return ((words & high) | (((words + np.uint64(0x06 * _LANES)) & high) >> np.uint64(4))) == np.uint64(0x33 * _LANES)
+
+
 def _int_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """int64 values of the cells `buf[start:stop]`, and a mask of the cells that are
-    not `-?[0-9]+` in the int64 range; `buf` holds `_INT_DIGITS` bytes before its first cell.
+    not `-?[0-9]+` in the int64 range; `buf` holds `_PAD` bytes before its first cell.
 
-    Each cell is read right-aligned: its digits times their powers of ten,
-    with the bytes left of them counted as zeros, so leading zeros are free.
-    A cell of more than `_INT_DIGITS` digits is checked on its own.
+    Each cell is read right-aligned, as up to three little-endian words of
+    eight bytes that end at its last digit. In each word the bytes left
+    of the cell's digits (the sign, the cells before) are set to ASCII 0,
+    so leading zeros are free; `_all_digits` checks the word and
+    `_eight_digits` gives its value. A cell of more than `_INT_DIGITS`
+    digits is checked on its own.
     """
     neg = buf[starts] == ord("-")
     digits = stops - starts - neg
     values = np.empty(starts.size, dtype=np.int64)
     bad = np.empty(starts.size, dtype=bool)
+    # every 8-byte word of `buf`, by the position of its first byte
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
     for block in _blocks(starts.size):
-        k = min(_INT_DIGITS, max(1, int(digits[block].max())))
-        d = np.lib.stride_tricks.sliding_window_view(buf, k)[stops[block] - k] - np.uint8(ord("0"))
-        d[np.arange(k) < k - digits[block, None]] = 0  # the sign and the bytes before the cell
-        magnitude = d.astype(np.uint64) @ _POW10[-k:]
-        limit = np.uint64(2**63 - 1) + neg[block]
-        bad[block] = (d > 9).any(axis=1) | (digits[block] < 1) | (magnitude > limit)
+        n = digits[block]
+        ok, magnitude = n >= 1, np.zeros(n.size, dtype=np.uint64)
+        for k in range(-(-min(_INT_DIGITS, int(n.max())) // 8)):  # the words that hold a digit of some cell
+            inside = np.clip(n - 8 * k, 0, 8)  # digits of each cell in word k
+            w = words[stops[block] - 8 * (k + 1)]
+            w &= _KEEP[inside]
+            w |= _FILL[inside]
+            ok &= _all_digits(w)
+            magnitude += _eight_digits(w) * np.uint64(10 ** (8 * k))  # below 10**19, so it never wraps
+        bad[block] = ~ok | (magnitude > np.uint64(2**63 - 1) + neg[block])
         signed = magnitude.view(np.int64)
         np.negative(signed, out=signed, where=neg[block])  # -2**63 maps to itself
         values[block] = signed
@@ -344,35 +390,40 @@ def _read_csv(path, schema, locate=None):
         i = int(bad[0])
         raise MalformedInputError(f"{path}:{rows[i] + 1}: expected {width} fields, got {got[i]}")
     first = (np.cumsum(fields) - fields)[rows]  # index in `seps` of the end of each row's first field
-    # the bytes with room before the first cell for a right-aligned integer and after the last for a line
-    buf = np.zeros(_INT_DIGITS + len(raw) + int(length.max(initial=0)) + 1, dtype=np.uint8)
-    buf[_INT_DIGITS : _INT_DIGITS + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    # the bytes, with room before the first cell for its integer words and after the last for a line
+    buf = np.zeros(_PAD + len(raw) + int(length.max(initial=0)) + 1, dtype=np.uint8)
+    buf[_PAD : _PAD + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
     del raw, length, fields, got
-    seps += _INT_DIGITS
+    seps += _PAD
 
     def line(i: int) -> int:
         return int(rows[i]) + 1
 
-    arrays = []
-    for (name, kind), field in zip(schema, index):
-        starts, stops = seps[first + field - 1] + 1, seps[first + field]
-        if kind == "utf8":
-            cells = _text_cells(buf, starts, stops)
-            cells.flags.writeable = False
-            arrays.append(cells)
-            continue
-        values, bad = _int_cells(buf, starts, stops)
-        what = _KIND_TEXT[kind]
-        if bad.any() and kind != "int":
-            values, bad = _float_cells(buf, starts, stops)
-            if kind == "finite" and not bad.any():  # an int64 column is finite
-                what, bad = "a finite number", ~np.isfinite(values)
-        if bad.any():
-            i = int(np.argmax(bad))
-            cell = buf[starts[i] : stops[i]].tobytes().decode("utf-8")
-            raise MalformedInputError(f"{path}:{line(i)}: {name} must be {what}, got {cell!r}")
-        arrays.append(values)
+    # a column's cell bounds are freed before the next column's are taken
+    arrays = [
+        _column(path, name, kind, buf, seps[first + field - 1] + 1, seps[first + field], line)
+        for (name, kind), field in zip(schema, index)
+    ]
     return arrays, line
+
+
+def _column(path, name: str, kind: str, buf: np.ndarray, starts: np.ndarray, stops: np.ndarray, line):
+    """One column of `_read_csv`, of the cells `buf[start:stop]`, converted as its kind says."""
+    if kind == "utf8":
+        cells = _text_cells(buf, starts, stops)
+        cells.flags.writeable = False
+        return cells
+    values, bad = _int_cells(buf, starts, stops)
+    what = _KIND_TEXT[kind]
+    if bad.any() and kind != "int":
+        values, bad = _float_cells(buf, starts, stops)
+        if kind == "finite" and not bad.any():  # an int64 column is finite
+            what, bad = "a finite number", ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        cell = buf[starts[i] : stops[i]].tobytes().decode("utf-8")
+        raise MalformedInputError(f"{path}:{line(i)}: {name} must be {what}, got {cell!r}")
+    return values
 
 
 def _plain(obj):

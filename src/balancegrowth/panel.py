@@ -8,6 +8,7 @@ estimator consumes.
 
 import datetime as dt
 import math
+import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -35,20 +36,28 @@ def _whole_int64(b) -> bool:
     return i == b and -(2**63) <= i < 2**63 and not isinstance(b, (bool, np.bool_))
 
 
+def _word(ids: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Bytes `offset` to `offset + 8` of each UTF-8 id (`S`) as one big-endian `uint64`, NUL past the id's end.
+
+    Among ids that agree on their first `offset` bytes, a smaller word
+    means a smaller id, since the word orders as its bytes do.
+    """
+    width = ids.dtype.itemsize
+    head = np.zeros((ids.size, 8), dtype=np.uint8)
+    size = min(max(width - offset, 0), 8)
+    head[:, :size] = ids.view(np.uint8).reshape(ids.size, width)[:, offset : offset + size]
+    return head.view(">u8").ravel().astype(np.uint64)
+
+
 def _id_order(ids: np.ndarray) -> np.ndarray:
     """`np.argsort(ids, kind="stable")` of UTF-8 ids (`S`), the one sort of snapshot ids.
 
-    Ids sort on a narrower key first: their first 8 bytes as one
-    big-endian integer, which orders as the bytes do. Only runs of ids
-    that tie on it are then sorted as whole strings.
+    Ids sort on a narrower key first, their first `_word`. Only runs of
+    ids that tie on it are then sorted as whole strings.
     """
-    width = ids.dtype.itemsize
     if ids.size < 2:
         return np.argsort(ids, kind="stable")
-    head = np.zeros((ids.size, 8), dtype=np.uint8)
-    head[:, : min(width, 8)] = ids.view(np.uint8).reshape(ids.size, width)[:, :8]
-    key = head.view(">u8").ravel().astype(np.uint64)
-    del head
+    key = _word(ids)
     order = np.argsort(key)  # keys that tie are resolved below, so stability is not needed here
     key = key[order]
     tie = key[1:] == key[:-1]
@@ -74,10 +83,10 @@ def _id_text(user_id: bytes) -> str:
     return repr(user_id.decode("utf-8", "backslashreplace"))
 
 
-def _check_rows(ids: np.ndarray, *balances: np.ndarray) -> np.ndarray | None:
+def _check_rows(ids: np.ndarray, *balances: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Refuse misaligned columns, then the first row with a negative or non-finite balance, then the
-    first whose id an earlier row holds (as `row`). Returns `_id_order(ids)`, or None when the ids
-    are strictly increasing, as in every written file."""
+    first whose id an earlier row holds (as `row`). Returns `_id_order(ids)` and the ids in that
+    order, or None when the ids are strictly increasing, as in every written file."""
     if any(b.shape != ids.shape for b in balances):
         raise MalformedInputError("user_ids and balances must be 1-d and aligned")
     bad = np.flatnonzero(np.logical_or.reduce([~((b >= 0) & (b < np.inf)) for b in balances]))  # NaN fails too
@@ -94,7 +103,7 @@ def _check_rows(ids: np.ndarray, *balances: np.ndarray) -> np.ndarray | None:
     if repeats.size:
         i = int(repeats.min())
         raise MalformedInputError(f"duplicate user_id {_id_text(ids[i])}", row=i)
-    return order
+    return order, sorted_ids
 
 
 def _encode_utf8(text: np.ndarray) -> np.ndarray:
@@ -207,14 +216,15 @@ class BalanceSnapshot(_Checked):
         if len(bad):
             raise MalformedInputError(f"balance {bad[0]} is not a finite whole number of satoshi")
         bal = bal.astype(np.int64, copy=False)
-        order = _check_rows(ids, bal)
-        if order is None:
+        ordered = _check_rows(ids, bal)
+        if ordered is None:
             # never alias an array the caller can write through; a read-only array that owns its memory is shared
             if ids is given and (ids.flags.writeable or ids.base is not None):
                 ids = ids.copy()
             bal = bal.copy()
         else:
-            ids, bal = ids[order], bal[order]
+            order, ids = ordered
+            bal = bal[order]
         object.__setattr__(self, "user_ids", ids)
         object.__setattr__(self, "balances", bal)
 
@@ -318,6 +328,37 @@ def assign_groups(s0: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.where(s0 > 0, np.where(ds != 0, GROUP_ACTIVE, GROUP_INACTIVE), GROUP_NONE)
 
 
+def _place(ids0: np.ndarray, ids1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.searchsorted(ids0, ids1)` for two sorted id arrays of one width, and whether each later
+    id is new, that is, not among the earlier ids.
+
+    Every id lies between the smallest and the largest of the four end
+    ids, so it starts with their common prefix. A later id is placed by
+    its first `_word` after that prefix, when no two earlier ids share
+    one; else by the ids themselves. Each later id is compared in full
+    with the earlier id at its place. One that shares its word with that
+    id but is not it is placed by one string compare: after that id when
+    it is the larger.
+    """
+    if not (ids0.size and ids1.size):
+        return np.zeros(ids1.size, dtype=np.intp), np.ones(ids1.size, dtype=bool)
+    offset = len(os.path.commonprefix([ids0[0], ids0[-1], ids1[0], ids1[-1]]))
+    key0 = _word(ids0, offset)
+    if np.any(key0[1:] == key0[:-1]):
+        at, tied = np.searchsorted(ids0, ids1), False
+    else:
+        key1 = _word(ids1, offset)
+        at = np.searchsorted(key0, key1)
+        tied = key0[np.minimum(at, ids0.size - 1)] == key1  # the word of the earlier id at its place
+        del key1
+    del key0  # the words go before the ids at each place are gathered
+    held = ids0[np.minimum(at, ids0.size - 1)]
+    new = held != ids1
+    late = np.flatnonzero(new & tied)
+    at[late] += ids1[late] > held[late]
+    return at, new
+
+
 def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPanel:
     """Join two snapshots into a transition panel.
 
@@ -339,12 +380,13 @@ def build_panel(snap0: BalanceSnapshot, snap1: BalanceSnapshot) -> TransitionPan
     # one width for both, since `np.insert` would cut a later id to the earlier array's width
     width = max(snap0.user_ids.itemsize, snap1.user_ids.itemsize)
     ids0, ids1 = (snap.user_ids.astype(f"S{width}", copy=False) for snap in (snap0, snap1))
-    at = np.searchsorted(ids0, ids1)
-    new = ids0[np.minimum(at, ids0.size - 1)] != ids1 if ids0.size else np.ones(ids1.size, dtype=bool)
+    at, new = _place(ids0, ids1)
     ids = np.insert(ids0, at[new], ids1[new])
     s0 = np.insert(snap0.balances, at[new], 0)
     s1 = np.zeros(ids.size, dtype=np.int64)
-    s1[at + np.cumsum(new) - new] = snap1.balances  # each later id moves up by the new ids before it
+    at += np.cumsum(new)  # each later id moves up by the new ids before it
+    at -= new
+    s1[at] = snap1.balances
     return TransitionPanel._checked(snap0.date, dt_days, ids, s0, s1, {})
 
 

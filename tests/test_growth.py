@@ -1,6 +1,8 @@
 import datetime as dt
 import logging
 import math
+import os
+import threading
 
 import mpmath
 import numpy as np
@@ -26,6 +28,7 @@ from balancegrowth import (
     split_regimes,
     trend_test,
 )
+from balancegrowth import growth as growth_module
 from balancegrowth.cli import main
 from balancegrowth.growth import DEFAULT_MIN_COUNT, DEFAULT_N_BINS, BinSeries, bin_panel
 from balancegrowth.io import read_panel_csv
@@ -658,6 +661,37 @@ class TestHorizonSweep:
         assert sweep.entries == []
         reason = "active s0 range [1000000000000000.0, 1000000000000001.0] is too narrow for 60 distinct bin edges"
         assert sweep.skipped == [{"dt_days": 7, "reason": reason}]
+
+    def test_horizons_on_threads_log_and_report_in_horizon_order(self, snapshots, caplog, monkeypatch):
+        """Three horizons on two threads, the first held until the last has joined: each one's
+        "dropped" line, its entry and its skip still come out in horizon order."""
+        config, snaps = snapshots
+        held = {30: 100, 60: 200, 90: 300}  # users whose balance stays at its t0 value, per horizon
+        dated = [snaps[0]]
+        for snap in snaps[1:4]:
+            days = (snap.date - config.t0).days
+            balances = snap.balances.copy()
+            balances[: held[days]] = snaps[0].balances[: held[days]]
+            dated.append(BalanceSnapshot(snap.date, snap.user_ids, balances))
+        last_joined = threading.Event()
+
+        def join(snap0, snap1):
+            if snap1.date == dated[1].date:
+                assert last_joined.wait(10)
+            panel = build_panel(snap0, snap1)
+            if snap1.date == dated[3].date:
+                last_joined.set()
+            return panel
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(growth_module, "build_panel", join)
+        with caplog.at_level(logging.INFO, logger="balancegrowth.growth"):
+            sweep = horizon_sweep(dated, config.t0, [90, 45, 60, 30], min_count=100)
+        dropped = [filter_active(build_panel(dated[0], snap)).meta["removed_total"] for snap in dated[1:]]
+        assert len(set(dropped)) == 3
+        assert [r.getMessage() for r in caplog.records] == [f"dropped {n} inactive rows" for n in dropped]
+        assert [e.dt_days for e in sweep.entries] == [30, 60, 90]
+        assert sweep.skipped == [{"dt_days": 45, "reason": f"no snapshot at {config.t0 + dt.timedelta(days=45)}"}]
 
     @pytest.mark.parametrize("dts, warnings", [([30, 60, 90, 120], 1), ([30, 60, 90, 120, 150], 0)])
     def test_four_horizon_trend_warns(self, snapshots, caplog, dts, warnings):

@@ -221,6 +221,22 @@ USERS = st.dictionaries(
 )
 IDENTICAL = {"a": (5, 5), "bb": (0, 0), "é0": (7, 7)}
 DISJOINT = {"a": (5, None), "ab": (None, 3), "b_": (0, None)}
+# ids behind a long common prefix, most of them tying on the 8 bytes after it and differing later
+PREFIX = "1BvBMSEYstWetqTFn5Au4m4GFg7x"
+WORD_USERS = st.dictionaries(
+    st.tuples(st.sampled_from(["abcdefgh", "abcdefgi", "abcdefg", "b"]), st.text(alphabet="ab_é", max_size=4)).map(
+        lambda t: PREFIX + t[0] + t[1]
+    ),
+    st.tuples(*[st.one_of(st.none(), st.integers(0, 2**62 - 1))] * 2),
+    max_size=12,
+)
+# a later id tying with an earlier one on the word after the prefix, smaller and then larger than it
+TIE_BELOW = {PREFIX + "abcdefgh_b": (5, None), PREFIX + "abcdefgh_a": (None, 3), PREFIX + "zz": (1, 1)}
+TIE_ABOVE = {PREFIX + "abcdefgh_a": (5, None), PREFIX + "abcdefgh_b": (None, 3), PREFIX + "zz": (1, 1)}
+# earlier ids that share their word after the prefix: the join places the later ids by the whole ids
+REPEATED_WORD = {PREFIX + "abcdefgh_a": (5, 2), PREFIX + "abcdefgh_c": (4, None), PREFIX + "abcdefgh_b": (None, 3)}
+UNEQUAL_WIDTHS = {"a": (5, None), PREFIX + "abcdefgh_long": (None, 3), "ab": (2, 2), "z" * 40: (None, 1)}
+ONE_SIDE_EMPTY = {PREFIX + "a": (5, None), PREFIX + "b": (0, None)}
 
 
 def _side(users, k, date, rng=None):
@@ -241,7 +257,22 @@ class TestJoinProperties:
     @example(users={"abc": (None, 5), "a": (None, 0)}, seed=0)
     @example(users=IDENTICAL, seed=1)
     @example(users=DISJOINT, seed=2)
+    @example(users=TIE_BELOW, seed=3)
+    @example(users=TIE_ABOVE, seed=4)
+    @example(users=REPEATED_WORD, seed=5)
+    @example(users=UNEQUAL_WIDTHS, seed=6)
+    @example(users=ONE_SIDE_EMPTY, seed=7)
+    @example(users={u: (b1, b0) for u, (b0, b1) in ONE_SIDE_EMPTY.items()}, seed=8)
     def test_matches_oracle_and_ignores_row_order(self, users, seed):
+        self._check_against_oracle(users, seed)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(users=WORD_USERS, seed=st.integers(0, 2**32 - 1))
+    def test_ids_behind_a_long_prefix_match_oracle(self, users, seed):
+        self._check_against_oracle(users, seed)
+
+    @staticmethod
+    def _check_against_oracle(users, seed):
         snap0, snap1 = _side(users, 0, D0), _side(users, 1, D28)
         panel = build_panel(snap0, snap1)
         present = sorted(u for u, (b0, b1) in users.items() if b0 is not None or b1 is not None)

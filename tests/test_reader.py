@@ -91,6 +91,59 @@ class TestIntegerGrammar:
         assert read_values_csv(path).tolist() == [value]
 
 
+def _cells_in_buffer(cells):
+    """`cells` laid out as `_read_csv` lays out a row of them: `_PAD` NULs, then the cells between commas."""
+    raw = b",".join(cells) + b"\n"
+    sizes = np.array([len(c) for c in cells], dtype=np.int64)
+    starts = bg_io._PAD + np.cumsum(sizes + 1) - sizes - 1
+    buf = np.zeros(bg_io._PAD + len(raw) + 1, dtype=np.uint8)
+    buf[bg_io._PAD : bg_io._PAD + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    return buf, starts, starts + sizes
+
+
+INT64_EDGES = [str(v).encode() for e in (2**63, -(2**63)) for v in (e - 2, e - 1, e, e + 1)]
+# digit runs, some with one byte of any value among them (0xFA-0xFF carry when 6 is added to a byte)
+DIGIT_RUN = st.lists(st.sampled_from(b"0123456789"), max_size=26).map(bytes)
+CELL_BYTES = st.one_of(
+    st.binary(max_size=26),
+    DIGIT_RUN,
+    st.tuples(DIGIT_RUN, st.integers(0, 255), DIGIT_RUN).map(lambda t: t[0] + bytes([t[1]]) + t[2]),
+    st.integers(10**16, 10**19 - 1).map(lambda v: str(v).encode()),  # 17 to 19 digits
+    st.tuples(st.integers(1, 12), st.integers(0, 10**19 - 1)).map(lambda t: b"0" * t[0] + str(t[1]).encode()),
+    st.sampled_from([*INT64_EDGES, b"-", b"", b"-0", b"0" * 19 + b"1", b"0" * 25]),
+)
+
+
+class TestIntegerWords:
+    """`_int_cells`, eight bytes per word, agrees with the `-?[0-9]+` grammar and `int()` on every cell."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.booleans(), CELL_BYTES).map(lambda t: b"-" * t[0] + t[1]), max_size=12),
+        rows_per_block=st.integers(1, 5),
+    )
+    @example(cells=[bytes([d, 0xFA + k]) + b"1234567" for k in range(6) for d in b"09"], rows_per_block=4)
+    @example(cells=[b"-", b"", b"1" * 19, b"0" * 22 + b"7", *INT64_EDGES], rows_per_block=3)
+    def test_values_and_refusals_match_the_grammar(self, cells, rows_per_block):
+        buf, starts, stops = _cells_in_buffer(cells)
+        with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_block):
+            values, bad = bg_io._int_cells(buf, starts, stops)
+        for cell, value, refused in zip(cells, values.tolist(), bad.tolist()):
+            ok = bg_io._INT_CELL.fullmatch(cell) is not None and -(2**63) <= int(cell) < 2**63
+            assert refused == (not ok), cell
+            assert not ok or value == int(cell), cell
+
+    def test_first_cell_after_a_short_header(self, tmp_path):
+        """The first cell starts 2 bytes into the file, and a 19-digit cell in its block reads three words
+        back from each cell's end: the pad before the file keeps every word inside the buffer."""
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"a\n5\n" + b"1234567890123456789\n")
+        (a,), _ = _read_csv(path, [("a", "int")])
+        assert a.tolist() == [5, 1234567890123456789]
+        path.write_bytes(b"a\n5\n")
+        assert _read_csv(path, [("a", "int")])[0][0].tolist() == [5]
+
+
 # any text a cell may hold: no comma, quote, CR, LF, NUL, or lone surrogate; astral planes included
 ID_TEXT = st.text(st.characters(blacklist_characters=',"\r\n\0', blacklist_categories=("Cs",)), max_size=6)
 INT64 = st.one_of(
