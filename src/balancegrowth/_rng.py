@@ -10,7 +10,7 @@ produce bit-identical results.
 import numpy as np
 
 
-def substream(seed: int, *path: int) -> np.random.Generator:
+def substream(seed: int, *path: int) -> "np.random.Generator":
     """Generator for the substream at `path` under `seed`."""
     sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in path))
     return np.random.default_rng(sequence)

@@ -32,11 +32,11 @@ log = logging.getLogger("balancegrowth")
 class _Run:
     """The only writer of a run: every output, then the manifest, once all are computed.
 
-    `run_id` hashes the command, the parameter echo, the input digests,
-    the seed that drove the run (None for a command that draws nothing)
-    and the version; the output digests, the diagnostics (such as
-    simulated users lost to overflow) and the wall-clock duration lie
-    outside it. The parameter echo is every parsed argument except those
+    `run_id` hashes the command, the parameter echo, the input digests
+    (taken on a thread per usable CPU), the seed that drove the run
+    (None for a command that draws nothing) and the version; the output
+    digests, the diagnostics (such as simulated users lost to overflow)
+    and the wall-clock duration lie outside it. The parameter echo is every parsed argument except those
     that only place outputs or set logging, and the seed, which the
     manifest records on its own; so the run id covers every flag that
     can change an output.
@@ -50,7 +50,7 @@ class _Run:
         ident = {
             "command": args.command,
             "parameters": {k: v for k, v in vars(args).items() if k not in self._NOT_ECHOED},
-            "inputs": {str(p): io.file_sha256(p) for p in inputs},
+            "inputs": dict(zip(map(str, inputs), map_on_cpus(io.file_sha256, inputs))),
             "seed": seed,
             "version": __version__,
         }
@@ -109,6 +109,7 @@ def cmd_panel(args) -> int:
         joined = panel_mod.build_panel(snap0, snap1)
     except HorizonError as exc:
         raise HorizonError(f"{args.snap0}, {args.snap1}: {exc}") from None
+    del snap0, snap1  # the join holds every row, so the snapshots' memory serves the steps after it
     tax = panel_mod.taxonomy(joined)
     emitted = joined
     payload = tax.to_dict()

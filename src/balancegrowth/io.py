@@ -12,9 +12,13 @@ refuses a cell holding a comma, a quote, CR, LF or NUL, and the reader
 refuses a quote or a NUL. Reads accept LF or CRLF line ends.
 
 The reader parses an integer cell eight digits at a time, from up to
-three 8-byte words that end at its last digit (`_int_cells`). It holds
-the file's bytes behind `_PAD` = 24 zero bytes, so the third word of
-the first cell never starts before the buffer.
+three 8-byte words that end at its last digit (`_int_cells`). It reads
+the file's bytes straight into one buffer behind `_PAD` = 24 zero
+bytes, so the third word of the first cell never starts before the
+buffer, and ahead of `_TAIL` = 256 zero bytes: room for a missing last
+LF, and for the text cells near the end, each gathered at its column's
+widest width (`_text_cells` copies the end of a file whose widest cell
+is wider still).
 """
 
 import dataclasses
@@ -41,6 +45,8 @@ _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number",
 _ROWS_PER_CHUNK = 1 << 16
 _INT_DIGITS = 19  # the most digits an int64 has
 _PAD = 24  # zero bytes before the file's bytes: an integer cell's third word starts up to 24 bytes before its end
+_TAIL = 256  # zero bytes after them: room for a missing last LF and for the text cells at the end of the file
+_SCAN_BYTES = 1 << 18  # bytes searched for separators at once
 _LANES = 0x0101010101010101  # one in each byte (lane) of a word
 # a word's top n lanes, for n = 0 ... 8; in a little-endian word the lanes below are left of them
 _KEEP = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
@@ -209,60 +215,86 @@ def write_csv(path, columns: dict) -> str:
     return _atomic_write(path, chunks())
 
 
-def _line_at(raw: bytes, pos: int) -> int:
-    return raw.count(b"\n", 0, pos) + 1
+def _line_at(data, pos: int) -> int:
+    return data.count(b"\n", 0, pos) + 1
 
 
-def _separators(raw: bytes):
-    """Positions of every comma and LF in `raw`, of each line's LF, and each line's field count.
+def _padded_bytes(path) -> tuple[bytearray, int]:
+    """The file's bytes, read straight into a zeroed buffer behind `_PAD` bytes and ahead of `_TAIL`,
+    and the position in it where they end."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = bytearray(_PAD + size + _TAIL)
+        with memoryview(data) as view:
+            got = fh.readinto(view[_PAD : _PAD + size])
+        rest = fh.read()
+    if got != size or rest:  # the file changed size while read, or has none, as a pipe
+        data[_PAD + got :] = rest + bytes(_TAIL)
+    return data, _PAD + got + len(rest)
 
-    A last line without its LF ends at `len(raw)`, as if one were there.
+
+def _separators(buf: np.ndarray):
+    """Positions of every comma and LF in `buf`, and whether each is an LF.
+
+    The bytes are scanned one block of `_SCAN_BYTES` at a time, so no
+    mask of the whole file is ever held.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    lf = buf == ord("\n")
-    is_sep = buf == ord(",")
-    is_sep |= lf
-    seps = np.flatnonzero(is_sep)
-    ends = np.flatnonzero(lf[seps])  # index in `seps` of each line's LF
-    if raw and not raw.endswith(b"\n"):
-        ends = np.append(ends, seps.size)
-        seps = np.append(seps, len(raw))
-    return seps, seps[ends], np.diff(ends, prepend=-1)
+    is_sep, is_lf = np.empty(_SCAN_BYTES, dtype=bool), np.empty(_SCAN_BYTES, dtype=bool)
+    parts = []
+    for start in range(0, buf.size, _SCAN_BYTES):
+        block = buf[start : start + _SCAN_BYTES]
+        sep, lf = is_sep[: block.size], is_lf[: block.size]
+        np.equal(block, ord(","), out=sep)
+        sep |= np.equal(block, ord("\n"), out=lf)
+        parts.append(np.flatnonzero(sep) + start)
+    seps = np.concatenate(parts)
+    return seps, buf[seps] == ord("\n")
 
 
-def _check_utf8(path, raw: bytes, line_ends: np.ndarray):
-    """Raise on the first line of `raw` that is not UTF-8, decoding one block of lines at a time."""
-    if raw.isascii():
+def _check_utf8(path, data: bytearray, line_ends: np.ndarray, end: int):
+    """Raise on the first line of `data[_PAD:end]` that is not UTF-8, decoding one block of lines at a time."""
+    if data.isascii():
         return
-    view = memoryview(raw)
     # LF is never inside a multi-byte sequence, so a block of whole lines decodes on its own
-    bounds = [0, *(line_ends[_ROWS_PER_CHUNK - 1 :: _ROWS_PER_CHUNK] + 1).tolist(), len(raw)]
+    view = memoryview(data)
+    bounds = [_PAD, *(line_ends[_ROWS_PER_CHUNK - 1 :: _ROWS_PER_CHUNK] + 1).tolist(), end]
     for start, stop in zip(bounds, bounds[1:]):
         try:
             str(view[start:stop], "utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedInputError(f"{path}:{_line_at(raw, start + exc.start)}: not UTF-8 text") from None
+            raise MalformedInputError(f"{path}:{_line_at(data, start + exc.start)}: not UTF-8 text") from None
 
 
 def _text_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The cells `buf[start:stop]` as one `S` array; `buf` holds at least one line's length past its last cell."""
+    """The cells `buf[start:stop]`, `starts` rising, as one `S` array.
+
+    Each cell is gathered with the bytes after it up to the widest cell's
+    width; only the cells narrower than that have those bytes zeroed.
+    """
     size = stops - starts
     width = max(1, int(size.max(initial=0)))
+    if starts.size and starts[-1] + width > buf.size:  # a wide cell near the end: gather from a copy with room
+        base = int(starts[0])
+        buf, starts = np.concatenate([buf[base:], np.zeros(width, dtype=np.uint8)]), starts - base
     windows = np.ndarray((buf.size - width + 1,), dtype=f"S{width}", buffer=buf, strides=(1,))
     out = windows[starts]  # each cell, then the bytes after it
     cells = out.view(np.uint8).reshape(starts.size, width)
+    short = np.flatnonzero(size < width)
     inside = np.arange(width)
-    for block in _blocks(starts.size):
-        cells[block] *= inside < size[block, None]
+    for block in _blocks(short.size):
+        rows = short[block]
+        cells[rows] *= inside < size[rows, None]
     return out
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
     """The value of the eight ASCII digits in each little-endian `uint64` word, the first digit in
     its lowest byte: adjacent digits, then pairs, then fours are joined by one mask, multiply and
-    shift each (Langdale & Lemire 2019)."""
+    shift each (Langdale & Lemire 2019). The words are overwritten with their values."""
     for mask, scale, shift in _JOIN_STEPS:
-        words = ((words & mask) * scale) >> shift
+        words &= mask
+        words *= scale
+        words >>= shift
     return words
 
 
@@ -273,7 +305,11 @@ def _all_digits(words: np.ndarray) -> np.ndarray:
     but its own high nibble is F, so its word fails already.
     """
     high = np.uint64(0xF0 * _LANES)
-    return ((words & high) | (((words + np.uint64(0x06 * _LANES)) & high) >> np.uint64(4))) == np.uint64(0x33 * _LANES)
+    nibbles = words + np.uint64(0x06 * _LANES)
+    nibbles &= high
+    nibbles >>= np.uint64(4)
+    nibbles |= words & high
+    return nibbles == np.uint64(0x33 * _LANES)
 
 
 def _int_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
@@ -287,27 +323,30 @@ def _int_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     `_eight_digits` gives its value. A cell of more than `_INT_DIGITS`
     digits is checked on its own.
     """
-    neg = buf[starts] == ord("-")
-    digits = stops - starts - neg
     values = np.empty(starts.size, dtype=np.int64)
     bad = np.empty(starts.size, dtype=bool)
+    longer = [np.empty(0, dtype=np.intp)]  # cells of more than `_INT_DIGITS` digits
     # every 8-byte word of `buf`, by the position of its first byte
     words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
     for block in _blocks(starts.size):
-        n = digits[block]
+        ends = stops[block]
+        neg = buf[starts[block]] == ord("-")
+        n = ends - starts[block] - neg  # digits of each cell
         ok, magnitude = n >= 1, np.zeros(n.size, dtype=np.uint64)
         for k in range(-(-min(_INT_DIGITS, int(n.max())) // 8)):  # the words that hold a digit of some cell
-            inside = np.clip(n - 8 * k, 0, 8)  # digits of each cell in word k
-            w = words[stops[block] - 8 * (k + 1)]
+            held = slice(None) if k == 0 else np.flatnonzero(n > 8 * k)  # the cells with a digit in word k
+            inside = np.clip(n[held] - 8 * k, 0, 8)  # digits of each such cell in word k
+            w = words[ends[held] - 8 * (k + 1)]
             w &= _KEEP[inside]
             w |= _FILL[inside]
-            ok &= _all_digits(w)
-            magnitude += _eight_digits(w) * np.uint64(10 ** (8 * k))  # below 10**19, so it never wraps
-        bad[block] = ~ok | (magnitude > np.uint64(2**63 - 1) + neg[block])
+            ok[held] &= _all_digits(w)
+            magnitude[held] += _eight_digits(w) * np.uint64(10 ** (8 * k))  # below 10**19, so it never wraps
+        bad[block] = ~ok | (magnitude > np.uint64(2**63 - 1) + neg)
         signed = magnitude.view(np.int64)
-        np.negative(signed, out=signed, where=neg[block])  # -2**63 maps to itself
+        np.negative(signed, out=signed, where=neg)  # -2**63 maps to itself
         values[block] = signed
-    for i in np.flatnonzero(digits > _INT_DIGITS).tolist():
+        longer.append(np.flatnonzero(n > _INT_DIGITS) + block.start)
+    for i in np.concatenate(longer).tolist():
         cell = buf[starts[i] : stops[i]].tobytes()
         ok = _INT_CELL.fullmatch(cell) is not None and -(2**63) <= int(cell) < 2**63
         bad[i] = not ok
@@ -354,27 +393,44 @@ def _read_csv(path, schema, locate=None):
     quoted.
     Returns the arrays and a row-to-line function.
 
-    The file is never decoded as a whole: line ends, field counts and
-    every cell's bounds come from the byte positions of LF and comma, and
-    each column is gathered from the bytes into one fixed-width block of
-    rows at a time.
+    The file is read straight into a zero-padded buffer and never decoded
+    as a whole: line ends, field counts and every cell's bounds come from
+    the byte positions of LF and comma, and each column is gathered from
+    the bytes into one fixed-width block of rows at a time. When every
+    line holds the header's k fields, as in every written file, the k-th
+    separators are the line ends and row i's cells end at separators
+    k(i + 1) to k(i + 2) - 1; only another file needs a field count and
+    length per line.
     """
-    raw = Path(path).read_bytes()
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n")
+    data, end = _padded_bytes(path)
+    if data.find(b"\r", _PAD, end) >= 0:
+        data[_PAD:end] = data[_PAD:end].replace(b"\r\n", b"\n")
+        end = len(data) - _TAIL
     for char, what in _STRAY_BYTES.items():
-        pos = raw.find(char)
+        pos = data.find(char, _PAD, end)
         if pos >= 0:
-            raise MalformedInputError(f"{path}:{_line_at(raw, pos)}: {what}")
-    seps, line_ends, fields = _separators(raw)
-    _check_utf8(path, raw, line_ends)
-    length = np.diff(line_ends, prepend=-1) - 1
-    del line_ends
+            raise MalformedInputError(f"{path}:{_line_at(data, pos)}: {what}")
+    if end > _PAD and data[end - 1] != ord("\n"):  # a last line without its LF reads as if it had one
+        data[end] = ord("\n")
+        end += 1
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps, is_lf = _separators(buf)
+    n_lines = int(np.count_nonzero(is_lf))
+    k = int(np.argmax(is_lf)) + 1 if n_lines else 0  # fields in the header line
+    # every line holds k fields; with k = 1 no line may be blank, as a blank line is skipped
+    shaped = bool(
+        n_lines
+        and seps.size == k * n_lines
+        and is_lf[k - 1 :: k].all()
+        and (k > 1 or np.all(np.diff(seps, prepend=_PAD - 1) > 1))
+    )
+    line_ends = seps[k - 1 :: k] if shaped else seps[is_lf]
+    _check_utf8(path, data, line_ends, end)
 
     names = None  # an empty file; a blank first line is an empty header
-    if length.size:
-        cut = [-1, *seps[: fields[0]].tolist()]
-        names = [raw[a + 1 : b].decode("utf-8").strip() for a, b in zip(cut, cut[1:])] if length[0] else []
+    if n_lines:
+        head = data[_PAD : seps[k - 1]].decode("utf-8")
+        names = [name.strip() for name in head.split(",")] if head else []
     if locate is None:
         expected = [name for name, _ in schema]
         if names != expected:
@@ -383,25 +439,39 @@ def _read_csv(path, schema, locate=None):
     else:
         index = locate(names)
     width = max(index) + 1
-    rows = np.flatnonzero(length[1:]) + 1  # 0-based line of each row
-    got = fields[rows]
-    bad = np.flatnonzero((got < width) | ((got > width) & (locate is None)))
-    if bad.size:
-        i = int(bad[0])
-        raise MalformedInputError(f"{path}:{rows[i] + 1}: expected {width} fields, got {got[i]}")
-    first = (np.cumsum(fields) - fields)[rows]  # index in `seps` of the end of each row's first field
-    # the bytes, with room before the first cell for its integer words and after the last for a line
-    buf = np.zeros(_PAD + len(raw) + int(length.max(initial=0)) + 1, dtype=np.uint8)
-    buf[_PAD : _PAD + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    del raw, length, fields, got
-    seps += _PAD
 
-    def line(i: int) -> int:
-        return int(rows[i]) + 1
+    if shaped and (k == width or (k > width and locate is not None)):
+        n_rows = n_lines - 1
 
+        def field_ends(j):  # index in `seps` of the end of each row's field j
+            return seps[k + j :: k][:n_rows]
+
+        def line(i: int) -> int:
+            return i + 2
+
+    else:
+        ends = np.flatnonzero(is_lf)  # index in `seps` of each line's LF
+        fields = np.diff(ends, prepend=-1)
+        length = np.diff(line_ends, prepend=_PAD - 1) - 1
+        rows = np.flatnonzero(length[1:]) + 1  # 0-based line of each row
+        got = fields[rows]
+        bad = np.flatnonzero((got < width) | ((got > width) & (locate is None)))
+        if bad.size:
+            i = int(bad[0])
+            raise MalformedInputError(f"{path}:{rows[i] + 1}: expected {width} fields, got {got[i]}")
+        first = (np.cumsum(fields) - fields)[rows]  # index in `seps` of the end of each row's first field
+        del ends, fields, length, got
+
+        def field_ends(j):
+            return seps[first + j]
+
+        def line(i: int) -> int:
+            return int(rows[i]) + 1
+
+    del is_lf, line_ends
     # a column's cell bounds are freed before the next column's are taken
     arrays = [
-        _column(path, name, kind, buf, seps[first + field - 1] + 1, seps[first + field], line)
+        _column(path, name, kind, buf, field_ends(field - 1) + 1, field_ends(field), line)
         for (name, kind), field in zip(schema, index)
     ]
     return arrays, line

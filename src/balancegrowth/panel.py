@@ -42,25 +42,36 @@ def _word(ids: np.ndarray, offset: int = 0) -> np.ndarray:
     Among ids that agree on their first `offset` bytes, a smaller word
     means a smaller id, since the word orders as its bytes do.
     """
+    ids = np.ascontiguousarray(ids)
     width = ids.dtype.itemsize
+    if ids.size and width - offset >= 8:  # read in place, one unaligned big-endian word per id
+        return np.ndarray((ids.size,), dtype=">u8", buffer=ids, offset=offset, strides=(width,)).astype(np.uint64)
     head = np.zeros((ids.size, 8), dtype=np.uint8)
     size = min(max(width - offset, 0), 8)
     head[:, :size] = ids.view(np.uint8).reshape(ids.size, width)[:, offset : offset + size]
     return head.view(">u8").ravel().astype(np.uint64)
 
 
-def _id_order(ids: np.ndarray) -> np.ndarray:
-    """`np.argsort(ids, kind="stable")` of UTF-8 ids (`S`), the one sort of snapshot ids.
+def _id_order(ids: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:
+    """`np.argsort(ids, kind="stable")` of UTF-8 ids (`S`), the one sort of snapshot ids; `key` is
+    `_word(ids)` when the caller has it.
 
-    Ids sort on a narrower key first, their first `_word`. Only runs of
-    ids that tie on it are then sorted as whole strings.
+    Ids sort on a narrower key first: the top bits of their first `_word`,
+    packed above each row's index into one `uint64` that is sorted by
+    value, so rows that tie on those bits stay in input order. Only runs
+    of ids that tie on them are then sorted as whole strings.
     """
     if ids.size < 2:
         return np.argsort(ids, kind="stable")
-    key = _word(ids)
-    order = np.argsort(key)  # keys that tie are resolved below, so stability is not needed here
-    key = key[order]
-    tie = key[1:] == key[:-1]
+    key = _word(ids) if key is None else key
+    shift = np.uint64((ids.size - 1).bit_length())  # bits of a row index
+    packed = key >> shift << shift
+    packed |= np.arange(ids.size, dtype=np.uint64)
+    packed.sort()
+    order = (packed & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
+    packed >>= shift
+    tie = packed[1:] == packed[:-1]
+    del packed
     if tie.any():
         run = np.zeros(ids.size, dtype=bool)
         run[1:] = tie
@@ -95,11 +106,18 @@ def _check_rows(ids: np.ndarray, *balances: np.ndarray) -> tuple[np.ndarray, np.
         row = [b[i] for b in balances]
         odd = [v for v in row if not np.isfinite(v)]
         raise MalformedInputError(f"balance {odd[0]} is not finite" if odd else f"negative balance {min(row)}", row=i)
-    if np.all(ids[1:] > ids[:-1]):
+    # ids rise strictly where their first words do, and elsewhere only where ids tied on it do
+    key = _word(ids)
+    step = np.flatnonzero(key[1:] <= key[:-1])
+    if not step.size or np.all(key[step + 1] == key[step]) and np.all(ids[step + 1] > ids[step]):
         return None
-    order = _id_order(ids)
+    order = _id_order(ids, key)
+    key = key[order]
+    tied = np.flatnonzero(key[1:] == key[:-1])  # only ids that tie on their first word can be equal
+    del key
     sorted_ids = ids[order]
-    repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]  # the sort is stable: each run's first id is left out
+    # the sort is stable: each run's first id is left out
+    repeats = order[tied[sorted_ids[tied + 1] == sorted_ids[tied]] + 1]
     if repeats.size:
         i = int(repeats.min())
         raise MalformedInputError(f"duplicate user_id {_id_text(ids[i])}", row=i)
@@ -149,20 +167,20 @@ def _utf8_ids(ids) -> np.ndarray:
         raise MalformedInputError("user ids must be a 1-d array of text")
     ids = np.ascontiguousarray(ids)
     width = ids.dtype.itemsize
-    codes = ids.view(np.uint8)
-    for start in range(0, codes.size, _ROWS_PER_BLOCK * width):
-        block = codes[start : start + _ROWS_PER_BLOCK * width]
-        nul = (block[:-1] == 0) & (block[1:] != 0)
-        nul[width - 1 :: width] = False  # a NUL before a byte of the same id, not of the next
-        if nul.any():
-            raise MalformedInputError(f"user id {_id_text(ids[(start + np.argmax(nul)) // width])} holds NUL")
-        if block.max() >= 0x80:
-            ended = np.zeros((block.size // width, width + 1), dtype=np.uint8)  # so no sequence runs into the next id
-            ended[:, :width] = block.reshape(-1, width)
+    for start in range(0, ids.size, _ROWS_PER_BLOCK):
+        block = ids[start : start + _ROWS_PER_BLOCK]
+        codes = block.view(np.uint8).reshape(block.size, width)
+        # an id's length ends at its last byte that is not NUL, so an id holding NUL has fewer such bytes
+        if np.count_nonzero(codes) != np.strings.str_len(block).sum():
+            nul = np.argmax(np.count_nonzero(codes, axis=1) != np.strings.str_len(block))
+            raise MalformedInputError(f"user id {_id_text(block[nul])} holds NUL")
+        if codes.max(initial=0) >= 0x80:
+            ended = np.zeros((block.size, width + 1), dtype=np.uint8)  # so no sequence runs into the next id
+            ended[:, :width] = codes
             try:
                 ended.tobytes().decode("utf-8")
             except UnicodeDecodeError as exc:
-                bad = ids[start // width + exc.start // (width + 1)]
+                bad = block[exc.start // (width + 1)]
                 raise MalformedInputError(f"user ids are not UTF-8 text: {_id_text(bad)}") from None
     return ids
 

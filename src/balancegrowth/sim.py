@@ -137,7 +137,7 @@ class InitialLaw:
         _check_param("s0_value", value, non_negative=True)
         return cls("point", value)
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: "np.random.Generator", size: int) -> np.ndarray:
         if self.kind == "lognormal":
             return rng.lognormal(mean=self.a, sigma=self.b, size=size)
         if self.kind == "pareto":

@@ -17,10 +17,17 @@ so the program imports none of it; the tests keep it as an oracle.
 
 `np.strings` first shipped in numpy 2.0, so a module that reads it needs
 `pyproject.toml` to declare at least that numpy.
+
+`numpy.random` is loaded by the first draw, not by the import: a command
+that draws nothing (`estimate`, `sweep`, `fit` without `--umpu`) does
+not pay its import at start-up.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +149,10 @@ def test_np_strings_check_finds_reads(source, found):
 )
 def test_numpy_floor_is_read(text, floor):
     assert numpy_floor(text) == floor
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    code = "import sys, balancegrowth.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -203,6 +204,97 @@ class TestReaderMatchesWriterCells:
         assert [line(i) for i in range(len(rows))] == lineno
 
 
+def _int_rows_file(path, names, rows, blank_after=(), eol="\n", final_eol=True):
+    """Write a header of `names` and `rows` of cells, with a blank line after each data row in `blank_after`;
+    returns each row's line."""
+    lines = [",".join(names), *(",".join(map(str, row)) for row in rows)]
+    for k in sorted(blank_after, reverse=True):
+        lines.insert(min(k, len(rows)) + 1, "")
+    path.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
+    return [i + 1 for i, text in enumerate(lines) if text][1:]
+
+
+INT_ROWS = st.integers(1, 3).flatmap(lambda k: st.lists(st.lists(INT64, min_size=k, max_size=k), max_size=12))
+
+
+class TestShapedLines:
+    """A file whose every line holds the header's field count is read from its separators alone, and
+    the same rows with blank lines, CRLF ends, no last LF or extra fields, read line by line, agree."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        rows=INT_ROWS.filter(bool),
+        blank_after=st.lists(st.integers(0, 12), max_size=3),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        final_eol=st.booleans(),
+        extra=st.integers(1, 3),
+    )
+    @example(rows=[[5]], blank_after=[0, 1], eol="\n", final_eol=True, extra=1)  # blank lines in a one-field file
+    def test_every_layout_reads_alike(self, rows, blank_after, eol, final_eol, extra):
+        names = ["balance", *(f"c{j}" for j in range(1, len(rows[0])))]
+        schema = [(name, "int") for name in names]
+        with tempfile.TemporaryDirectory() as tmp:
+            plain, other, wide = (Path(tmp) / f"{name}.csv" for name in ("plain", "other", "wide"))
+            assert _int_rows_file(plain, names, rows) == [i + 2 for i in range(len(rows))]
+            want, line = _read_csv(plain, schema)
+            lineno = _int_rows_file(other, names, rows, blank_after, eol, final_eol)
+            got, other_line = _read_csv(other, schema)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want] == [list(col) for col in zip(*rows)]
+            assert [line(i) for i in range(len(rows))] == [i + 2 for i in range(len(rows))]
+            assert [other_line(i) for i in range(len(rows))] == lineno
+            _int_rows_file(wide, names + ["x"] * extra, [row + [7] * extra for row in rows])
+            assert read_values_csv(wide).tolist() == read_values_csv(plain).tolist() == [float(r[0]) for r in rows]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        rows=INT_ROWS.filter(bool),
+        blank_after=st.lists(st.integers(0, 12), max_size=3),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        final_eol=st.booleans(),
+        bad=st.integers(0, 11),
+        longer=st.booleans(),
+    )
+    @example(rows=[[1, 2], [3, 4]], blank_after=[], eol="\n", final_eol=True, bad=1, longer=False)
+    def test_a_short_or_long_row_is_named(self, rows, blank_after, eol, final_eol, bad, longer):
+        k = len(rows[0])
+        if k == 1 and not longer:  # a one-field row without its field is a blank line
+            longer = True
+        bad %= len(rows)
+        rows = [*rows[:bad], rows[bad] + [9] if longer else rows[bad][:-1], *rows[bad + 1 :]]
+        names = ["balance", *(f"c{j}" for j in range(1, k))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            lineno = _int_rows_file(path, names, rows, blank_after, eol, final_eol)
+            message = f"^{re.escape(str(path))}:{lineno[bad]}: expected {k} fields, got {k + (1 if longer else -1)}$"
+            with pytest.raises(MalformedInputError, match=message):
+                _read_csv(path, [(name, "int") for name in names])
+
+    def test_a_short_row_and_a_long_row_keep_the_separator_count(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1\n2,3,4\n", encoding="utf-8")
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:2: expected 2 fields, got 1$"):
+            _read_csv(path, [("a", "int"), ("b", "int")])
+
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        """A file whose size is not known before it is read, such as a named pipe, is read to its end."""
+        fifo = tmp_path / "snap_2016-01-23.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_snapshot_file, args=(fifo, [(f"u{i}", i) for i in range(5000)]))
+        writer.start()
+        snap = read_snapshot_csv(fifo)
+        writer.join(5)
+        assert not writer.is_alive()
+        assert snap.n_users == 5000 and sorted(snap.balances.tolist()) == list(range(5000))
+
+    def test_a_wide_last_cell_is_read_whole(self, tmp_path):
+        """A cell wider than the last line and the zero bytes after the file is gathered from a copy with room."""
+        ids = ["b" * (2 * bg_io._TAIL), "é" * 300, "a"]
+        path = _snapshot_file(tmp_path / "s.csv", [(u, k) for k, u in enumerate(ids)])
+        assert read_snapshot_csv(path, D0).user_ids.tolist() == sorted(u.encode() for u in ids)
+        path.write_bytes(path.read_bytes()[:-1])  # no last LF
+        assert read_snapshot_csv(path, D0).user_ids.tolist() == sorted(u.encode() for u in ids)
+
+
 class TestIdSort:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(ids=st.lists(ID_TEXT, unique=True, max_size=12), seed=st.integers(0, 2**32 - 1))
@@ -226,6 +318,33 @@ class TestIdSort:
         assert _id_order(utf8).tolist() == np.argsort(utf8, kind="stable").tolist()
         assert np.array_equal(np.argsort(utf8, kind="stable"), np.argsort(np.array(ids, dtype=str), kind="stable"))
 
+
+    @staticmethod
+    def _word_tied_ids(rng, n):
+        """n ids alike in their first six bytes: bytes 7 and 8, which hold the low bits of the first word
+        that the row index displaces in the sort key, vary over four values; the bytes after them over n."""
+        heads = ["1AAAAA" + a + b for a in "ABab" for b in "xyzé"]
+        return [heads[h] + str(t) for h, t in zip(rng.integers(0, len(heads), n), rng.integers(0, n, n))]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ids_tied_on_their_first_word_sort_whole(self, seed):
+        ids = self._word_tied_ids(np.random.default_rng(seed), 3000)  # repeats included
+        utf8 = np.array([u.encode("utf-8") for u in ids], dtype=bytes)
+        assert _id_order(utf8).tolist() == np.argsort(utf8, kind="stable").tolist()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_repeat_among_word_tied_ids_named_at_its_row(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        ids = list(dict.fromkeys(self._word_tied_ids(rng, 3000)))  # distinct, in random order
+        for later, earlier in zip(rng.integers(len(ids) // 2, len(ids), 3), rng.integers(0, len(ids) // 2, 3)):
+            ids[later] = ids[earlier]  # three repeats; the first of them in row order is named
+        path = _snapshot_file(tmp_path / "s.csv", [(u, 1) for u in ids])
+        i, message = _first_bad_row(ids, [1] * len(ids))
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(str(path))}:{i + 2}: {re.escape(message)}$"):
+            read_snapshot_csv(path, D0)
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$") as refused:
+            BalanceSnapshot(D0, ids, np.ones(len(ids), dtype=np.int64))
+        assert refused.value.row == i
 
     def test_byte_ids_are_utf8_text(self):
         snap = BalanceSnapshot(D0, np.array(["zoë".encode(), b"a", "\U0001f600".encode()]), [1, 2, 3])
@@ -467,6 +586,27 @@ class TestMapOnCpus:
         for path, snap in zip(paths, snaps):
             alone = read_snapshot_csv(path, D0)
             assert np.array_equal(snap.user_ids, alone.user_ids) and np.array_equal(snap.balances, alone.balances)
+
+    def test_calling_thread_takes_a_share(self, monkeypatch):
+        """With n usable CPUs, n - 1 threads start beside the calling thread."""
+        _set_affinity(monkeypatch, {0, 1, 2, 3})
+        before = threading.active_count()
+        counts = map_on_cpus(lambda i: (time.sleep(0.01), threading.active_count())[1], range(12))
+        assert max(counts) <= before + 3 and threading.active_count() == before
+
+    def test_calls_after_a_failure_are_not_started(self, monkeypatch):
+        _set_affinity(monkeypatch, {0, 1})
+        started = []
+
+        def call(i):
+            started.append(i)
+            if i == 1:
+                raise ValueError(i)
+            time.sleep(0.05)
+
+        with pytest.raises(ValueError, match="1"):
+            map_on_cpus(call, range(50))
+        assert 1 in started and len(started) <= 4
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         _set_affinity(monkeypatch, {0})

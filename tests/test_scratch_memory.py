@@ -12,7 +12,7 @@ from balancegrowth.io import read_snapshot_csv, write_csv
 
 N_ROWS = 250_000
 BASE58 = np.frombuffer(b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz", dtype=np.uint8)
-READ_PEAK_PER_FILE_BYTE = 5.5
+READ_PEAK_PER_FILE_BYTE = 3.3
 JOIN_PEAK_PER_PANEL_BYTE = 1.7
 
 
