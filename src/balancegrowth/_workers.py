@@ -23,9 +23,6 @@ def map_on_cpus(fn, *iterables) -> list:
     loop would raise it. The results come back in order.
     """
     calls = list(zip(*iterables))
-    workers = min(usable_cpus(), len(calls))
-    if workers <= 1:
-        return [fn(*args) for args in calls]
     results = [None] * len(calls)
     failures = {}
     taken = iter(range(len(calls)))
@@ -43,7 +40,7 @@ def map_on_cpus(fn, *iterables) -> list:
                 with lock:
                     failures[i] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work) for _ in range(min(usable_cpus(), len(calls)) - 1)]
     for thread in threads:
         thread.start()
     try:

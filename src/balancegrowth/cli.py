@@ -97,14 +97,15 @@ def _columns(records, names) -> dict:
 
 
 def cmd_panel(args) -> int:
+    paths = [args.snap0, args.snap1]
+    # both dates are resolved first, so a file name without one is refused before any input is hashed or read
+    dates = [
+        _snapshot_date(Path(args.snap0), args.date0, "--date0"),
+        _snapshot_date(Path(args.snap1), args.date1, "--date1"),
+    ]
     out = Path(args.out) / args.out_path
-    run = _Run(args, out.parent / out.stem, [args.snap0, args.snap1], args.seed)
-    snap0, snap1 = map_on_cpus(
-        lambda path, date, flag: io.read_snapshot_csv(path, _snapshot_date(Path(path), date, flag)),
-        [args.snap0, args.snap1],
-        [args.date0, args.date1],
-        ["--date0", "--date1"],
-    )
+    run = _Run(args, out.parent / out.stem, paths, args.seed)
+    snap0, snap1 = map_on_cpus(io.read_snapshot_csv, paths, dates)
     try:
         joined = panel_mod.build_panel(snap0, snap1)
     except HorizonError as exc:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, MalformedInputError
-from .panel import BalanceSnapshot, TransitionPanel, _encode_utf8, _id_text
+from .panel import BalanceSnapshot, TransitionPanel, _blocks, _encode_utf8, _id_text
 from .sim import DEFAULT_T0, SCHEME_EXACT, InitialLaw, RegimeParams, Schedule, SimConfig, _emit_days
 
 SNAPSHOT_SCHEMA = [("user_id", "utf8"), ("balance", "int")]
@@ -42,7 +42,6 @@ PANEL_SCHEMA = [("user_id", "utf8"), ("s0", "real"), ("s1", "real"), ("ds", "rea
 
 # what a cell that does not parse must be; a 'finite' cell that parses to inf or NaN must be "a finite number"
 _KIND_TEXT = {"int": "a decimal integer in the int64 range", "real": "a number", "finite": "a number"}
-_ROWS_PER_CHUNK = 1 << 16
 _INT_DIGITS = 19  # the most digits an int64 has
 _PAD = 24  # zero bytes before the file's bytes: an integer cell's third word starts up to 24 bytes before its end
 _TAIL = 256  # zero bytes after them: room for a missing last LF and for the text cells at the end of the file
@@ -197,10 +196,10 @@ def write_csv(path, columns: dict) -> str:
 
     def chunks():
         yield (",".join(columns) + "\n").encode("utf-8")
-        for start in range(0, n, _ROWS_PER_CHUNK):
+        for chunk in _blocks(n):
             cells = [
                 _digit_matrix(block) if block.dtype.kind in "iu" else _text_matrix(path, name, block)
-                for name, block in zip(columns, (a[start : start + _ROWS_PER_CHUNK] for a in arrays))
+                for name, block in zip(columns, (a[chunk] for a in arrays))
             ]
             rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
             at = 0
@@ -251,16 +250,17 @@ def _separators(buf: np.ndarray):
     return seps, buf[seps] == ord("\n")
 
 
-def _check_utf8(path, data: bytearray, line_ends: np.ndarray, end: int):
-    """Raise on the first line of `data[_PAD:end]` that is not UTF-8, decoding one block of lines at a time."""
+def _check_utf8(path, data: bytearray, line_ends: np.ndarray):
+    """Raise on the first line of `data` (each ending at its LF in `line_ends`) that is not UTF-8,
+    decoding one block of lines at a time."""
     if data.isascii():
         return
     # LF is never inside a multi-byte sequence, so a block of whole lines decodes on its own
     view = memoryview(data)
-    bounds = [_PAD, *(line_ends[_ROWS_PER_CHUNK - 1 :: _ROWS_PER_CHUNK] + 1).tolist(), end]
-    for start, stop in zip(bounds, bounds[1:]):
+    for rows in _blocks(line_ends.size):
+        start = int(line_ends[rows.start - 1]) + 1 if rows.start else _PAD
         try:
-            str(view[start:stop], "utf-8")
+            str(view[start : int(line_ends[rows][-1]) + 1], "utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedInputError(f"{path}:{_line_at(data, start + exc.start)}: not UTF-8 text") from None
 
@@ -373,10 +373,6 @@ def _float_cells(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return values, bad
 
 
-def _blocks(n: int):
-    return (slice(start, start + _ROWS_PER_CHUNK) for start in range(0, n, _ROWS_PER_CHUNK))
-
-
 def _read_csv(path, schema, locate=None):
     """Read one array per (column, kind) pair of `schema`, each column converted as a whole.
 
@@ -425,7 +421,7 @@ def _read_csv(path, schema, locate=None):
         and (k > 1 or np.all(np.diff(seps, prepend=_PAD - 1) > 1))
     )
     line_ends = seps[k - 1 :: k] if shaped else seps[is_lf]
-    _check_utf8(path, data, line_ends, end)
+    _check_utf8(path, data, line_ends)
 
     names = None  # an empty file; a blank first line is an empty header
     if n_lines:

@@ -20,11 +20,16 @@ from .errors import HorizonError, InsufficientDataError, MalformedInputError
 GROUP_ACTIVE = b"A"
 GROUP_INACTIVE = b"B"
 GROUP_NONE = b""
-# ids checked at once, so the scratch memory of a check stays bounded
+# rows that every block loop (ids checked, cells read or written) handles at once, so its scratch memory stays bounded
 _ROWS_PER_BLOCK = 1 << 16
 # rows per block of the Hopkins nearest-neighbour search, and queries whose block bounds are held at once
 _NN_BLOCK = 512
 _NN_QUERIES = 256
+
+
+def _blocks(n: int):
+    """Slices of `_ROWS_PER_BLOCK` rows, in order, that cover `n` rows."""
+    return (slice(start, start + _ROWS_PER_BLOCK) for start in range(0, n, _ROWS_PER_BLOCK))
 
 
 def _whole_int64(b) -> bool:
@@ -39,17 +44,14 @@ def _whole_int64(b) -> bool:
 def _word(ids: np.ndarray, offset: int = 0) -> np.ndarray:
     """Bytes `offset` to `offset + 8` of each UTF-8 id (`S`) as one big-endian `uint64`, NUL past the id's end.
 
+    Ids narrower than `offset + 8` are first padded with NUL to that
+    width, so every word is read in place, one unaligned word per id.
     Among ids that agree on their first `offset` bytes, a smaller word
     means a smaller id, since the word orders as its bytes do.
     """
-    ids = np.ascontiguousarray(ids)
-    width = ids.dtype.itemsize
-    if ids.size and width - offset >= 8:  # read in place, one unaligned big-endian word per id
-        return np.ndarray((ids.size,), dtype=">u8", buffer=ids, offset=offset, strides=(width,)).astype(np.uint64)
-    head = np.zeros((ids.size, 8), dtype=np.uint8)
-    size = min(max(width - offset, 0), 8)
-    head[:, :size] = ids.view(np.uint8).reshape(ids.size, width)[:, offset : offset + size]
-    return head.view(">u8").ravel().astype(np.uint64)
+    ids = np.ascontiguousarray(ids, dtype=f"S{max(ids.dtype.itemsize, offset + 8)}")
+    words = np.ndarray((ids.size,), dtype=">u8", buffer=ids.view(np.uint8)[offset:], strides=(ids.itemsize,))
+    return words.astype(np.uint64)
 
 
 def _id_order(ids: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:
@@ -61,8 +63,6 @@ def _id_order(ids: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:
     value, so rows that tie on those bits stay in input order. Only runs
     of ids that tie on them are then sorted as whole strings.
     """
-    if ids.size < 2:
-        return np.argsort(ids, kind="stable")
     key = _word(ids) if key is None else key
     shift = np.uint64((ids.size - 1).bit_length())  # bits of a row index
     packed = key >> shift << shift
@@ -135,8 +135,7 @@ def _encode_utf8(text: np.ndarray) -> np.ndarray:
     width = flat.dtype.itemsize // 4
     codes = flat.view(np.uint32).reshape(flat.size, width)
     parts = [np.empty(0, dtype="S1")]
-    for start in range(0, flat.size, _ROWS_PER_BLOCK):
-        block = slice(start, start + _ROWS_PER_BLOCK)
+    for block in _blocks(flat.size):
         if codes[block].max() < 0x80:
             parts.append(codes[block].astype(np.uint8).view(f"S{width}").ravel())
         else:
@@ -167,8 +166,8 @@ def _utf8_ids(ids) -> np.ndarray:
         raise MalformedInputError("user ids must be a 1-d array of text")
     ids = np.ascontiguousarray(ids)
     width = ids.dtype.itemsize
-    for start in range(0, ids.size, _ROWS_PER_BLOCK):
-        block = ids[start : start + _ROWS_PER_BLOCK]
+    for rows in _blocks(ids.size):
+        block = ids[rows]
         codes = block.view(np.uint8).reshape(block.size, width)
         # an id's length ends at its last byte that is not NUL, so an id holding NUL has fewer such bytes
         if np.count_nonzero(codes) != np.strings.str_len(block).sum():
@@ -352,28 +351,22 @@ def _place(ids0: np.ndarray, ids1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Every id lies between the smallest and the largest of the four end
     ids, so it starts with their common prefix. A later id is placed by
-    its first `_word` after that prefix, when no two earlier ids share
-    one; else by the ids themselves. Each later id is compared in full
-    with the earlier id at its place. One that shares its word with that
-    id but is not it is placed by one string compare: after that id when
-    it is the larger.
+    its first `_word` after that prefix, then compared in full with the
+    earlier id at its place. Only a later id that shares its word with
+    that id but is not it is placed again, by the ids themselves, since
+    several earlier ids may share that word.
     """
     if not (ids0.size and ids1.size):
         return np.zeros(ids1.size, dtype=np.intp), np.ones(ids1.size, dtype=bool)
     offset = len(os.path.commonprefix([ids0[0], ids0[-1], ids1[0], ids1[-1]]))
-    key0 = _word(ids0, offset)
-    if np.any(key0[1:] == key0[:-1]):
-        at, tied = np.searchsorted(ids0, ids1), False
-    else:
-        key1 = _word(ids1, offset)
-        at = np.searchsorted(key0, key1)
-        tied = key0[np.minimum(at, ids0.size - 1)] == key1  # the word of the earlier id at its place
-        del key1
-    del key0  # the words go before the ids at each place are gathered
-    held = ids0[np.minimum(at, ids0.size - 1)]
-    new = held != ids1
+    key0, key1 = _word(ids0, offset), _word(ids1, offset)
+    at = np.searchsorted(key0, key1)
+    tied = key0[np.minimum(at, ids0.size - 1)] == key1  # the word of the earlier id at its place
+    del key0, key1  # the words go before the ids at each place are gathered
+    new = ids0[np.minimum(at, ids0.size - 1)] != ids1
     late = np.flatnonzero(new & tied)
-    at[late] += ids1[late] > held[late]
+    at[late] = np.searchsorted(ids0, ids1[late])
+    new[late] = ids0[np.minimum(at[late], ids0.size - 1)] != ids1[late]
     return at, new
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from balancegrowth import BalanceSnapshot, ConfigError, MalformedInputError, TransitionPanel, TrendResult
 from balancegrowth import io as bg_io
+from balancegrowth import panel as bg_panel
 from balancegrowth.cli import build_parser, main
 from balancegrowth.growth import SWEEP_PARAMS
 from balancegrowth.io import (
@@ -379,7 +380,7 @@ class TestWriterMatchesJoin:
             "o": np.array(objects, dtype=object),
         }
         path = tmp_path_factory.mktemp("csv") / "w.csv"
-        with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_chunk):
+        with mock.patch.object(bg_panel, "_ROWS_PER_BLOCK", rows_per_chunk):
             write_csv(path, columns)
         assert path.read_bytes() == self._reference(columns).encode("utf-8")
 
@@ -391,7 +392,7 @@ class TestWriterMatchesJoin:
             "small": np.arange(-6, 6, dtype=np.int8),
         }
         path = tmp_path / "w.csv"
-        with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_chunk):
+        with mock.patch.object(bg_panel, "_ROWS_PER_BLOCK", rows_per_chunk):
             write_csv(path, columns)
         assert path.read_bytes() == self._reference(columns).encode("utf-8")
         (back,), _ = _read_csv(path, [("i", "int")], locate=lambda names: [0])
@@ -426,7 +427,7 @@ class TestWriterMatchesJoin:
 
     def test_chunks_of_different_widths(self, tmp_path):
         # the only negative value is in the first chunk, the only 19-digit one in the second
-        n = bg_io._ROWS_PER_CHUNK + 1
+        n = bg_panel._ROWS_PER_BLOCK + 1
         values = np.arange(n, dtype=np.int64) % 1000
         values[7] = -5
         values[-1] = 10**18 + 3
@@ -442,7 +443,7 @@ class TestWriterMatchesJoin:
 
     @pytest.mark.parametrize("kind", ["S", "U", "O"])
     def test_refusal_in_second_chunk(self, tmp_path, kind):
-        n = bg_io._ROWS_PER_CHUNK + 1
+        n = bg_panel._ROWS_PER_BLOCK + 1
         text = [f"u{i}" for i in range(n - 1)] + ["a,b"]
         cells = {"S": np.array([t.encode() for t in text]), "U": np.array(text), "O": np.array(text, dtype=object)}
         path = tmp_path / "t.csv"
@@ -924,10 +925,16 @@ class TestBadFlagValues:
             (["estimate", "{tmp}/missing.csv", "e", "--min-count", "1"], "--min-count"),
             (["panel", "{tmp}/a_2016-01-23.csv", "{tmp}/b_2016-02-20.csv", "p.csv", "--date1", "2016-13-01"], "--date1"),
             (["sweep", "{tmp}", "--t0", "2016-01-24", "--dts", "27"], "--t0"),
+            (["sweep", "{tmp}", "--t0", "9999-12-01", "--dts", "28,60"], "--dts"),
+            (["sweep", "{tmp}/undated", "--t0", "2016-01-23", "--dts", "28"], "no dated snapshot CSVs"),
+            (["panel", "{tmp}/a.csv", "{tmp}/snap_2016-02-20.csv", "p.csv"], "pass --date0 explicitly"),
+            (["panel", "{tmp}/snap_2016-01-23.csv", "{tmp}/b_2016-02-30.csv", "p.csv"], "'2016-02-30', which is not"),
         ],
     )
     def test_refused_before_any_input_is_hashed_or_read(self, snap_pair, tmp_path, monkeypatch, capsys, argv, flag):
-        """The inputs are missing, or for `sweep` may not be hashed or read, so a check made later fails the row."""
+        """The inputs are missing, or may not be hashed or read, so a check made later fails the row."""
+        (tmp_path / "undated").mkdir()
+        write(tmp_path / "undated" / "notes.csv", "user_id,balance\nalice,5\n")
 
         def untouchable(path, *rest):
             raise AssertionError(f"{path} was hashed or read")

@@ -233,10 +233,12 @@ WORD_USERS = st.dictionaries(
 # a later id tying with an earlier one on the word after the prefix, smaller and then larger than it
 TIE_BELOW = {PREFIX + "abcdefgh_b": (5, None), PREFIX + "abcdefgh_a": (None, 3), PREFIX + "zz": (1, 1)}
 TIE_ABOVE = {PREFIX + "abcdefgh_a": (5, None), PREFIX + "abcdefgh_b": (None, 3), PREFIX + "zz": (1, 1)}
-# earlier ids that share their word after the prefix: the join places the later ids by the whole ids
+# earlier ids that share their word after the prefix: the join places the later ids with that word by the whole ids
 REPEATED_WORD = {PREFIX + "abcdefgh_a": (5, 2), PREFIX + "abcdefgh_c": (4, None), PREFIX + "abcdefgh_b": (None, 3)}
 UNEQUAL_WIDTHS = {"a": (5, None), PREFIX + "abcdefgh_long": (None, 3), "ab": (2, 2), "z" * 40: (None, 1)}
 ONE_SIDE_EMPTY = {PREFIX + "a": (5, None), PREFIX + "b": (0, None)}
+# a run of three earlier ids that share their word after the prefix, which a later id is placed within
+WORD_RUN = {PREFIX + "abcdefgh_" + c: (b, None) for c, b in zip("ace", (5, 4, 3))} | {PREFIX + "zz": (1, 1)}
 
 
 def _side(users, k, date, rng=None):
@@ -263,6 +265,9 @@ class TestJoinProperties:
     @example(users=UNEQUAL_WIDTHS, seed=6)
     @example(users=ONE_SIDE_EMPTY, seed=7)
     @example(users={u: (b1, b0) for u, (b0, b1) in ONE_SIDE_EMPTY.items()}, seed=8)
+    @example(users={**WORD_RUN, PREFIX + "abcdefgh_c": (4, 9)}, seed=9)  # the run's second member
+    @example(users={**WORD_RUN, PREFIX + "abcdefgh_e": (3, 0)}, seed=10)  # its third member
+    @example(users={**WORD_RUN, PREFIX + "abcdefgh_d": (None, 7)}, seed=11)  # a new id inside the run
     def test_matches_oracle_and_ignores_row_order(self, users, seed):
         self._check_against_oracle(users, seed)
 

@@ -32,7 +32,7 @@ from balancegrowth.io import (
     write_panel_csv,
     write_snapshot_csv,
 )
-from balancegrowth.panel import _id_order
+from balancegrowth.panel import _id_order, _word
 
 from conftest import D0, D28
 
@@ -127,7 +127,7 @@ class TestIntegerWords:
     @example(cells=[b"-", b"", b"1" * 19, b"0" * 22 + b"7", *INT64_EDGES], rows_per_block=3)
     def test_values_and_refusals_match_the_grammar(self, cells, rows_per_block):
         buf, starts, stops = _cells_in_buffer(cells)
-        with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_block):
+        with mock.patch.object(bg_panel, "_ROWS_PER_BLOCK", rows_per_block):
             values, bad = bg_io._int_cells(buf, starts, stops)
         for cell, value, refused in zip(cells, values.tolist(), bad.tolist()):
             ok = bg_io._INT_CELL.fullmatch(cell) is not None and -(2**63) <= int(cell) < 2**63
@@ -186,9 +186,7 @@ class TestReaderMatchesWriterCells:
             path.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode("utf-8"))
             lineno = [i + 1 for i, text in enumerate(lines) if text][1:]
             schema = [("id", "utf8"), ("n", "int"), ("x", "real")]
-            with mock.patch.object(bg_io, "_ROWS_PER_CHUNK", rows_per_block), mock.patch.object(
-                bg_panel, "_ROWS_PER_BLOCK", rows_per_block
-            ):
+            with mock.patch.object(bg_panel, "_ROWS_PER_BLOCK", rows_per_block):
                 if "" in cells:  # NaN is written as an empty cell, which is not a number
                     i = cells.index("")
                     message = f"^{re.escape(str(path))}:{lineno[i]}: x must be a number, got ''$"
@@ -318,6 +316,19 @@ class TestIdSort:
         assert _id_order(utf8).tolist() == np.argsort(utf8, kind="stable").tolist()
         assert np.array_equal(np.argsort(utf8, kind="stable"), np.argsort(np.array(ids, dtype=str), kind="stable"))
 
+    @pytest.mark.parametrize("width", [1, 5, 8, 9, 12, 13, 20])
+    @pytest.mark.parametrize("offset", [0, 3, 5, 12])
+    def test_word_is_the_nul_padded_bytes_read_big_endian(self, width, offset):
+        """Each id's bytes from `offset`, NUL-padded to 8, as one big-endian integer: for ids narrower
+        than, as wide as and wider than `offset + 8`, an offset at the ids' width, and zero ids."""
+        rng = np.random.default_rng(width * 16 + offset)
+        for n in (0, 1, 9):
+            cells = [bytes(rng.integers(1, 256, rng.integers(0, width + 1)).astype(np.uint8)) for _ in range(n)]
+            ids = np.array(cells, dtype=f"S{width}")
+            want = [int.from_bytes(u[offset : offset + 8].ljust(8, b"\0"), "big") for u in cells]
+            got = _word(ids, offset)
+            assert got.dtype == np.uint64 and got.tolist() == want
+            assert _word(ids[::2], offset).tolist() == want[::2]
 
     @staticmethod
     def _word_tied_ids(rng, n):
@@ -611,3 +622,14 @@ class TestMapOnCpus:
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         _set_affinity(monkeypatch, {0})
         assert map_on_cpus(lambda i: threading.current_thread(), range(3)) == [threading.main_thread()] * 3
+        assert map_on_cpus(lambda i: threading.current_thread(), range(0)) == []
+        started = []
+
+        def call(i):
+            started.append(i)
+            if i == 1:
+                raise ValueError(i)
+
+        with pytest.raises(ValueError, match="1"):
+            map_on_cpus(call, range(5))
+        assert started == [0, 1]  # the call that failed was the last to start
